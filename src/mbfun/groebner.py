@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import CapabilityError
 from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement
@@ -267,13 +267,6 @@ class LeftIdeal:
         return self.normal_form(elem, order).is_zero()
 
 
-def groebner_left(ideal: LeftIdeal, order: Optional[MonomialOrder] = None) -> LeftIdeal:
-    basis = ideal.groebner(order)
-    out = LeftIdeal(ideal.sig, list(basis))
-    out._bases[order or MonomialOrder.degrevlex()] = basis
-    return out
-
-
 def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     """Intersect with the subalgebra on the kept generators.
 
@@ -319,14 +312,6 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
 
 def _shift(pos: int, removed: set) -> int:
     return pos - sum(1 for r in removed if r < pos)
-
-
-def initial_ideal_weight(ideal: LeftIdeal, w_table: Dict[str, int]) -> LeftIdeal:
-    """Ideal of w-leading forms of a w-adapted Groebner basis."""
-    order = MonomialOrder.weight(ideal.sig, w_table)
-    basis = ideal.groebner(order)
-    forms = [initial_form(g, order) for g in basis]
-    return LeftIdeal(ideal.sig, forms)
 
 
 def initial_form(elem: WeylElement, order: MonomialOrder) -> WeylElement:

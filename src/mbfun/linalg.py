@@ -6,11 +6,31 @@ column index first) so repeated runs produce identical witnesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .rationals import ONE, Q, ZERO
 
 Row = Dict[int, object]
+Terms = Mapping[Tuple[int, ...], object]
+
+
+def identity_system(
+    columns: Sequence[Terms], rhs: Optional[Terms] = None
+) -> Tuple[List[Row], List[object]]:
+    """Rows and right-hand side of sum_i c_i columns[i] = rhs.
+
+    Columns and rhs are polynomials given as exponent -> coefficient dicts;
+    the identity gives one equation per monomial, in sorted monomial order.
+    """
+    rhs = rhs or {}
+    equations: Dict[Tuple[int, ...], Row] = {}
+    for idx, terms in enumerate(columns):
+        for mono, coeff in terms.items():
+            equations.setdefault(mono, {})[idx] = coeff
+    for mono in rhs:
+        equations.setdefault(mono, {})
+    monos = sorted(equations)
+    return [equations[mono] for mono in monos], [rhs.get(mono, ZERO) for mono in monos]
 
 
 def _reduce_row(row: Row, rhs, pivots: Dict[int, Tuple[Row, object]]):

@@ -1,16 +1,16 @@
 """Bernstein-Sato polynomials of meromorphic functions f = F/G.
 
 The engine realizes the canonical section sigma_m = G^{1-m}/(tG - F) of
-O[1/((tG-F)G)] / O[1/G] on the graph tG = F, computes (a sub-ideal of) its
-annihilator, and reads off the b-polynomial of sigma_m along t = 0 through
-the weight-degree-zero reduction.  b_{f,m}(s) = p(-s-1).
+O[1/((tG-F)G)] / O[1/G] on the graph tG = F and reads off the b-polynomial
+of sigma_m along t = 0.  b_{f,m}(s) = p(-s-1).
 
-The annihilator starts from hand-verified seed operators and is completed
-by exact linear algebra: all operators of bounded total degree killing
-sigma_m in the quotient module are found as a nullspace (membership there
-is decidable because G and tG - F are coprime).  A too-small completion
-degree can only make the computed b a multiple of the true one, which the
-functional-equation oracle then detects and repairs (or flags).
+The direct route (b_section_along_t) solves for p(t d_t) and its V_{-1}
+witness as exact linear systems in the section's context alone; it needs
+no annihilator.  Only the initial-ideal cross-check
+(b_section_along_t_initial) completes one: starting from hand-verified
+seed operators, all operators of bounded total degree killing sigma_m in
+the quotient module are found as a nullspace (membership there is
+decidable because G and tG - F are coprime).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import linalg
 from .bfunction import BFunction, S_VAR, theta_to_s
 from .commutative import are_coprime, radical_contains
 from .errors import CapabilityError, NotSpecializableError
-from .groebner import LeftIdeal, MonomialOrder, normal_form
+from .groebner import LeftIdeal
 from .multipoly import MultiPoly, unify
 from .oracle import (
     DEFAULT_DEG,
@@ -31,7 +31,7 @@ from .oracle import (
     minimize_by_oracle,
     verify_functional_equation,
 )
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, Q
 from .sections import (
     DT_VAR,
     DeltaContext,
@@ -46,18 +46,10 @@ from .sections import (
 from .vfiltration import b_polynomial_theta, theta_reduce
 from .weyl import WeylElement
 
-DEFAULT_COMPLETION_DEGREE = 3
+COMPLETION_DEGREE = 3
 
 CERTIFIED = "CERTIFIED"
 UNCERTIFIED = "UNCERTIFIED"
-
-
-@dataclass
-class SigmaPresentation:
-    ctx: DeltaContext
-    annihilator: LeftIdeal
-    m: int
-    completion_degree: int
 
 
 @dataclass
@@ -116,11 +108,7 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
         num = sec.cleared_numerator(a, b)
         _, rem = num.divmod_single(modulus)
         columns.append((exps, rem))
-    equations: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for idx, (_, rem) in enumerate(columns):
-        for mono, coeff in rem.terms.items():
-            equations.setdefault(mono, {})[idx] = coeff
-    rows = [equations[k] for k in sorted(equations)]
+    rows, _ = linalg.identity_system([rem.terms for _, rem in columns])
     out = []
     for vec in linalg.nullspace(rows, len(columns)):
         terms = {exps: c for (exps, _), c in zip(columns, vec) if c != 0}
@@ -129,13 +117,8 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     return out
 
 
-def build_sigma(
-    F: MultiPoly,
-    G: MultiPoly,
-    m: int,
-    completion_degree: int = DEFAULT_COMPLETION_DEGREE,
-) -> SigmaPresentation:
-    """Presentation of sigma_m with a degree-bounded annihilator."""
+def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
+    """Context of sigma_m, after checking the inputs and the seed operators."""
     F, G = unify(F, G)
     if F.is_zero() or F.is_constant():
         raise ValueError("F must be nonzero and nonconstant")
@@ -146,19 +129,11 @@ def build_sigma(
     if len(F.variables) > 3 or max(F.total_degree(), G.total_degree()) > 8:
         raise CapabilityError("input beyond supported size (n <= 3, degree <= 8)")
     ctx = DeltaContext(F, G, m)
-    seeds = _seed_generators(ctx)
     sigma = ctx.generator()
-    for g in seeds:
+    for g in _seed_generators(ctx):
         if not apply_delta_operator(g, sigma).is_zero_mod_holomorphic():
             raise AssertionError("seed generator fails to annihilate sigma_m")
-    order = MonomialOrder.degrevlex()
-    seed_ideal = LeftIdeal(ctx.sig, seeds)
-    extras = []
-    for cand in annihilating_operators(ctx, completion_degree):
-        if not seed_ideal.normal_form(cand, order).is_zero():
-            extras.append(cand)
-            seed_ideal = LeftIdeal(ctx.sig, seeds + extras)
-    return SigmaPresentation(ctx, LeftIdeal(ctx.sig, seeds + extras), m, completion_degree)
+    return ctx
 
 
 def _delta_solve(
@@ -181,16 +156,7 @@ def _delta_solve(
         if not rem.is_zero():
             cleared.append((label, rem))
     _, rhs_rem = rhs.cleared_numerator(a, b).divmod_single(modulus)
-    equations: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for idx, (_, rem) in enumerate(cleared):
-        for mono, coeff in rem.terms.items():
-            equations.setdefault(mono, {})[idx] = coeff
-    for mono in rhs_rem.terms:
-        equations.setdefault(mono, {})
-    rows, vec = [], []
-    for mono in sorted(equations):
-        rows.append(equations[mono])
-        vec.append(rhs_rem.terms.get(mono, ZERO))
+    rows, vec = linalg.identity_system([rem.terms for _, rem in cleared], rhs_rem.terms)
     solution = linalg.solve(rows, vec, len(cleared))
     if solution is None:
         return None
@@ -198,7 +164,7 @@ def _delta_solve(
 
 
 def b_section_along_t(
-    pres: SigmaPresentation,
+    ctx: DeltaContext,
     vdeg: int = 6,
     max_pdeg: int = 8,
 ) -> MultiPoly:
@@ -211,7 +177,6 @@ def b_section_along_t(
     <= vdeg.  Any hit is a multiple of the true b-polynomial of the
     section, since such p form an ideal of Q[theta].
     """
-    ctx = pres.ctx
     sig = ctx.sig
     sigma = ctx.generator()
     theta_op = WeylElement.gen(sig, T_VAR) * WeylElement.gen(sig, DT_VAR)
@@ -243,15 +208,21 @@ def b_section_along_t(
     )
 
 
-def b_section_along_t_initial(pres: SigmaPresentation) -> MultiPoly:
+def b_section_along_t_initial(ctx: DeltaContext) -> MultiPoly:
     """Same value through the initial-ideal route: generator of
     in_w(annihilator) ∩ Q[theta] for w = (t: -1, d_t: +1).
 
-    Exact when the presentation's annihilator is complete; kept as an
-    independent cross-check for small inputs (the weight Groebner basis
-    is expensive for nontrivial G).
+    The annihilator is the seed ideal completed by the operators of total
+    degree <= COMPLETION_DEGREE killing sigma_m.  Exact when that
+    completion is the full annihilator; kept as an independent cross-check
+    for small inputs (the weight Groebner basis is expensive for
+    nontrivial G).
     """
-    reduced = theta_reduce(pres.annihilator, T_VAR, DT_VAR, "theta")
+    ideal = LeftIdeal(ctx.sig, _seed_generators(ctx))
+    for cand in annihilating_operators(ctx, COMPLETION_DEGREE):
+        if not ideal.contains(cand):
+            ideal = LeftIdeal(ctx.sig, ideal.generators + [cand])
+    reduced = theta_reduce(ideal, T_VAR, DT_VAR, "theta")
     return b_polynomial_theta(reduced)
 
 
@@ -261,12 +232,10 @@ def b_mero(
     m: int = 0,
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
-    completion_degree: int = DEFAULT_COMPLETION_DEGREE,
 ) -> BResult:
     """b_{f,m}(s) = p_sigma(-s-1), oracle-certified and oracle-minimized."""
     F, G = unify(F, G)
-    pres = build_sigma(F, G, m, completion_degree)
-    engine_b = theta_to_s(b_section_along_t(pres))
+    engine_b = theta_to_s(b_section_along_t(build_sigma(F, G, m)))
     notes: List[str] = []
     witness = verify_functional_equation(engine_b, F, G, m, N, deg)
     if witness is None:

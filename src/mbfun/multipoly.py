@@ -8,7 +8,7 @@ printing and hashing are deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rationals import ONE, Q, ZERO
 
@@ -432,8 +432,3 @@ def rational_roots(p: MultiPoly):
         roots[found] = roots.get(found, 0) + 1
         work = work.exact_quotient(var - MultiPoly.const(p.variables, found))
     return roots, work
-
-
-def poly_divides(a: MultiPoly, b: MultiPoly) -> bool:
-    """True iff b = a * q exactly over Q (univariate use per contract)."""
-    return a.divides(b)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .rationals import Q, format_ratio, parse_ratio
+from .rationals import Q
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,3 @@ def charts_from_json(text: str) -> List[NCChart]:
             )
         )
     return out
-
-
-def ratios_to_json(values: Iterable[Q]) -> List[str]:
-    return [format_ratio(v) for v in sorted(values)]
-
-
-def ratios_from_json(values: Iterable[str]) -> List[Q]:
-    return [parse_ratio(v) for v in values]

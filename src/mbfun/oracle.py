@@ -150,16 +150,7 @@ def _solve_sections(
             if weight is None or weight == target:
                 kept.append((label, num))
         cleared = kept
-    equations: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for idx, (_, num) in enumerate(cleared):
-        for exps, coeff in num.terms.items():
-            equations.setdefault(exps, {})[idx] = coeff
-    for exps in rhs_num.terms:
-        equations.setdefault(exps, {})
-    rows, rhs_vec = [], []
-    for exps in sorted(equations):
-        rows.append(equations[exps])
-        rhs_vec.append(rhs_num.terms.get(exps, ZERO))
+    rows, rhs_vec = linalg.identity_system([num.terms for _, num in cleared], rhs_num.terms)
     solution = linalg.solve(rows, rhs_vec, len(cleared))
     if solution is None:
         return None
@@ -173,11 +164,6 @@ def _solve_sections(
 # -- public oracle entry points ------------------------------------------
 
 
-def _context(F: MultiPoly, G: MultiPoly) -> MeroContext:
-    F, G = unify(F, G)
-    return MeroContext(F, G)
-
-
 def verify_functional_equation(
     b: BFunction,
     F: MultiPoly,
@@ -185,9 +171,7 @@ def verify_functional_equation(
     m: int = 0,
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
-    sdeg: Optional[int] = None,
     incremental: bool = True,
-    ctx: Optional[MeroContext] = None,
 ) -> Optional[Dict[int, WeylElement]]:
     """Witness {k: P_k} for b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, or None.
 
@@ -195,10 +179,7 @@ def verify_functional_equation(
     deg and stops at the first success (cheap certification); rejection
     claims should pass incremental=False so the full bounds are exercised.
     """
-    if ctx is None:
-        ctx = _context(F, G)
-    if sdeg is None:
-        sdeg = deg
+    ctx = MeroContext(*unify(F, G))
     lattice = weight_lattice(ctx.F, ctx.G)
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     schedule = list(range(1, deg + 1)) if incremental else [deg]
@@ -206,7 +187,7 @@ def verify_functional_equation(
         columns: List[Tuple[object, LaurentSection]] = []
         for k in range(1, N + 1):
             base = base_section(ctx, m, shift=k).renormalize()
-            for key, sec in _operator_columns(base, d, min(d, sdeg)):
+            for key, sec in _operator_columns(base, d, d):
                 columns.append(((k, key), sec))
         solution = _solve_sections(lhs, columns, lattice)
         if solution is None:
@@ -235,6 +216,22 @@ def _recheck_witness(
         raise CertificationError("witness failed independent re-application")
 
 
+def _first_passing_divisor(
+    b: BFunction, F: MultiPoly, G: MultiPoly, m: int, N: int, deg: int
+) -> Optional[BFunction]:
+    """First b/(s-r), over the roots r in sorted order, that admits the
+    functional equation at full bounds; None when none does."""
+    s = MultiPoly.var((S_VAR,), S_VAR)
+    for root, _ in b.sorted_roots():
+        quotient = b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root))
+        if quotient.is_constant():
+            continue
+        cand = BFunction.from_poly(quotient)
+        if verify_functional_equation(cand, F, G, m, N, deg, incremental=False) is not None:
+            return cand
+    return None
+
+
 def reject_maximal_divisors(
     b: BFunction,
     F: MultiPoly,
@@ -246,15 +243,7 @@ def reject_maximal_divisors(
     """True iff every b/(s-r) fails the functional equation at full bounds."""
     if b.roots is None:
         raise ValueError("minimality check needs a split b-function")
-    s = MultiPoly.var((S_VAR,), S_VAR)
-    for root, _ in b.sorted_roots():
-        quotient = b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root))
-        if quotient.is_constant():
-            continue
-        cand = BFunction.from_poly(quotient)
-        if verify_functional_equation(cand, F, G, m, N, deg, incremental=False) is not None:
-            return False
-    return True
+    return _first_passing_divisor(b, F, G, m, N, deg) is None
 
 
 def minimize_by_oracle(
@@ -273,19 +262,11 @@ def minimize_by_oracle(
     """
     if b.roots is None:
         return b
-    s = MultiPoly.var((S_VAR,), S_VAR)
-    changed = True
-    while changed and b.degree() > 1:
-        changed = False
-        for root, _ in b.sorted_roots():
-            quotient = b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root))
-            if quotient.is_constant():
-                continue
-            cand = BFunction.from_poly(quotient)
-            if verify_functional_equation(cand, F, G, m, N, deg, incremental=False) is not None:
-                b = cand
-                changed = True
-                break
+    while b.degree() > 1:
+        smaller = _first_passing_divisor(b, F, G, m, N, deg)
+        if smaller is None:
+            break
+        b = smaller
     return b
 
 
@@ -296,18 +277,15 @@ def prefactored_witness(
     m: int,
     prefactor: MultiPoly,
     deg: int = DEFAULT_DEG,
-    sdeg: Optional[int] = None,
 ) -> Optional[WeylElement]:
     """P with b(s) f^s/G^m = prefactor * P (f^{s+1}/G^m), or None."""
-    ctx = _context(F, G)
-    if sdeg is None:
-        sdeg = deg
+    ctx = MeroContext(*unify(F, G))
     lattice = weight_lattice(ctx.F, ctx.G)
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     pre = prefactor.extend_to(ctx.ring)
     base = base_section(ctx, m, shift=1).renormalize()
     columns = [
-        (key, sec.scaled(pre)) for key, sec in _operator_columns(base, deg, sdeg)
+        (key, sec.scaled(pre)) for key, sec in _operator_columns(base, deg, deg)
     ]
     solution = _solve_sections(lhs, columns, lattice)
     if solution is None:

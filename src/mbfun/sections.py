@@ -14,8 +14,7 @@ Both carry an exact, purely formal action of the relevant Weyl algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .multipoly import MultiPoly
 from .rationals import Q
@@ -215,6 +214,8 @@ class DeltaSection:
         )
 
     def __add__(self, other: "DeltaSection") -> "DeltaSection":
+        if self.ctx is not other.ctx:
+            raise ValueError("sections from different contexts")
         a = max(self.ppow, other.ppow)
         b = max(self.gpow, other.gpow)
         return DeltaSection(
@@ -278,108 +279,4 @@ def apply_delta_operator(P: WeylElement, v: DeltaSection) -> DeltaSection:
         total = part if total is None else total + part
     if total is None:
         return DeltaSection(ctx, MultiPoly.zero(ctx.ring), 0, 0)
-    return total
-
-
-# -- two-parameter symbols F^{s1} G^{s2} ----------------------------------
-
-
-class PairContext:
-    """Ambient data for sections numerator * F^{-a} G^{-b} * F^{s1} G^{s2}."""
-
-    def __init__(self, F: MultiPoly, G: MultiPoly, s_names: Tuple[str, str] = ("s1", "s2")):
-        self.xvars = F.variables
-        self.s_names = s_names
-        self.ring: Tuple[str, ...] = self.xvars + s_names
-        self.F = F.extend_to(self.ring)
-        self.G = G.extend_to(self.ring)
-        self.s1 = MultiPoly.var(self.ring, s_names[0])
-        self.s2 = MultiPoly.var(self.ring, s_names[1])
-        self.dF = {x: self.F.derivative(x) for x in self.xvars}
-        self.dG = {x: self.G.derivative(x) for x in self.xvars}
-        self._powF: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
-        self._powG: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
-        self.sig = AlgebraSignature.make(
-            pairs=[(x, dname(x)) for x in self.xvars], central=list(s_names)
-        )
-
-    def powF(self, k: int) -> MultiPoly:
-        if k not in self._powF:
-            self._powF[k] = self.powF(k - 1) * self.F
-        return self._powF[k]
-
-    def powG(self, k: int) -> MultiPoly:
-        if k not in self._powG:
-            self._powG[k] = self.powG(k - 1) * self.G
-        return self._powG[k]
-
-
-@dataclass(frozen=True)
-class PairSection:
-    """numerator * F^{-fpow} G^{-gpow} * F^{s1+shift1} G^{s2+shift2}."""
-
-    ctx: PairContext
-    numerator: MultiPoly
-    fpow: int
-    gpow: int
-    shift1: int = 0
-    shift2: int = 0
-
-    def renormalize(self) -> "PairSection":
-        if self.shift1 == 0 and self.shift2 == 0:
-            return self
-        num = self.numerator * self.ctx.powF(self.shift1) * self.ctx.powG(self.shift2)
-        return PairSection(self.ctx, num, self.fpow, self.gpow, 0, 0)
-
-    def cleared_numerator(self, fpow: int, gpow: int) -> MultiPoly:
-        v = self.renormalize()
-        if fpow < v.fpow or gpow < v.gpow:
-            raise ValueError("target denominator smaller than current one")
-        return v.numerator * self.ctx.powF(fpow - v.fpow) * self.ctx.powG(gpow - v.gpow)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __add__(self, other: "PairSection") -> "PairSection":
-        a = max(self.fpow, other.fpow)
-        b = max(self.gpow, other.gpow)
-        return PairSection(
-            self.ctx, self.cleared_numerator(a, b) + other.cleared_numerator(a, b), a, b
-        )
-
-    def scaled(self, poly: MultiPoly) -> "PairSection":
-        return PairSection(
-            self.ctx, self.numerator * poly, self.fpow, self.gpow, self.shift1, self.shift2
-        )
-
-
-def _apply_pair_dx(v: PairSection, x: str) -> PairSection:
-    # d/dx (h F^{-a} G^{-b} F^{s1+k1} G^{s2+k2}) has numerator
-    #   h_x F G + h (s1+k1-a) F_x G + h (s2+k2-b) F G_x  over F^{-a-1} G^{-b-1}
-    ctx = v.ctx
-    h = v.numerator
-    num = (
-        h.derivative(x) * ctx.F * ctx.G
-        + h * (ctx.s1 + Q(v.shift1) - Q(v.fpow)) * ctx.dF[x] * ctx.G
-        + h * (ctx.s2 + Q(v.shift2) - Q(v.gpow)) * ctx.F * ctx.dG[x]
-    )
-    return PairSection(ctx, num, v.fpow + 1, v.gpow + 1, v.shift1, v.shift2)
-
-
-def apply_pair_operator(P: WeylElement, v: PairSection) -> PairSection:
-    """Action of P in D_n[s1, s2] on the two-parameter symbol."""
-    ctx = v.ctx
-    if P.sig != ctx.sig:
-        raise ValueError("operator signature does not match the section context")
-    n = len(ctx.xvars)
-    total: Optional[PairSection] = None
-    for exps, coeff in sorted(P.terms.items()):
-        part = v
-        for i, x in enumerate(ctx.xvars):
-            for _ in range(exps[n + 2 + i]):
-                part = _apply_pair_dx(part, x)
-        part = part.scaled(MultiPoly(ctx.ring, {tuple(exps[: n + 2]): coeff}))
-        total = part if total is None else total + part
-    if total is None:
-        return PairSection(ctx, MultiPoly.zero(ctx.ring), 0, 0)
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key
 from .rationals import ONE, Q, ZERO
@@ -41,6 +41,14 @@ class AlgebraSignature:
     ) -> "AlgebraSignature":
         coords = tuple(x for x, _ in pairs) + tuple(central)
         derivs = tuple(d for _, d in pairs)
+        seen = set()
+        for name in coords + derivs:
+            if name in seen:
+                raise ValueError(
+                    f"generator name {name!r} occurs twice: a variable name "
+                    "collides with a derivation or an internal name"
+                )
+            seen.add(name)
         n = len(coords)
         pair_pos = tuple((i, n + i) for i in range(len(pairs)))
         twist_pos = []
@@ -280,11 +288,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"WeylElement({self})"
-
-
-def normal_order(a: WeylElement, b: WeylElement) -> WeylElement:
-    """The normally ordered product a * b."""
-    return a * b
 
 
 # -- monomial orders ----------------------------------------------------

@@ -47,6 +47,18 @@ class TestEngine:
         via_initial = theta_to_s(b_section_along_t_initial(pres))
         assert direct.poly == via_initial.poly
 
+    def test_b_mero_never_completes_the_annihilator(self, monkeypatch):
+        # the direct route reads only the context; the completion serves the
+        # initial-ideal cross-check alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("annihilator completion on the b_mero path")
+
+        monkeypatch.setattr("mbfun.merobf.annihilating_operators", forbidden)
+        F, G = pair("x^2", "1")
+        res = b_mero(F, G, 1)
+        assert res.status == "CERTIFIED"
+        assert res.b.roots == {Q(-1): 1, Q(-1, 2): 1}
+
     def test_witness_is_returned(self):
         F, G = pair("x^2", "1")
         res = b_mero(F, G, 0)

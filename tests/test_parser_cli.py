@@ -110,6 +110,10 @@ class TestCLI:
     def test_usage_error_exit_code(self, capsys):
         assert main(["bf", "classic", "x^(-1)"]) == 2
         assert main(["nc", "roots", "--charts", "/no/such/file.json"]) == 2
+        # a variable named like a derivation collides with an internal generator
+        assert main(["bf", "mero", "x*dx+x", "dx"]) == 2
+        assert main(["bf", "classic", "x*dx"]) == 2
+        assert "'dx' occurs twice" in capsys.readouterr().err
 
     def test_capability_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("MBFUN_MAX_DEGREE", "2")

@@ -14,7 +14,7 @@ from mbfun.oracle import (
 )
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
-from mbfun.sections import MeroContext, apply_operator, base_section
+from mbfun.sections import DeltaContext, MeroContext, apply_operator, base_section
 from mbfun.weyl import WeylElement
 
 
@@ -47,6 +47,13 @@ class TestSections:
         expected = base_section(ctx, 0).scaled(s_num)
         # multiply expected by x^{-1}: compare x * v against s * f^s
         assert v.scaled(poly("x", ctx.ring).extend_to(ctx.ring)).section_eq(expected)
+
+    def test_delta_sections_from_different_contexts_do_not_add(self):
+        F, G = poly("x"), ONE_X
+        one, other = DeltaContext(F, G, 1), DeltaContext(F, G, 1)
+        assert (one.generator() + one.generator()).ppow == 1
+        with pytest.raises(ValueError, match="different contexts"):
+            one.generator() + other.generator()
 
     def test_mero_derivative_quotient_rule(self):
         # dx (x/y)^s has numerator s*y over fpow+1, gpow+1 after clearing
