@@ -1,0 +1,24 @@
+"""Pinned `--json` transcripts: the CLI output must not drift across commits.
+
+`data/golden_transcripts.json` holds, per command, its argv, exit code and
+exact stdout.  None of the commands reads a file, so the command echo in
+each report is stable and the comparison is byte for byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from mbfun.cli import main as cli_main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_transcripts.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"][:-1]))
+def test_golden_transcript(entry, capsys):
+    code = cli_main(entry["argv"])
+    assert capsys.readouterr().out == entry["stdout"]
+    assert code == entry["exit_code"]
