@@ -86,6 +86,20 @@ def _parse(text: str, variables=None) -> MultiPoly:
         raise UsageError(f"in {text!r}: {exc}") from exc
 
 
+def _parse_pair(args) -> List[MultiPoly]:
+    """args.F and args.G over one shared variable list."""
+    F = _parse(args.F)
+    G = _parse(args.G, _shared_vars(args.F, args.G))
+    return unify(F, G)
+
+
+def _check_status(holds: bool, *results) -> str:
+    """FAILED when the check fails; else CERTIFIED iff every b read was."""
+    if not holds:
+        return FAILED
+    return CERTIFIED if all(r.status == CERTIFIED for r in results) else UNCERTIFIED
+
+
 def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChart:
     F, G = unify(F, G)
     if len(F.terms) != 1 or len(G.terms) != 1:
@@ -116,9 +130,7 @@ def _run_bf_classic(args):
 
 
 def _run_bf_mero(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     res = b_mero(F, G, args.m, N=args.certify_n, deg=args.certify_deg)
     result = _b_payload(res.b)
     result["witness"] = _witness_payload(res.witness)
@@ -128,9 +140,7 @@ def _run_bf_mero(args):
 
 
 def _run_bf_simple(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     res = b_simple(F, G, args.m)
     result = _b_payload(res.b)
     result["witness"] = _witness_payload(res.witness)
@@ -138,9 +148,7 @@ def _run_bf_simple(args):
 
 
 def _run_bf_reduced(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     weights = [parse_ratio(w) for w in args.weights.split(",")]
     if len(weights) != len(F.variables):
         raise UsageError(
@@ -160,9 +168,7 @@ def _run_bf_reduced(args):
 
 
 def _run_bf_sabbah(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     res = sabbah_line(F, G, args.m)
     result = _b_payload(res.b)
     result["bs_element"] = str(res.bs_element)
@@ -203,9 +209,7 @@ def _run_jump(args):
 
 
 def _run_check_lemma4(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     if args.m1 > args.m2:
         raise UsageError("--m1 must be <= --m2")
     small = b_mero(F, G, args.m1)
@@ -219,17 +223,13 @@ def _run_check_lemma4(args):
         "roots_m1": [_ratio(r) for r in sorted(roots_small)],
         "roots_m2": [_ratio(r) for r in sorted(roots_big)],
     }
-    status = CERTIFIED if ok and CERTIFIED == small.status == big.status else (
-        FAILED if not ok else UNCERTIFIED
-    )
+    status = _check_status(ok, small, big)
     inputs = {"F": str(F), "G": str(G), "m1": args.m1, "m2": args.m2, "lcap": args.lcap}
     return inputs, result, status, []
 
 
 def _run_check_thm41(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     charts = _load_charts(args.charts) if args.charts else [_monomial_chart(F, G)]
     res = b_mero(F, G, args.m)
     roots = _roots_or_fail(res.b)
@@ -242,18 +242,14 @@ def _run_check_thm41(args):
         "residues": [_ratio(r) for r in sorted(B.residues)],
         "misses": [_ratio(r) for r in misses],
     }
-    status = CERTIFIED if ok and res.status == CERTIFIED else (
-        FAILED if not ok else UNCERTIFIED
-    )
+    status = _check_status(ok, res)
     inputs = {"F": str(F), "G": str(G), "m": args.m,
               "charts": args.charts if args.charts else "(derived from monomials)"}
     return inputs, result, status, []
 
 
 def _run_check_corjump(args):
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    F, G = unify(F, G)
+    F, G = _parse_pair(args)
     chart = (
         _load_charts(args.charts)[0] if args.charts else _monomial_chart(F, G)
     )
@@ -267,9 +263,7 @@ def _run_check_corjump(args):
         "lct": _ratio(report.lct),
         "b0": _b_payload(res.b),
     }
-    status = CERTIFIED if ok and res.status == CERTIFIED else (
-        FAILED if not ok else UNCERTIFIED
-    )
+    status = _check_status(ok, res)
     inputs = {"F": str(F), "G": str(G),
               "charts": args.charts if args.charts else "(derived from monomials)"}
     return inputs, result, status, []

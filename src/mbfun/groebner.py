@@ -90,9 +90,6 @@ def _product_criterion_safe(sig: AlgebraSignature, a: Exponent, b: Exponent) -> 
     for ci, di in sig.pairs:
         if (a[di] and b[ci]) or (b[di] and a[ci]):
             return False
-    for si, ti in sig.twists:
-        if (a[ti] and b[si]) or (b[ti] and a[si]):
-            return False
     return True
 
 
@@ -270,7 +267,7 @@ class LeftIdeal:
 def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     """Intersect with the subalgebra on the kept generators.
 
-    drop must consist of matched (x_i, d_i) pairs (or twist pairs); elements
+    drop must consist of matched (x_i, d_i) pairs; elements
     of the weight-(1 on dropped) Groebner basis free of dropped generators
     generate the intersection.
     """
@@ -280,9 +277,6 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     for ci, di in sig.pairs:
         if (ci in positions) != (di in positions):
             raise ValueError("drop set must contain matched (x, d) pairs")
-    for si, ti in sig.twists:
-        if (si in positions) != (ti in positions):
-            raise ValueError("drop set must contain matched twist pairs")
     order = MonomialOrder.weight(sig, {name: 1 for name in drop})
     basis = ideal.groebner(order)
     kept_elems = [
@@ -295,11 +289,6 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
             (_shift(ci, positions), _shift(di, positions))
             for ci, di in sig.pairs
             if ci not in positions
-        ),
-        tuple(
-            (_shift(si, positions), _shift(ti, positions))
-            for si, ti in sig.twists
-            if si not in positions
         ),
     )
     keep_positions = [i for i in range(sig.ngens) if i not in positions]

@@ -84,30 +84,21 @@ def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[List[objec
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[List[object]]:
     """Basis of the right nullspace of A."""
-    pivots: Dict[int, Row] = {}
+    pivots: Dict[int, Tuple[Row, object]] = {}
     for row in rows:
-        row = dict(row)
-        for col in sorted(row):
-            if col in pivots and col in row:
-                factor = row[col]
-                for c, v in pivots[col].items():
-                    acc = row.get(c, ZERO) - factor * v
-                    if acc == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = acc
+        row, _ = _reduce_row(row, ZERO, pivots)
         if not row:
             continue
         col = min(row)
         inv = 1 / row[col]
-        pivots[col] = {c: v * inv for c, v in row.items()}
+        pivots[col] = ({c: v * inv for c, v in row.items()}, ZERO)
     basis = []
     free_cols = [c for c in range(ncols) if c not in pivots]
     for free in free_cols:
         vec = [ZERO] * ncols
         vec[free] = ONE
         for col in sorted(pivots, reverse=True):
-            row = pivots[col]
+            row, _ = pivots[col]
             acc = ZERO
             for c, v in row.items():
                 if c != col:

@@ -42,6 +42,7 @@ from .sections import (
     apply_delta_operator,
     base_section,
     dname,
+    operator_columns,
 )
 from .vfiltration import b_polynomial_theta, theta_reduce
 from .weyl import WeylElement
@@ -66,49 +67,35 @@ def _seed_generators(ctx: DeltaContext) -> List[WeylElement]:
     gens = [WeylElement.from_poly(sig, ctx.P)]
     G2 = WeylElement.from_poly(sig, ctx.G * ctx.G)
     for x in ctx.xvars:
+        dF, dG = ctx.F.derivative(x), ctx.G.derivative(x)
         elem = G2 * WeylElement.gen(sig, dname(x))
         if ctx.m:
-            elem = elem + Q(ctx.m) * WeylElement.from_poly(sig, ctx.G * ctx.dG[x])
-        h = ctx.dF[x] * ctx.G - ctx.F * ctx.dG[x]
+            elem = elem + Q(ctx.m) * WeylElement.from_poly(sig, ctx.G * dG)
+        h = dF * ctx.G - ctx.F * dG
         elem = elem + WeylElement.from_poly(sig, h) * WeylElement.gen(sig, DT_VAR)
         gens.append(elem)
     return gens
 
 
-def _degree_monomials(ngens: int, deg: int):
-    def rec(k: int, room: int):
-        if k == 0:
-            yield ()
-            return
-        for e in range(room + 1):
-            for rest in rec(k - 1, room - e):
-                yield (e,) + rest
-
-    return sorted(rec(ngens, deg))
+def _remainders_mod_graph(
+    ctx: DeltaContext, sections: Sequence[DeltaSection]
+) -> List[MultiPoly]:
+    """Numerators over the common denominator (tG-F)^a G^b, reduced modulo
+    (tG-F)^a.  A combination of the sections vanishes modulo O[t][1/G] iff
+    the same combination of remainders is zero: (tG-F)^a must divide its
+    numerator (G and tG-F are coprime), and that reduction is linear."""
+    a = max(sec.ppow for sec in sections)
+    b = max(sec.gpow for sec in sections)
+    modulus = ctx.power(0, a)
+    return [sec.cleared_numerator(a, b).divmod_single(modulus)[1] for sec in sections]
 
 
 def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
-    """All operators of total degree <= deg killing sigma_m in the quotient.
-
-    P sigma = num / ((tG-F)^a G^b) vanishes modulo O[t][1/G] iff (tG-F)^a
-    divides num (coprimality), and reduction modulo a single divisor is
-    linear, so the full annihilating space is a nullspace computation.
-    """
-    sigma = ctx.generator()
-    monos = _degree_monomials(ctx.sig.ngens, deg)
-    applied: List[Tuple[Tuple[int, ...], DeltaSection]] = []
-    for exps in monos:
-        sec = apply_delta_operator(WeylElement(ctx.sig, {exps: ONE}), sigma)
-        applied.append((exps, sec))
-    a = max(sec.ppow for _, sec in applied)
-    b = max(sec.gpow for _, sec in applied)
-    modulus = ctx.powP(a)
-    columns = []
-    for exps, sec in applied:
-        num = sec.cleared_numerator(a, b)
-        _, rem = num.divmod_single(modulus)
-        columns.append((exps, rem))
-    rows, _ = linalg.identity_system([rem.terms for _, rem in columns])
+    """All operators of total degree <= deg killing sigma_m in the quotient,
+    as a nullspace over the operator monomials."""
+    columns = sorted(operator_columns(ctx.generator(), deg, 0))
+    rems = _remainders_mod_graph(ctx, [sec for _, sec in columns])
+    rows, _ = linalg.identity_system([rem.terms for rem in rems])
     out = []
     for vec in linalg.nullspace(rows, len(columns)):
         terms = {exps: c for (exps, _), c in zip(columns, vec) if c != 0}
@@ -141,21 +128,10 @@ def _delta_solve(
     rhs: DeltaSection,
     columns: Sequence[Tuple[object, DeltaSection]],
 ) -> Optional[Dict[object, object]]:
-    """Solve sum c_i col_i = rhs in the quotient module, exactly.
-
-    Equality there means (tG-F)^a divides the cleared numerator, and
-    reduction modulo the single divisor (tG-F)^a is linear, so the
-    quotient equation is a plain rational linear system.
-    """
-    a = max([rhs.ppow] + [sec.ppow for _, sec in columns])
-    b = max([rhs.gpow] + [sec.gpow for _, sec in columns])
-    modulus = ctx.powP(a)
-    cleared = []
-    for label, sec in columns:
-        _, rem = sec.cleared_numerator(a, b).divmod_single(modulus)
-        if not rem.is_zero():
-            cleared.append((label, rem))
-    _, rhs_rem = rhs.cleared_numerator(a, b).divmod_single(modulus)
+    """Solve sum c_i col_i = rhs in the quotient module, exactly, as a
+    rational linear system in the remainders modulo the graph."""
+    *rems, rhs_rem = _remainders_mod_graph(ctx, [sec for _, sec in columns] + [rhs])
+    cleared = [(label, rem) for (label, _), rem in zip(columns, rems) if not rem.is_zero()]
     rows, vec = linalg.identity_system([rem.terms for _, rem in cleared], rhs_rem.terms)
     solution = linalg.solve(rows, vec, len(cleared))
     if solution is None:
@@ -186,11 +162,11 @@ def b_section_along_t(
     t_pos, dt_pos = sig.index(T_VAR), sig.index(DT_VAR)
     schedule = sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg})
     for step in schedule:
-        vcols: List[Tuple[object, DeltaSection]] = []
-        for exps in _degree_monomials(sig.ngens, step):
-            if exps[dt_pos] - exps[t_pos] <= -1:
-                sec = apply_delta_operator(WeylElement(sig, {exps: ONE}), sigma)
-                vcols.append((("q", exps), sec))
+        vcols = [
+            (("q", exps), sec)
+            for exps, sec in sorted(operator_columns(sigma, step, 0))
+            if exps[dt_pos] - exps[t_pos] <= -1
+        ]
         for pdeg in range(max_pdeg + 1):
             rhs = theta_secs[pdeg].scaled(MultiPoly.const(ctx.ring, -1))
             columns = [(("p", i), theta_secs[i]) for i in range(pdeg)] + vcols
@@ -328,7 +304,7 @@ def reduced_b(
     ]
     for bdeg in range(max_bdeg + 1):
         for l in range(lmax + 1):
-            v0 = LaurentSection(ctx, ctx.powG(l), 0, 0)
+            v0 = LaurentSection(ctx, ctx.power(1, l), 0, 0)
             found = minimal_b_search(
                 ctx, v0, targets, opdeg, opdeg, max_bdeg=bdeg, min_bdeg=bdeg
             )

@@ -37,9 +37,6 @@ class BoundSet:
 
     residues: frozenset
 
-    def member(self, r) -> bool:
-        return member(self, r)
-
 
 def roots_nc(chart: NCChart, m: int) -> Set[Q]:
     """Candidate roots contributed by one chart at denominator order m.

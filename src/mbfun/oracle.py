@@ -20,19 +20,23 @@ weight-homogeneous in x.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .bfunction import BFunction, S_VAR
 from .multipoly import MultiPoly, unify
 from .rationals import ONE, Q, ZERO
-from .sections import LaurentSection, MeroContext, _apply_dx, base_section
-from .weyl import WeylElement
+from .sections import (
+    LaurentSection,
+    MeroContext,
+    apply_operator,
+    base_section,
+    operator_columns,
+)
+from .weyl import Exponent, WeylElement
 
 DEFAULT_N = 3
 DEFAULT_DEG = 6
-
-OpKey = Tuple[Tuple[int, ...], int, Tuple[int, ...]]   # (alpha, s-power, beta)
 
 
 # -- quasi-homogeneity lattice -------------------------------------------
@@ -72,54 +76,6 @@ def _numerator_weight(poly: MultiPoly, w: Sequence, nx: int):
         elif seen != val:
             return None
     return seen
-
-
-# -- column generation ----------------------------------------------------
-
-
-def _compositions(k: int, total: int) -> Iterator[Tuple[int, ...]]:
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(k - 1, total - head):
-            yield (head,) + rest
-
-
-def _derivative_tower(base: LaurentSection, deg: int) -> Dict[Tuple[int, ...], LaurentSection]:
-    """All sections d^beta(base) for |beta| <= deg, built incrementally."""
-    ctx = base.ctx
-    n = len(ctx.xvars)
-    tower = {(0,) * n: base}
-    for d in range(1, deg + 1):
-        for beta in _compositions(n, d):
-            i = next(idx for idx, e in enumerate(beta) if e)
-            prev = tuple(e - (1 if idx == i else 0) for idx, e in enumerate(beta))
-            tower[beta] = _apply_dx(tower[prev], ctx.xvars[i])
-    return tower
-
-
-def _operator_columns(
-    base: LaurentSection, deg: int, sdeg: int
-) -> Iterator[Tuple[OpKey, LaurentSection]]:
-    """Sections (x^alpha s^j d^beta) base with |alpha|+|beta| <= deg, j <= sdeg."""
-    ctx = base.ctx
-    n = len(ctx.xvars)
-    tower = _derivative_tower(base, deg)
-    for beta, dbase in sorted(tower.items()):
-        room = deg - sum(beta)
-        for da in range(room + 1):
-            for alpha in _compositions(n, da):
-                for j in range(sdeg + 1):
-                    mono = MultiPoly(ctx.ring, {alpha + (j,): ONE})
-                    yield (alpha, j, beta), dbase.scaled(mono)
-
-
-def _witness_element(
-    ctx: MeroContext, coeffs: Dict[OpKey, object]
-) -> WeylElement:
-    terms = {alpha + (j,) + beta: c for (alpha, j, beta), c in coeffs.items()}
-    return WeylElement(ctx.sig, terms)
 
 
 # -- system assembly and solve -------------------------------------------
@@ -187,15 +143,15 @@ def verify_functional_equation(
         columns: List[Tuple[object, LaurentSection]] = []
         for k in range(1, N + 1):
             base = base_section(ctx, m, shift=k).renormalize()
-            for key, sec in _operator_columns(base, d, d):
+            for key, sec in operator_columns(base, d, d):
                 columns.append(((k, key), sec))
         solution = _solve_sections(lhs, columns, lattice)
         if solution is None:
             continue
-        witness: Dict[int, Dict[OpKey, object]] = {}
+        witness: Dict[int, Dict[Exponent, object]] = {}
         for (k, key), value in solution.items():
             witness.setdefault(k, {})[key] = value
-        result = {k: _witness_element(ctx, coeffs) for k, coeffs in sorted(witness.items())}
+        result = {k: WeylElement(ctx.sig, coeffs) for k, coeffs in sorted(witness.items())}
         _recheck_witness(b, m, ctx, result)
         return result
     return None
@@ -205,7 +161,6 @@ def _recheck_witness(
     b: BFunction, m: int, ctx: MeroContext, witness: Dict[int, WeylElement]
 ) -> None:
     from .errors import CertificationError
-    from .sections import apply_operator
 
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     total: Optional[LaurentSection] = None
@@ -285,12 +240,12 @@ def prefactored_witness(
     pre = prefactor.extend_to(ctx.ring)
     base = base_section(ctx, m, shift=1).renormalize()
     columns = [
-        (key, sec.scaled(pre)) for key, sec in _operator_columns(base, deg, deg)
+        (key, sec.scaled(pre)) for key, sec in operator_columns(base, deg, deg)
     ]
     solution = _solve_sections(lhs, columns, lattice)
     if solution is None:
         return None
-    return _witness_element(ctx, solution)
+    return WeylElement(ctx.sig, solution)
 
 
 # -- minimal-b joint search ----------------------------------------------
@@ -315,7 +270,7 @@ def minimal_b_search(
     lattice = weight_lattice(ctx.F, ctx.G)
     op_columns: List[Tuple[object, LaurentSection]] = []
     for r, target in enumerate(targets):
-        for key, sec in _operator_columns(target.renormalize(), opdeg, sdeg):
+        for key, sec in operator_columns(target.renormalize(), opdeg, sdeg):
             op_columns.append((("op", r, key), sec))
     for bdeg in range(min_bdeg, max_bdeg + 1):
         s_pow = MultiPoly(ctx.ring, {(0,) * len(ctx.xvars) + (bdeg,): ONE})
@@ -328,12 +283,12 @@ def minimal_b_search(
         if solution is None:
             continue
         b_terms = {(bdeg,): ONE}
-        ops: List[Dict[OpKey, object]] = [dict() for _ in targets]
+        ops: List[Dict[Exponent, object]] = [dict() for _ in targets]
         for label, value in solution.items():
             if label[0] == "b":
                 b_terms[(label[1],)] = value
             else:
                 ops[label[1]][label[2]] = -value
         b = BFunction.from_poly(MultiPoly((S_VAR,), b_terms))
-        return b, [_witness_element(ctx, coeffs) for coeffs in ops]
+        return b, [WeylElement(ctx.sig, coeffs) for coeffs in ops]
     return None

@@ -25,10 +25,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def is_rational(value) -> bool:
-    return isinstance(value, (int, Fraction)) or type(value) is type(ZERO)
-
-
 def format_ratio(value) -> str:
     """Serialize as "p/q" (always with explicit denominator)."""
     return f"{value.numerator}/{value.denominator}"

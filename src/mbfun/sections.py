@@ -1,24 +1,33 @@
 """Formal sections of the modules the engines and the oracle act on.
 
-Two representations:
+A section is a numerator h over two denominator factors, h D_1^l_1 D_2^l_2:
 
-* LaurentSection — elements h * F^{-a} G^{-b} * f^{s+k} of O[1/(FG)][s] f^s
-  for a fixed meromorphic f = F/G.  This is the oracle's working module.
-* DeltaSection — elements h * (tG-F)^{-a} G^{-b} of O[1/((tG-F)G)],
-  considered modulo O[1/G].  The canonical generator lives here and
-  annihilator membership is decided in this quotient.
+    LaurentSection  h F^-a G^-b f^(s+k) in O[1/(FG)][s] f^s, f = F/G
+                    factors (F, G), exponents (s+k-a, -(s+k)-b)
+    DeltaSection    h (tG-F)^-a G^-b in O[1/((tG-F)G)] modulo O[1/G]
+                    factors (tG-F, G), exponents (-a, -b)
 
-Both carry an exact, purely formal action of the relevant Weyl algebra.
+The first is the oracle's working module; the engine's generator
+sigma_m = G^(1-m)/(tG-F) is a DeltaSection.  Each context lists its
+factors, their partials, and the factors R each derivation raises (both
+for every x_i, only tG-F for t), and one quotient rule serves all:
+
+    d_v (h prod D_i^l_i) = [h_v prod_R D_i + h sum_{i in R} l_i d_v(D_i)
+                            prod_{j in R, j != i} D_j] prod D_i^l_i / prod_R D_i
+
+Derivations commute exactly on these representations, so one operator
+loop and one column builder serve both section types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from itertools import product
+from typing import Iterator, Tuple
 
 from .multipoly import MultiPoly
-from .rationals import Q
-from .weyl import AlgebraSignature, WeylElement
+from .rationals import ONE, Q
+from .weyl import AlgebraSignature, Exponent, WeylElement
 
 S_VAR = "s"
 T_VAR = "t"
@@ -29,8 +38,51 @@ def dname(x: str) -> str:
     return "d" + x
 
 
-class MeroContext:
-    """Fixed pair (F, G) with cached derivatives and power tables."""
+class _Context:
+    """Denominator factors, their partials, and the factors each
+    derivation raises; subclasses set `ring` first."""
+
+    def _set_factors(self, factors, raises) -> None:
+        self.factors = factors
+        self.partials = {v: tuple(D.derivative(v) for D in factors) for v in raises}
+        self.raises = raises
+        self._powers = tuple({0: MultiPoly.const(self.ring, 1)} for _ in factors)
+
+    def power(self, i: int, k: int) -> MultiPoly:
+        """factors[i] ** k, cached."""
+        cache = self._powers[i]
+        if k not in cache:
+            cache[k] = self.power(i, k - 1) * self.factors[i]
+        return cache[k]
+
+
+class _Section:
+    """The quotient rule; a subclass gives `exponents()` and names its
+    denominator exponents in POWS."""
+
+    def derivative(self, var: str):
+        """d/d(var) of the section, by the quotient rule above."""
+        ctx, h = self.ctx, self.numerator
+        raised = ctx.raises[var]
+        exponents = self.exponents()
+        num = h.derivative(var)
+        for i in raised:
+            num = num * ctx.factors[i]
+        for i in raised:
+            partial = ctx.partials[var][i]
+            if partial.is_zero():
+                continue
+            term = h * exponents[i] * partial
+            for j in raised:
+                if j != i:
+                    term = term * ctx.factors[j]
+            num = num + term
+        bumped = {self.POWS[i]: getattr(self, self.POWS[i]) + 1 for i in raised}
+        return replace(self, numerator=num, **bumped)
+
+
+class MeroContext(_Context):
+    """Fixed pair (F, G); factors (F, G) over the ring (x, s)."""
 
     def __init__(self, F: MultiPoly, G: MultiPoly):
         if F.variables != G.variables:
@@ -41,30 +93,16 @@ class MeroContext:
         self.F = F
         self.G = G
         self.ring: Tuple[str, ...] = self.xvars + (S_VAR,)
-        self.Fr = F.extend_to(self.ring)
-        self.Gr = G.extend_to(self.ring)
         self.s = MultiPoly.var(self.ring, S_VAR)
-        self.dF = {x: F.derivative(x).extend_to(self.ring) for x in self.xvars}
-        self.dG = {x: G.derivative(x).extend_to(self.ring) for x in self.xvars}
-        self._powF: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
-        self._powG: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
+        factors = (F.extend_to(self.ring), G.extend_to(self.ring))
+        self._set_factors(factors, {x: (0, 1) for x in self.xvars})
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
         )
 
-    def powF(self, k: int) -> MultiPoly:
-        if k not in self._powF:
-            self._powF[k] = self.powF(k - 1) * self.Fr
-        return self._powF[k]
-
-    def powG(self, k: int) -> MultiPoly:
-        if k not in self._powG:
-            self._powG[k] = self.powG(k - 1) * self.Gr
-        return self._powG[k]
-
 
 @dataclass(frozen=True)
-class LaurentSection:
+class LaurentSection(_Section):
     """numerator * F^{-fpow} * G^{-gpow} * f^{s+shift}."""
 
     ctx: MeroContext
@@ -72,6 +110,12 @@ class LaurentSection:
     fpow: int
     gpow: int
     shift: int = 0
+    POWS = ("fpow", "gpow")
+
+    def exponents(self) -> Tuple[MultiPoly, MultiPoly]:
+        # f^{s+k} = F^{s+k} G^{-(s+k)}
+        sk = self.ctx.s + Q(self.shift)
+        return sk - Q(self.fpow), -sk - Q(self.gpow)
 
     def renormalize(self) -> "LaurentSection":
         """Merge the shift: f^{s+k} = F^k G^{-k} f^s."""
@@ -79,7 +123,7 @@ class LaurentSection:
             return self
         k = self.shift
         return LaurentSection(
-            self.ctx, self.numerator * self.ctx.powF(k), self.fpow, self.gpow + k, 0
+            self.ctx, self.numerator * self.ctx.power(0, k), self.fpow, self.gpow + k, 0
         )
 
     def cleared_numerator(self, fpow: int, gpow: int) -> MultiPoly:
@@ -87,7 +131,7 @@ class LaurentSection:
         v = self.renormalize()
         if fpow < v.fpow or gpow < v.gpow:
             raise ValueError("target denominator smaller than current one")
-        return v.numerator * self.ctx.powF(fpow - v.fpow) * self.ctx.powG(gpow - v.gpow)
+        return v.numerator * self.ctx.power(0, fpow - v.fpow) * self.ctx.power(1, gpow - v.gpow)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -121,45 +165,8 @@ def base_section(ctx: MeroContext, m: int, shift: int = 0) -> LaurentSection:
     return LaurentSection(ctx, MultiPoly.const(ctx.ring, 1), 0, m, shift)
 
 
-def _apply_dx(v: LaurentSection, x: str) -> LaurentSection:
-    # d/dx_i (h F^{-a} G^{-b} f^{s+k}) with f^{s+k} = F^{s+k} G^{-(s+k)}:
-    #   [ (dh/dx) F G + h (s+k-a) F_i G - h (s+k+b) F G_i ] F^{-a-1} G^{-b-1} f^{s+k}
-    ctx = v.ctx
-    h = v.numerator
-    sk = ctx.s + Q(v.shift)
-    num = (
-        h.derivative(x) * ctx.Fr * ctx.Gr
-        + h * (sk - Q(v.fpow)) * ctx.dF[x] * ctx.Gr
-        - h * (sk + Q(v.gpow)) * ctx.Fr * ctx.dG[x]
-    )
-    return LaurentSection(ctx, num, v.fpow + 1, v.gpow + 1, v.shift)
-
-
-def apply_operator(P: WeylElement, v: LaurentSection) -> LaurentSection:
-    """Exact action of P in D_n[s] (signature ctx.sig) on the section v."""
-    ctx = v.ctx
-    if P.sig != ctx.sig:
-        raise ValueError("operator signature does not match the section context")
-    n = len(ctx.xvars)
-    total: Optional[LaurentSection] = None
-    for exps, coeff in sorted(P.terms.items()):
-        part = v
-        for i, x in enumerate(ctx.xvars):
-            for _ in range(exps[n + 1 + i]):
-                part = _apply_dx(part, x)
-        mono = {tuple(exps[: n + 1]): coeff}
-        part = part.scaled(MultiPoly(ctx.ring, mono))
-        total = part if total is None else total + part
-    if total is None:
-        return LaurentSection(ctx, MultiPoly.zero(ctx.ring), 0, 0, 0)
-    return total
-
-
-# -- the delta-module side ------------------------------------------------
-
-
-class DeltaContext:
-    """Ambient data for sections of O[1/((tG-F)G)] modulo O[1/G]."""
+class DeltaContext(_Context):
+    """Sections of O[1/((tG-F)G)] modulo O[1/G]; factors (tG-F, G) over (x, t)."""
 
     def __init__(self, F: MultiPoly, G: MultiPoly, m: int):
         self.xvars = F.variables
@@ -169,24 +176,12 @@ class DeltaContext:
         self.G = G.extend_to(self.ring)
         t = MultiPoly.var(self.ring, T_VAR)
         self.P = t * self.G - self.F          # tG - F, the graph equation
-        self.dF = {x: self.F.derivative(x) for x in self.xvars}
-        self.dG = {x: self.G.derivative(x) for x in self.xvars}
-        self.dP = {x: self.P.derivative(x) for x in self.xvars}
-        self._powP: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
-        self._powG: Dict[int, MultiPoly] = {0: MultiPoly.const(self.ring, 1)}
+        raises = {x: (0, 1) for x in self.xvars}
+        raises[T_VAR] = (0,)
+        self._set_factors((self.P, self.G), raises)
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars] + [(T_VAR, DT_VAR)]
         )
-
-    def powP(self, k: int) -> MultiPoly:
-        if k not in self._powP:
-            self._powP[k] = self.powP(k - 1) * self.P
-        return self._powP[k]
-
-    def powG(self, k: int) -> MultiPoly:
-        if k not in self._powG:
-            self._powG[k] = self.powG(k - 1) * self.G
-        return self._powG[k]
 
     def generator(self) -> "DeltaSection":
         """sigma_m = G^{1-m} / (tG - F)."""
@@ -196,21 +191,25 @@ class DeltaContext:
 
 
 @dataclass(frozen=True)
-class DeltaSection:
+class DeltaSection(_Section):
     """numerator * (tG-F)^{-ppow} * G^{-gpow}, modulo O[t][1/G]."""
 
     ctx: DeltaContext
     numerator: MultiPoly          # over ctx.ring = (x_1..x_n, t)
     ppow: int
     gpow: int
+    POWS = ("ppow", "gpow")
+
+    def exponents(self) -> Tuple[object, object]:
+        return Q(-self.ppow), Q(-self.gpow)
 
     def cleared_numerator(self, ppow: int, gpow: int) -> MultiPoly:
         if ppow < self.ppow or gpow < self.gpow:
             raise ValueError("target denominator smaller than current one")
         return (
             self.numerator
-            * self.ctx.powP(ppow - self.ppow)
-            * self.ctx.powG(gpow - self.gpow)
+            * self.ctx.power(0, ppow - self.ppow)
+            * self.ctx.power(1, gpow - self.gpow)
         )
 
     def __add__(self, other: "DeltaSection") -> "DeltaSection":
@@ -241,42 +240,71 @@ class DeltaSection:
         return red.ppow <= 0 or red.numerator.is_zero()
 
 
-def _apply_delta_dx(v: DeltaSection, x: str) -> DeltaSection:
-    # d/dx (h P^{-a} G^{-b}) = [h_x P G - a h P_x G - b h P G_x] P^{-a-1} G^{-b-1}
-    ctx = v.ctx
-    h = v.numerator
-    num = (
-        h.derivative(x) * ctx.P * ctx.G
-        - Q(v.ppow) * h * ctx.dP[x] * ctx.G
-        - Q(v.gpow) * h * ctx.P * ctx.dG[x]
-    )
-    return DeltaSection(ctx, num, v.ppow + 1, v.gpow + 1)
+# -- operators acting on sections -----------------------------------------
 
 
-def _apply_delta_dt(v: DeltaSection) -> DeltaSection:
-    # d/dt (h P^{-a} G^{-b}) = [h_t P - a h G] P^{-a-1} G^{-b}
+def _apply(P: WeylElement, v):
+    """P v for a normally ordered P: derivations first, then coordinates.
+
+    The zero operator gives v scaled by zero.
+    """
     ctx = v.ctx
-    h = v.numerator
-    num = h.derivative(T_VAR) * ctx.P - Q(v.ppow) * h * ctx.G
-    return DeltaSection(ctx, num, v.ppow + 1, v.gpow)
+    sig = ctx.sig
+    if P.sig != sig:
+        raise ValueError("operator signature does not match the section context")
+    ncoords = len(sig.coords)
+    total = None
+    for exps, coeff in sorted(P.terms.items()):
+        part = v
+        for ci, di in sig.pairs:
+            for _ in range(exps[di]):
+                part = part.derivative(sig.coords[ci])
+        part = part.scaled(MultiPoly(ctx.ring, {exps[:ncoords]: coeff}))
+        total = part if total is None else total + part
+    return v.scaled(MultiPoly.zero(ctx.ring)) if total is None else total
+
+
+def apply_operator(P: WeylElement, v: LaurentSection) -> LaurentSection:
+    """Exact action of P in D_n[s] (signature ctx.sig) on the section v."""
+    return _apply(P, v)
 
 
 def apply_delta_operator(P: WeylElement, v: DeltaSection) -> DeltaSection:
     """Action of P in D_{n+1} (variables x, t) on the delta-module section."""
-    ctx = v.ctx
-    if P.sig != ctx.sig:
-        raise ValueError("operator signature does not match the section context")
-    n = len(ctx.xvars)
-    total: Optional[DeltaSection] = None
-    for exps, coeff in sorted(P.terms.items()):
-        part = v
-        for _ in range(exps[2 * n + 1]):
-            part = _apply_delta_dt(part)
-        for i, x in enumerate(ctx.xvars):
-            for _ in range(exps[n + 1 + i]):
-                part = _apply_delta_dx(part, x)
-        part = part.scaled(MultiPoly(ctx.ring, {tuple(exps[: n + 1]): coeff}))
-        total = part if total is None else total + part
-    if total is None:
-        return DeltaSection(ctx, MultiPoly.zero(ctx.ring), 0, 0)
-    return total
+    return _apply(P, v)
+
+
+def _compositions(k: int, total: int) -> Iterator[Tuple[int, ...]]:
+    if k == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(k - 1, total - head):
+            yield (head,) + rest
+
+
+def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, object]]:
+    """Sections (x^alpha c^j d^beta) base, keyed by the operator's exponent
+    tuple in signature order: |alpha| + |beta| <= deg over the coordinates
+    that carry a derivation, exponent <= sdeg on each central coordinate c.
+
+    The derivatives d^beta base come from one tower, each one derivation
+    above an earlier one; the order is by beta, then |alpha|, alpha, j.
+    """
+    ctx = base.ctx
+    sig = ctx.sig
+    paired = [sig.coords[ci] for ci, _ in sig.pairs]
+    n = len(paired)
+    tower = {(0,) * n: base}
+    for d in range(1, deg + 1):
+        for beta in _compositions(n, d):
+            i = next(idx for idx, e in enumerate(beta) if e)
+            prev = tuple(e - (1 if idx == i else 0) for idx, e in enumerate(beta))
+            tower[beta] = tower[prev].derivative(paired[i])
+    central = list(product(range(sdeg + 1), repeat=len(sig.coords) - n))
+    for beta, dbase in sorted(tower.items()):
+        for da in range(deg - sum(beta) + 1):
+            for alpha in _compositions(n, da):
+                for j in central:
+                    mono = MultiPoly(ctx.ring, {alpha + j: ONE})
+                    yield alpha + j + beta, dbase.scaled(mono)

@@ -1,8 +1,8 @@
 """PBW algebras with normally ordered elements.
 
 Supported signatures: Weyl algebras D_n (pairs [d_i, x_i] = 1), optional
-central variables (s-parameters), the s,t-algebra twist [t, s] = t, and the
-degree homogenization used for weight-vector Groebner runs ([d, x] = h^2).
+central variables (s-parameters), and the degree homogenization used for
+weight-vector Groebner runs ([d, x] = h^2).
 
 Generators are numbered coords-then-derivations; a monomial is the exponent
 vector of its normally ordered form (all coords left of all derivations).
@@ -29,7 +29,6 @@ class AlgebraSignature:
     coords: Tuple[str, ...]
     derivs: Tuple[str, ...]
     pairs: Tuple[Tuple[int, int], ...]      # (coord position, deriv position)
-    twists: Tuple[Tuple[int, int], ...]     # (s position, t position), [t, s] = t
     homog: Optional[int] = None             # coord position of h, if homogenized
 
     @classmethod
@@ -37,7 +36,6 @@ class AlgebraSignature:
         cls,
         pairs: Sequence[Tuple[str, str]] = (),
         central: Sequence[str] = (),
-        twists: Sequence[Tuple[str, str]] = (),
     ) -> "AlgebraSignature":
         coords = tuple(x for x, _ in pairs) + tuple(central)
         derivs = tuple(d for _, d in pairs)
@@ -50,16 +48,7 @@ class AlgebraSignature:
                 )
             seen.add(name)
         n = len(coords)
-        pair_pos = tuple((i, n + i) for i in range(len(pairs)))
-        twist_pos = []
-        for t_name, s_name in twists:
-            s_i, t_i = coords.index(s_name), coords.index(t_name)
-            if s_i > t_i:
-                raise ValueError("twist s-variable must precede its t-variable")
-            if any(c == t_i for c, _ in pair_pos):
-                raise ValueError("twisted t-variable cannot carry a derivation")
-            twist_pos.append((s_i, t_i))
-        return cls(coords, derivs, pair_pos, tuple(twist_pos))
+        return cls(coords, derivs, tuple((i, n + i) for i in range(len(pairs))))
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -73,12 +62,10 @@ class AlgebraSignature:
         return self.names.index(name)
 
     def homogenized(self, h_name: str = "h_") -> "AlgebraSignature":
-        if self.twists:
-            raise ValueError("homogenization of twisted algebras unsupported")
         coords = self.coords + (h_name,)
         n = len(coords)
         pairs = tuple((c, d + 1) for c, d in self.pairs)
-        return AlgebraSignature(coords, self.derivs, pairs, (), homog=n - 1)
+        return AlgebraSignature(coords, self.derivs, pairs, homog=n - 1)
 
 
 def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
@@ -99,18 +86,6 @@ def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
                     d2[di] = d2.get(di, 0) - k
                     if sig.homog is not None and k:
                         d2[sig.homog] = d2.get(sig.homog, 0) + 2 * k
-                    expanded.append((d2, coeff * c))
-            choices = expanded
-    for si, ti in sig.twists:
-        p1, q2 = e1[ti], e2[si]
-        if p1 and q2:
-            # t^p s^q = (s + p)^q t^p
-            expanded = []
-            for delta, coeff in choices:
-                for j in range(q2 + 1):
-                    c = math.comb(q2, j) * p1 ** (q2 - j)
-                    d2 = dict(delta)
-                    d2[si] = d2.get(si, 0) - (q2 - j)
                     expanded.append((d2, coeff * c))
             choices = expanded
     base = tuple(a + b for a, b in zip(e1, e2))
@@ -295,7 +270,7 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """degrevlex | lex | weight vector with degrevlex tiebreak."""
+    """degrevlex | weight vector with degrevlex tiebreak."""
 
     kind: str = "degrevlex"
     weights: Tuple[int, ...] = ()
@@ -303,10 +278,6 @@ class MonomialOrder:
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
         return cls("degrevlex")
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls("lex")
 
     @classmethod
     def weight(cls, sig: AlgebraSignature, table: Dict[str, int]) -> "MonomialOrder":
@@ -336,8 +307,6 @@ class MonomialOrder:
         return sum(w * e for w, e in zip(self.weights, exps))
 
     def key(self, exps: Exponent):
-        if self.kind == "lex":
-            return tuple(exps)
         if self.kind == "weight":
             return (self.wdeg(exps),) + _revlex_key(exps)
         return _revlex_key(exps)

@@ -14,7 +14,14 @@ from mbfun.oracle import (
 )
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
-from mbfun.sections import DeltaContext, MeroContext, apply_operator, base_section
+from mbfun.sections import (
+    DeltaContext,
+    MeroContext,
+    apply_delta_operator,
+    apply_operator,
+    base_section,
+    operator_columns,
+)
 from mbfun.weyl import WeylElement
 
 
@@ -27,6 +34,17 @@ def b_of(roots):
 
 
 ONE_X = poly("1", ("x",))
+XY = ("x", "y")
+DELTA_PAIRS = [("x", "y+1"), ("x*y", "x+y"), ("x^2-y^2", "y+1"), ("x^3", "y^2")]
+
+
+def delta_operators():
+    # exponent layout: (x, y, t, dx, dy, dt)
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 1)] * 3, *[st.integers(0, 2)] * 3),
+        st.integers(-2, 2),
+    )
+    return st.lists(term, min_size=1, max_size=3)
 
 
 class TestSections:
@@ -96,6 +114,51 @@ class TestSections:
         lhs = apply_operator(P * Qop, v)
         rhs = apply_operator(P, apply_operator(Qop, v))
         assert lhs.section_eq(rhs)
+
+    @given(
+        st.sampled_from(DELTA_PAIRS),
+        st.integers(0, 2),
+        delta_operators(),
+        delta_operators(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_delta_operator_action_is_multiplicative(self, pair, m, terms_p, terms_q):
+        ctx = DeltaContext(poly(pair[0], XY), poly(pair[1], XY), m)
+        P = WeylElement(ctx.sig, {e: Q(c) for e, c in terms_p if c})
+        Qop = WeylElement(ctx.sig, {e: Q(c) for e, c in terms_q if c})
+        sigma = ctx.generator()
+        lhs = apply_delta_operator(P * Qop, sigma)
+        rhs = apply_delta_operator(P, apply_delta_operator(Qop, sigma))
+        a, b = max(lhs.ppow, rhs.ppow), max(lhs.gpow, rhs.gpow)
+        assert lhs.cleared_numerator(a, b) == rhs.cleared_numerator(a, b)
+
+    @pytest.mark.parametrize("pair", DELTA_PAIRS)
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_derivations_commute_on_delta_sections(self, pair, m):
+        # the operator loop applies derivations in signature order, the
+        # column tower in its own order; both rely on this identity
+        ctx = DeltaContext(poly(pair[0], XY), poly(pair[1], XY), m)
+        v = ctx.generator().derivative("y")
+        for x in ("x", "y"):
+            xt = v.derivative(x).derivative("t")
+            tx = v.derivative("t").derivative(x)
+            assert xt == tx
+            assert (xt.ppow, xt.gpow) == (v.ppow + 2, v.gpow + 1)
+
+    def test_operator_columns_match_applied_monomials(self):
+        ctx = DeltaContext(poly("x*y", XY), poly("x+y", XY), 1)
+        sigma = ctx.generator()
+        columns = dict(operator_columns(sigma, 2, 0))
+        assert len(columns) == 28   # monomials of degree <= 2 in 6 generators
+        for exps, sec in columns.items():
+            assert sec == apply_delta_operator(WeylElement(ctx.sig, {exps: Q(1)}), sigma)
+        mero = MeroContext(poly("x^2", XY), poly("y", XY))
+        keys = [key for key, _ in operator_columns(base_section(mero, 1), 1, 1)]
+        assert keys == [
+            (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0),
+            (0, 1, 1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0),
+        ]
 
 
 class TestOracle:

@@ -40,13 +40,6 @@ def test_leibniz_contraction():
     assert dx * dx * x * x == x * x * dx * dx + 4 * (x * dx) + 2
 
 
-def test_twist_relation():
-    sig = AlgebraSignature.make(central=["s", "t"], twists=[("t", "s")])
-    s, t = WeylElement.gen(sig, "s"), WeylElement.gen(sig, "t")
-    assert t * s == s * t + t                      # [t, s] = t
-    assert t * t * s == s * t * t + 2 * (t * t)    # t^p s = (s + p) t^p
-
-
 def test_content_primitive_normalizes_sign():
     e = Q(-2, 3) * gen("x") - Q(4, 3) * gen("dx")
     prim = e.content_primitive()
