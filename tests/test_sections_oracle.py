@@ -8,6 +8,7 @@ from mbfun.bfunction import BFunction
 from mbfun.errors import CertificationError
 from mbfun.oracle import (
     minimal_b_search,
+    minimize_by_oracle,
     reject_maximal_divisors,
     verify_functional_equation,
     weight_lattice,
@@ -176,6 +177,14 @@ class TestOracle:
         b = b_of([((-1, 1), 1), ((-1, 2), 1)])
         assert verify_functional_equation(b, F, ONE_X, 0, N=1, deg=2) is not None
         assert reject_maximal_divisors(b, F, ONE_X, 0, N=1, deg=4)
+
+    def test_minimization_drops_superfluous_roots(self):
+        # on the battery the engine value is already minimal; here two of
+        # the four roots, -2 and -3/2, are not needed by the equation
+        F = poly("x^2")
+        b = b_of([((-1, 1), 1), ((-1, 2), 1), ((-2, 1), 1), ((-3, 2), 1)])
+        assert str(minimize_by_oracle(b, F, ONE_X, 0, N=1, deg=2)) == "(s + 1)*(s + 1/2)"
+        assert not reject_maximal_divisors(b, F, ONE_X, 0, N=1, deg=2)
 
     def test_rejects_wrong_candidate(self):
         F = poly("x^2")
