@@ -21,14 +21,14 @@ eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
 from .commutative import are_coprime
 from .errors import NotSpecializableError, ZeroSpecializationError
 from .groebner import LeftIdeal
 from .multipoly import MultiPoly, unify
-from .rationals import ONE, Q, ZERO
+from .rationals import Q
 from .sections import dname
 from .vfiltration import central_intersection, homogeneous_theta_part, univariate_gcd
 from .weyl import AlgebraSignature, WeylElement

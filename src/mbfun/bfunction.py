@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .multipoly import MultiPoly, poly_from_roots, rational_roots
+from .multipoly import MultiPoly, format_coeff, poly_from_roots, rational_roots
 from .rationals import Q
-
-
-def _short(value) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 S_VAR = "s"
 
@@ -57,7 +51,7 @@ class BFunction:
         if self.roots is not None:
             factors = []
             for root, mult in self.sorted_roots():
-                base = S_VAR if root == 0 else f"({S_VAR} {'-' if root > 0 else '+'} {_short(abs(root))})"
+                base = S_VAR if root == 0 else f"({S_VAR} {'-' if root > 0 else '+'} {format_coeff(abs(root))})"
                 factors.append(base if mult == 1 else f"{base}^{mult}")
             return "*".join(factors) if factors else "1"
         return str(self.poly)

@@ -39,7 +39,7 @@ from .ncres import (
 )
 from .oracle import verify_functional_equation
 from .parser import PolySyntaxError, parse_poly
-from .rationals import Q, format_ratio, parse_ratio
+from .rationals import format_ratio, parse_ratio
 
 FAILED = "FAILED"
 SCHEMA_VERSION = 1
@@ -49,14 +49,10 @@ class UsageError(ValueError):
     pass
 
 
-def _ratio(value) -> str:
-    return format_ratio(value)
-
-
 def _roots_payload(b: BFunction):
     if b.roots is None:
         return None
-    return [[_ratio(r), m] for r, m in b.sorted_roots()]
+    return [[format_ratio(r), m] for r, m in b.sorted_roots()]
 
 
 def _b_payload(b: BFunction) -> Dict:
@@ -160,9 +156,9 @@ def _run_bf_reduced(args):
     inputs = {
         "F": str(F),
         "G": str(G),
-        "weights": [_ratio(w) for w in weights],
-        "d1": _ratio(parse_ratio(args.d1)),
-        "d2": _ratio(parse_ratio(args.d2)),
+        "weights": [format_ratio(w) for w in weights],
+        "d1": format_ratio(parse_ratio(args.d1)),
+        "d2": format_ratio(parse_ratio(args.d2)),
     }
     return inputs, result, res.status, list(res.notes)
 
@@ -183,15 +179,15 @@ def _run_nc(args):
             chart.label: sorted(roots_nc(chart, args.m)) for chart in charts
         }
         result = {
-            "roots": {lab: [_ratio(r) for r in rs] for lab, rs in sorted(per_chart.items())}
+            "roots": {lab: [format_ratio(r) for r in rs] for lab, rs in sorted(per_chart.items())}
         }
     elif args.which == "bound":
         B = bound_set(charts, args.m)
-        result = {"residues": [_ratio(r) for r in sorted(B.residues)]}
+        result = {"residues": [format_ratio(r) for r in sorted(B.residues)]}
     else:  # eigen
         B = bound_set(charts, args.m)
         classes = eigenvalue_classes(B.residues)
-        result = {"classes": [_ratio(r) for r in sorted(classes)]}
+        result = {"classes": [format_ratio(r) for r in sorted(classes)]}
     inputs = {"charts": args.charts, "m": args.m}
     return inputs, result, CERTIFIED, []
 
@@ -204,7 +200,7 @@ def _run_jump(args):
     report = jumping_numbers_nc(charts[0], upper)
     inputs = {"charts": args.charts}
     if args.upper is not None:
-        inputs["upper"] = _ratio(parse_ratio(args.upper))
+        inputs["upper"] = format_ratio(parse_ratio(args.upper))
     return inputs, report.to_payload(), CERTIFIED, []
 
 
@@ -220,8 +216,8 @@ def _run_check_lemma4(args):
     result = {
         "holds": ok,
         "l": l,
-        "roots_m1": [_ratio(r) for r in sorted(roots_small)],
-        "roots_m2": [_ratio(r) for r in sorted(roots_big)],
+        "roots_m1": [format_ratio(r) for r in sorted(roots_small)],
+        "roots_m2": [format_ratio(r) for r in sorted(roots_big)],
     }
     status = _check_status(ok, small, big)
     inputs = {"F": str(F), "G": str(G), "m1": args.m1, "m2": args.m2, "lcap": args.lcap}
@@ -238,9 +234,9 @@ def _run_check_thm41(args):
     ok = not misses
     result = {
         "holds": ok,
-        "roots": [_ratio(r) for r in sorted(roots)],
-        "residues": [_ratio(r) for r in sorted(B.residues)],
-        "misses": [_ratio(r) for r in misses],
+        "roots": [format_ratio(r) for r in sorted(roots)],
+        "residues": [format_ratio(r) for r in sorted(B.residues)],
+        "misses": [format_ratio(r) for r in misses],
     }
     status = _check_status(ok, res)
     inputs = {"F": str(F), "G": str(G), "m": args.m,
@@ -259,8 +255,8 @@ def _run_check_corjump(args):
     ok = check_cor_jump(report, res.b)
     result = {
         "holds": ok,
-        "jumps": [_ratio(j) for j in report.jumps],
-        "lct": _ratio(report.lct),
+        "jumps": [format_ratio(j) for j in report.jumps],
+        "lct": format_ratio(report.lct),
         "b0": _b_payload(res.b),
     }
     status = _check_status(ok, res)

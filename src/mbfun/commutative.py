@@ -11,7 +11,6 @@ from typing import Sequence
 import sympy
 
 from .multipoly import MultiPoly
-from .rationals import Q
 
 
 def to_sympy(p: MultiPoly):

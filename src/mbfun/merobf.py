@@ -31,17 +31,17 @@ from .oracle import (
     minimize_by_oracle,
     verify_functional_equation,
 )
-from .rationals import ONE, Q
+from .rationals import Q
 from .sections import (
     DT_VAR,
     DeltaContext,
-    DeltaSection,
     LaurentSection,
     MeroContext,
     T_VAR,
     apply_delta_operator,
     base_section,
     dname,
+    least_monic,
     operator_columns,
 )
 from .vfiltration import b_polynomial_theta, theta_reduce
@@ -77,25 +77,13 @@ def _seed_generators(ctx: DeltaContext) -> List[WeylElement]:
     return gens
 
 
-def _remainders_mod_graph(
-    ctx: DeltaContext, sections: Sequence[DeltaSection]
-) -> List[MultiPoly]:
-    """Numerators over the common denominator (tG-F)^a G^b, reduced modulo
-    (tG-F)^a.  A combination of the sections vanishes modulo O[t][1/G] iff
-    the same combination of remainders is zero: (tG-F)^a must divide its
-    numerator (G and tG-F are coprime), and that reduction is linear."""
-    a = max(sec.ppow for sec in sections)
-    b = max(sec.gpow for sec in sections)
-    modulus = ctx.power(0, a)
-    return [sec.cleared_numerator(a, b).divmod_single(modulus)[1] for sec in sections]
-
-
 def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     """All operators of total degree <= deg killing sigma_m in the quotient,
     as a nullspace over the operator monomials."""
     columns = sorted(operator_columns(ctx.generator(), deg, 0))
-    rems = _remainders_mod_graph(ctx, [sec for _, sec in columns])
-    rows, _ = linalg.identity_system([rem.terms for rem in rems])
+    rows, _ = linalg.identity_system(
+        [image.terms for image in ctx.images([sec for _, sec in columns])]
+    )
     out = []
     for vec in linalg.nullspace(rows, len(columns)):
         terms = {exps: c for (exps, _), c in zip(columns, vec) if c != 0}
@@ -123,22 +111,6 @@ def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
     return ctx
 
 
-def _delta_solve(
-    ctx: DeltaContext,
-    rhs: DeltaSection,
-    columns: Sequence[Tuple[object, DeltaSection]],
-) -> Optional[Dict[object, object]]:
-    """Solve sum c_i col_i = rhs in the quotient module, exactly, as a
-    rational linear system in the remainders modulo the graph."""
-    *rems, rhs_rem = _remainders_mod_graph(ctx, [sec for _, sec in columns] + [rhs])
-    cleared = [(label, rem) for (label, _), rem in zip(columns, rems) if not rem.is_zero()]
-    rows, vec = linalg.identity_system([rem.terms for _, rem in cleared], rhs_rem.terms)
-    solution = linalg.solve(rows, vec, len(cleared))
-    if solution is None:
-        return None
-    return {label: v for (label, _), v in zip(cleared, solution) if v != 0}
-
-
 def b_section_along_t(
     ctx: DeltaContext,
     vdeg: int = 6,
@@ -163,21 +135,13 @@ def b_section_along_t(
     schedule = sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg})
     for step in schedule:
         vcols = [
-            (("q", exps), sec)
+            sec
             for exps, sec in sorted(operator_columns(sigma, step, 0))
             if exps[dt_pos] - exps[t_pos] <= -1
         ]
-        for pdeg in range(max_pdeg + 1):
-            rhs = theta_secs[pdeg].scaled(MultiPoly.const(ctx.ring, -1))
-            columns = [(("p", i), theta_secs[i]) for i in range(pdeg)] + vcols
-            solution = _delta_solve(ctx, rhs, columns)
-            if solution is None:
-                continue
-            terms = {(pdeg,): ONE}
-            for label, value in solution.items():
-                if label[0] == "p":
-                    terms[(label[1],)] = value
-            return MultiPoly(("theta",), terms)
+        found = least_monic(theta_secs, vcols)
+        if found is not None:
+            return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
     raise NotSpecializableError(
         f"no p(theta) of degree <= {max_pdeg} with a V_{{-1}} witness of "
         f"degree <= {vdeg}"

@@ -315,39 +315,46 @@ class MultiPoly:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for var, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(var)
-                elif e > 1:
-                    factors.append(f"{var}^{e}")
-            body = "*".join(factors)
-            if not body:
-                chunk = _coeff_str(coeff)
-            elif coeff == 1:
-                chunk = body
-            elif coeff == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{_coeff_str(coeff)}*{body}"
-            parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+        return format_terms(self.variables, self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
 
-def _coeff_str(coeff) -> str:
+def format_coeff(coeff) -> str:
+    """"p/q", or "p" when q = 1."""
     if coeff.denominator == 1:
         return str(coeff.numerator)
     return f"{coeff.numerator}/{coeff.denominator}"
+
+
+def format_terms(names: Sequence[str], terms: Sequence[Tuple[Exponent, object]]) -> str:
+    """Terms (exponents over names, coefficient), in the given order, as a
+    sum such as "x^2*y - 1/2*y + 3"."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, coeff in terms:
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        if not body:
+            chunk = format_coeff(coeff)
+        elif coeff == 1:
+            chunk = body
+        elif coeff == -1:
+            chunk = f"-{body}"
+        else:
+            chunk = f"{format_coeff(coeff)}*{body}"
+        parts.append(chunk)
+    out = parts[0]
+    for chunk in parts[1:]:
+        out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+    return out
 
 
 def unify(*polys: MultiPoly) -> List[MultiPoly]:

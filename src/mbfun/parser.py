@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .multipoly import MultiPoly
-from .rationals import ONE, Q
+from .rationals import Q
 
 
 class PolySyntaxError(ValueError):

@@ -17,16 +17,28 @@ for every x_i, only tG-F for t), and one quotient rule serves all:
 
 Derivations commute exactly on these representations, so one operator
 loop and one column builder serve both section types.
+
+Each context turns sections into vectors with `images`: numerators over
+one common denominator, in which a combination of the sections vanishes
+iff the same combination of images does.  On top of that:
+
+    solve        c with sum_i c_i columns[i] = rhs, one exact rational
+                 equation per monomial of the images
+    least_monic  least d with powers[d] + sum_{i<d} c_i powers[i] in the
+                 span of the columns; a b-function is read off such a
+                 relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
+                 engine)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .multipoly import MultiPoly
-from .rationals import ONE, Q
+from .rationals import ONE, Q, ZERO
 from .weyl import AlgebraSignature, Exponent, WeylElement
 
 S_VAR = "s"
@@ -57,8 +69,23 @@ class _Context:
 
 
 class _Section:
-    """The quotient rule; a subclass gives `exponents()` and names its
-    denominator exponents in POWS."""
+    """The quotient rule and the sum; a subclass gives `exponents()` and
+    `cleared_numerator`, and names its denominator exponents in POWS."""
+
+    def renormalize(self):
+        return self
+
+    def scaled(self, poly: MultiPoly):
+        """Multiply by a polynomial over ctx.ring."""
+        return replace(self, numerator=self.numerator * poly)
+
+    def __add__(self, other):
+        if self.ctx is not other.ctx:
+            raise ValueError("sections from different contexts")
+        u, v = self.renormalize(), other.renormalize()
+        a, b = (max(getattr(u, name), getattr(v, name)) for name in self.POWS)
+        num = u.cleared_numerator(a, b) + v.cleared_numerator(a, b)
+        return replace(u, numerator=num, **dict(zip(self.POWS, (a, b))))
 
     def derivative(self, var: str):
         """d/d(var) of the section, by the quotient rule above."""
@@ -100,6 +127,13 @@ class MeroContext(_Context):
             pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
         )
 
+    def images(self, sections: Sequence["LaurentSection"]) -> List[MultiPoly]:
+        """Numerators over the common denominator F^a G^b, shifts merged."""
+        sections = [sec.renormalize() for sec in sections]
+        a = max(sec.fpow for sec in sections)
+        b = max(sec.gpow for sec in sections)
+        return [sec.cleared_numerator(a, b) for sec in sections]
+
 
 @dataclass(frozen=True)
 class LaurentSection(_Section):
@@ -136,28 +170,9 @@ class LaurentSection(_Section):
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def __add__(self, other: "LaurentSection") -> "LaurentSection":
-        if self.ctx is not other.ctx:
-            raise ValueError("sections from different contexts")
-        a = max(self.fpow, other.fpow)
-        b = max(self.renormalize().gpow, other.renormalize().gpow)
-        return LaurentSection(
-            self.ctx, self.cleared_numerator(a, b) + other.cleared_numerator(a, b), a, b, 0
-        )
-
-    def __sub__(self, other: "LaurentSection") -> "LaurentSection":
-        return self + LaurentSection(
-            other.ctx, -other.numerator, other.fpow, other.gpow, other.shift
-        )
-
-    def scaled(self, poly: MultiPoly) -> "LaurentSection":
-        """Multiply by a polynomial in (x, s)."""
-        return LaurentSection(
-            self.ctx, self.numerator * poly, self.fpow, self.gpow, self.shift
-        )
-
     def section_eq(self, other: "LaurentSection") -> bool:
-        return (self - other).is_zero()
+        mine, theirs = self.ctx.images([self, other])
+        return mine == theirs
 
 
 def base_section(ctx: MeroContext, m: int, shift: int = 0) -> LaurentSection:
@@ -182,6 +197,16 @@ class DeltaContext(_Context):
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars] + [(T_VAR, DT_VAR)]
         )
+
+    def images(self, sections: Sequence["DeltaSection"]) -> List[MultiPoly]:
+        """Numerators over the common denominator (tG-F)^a G^b, reduced modulo
+        (tG-F)^a.  A combination of the sections vanishes modulo O[t][1/G] iff
+        the same combination of remainders is zero: (tG-F)^a must divide its
+        numerator (G and tG-F are coprime), and that reduction is linear."""
+        a = max(sec.ppow for sec in sections)
+        b = max(sec.gpow for sec in sections)
+        modulus = self.power(0, a)
+        return [sec.cleared_numerator(a, b).divmod_single(modulus)[1] for sec in sections]
 
     def generator(self) -> "DeltaSection":
         """sigma_m = G^{1-m} / (tG - F)."""
@@ -211,18 +236,6 @@ class DeltaSection(_Section):
             * self.ctx.power(0, ppow - self.ppow)
             * self.ctx.power(1, gpow - self.gpow)
         )
-
-    def __add__(self, other: "DeltaSection") -> "DeltaSection":
-        if self.ctx is not other.ctx:
-            raise ValueError("sections from different contexts")
-        a = max(self.ppow, other.ppow)
-        b = max(self.gpow, other.gpow)
-        return DeltaSection(
-            self.ctx, self.cleared_numerator(a, b) + other.cleared_numerator(a, b), a, b
-        )
-
-    def scaled(self, poly: MultiPoly) -> "DeltaSection":
-        return DeltaSection(self.ctx, self.numerator * poly, self.ppow, self.gpow)
 
     def reduce(self) -> "DeltaSection":
         """Cancel (tG-F)-factors shared by numerator and denominator."""
@@ -308,3 +321,53 @@ def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, obje
                 for j in central:
                     mono = MultiPoly(ctx.ring, {alpha + j: ONE})
                     yield alpha + j + beta, dbase.scaled(mono)
+
+
+# -- sections to a linear system -------------------------------------------
+
+
+def _weight(poly: MultiPoly, w: Sequence):
+    """Weight of a w-homogeneous polynomial in the variables w covers (the
+    leading ones); None when its terms have different weights."""
+    weights = {sum((wi * e for wi, e in zip(w, exps)), ZERO) for exps in poly.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def solve(rhs, columns: Sequence, lattice: Sequence = ()) -> Optional[List[object]]:
+    """Exact c with sum_i c_i columns[i] = rhs, or None; free and dropped
+    coefficients are zero.
+
+    Columns with a zero image are dropped, and so is each column whose
+    w-weight differs from the rhs's for a weight vector w in `lattice`.
+    The caller passes only w for which every column is w-homogeneous, so
+    the dropped columns cannot contribute to a solution.
+    """
+    rhs_image, *images = rhs.ctx.images([rhs, *columns])
+    kept = [i for i, image in enumerate(images) if not image.is_zero()]
+    for w in lattice:
+        target = _weight(rhs_image, w)
+        if target is not None:
+            kept = [i for i in kept if _weight(images[i], w) in (None, target)]
+    rows, vec = linalg.identity_system([images[i].terms for i in kept], rhs_image.terms)
+    solution = linalg.solve(rows, vec, len(kept))
+    if solution is None:
+        return None
+    values = dict(zip(kept, solution))
+    return [values.get(i, ZERO) for i in range(len(columns))]
+
+
+def least_monic(
+    powers: Sequence, columns: Sequence, lattice: Sequence = (), min_deg: int = 0
+) -> Optional[Tuple[List[object], List[object]]]:
+    """Least d >= min_deg with powers[d] + sum_{i<d} c_i powers[i] =
+    sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
+    no d < len(powers) admits one.
+
+    One system per d, the power columns first.
+    """
+    for d in range(min_deg, len(powers)):
+        rhs = powers[d].scaled(MultiPoly.const(powers[d].ctx.ring, -1))
+        solution = solve(rhs, list(powers[:d]) + list(columns), lattice)
+        if solution is not None:
+            return solution[:d] + [ONE], [-q for q in solution[d:]]
+    return None

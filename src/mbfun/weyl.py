@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .multipoly import MultiPoly, _revlex_key
+from .multipoly import MultiPoly, _revlex_key, format_terms
 from .rationals import ONE, Q, ZERO
 
 Exponent = Tuple[int, ...]
@@ -47,6 +47,12 @@ class AlgebraSignature:
                     "collides with a derivation or an internal name"
                 )
             seen.add(name)
+        for name in coords:
+            if name[:1] == "d" and name[1:] in derivs:
+                raise ValueError(
+                    f"variable name {name!r} is 'd' followed by the derivation "
+                    f"name {name[1:]!r}, so derivation names would be ambiguous"
+                )
         n = len(coords)
         return cls(coords, derivs, tuple((i, n + i) for i in range(len(pairs))))
 
@@ -235,31 +241,8 @@ class WeylElement:
         return MultiPoly(self.sig.coords, terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.sig.names
-        parts = []
-        for exps, coeff in sorted(self.terms.items(), key=lambda t: _revlex_key(t[0]), reverse=True):
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                chunk = f"{coeff}"
-            elif coeff == 1:
-                chunk = body
-            elif coeff == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{coeff}*{body}"
-            parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+        terms = sorted(self.terms.items(), key=lambda t: _revlex_key(t[0]), reverse=True)
+        return format_terms(self.sig.names, terms)
 
     def __repr__(self) -> str:
         return f"WeylElement({self})"

@@ -114,6 +114,9 @@ class TestCLI:
         assert main(["bf", "mero", "x*dx+x", "dx"]) == 2
         assert main(["bf", "classic", "x*dx"]) == 2
         assert "'dx' occurs twice" in capsys.readouterr().err
+        # 'ddx' is d + 'dx': its derivation 'dddx' would read as a third dx
+        assert main(["bf", "classic", "x^2+ddx"]) == 2
+        assert "'ddx'" in capsys.readouterr().err
 
     def test_capability_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("MBFUN_MAX_DEGREE", "2")

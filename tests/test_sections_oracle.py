@@ -13,6 +13,7 @@ from mbfun.oracle import (
     verify_functional_equation,
     weight_lattice,
 )
+from mbfun.multipoly import MultiPoly
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import (
@@ -21,7 +22,9 @@ from mbfun.sections import (
     apply_delta_operator,
     apply_operator,
     base_section,
+    least_monic,
     operator_columns,
+    solve,
 )
 from mbfun.weyl import WeylElement
 
@@ -160,6 +163,84 @@ class TestSections:
             (0, 1, 1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 1, 0, 0),
             (0, 0, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0),
         ]
+
+
+def combination(columns, values):
+    total = None
+    for col, c in zip(columns, values):
+        part = col.scaled(MultiPoly.const(col.ctx.ring, c))
+        total = part if total is None else total + part
+    return total
+
+
+def equation_columns(ctx, m, deg):
+    return [sec for _, sec in operator_columns(base_section(ctx, m, shift=1).renormalize(), deg, deg)]
+
+
+QUASI_HOMOGENEOUS = [("x^2", "1"), ("x^2", "y"), ("x^3", "y^2"), ("x^2+y^3", "1"), ("x^2+y^2", "x")]
+# (s+1)(s+1/2) solves x^2 and x^2/y, (s+1)^2 solves (x^2+y^2)/x, at m=1
+B_CANDIDATES = [
+    [((-1, 1), 1)],
+    [((-1, 1), 1), ((-1, 2), 1)],
+    [((-1, 1), 2)],
+    [((-1, 1), 1), ((-1, 3), 1), ((-2, 3), 1)],
+]
+
+
+class TestSolve:
+    def test_laurent_solution_reapplies(self):
+        # (s+1)(s+1/2) x^(2s) = P x^(2s+2) with P of degree 2
+        ctx = MeroContext(poly("x^2"), ONE_X)
+        rhs = base_section(ctx, 0).scaled(poly("(s+1)*(s+1/2)", ctx.ring))
+        columns = equation_columns(ctx, 0, 2)
+        values = solve(rhs, columns)
+        assert values is not None and len(values) == len(columns)
+        assert combination(columns, values).section_eq(rhs)
+        assert solve(base_section(ctx, 0), columns) is None
+
+    def test_delta_solution_reapplies_mod_holomorphic(self):
+        ctx = DeltaContext(poly("x^3", XY), poly("y^2", XY), 1)
+        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2, 0))]
+        rhs = combination(columns[3:6], [Q(2), Q(-1), Q(1, 3)])
+        values = solve(rhs, columns)
+        assert values is not None
+        diff = combination(columns, values) + rhs.scaled(MultiPoly.const(ctx.ring, -1))
+        assert diff.is_zero_mod_holomorphic()
+
+    def test_least_monic_relation_holds(self):
+        # the engine's relation for sigma_0 of x^2: p(theta) = theta^2 + theta/2
+        ctx = DeltaContext(poly("x^2"), ONE_X, 0)
+        sig, sigma = ctx.sig, ctx.generator()
+        theta = WeylElement.gen(sig, "t") * WeylElement.gen(sig, "dt")
+        powers = [sigma]
+        for _ in range(4):
+            powers.append(apply_delta_operator(theta, powers[-1]))
+        t, dt = sig.index("t"), sig.index("dt")
+        columns = [
+            sec for exps, sec in sorted(operator_columns(sigma, 4, 0))
+            if exps[dt] - exps[t] <= -1
+        ]
+        coeffs, q = least_monic(powers, columns)
+        d = len(coeffs) - 1
+        assert coeffs == [0, Q(1, 2), 1]
+        diff = combination(powers, coeffs) + combination(columns, [-c for c in q])
+        assert diff.is_zero_mod_holomorphic()
+        assert least_monic(powers, columns, min_deg=d) == (coeffs, q)
+        assert least_monic(powers[:d], columns) is None
+
+    @pytest.mark.parametrize("pair", QUASI_HOMOGENEOUS)
+    def test_weight_pruning_keeps_solvability(self, pair):
+        F, G = poly(pair[0], XY), poly(pair[1], XY)
+        ctx = MeroContext(F, G)
+        lattice = weight_lattice(F, G)
+        assert lattice
+        columns = equation_columns(ctx, 1, 3)
+        for roots in B_CANDIDATES:
+            rhs = base_section(ctx, 1).scaled(b_of(roots).poly.extend_to(ctx.ring))
+            pruned, full = solve(rhs, columns, lattice), solve(rhs, columns)
+            assert (pruned is None) == (full is None), roots
+            if pruned is not None:
+                assert combination(columns, pruned).section_eq(rhs)
 
 
 class TestOracle:
