@@ -26,8 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 from .bfunction import BFunction, S_VAR
 from .commutative import are_coprime
 from .errors import NotSpecializableError, ZeroSpecializationError
-from .groebner import LeftIdeal
+from .groebner import LeftIdeal, eliminate
 from .multipoly import MultiPoly, unify
+from .oracle import prefactored_witness
 from .rationals import Q
 from .sections import dname
 from .vfiltration import central_intersection, homogeneous_theta_part, univariate_gcd
@@ -103,8 +104,6 @@ def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
         if F.is_zero():
             raise ValueError("factors must be nonzero")
     ideal, taus, uvs = _graph_ideal_uv(polys)
-    from .groebner import eliminate
-
     ideal = eliminate(ideal, [n for pair in uvs for n in pair])
     theta_names = [f"theta{i+1}" for i in range(len(polys))]
     for (t, dt), th in zip(taus, theta_names):
@@ -182,8 +181,6 @@ def sabbah_line(
         )
     bs_elem, spec = chosen
     b = BFunction.from_poly(spec)
-    from .oracle import prefactored_witness
-
     witness = prefactored_witness(b, F, G, m, G * G, deg=witness_deg)
     status = "CERTIFIED" if witness is not None else "UNCERTIFIED"
     return SabbahLineResult(b, bs_elem, m, witness, status)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -37,7 +38,7 @@ from .ncres import (
     member,
     roots_nc,
 )
-from .oracle import verify_functional_equation
+from .oracle import DEFAULT_DEG, DEFAULT_N, verify_functional_equation
 from .parser import PolySyntaxError, parse_poly
 from .rationals import format_ratio, parse_ratio
 
@@ -272,11 +273,9 @@ def _roots_or_fail(b: BFunction) -> List:
 
 
 def _shared_vars(*texts: str):
-    import re as _re
-
     names = set()
     for t in texts:
-        names |= set(_re.findall(r"[a-z][a-z0-9]*", t))
+        names |= set(re.findall(r"[a-z][a-z0-9]*", t))
     return tuple(sorted(names)) if names else None
 
 
@@ -300,7 +299,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p = add(bf, "classic", "classical b-function of F")
     p.add_argument("F")
-    p.add_argument("--certify-deg", type=int, default=6)
+    p.add_argument("--certify-deg", type=int, default=DEFAULT_DEG)
     p.set_defaults(run=_run_bf_classic)
     p = add(bf, "mero", "meromorphic b-function of F/G at order m")
     p.add_argument("F")
@@ -406,9 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: --certify expects N,DEG", file=sys.stderr)
             return 2
     else:
-        args.certify_n = 3
+        args.certify_n = DEFAULT_N
         if not hasattr(args, "certify_deg"):
-            args.certify_deg = 6
+            args.certify_deg = DEFAULT_DEG
     start = time.monotonic()
     try:
         inputs, result, status, notes = args.run(args)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .errors import CapabilityError
+from .rationals import ZERO
 from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement
 
 DEFAULT_MAX_DEGREE = 24
@@ -200,8 +201,6 @@ def _homogenize_elem(elem: WeylElement, sig_h: AlgebraSignature) -> WeylElement:
 def _dehomogenize_elem(elem: WeylElement, sig: AlgebraSignature) -> WeylElement:
     nc = len(sig.coords)
     terms: Dict[Exponent, object] = {}
-    from .rationals import ZERO
-
     for exps, coeff in elem.terms.items():
         key = exps[:nc] + exps[nc + 1 :]
         acc = terms.get(key, ZERO) + coeff

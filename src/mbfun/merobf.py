@@ -106,7 +106,7 @@ def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
     ctx = DeltaContext(F, G, m)
     sigma = ctx.generator()
     for g in _seed_generators(ctx):
-        if not apply_delta_operator(g, sigma).is_zero_mod_holomorphic():
+        if not apply_delta_operator(g, sigma).is_zero():
             raise AssertionError("seed generator fails to annihilate sigma_m")
     return ctx
 
@@ -268,7 +268,7 @@ def reduced_b(
     ]
     for bdeg in range(max_bdeg + 1):
         for l in range(lmax + 1):
-            v0 = LaurentSection(ctx, ctx.power(1, l), 0, 0)
+            v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
             found = minimal_b_search(
                 ctx, v0, targets, opdeg, opdeg, max_bdeg=bdeg, min_bdeg=bdeg
             )

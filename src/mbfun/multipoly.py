@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, Q, ZERO, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -273,17 +273,7 @@ class MultiPoly:
         """Positive rational c with self/c integer and primitive."""
         if self.is_zero():
             return ONE
-        from math import gcd
-
-        nums = [abs(int(c.numerator)) for c in self.terms.values()]
-        dens = [int(c.denominator) for c in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // gcd(l, d)
-        return Q(g, l)
+        return rational_content(self.terms.values())
 
     def primitive(self) -> "MultiPoly":
         if self.is_zero():

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .bfunction import BFunction, S_VAR
+from .errors import CertificationError
 from .multipoly import MultiPoly, unify
 from .rationals import Q
 from .sections import (
@@ -72,7 +73,7 @@ def _columns(targets: Dict[int, LaurentSection], deg: int, sdeg: int) -> Columns
     return [
         ((r, key), sec)
         for r, target in targets.items()
-        for key, sec in operator_columns(target.renormalize(), deg, sdeg)
+        for key, sec in operator_columns(target, deg, sdeg)
     ]
 
 
@@ -111,8 +112,6 @@ def _witness(
 def _recheck_witness(
     b: BFunction, m: int, ctx: MeroContext, witness: Dict[int, WeylElement]
 ) -> None:
-    from .errors import CertificationError
-
     total: Optional[LaurentSection] = None
     for k, P in witness.items():
         part = apply_operator(P, base_section(ctx, m, shift=k))

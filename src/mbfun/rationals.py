@@ -9,6 +9,7 @@ fall back to fractions.Fraction; both satisfy the same contract.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpq as _ratio
@@ -23,6 +24,18 @@ def Q(numerator, denominator=1):
 
 ZERO = Q(0)
 ONE = Q(1)
+
+
+def rational_content(values):
+    """Positive rational c with every value/c an integer and the quotients
+    coprime: the gcd of the numerators over the lcm of the denominators.
+    At least one value must be nonzero."""
+    g, l = 0, 1
+    for c in values:
+        g = gcd(g, abs(int(c.numerator)))
+        d = int(c.denominator)
+        l = l * d // gcd(l, d)
+    return Q(g, l)
 
 
 def format_ratio(value) -> str:

@@ -1,26 +1,32 @@
 """Formal sections of the modules the engines and the oracle act on.
 
-A section is a numerator h over two denominator factors, h D_1^l_1 D_2^l_2:
+A section is (ctx, numerator, pows): a numerator h over the context's two
+denominator factors, h D_1^-a D_2^-b with pows = (a, b).  The context
+defines the module, the exponents its factors carry, and when a section
+is zero:
 
-    LaurentSection  h F^-a G^-b f^(s+k) in O[1/(FG)][s] f^s, f = F/G
-                    factors (F, G), exponents (s+k-a, -(s+k)-b)
-    DeltaSection    h (tG-F)^-a G^-b in O[1/((tG-F)G)] modulo O[1/G]
-                    factors (tG-F, G), exponents (-a, -b)
+    MeroContext   h F^-a G^-b f^s in O[1/(FG)][s] f^s, f = F/G
+                  factors (F, G), exponents (s-a, -s-b)
+    DeltaContext  h (tG-F)^-a G^-b in O[1/((tG-F)G)] modulo O[1/G]
+                  factors (tG-F, G), exponents (-a, -b)
 
-The first is the oracle's working module; the engine's generator
-sigma_m = G^(1-m)/(tG-F) is a DeltaSection.  Each context lists its
-factors, their partials, and the factors R each derivation raises (both
-for every x_i, only tG-F for t), and one quotient rule serves all:
+The first is the oracle's working module, in which f^(s+k)/G^m is
+F^k f^s/G^(m+k); the engine's generator sigma_m = G^(1-m)/(tG-F) lives
+in the second.  Each context lists its factors, their partials, and the
+factors R each derivation raises (both for every x_i, only tG-F for t),
+and one quotient rule serves all:
 
     d_v (h prod D_i^l_i) = [h_v prod_R D_i + h sum_{i in R} l_i d_v(D_i)
                             prod_{j in R, j != i} D_j] prod D_i^l_i / prod_R D_i
 
 Derivations commute exactly on these representations, so one operator
-loop and one column builder serve both section types.
+loop and one column builder serve both modules.
 
 Each context turns sections into vectors with `images`: numerators over
-one common denominator, in which a combination of the sections vanishes
-iff the same combination of images does.  On top of that:
+one common denominator, reduced modulo (tG-F)^a in the delta module, in
+which a combination of the sections vanishes iff the same combination of
+images does.  A section is zero, or equal to another, when its image is.
+On top of that:
 
     solve        c with sum_i c_i columns[i] = rhs, one exact rational
                  equation per monomial of the images
@@ -52,7 +58,7 @@ def dname(x: str) -> str:
 
 class _Context:
     """Denominator factors, their partials, and the factors each
-    derivation raises; subclasses set `ring` first."""
+    derivation raises; subclasses set `ring` first and give `exponents`."""
 
     def _set_factors(self, factors, raises) -> None:
         self.factors = factors
@@ -67,13 +73,29 @@ class _Context:
             cache[k] = self.power(i, k - 1) * self.factors[i]
         return cache[k]
 
+    def images(self, sections: Sequence["_Section"]) -> List[MultiPoly]:
+        """Numerators over the common denominator prod factors[i]^pows[i],
+        each pows[i] the largest among the sections."""
+        pows = tuple(max(p) for p in zip(*(sec.pows for sec in sections)))
+        return [sec.cleared_numerator(pows) for sec in sections]
 
+
+@dataclass(frozen=True)
 class _Section:
-    """The quotient rule and the sum; a subclass gives `exponents()` and
-    `cleared_numerator`, and names its denominator exponents in POWS."""
+    """numerator * prod ctx.factors[i]^(ctx.exponents(pows)[i])."""
 
-    def renormalize(self):
-        return self
+    ctx: _Context
+    numerator: MultiPoly          # over ctx.ring
+    pows: Tuple[int, ...]         # denominator exponents of ctx.factors
+
+    def cleared_numerator(self, pows: Tuple[int, ...]) -> MultiPoly:
+        """Numerator after raising to the common denominator given by pows."""
+        num = self.numerator
+        for i, (target, own) in enumerate(zip(pows, self.pows)):
+            if target < own:
+                raise ValueError("target denominator smaller than current one")
+            num = num * self.ctx.power(i, target - own)
+        return num
 
     def scaled(self, poly: MultiPoly):
         """Multiply by a polynomial over ctx.ring."""
@@ -82,16 +104,15 @@ class _Section:
     def __add__(self, other):
         if self.ctx is not other.ctx:
             raise ValueError("sections from different contexts")
-        u, v = self.renormalize(), other.renormalize()
-        a, b = (max(getattr(u, name), getattr(v, name)) for name in self.POWS)
-        num = u.cleared_numerator(a, b) + v.cleared_numerator(a, b)
-        return replace(u, numerator=num, **dict(zip(self.POWS, (a, b))))
+        pows = tuple(map(max, self.pows, other.pows))
+        num = self.cleared_numerator(pows) + other.cleared_numerator(pows)
+        return replace(self, numerator=num, pows=pows)
 
     def derivative(self, var: str):
         """d/d(var) of the section, by the quotient rule above."""
         ctx, h = self.ctx, self.numerator
         raised = ctx.raises[var]
-        exponents = self.exponents()
+        exponents = ctx.exponents(self.pows)
         num = h.derivative(var)
         for i in raised:
             num = num * ctx.factors[i]
@@ -104,8 +125,32 @@ class _Section:
                 if j != i:
                     term = term * ctx.factors[j]
             num = num + term
-        bumped = {self.POWS[i]: getattr(self, self.POWS[i]) + 1 for i in raised}
-        return replace(self, numerator=num, **bumped)
+        pows = tuple(p + (i in raised) for i, p in enumerate(self.pows))
+        return replace(self, numerator=num, pows=pows)
+
+    def is_zero(self) -> bool:
+        """Zero in the context's module."""
+        return self.ctx.images([self])[0].is_zero()
+
+    def section_eq(self, other) -> bool:
+        mine, theirs = self.ctx.images([self, other])
+        return mine == theirs
+
+
+# One class per module only because perfbench/tracing.py wraps each
+# class's own cleared_numerator by name; both bind the shared one.
+
+
+class LaurentSection(_Section):
+    """A section of the Laurent module of a MeroContext."""
+
+    cleared_numerator = _Section.cleared_numerator
+
+
+class DeltaSection(_Section):
+    """A section of the delta module of a DeltaContext."""
+
+    cleared_numerator = _Section.cleared_numerator
 
 
 class MeroContext(_Context):
@@ -127,57 +172,15 @@ class MeroContext(_Context):
             pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
         )
 
-    def images(self, sections: Sequence["LaurentSection"]) -> List[MultiPoly]:
-        """Numerators over the common denominator F^a G^b, shifts merged."""
-        sections = [sec.renormalize() for sec in sections]
-        a = max(sec.fpow for sec in sections)
-        b = max(sec.gpow for sec in sections)
-        return [sec.cleared_numerator(a, b) for sec in sections]
-
-
-@dataclass(frozen=True)
-class LaurentSection(_Section):
-    """numerator * F^{-fpow} * G^{-gpow} * f^{s+shift}."""
-
-    ctx: MeroContext
-    numerator: MultiPoly          # over ctx.ring = (x_1..x_n, s)
-    fpow: int
-    gpow: int
-    shift: int = 0
-    POWS = ("fpow", "gpow")
-
-    def exponents(self) -> Tuple[MultiPoly, MultiPoly]:
-        # f^{s+k} = F^{s+k} G^{-(s+k)}
-        sk = self.ctx.s + Q(self.shift)
-        return sk - Q(self.fpow), -sk - Q(self.gpow)
-
-    def renormalize(self) -> "LaurentSection":
-        """Merge the shift: f^{s+k} = F^k G^{-k} f^s."""
-        if self.shift == 0:
-            return self
-        k = self.shift
-        return LaurentSection(
-            self.ctx, self.numerator * self.ctx.power(0, k), self.fpow, self.gpow + k, 0
-        )
-
-    def cleared_numerator(self, fpow: int, gpow: int) -> MultiPoly:
-        """Numerator after raising to the common denominator F^fpow G^gpow."""
-        v = self.renormalize()
-        if fpow < v.fpow or gpow < v.gpow:
-            raise ValueError("target denominator smaller than current one")
-        return v.numerator * self.ctx.power(0, fpow - v.fpow) * self.ctx.power(1, gpow - v.gpow)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def section_eq(self, other: "LaurentSection") -> bool:
-        mine, theirs = self.ctx.images([self, other])
-        return mine == theirs
+    def exponents(self, pows: Tuple[int, int]) -> Tuple[MultiPoly, MultiPoly]:
+        # F^-a G^-b f^s = F^(s-a) G^(-s-b)
+        a, b = pows
+        return self.s - Q(a), -self.s - Q(b)
 
 
 def base_section(ctx: MeroContext, m: int, shift: int = 0) -> LaurentSection:
-    """The section f^{s+shift} / G^m."""
-    return LaurentSection(ctx, MultiPoly.const(ctx.ring, 1), 0, m, shift)
+    """The section f^{s+shift} / G^m = F^shift f^s / G^(m+shift)."""
+    return LaurentSection(ctx, ctx.power(0, shift), (0, m + shift))
 
 
 class DeltaContext(_Context):
@@ -198,59 +201,22 @@ class DeltaContext(_Context):
             pairs=[(x, dname(x)) for x in self.xvars] + [(T_VAR, DT_VAR)]
         )
 
-    def images(self, sections: Sequence["DeltaSection"]) -> List[MultiPoly]:
+    def exponents(self, pows: Tuple[int, int]) -> Tuple[object, object]:
+        return tuple(Q(-p) for p in pows)
+
+    def images(self, sections: Sequence[DeltaSection]) -> List[MultiPoly]:
         """Numerators over the common denominator (tG-F)^a G^b, reduced modulo
         (tG-F)^a.  A combination of the sections vanishes modulo O[t][1/G] iff
         the same combination of remainders is zero: (tG-F)^a must divide its
         numerator (G and tG-F are coprime), and that reduction is linear."""
-        a = max(sec.ppow for sec in sections)
-        b = max(sec.gpow for sec in sections)
-        modulus = self.power(0, a)
-        return [sec.cleared_numerator(a, b).divmod_single(modulus)[1] for sec in sections]
+        modulus = self.power(0, max(sec.pows[0] for sec in sections))
+        return [num.divmod_single(modulus)[1] for num in super().images(sections)]
 
-    def generator(self) -> "DeltaSection":
+    def generator(self) -> DeltaSection:
         """sigma_m = G^{1-m} / (tG - F)."""
         if self.m >= 1:
-            return DeltaSection(self, MultiPoly.const(self.ring, 1), 1, self.m - 1)
-        return DeltaSection(self, self.G, 1, 0)
-
-
-@dataclass(frozen=True)
-class DeltaSection(_Section):
-    """numerator * (tG-F)^{-ppow} * G^{-gpow}, modulo O[t][1/G]."""
-
-    ctx: DeltaContext
-    numerator: MultiPoly          # over ctx.ring = (x_1..x_n, t)
-    ppow: int
-    gpow: int
-    POWS = ("ppow", "gpow")
-
-    def exponents(self) -> Tuple[object, object]:
-        return Q(-self.ppow), Q(-self.gpow)
-
-    def cleared_numerator(self, ppow: int, gpow: int) -> MultiPoly:
-        if ppow < self.ppow or gpow < self.gpow:
-            raise ValueError("target denominator smaller than current one")
-        return (
-            self.numerator
-            * self.ctx.power(0, ppow - self.ppow)
-            * self.ctx.power(1, gpow - self.gpow)
-        )
-
-    def reduce(self) -> "DeltaSection":
-        """Cancel (tG-F)-factors shared by numerator and denominator."""
-        num, a = self.numerator, self.ppow
-        while a > 0 and not num.is_zero():
-            quo, rem = num.divmod_single(self.ctx.P)
-            if not rem.is_zero():
-                break
-            num, a = quo, a - 1
-        return DeltaSection(self.ctx, num, a, self.gpow)
-
-    def is_zero_mod_holomorphic(self) -> bool:
-        """Zero in the quotient by O[t][1/G]."""
-        red = self.reduce()
-        return red.ppow <= 0 or red.numerator.is_zero()
+            return DeltaSection(self, MultiPoly.const(self.ring, 1), (1, self.m - 1))
+        return DeltaSection(self, self.G, (1, 0))
 
 
 # -- operators acting on sections -----------------------------------------

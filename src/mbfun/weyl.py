@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key, format_terms
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, Q, ZERO, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -217,14 +217,7 @@ class WeylElement:
         """Remove rational content; integer, primitive, deterministic sign."""
         if not self.terms:
             return self
-        from math import gcd
-
-        g, l = 0, 1
-        for c in self.terms.values():
-            g = gcd(g, abs(int(c.numerator)))
-            d = int(c.denominator)
-            l = l * d // gcd(l, d)
-        factor = Q(l, g)
+        factor = 1 / rational_content(self.terms.values())
         lead = max(self.terms, key=_revlex_key)
         if self.terms[lead] < 0:
             factor = -factor

@@ -1,8 +1,10 @@
-"""Every module-level import in src/mbfun is referenced by its module.
+"""Every import in src/mbfun sits at module level and is referenced by
+its module.
 
 No linter is a dependency of this project, so this is the check: each
-module except the package's __init__ is parsed with ast, and every name
-bound by a module-level import must occur as a name in the module.
+module except the package's __init__ is parsed with ast, every name bound
+by a module-level import must occur as a name in the module, and no
+function or method body may import.
 """
 
 import ast
@@ -44,3 +46,22 @@ def test_every_module_level_import_is_used(path):
         if name not in used
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def function_level_imports(tree):
+    """(line, imported names) for each import inside a function or method
+    body, nested functions included."""
+    found = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found[node.lineno] = ",".join(alias.name for alias in node.names)
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = [f"{path.name}:{line} {names}" for line, names in function_level_imports(tree)]
+    assert not local, "imports inside functions: " + ", ".join(local)
