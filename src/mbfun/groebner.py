@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .errors import CapabilityError
-from .rationals import ZERO
+from .rationals import ZERO, div
 from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement
 
 DEFAULT_MAX_DEGREE = 24
@@ -66,7 +66,7 @@ def normal_form(
             continue
         g, lm = reducer
         cof = tuple(a - b for a, b in zip(exps, lm))
-        scale = coeff / g.terms[lm]
+        scale = div(coeff, g.terms[lm])
         work = work - _mono(sig, cof, scale) * g
         if work.total_degree() > cap:
             raise CapabilityError(
@@ -81,7 +81,7 @@ def _s_pair(f: WeylElement, g: WeylElement, order: MonomialOrder) -> WeylElement
     lcm = _lcm(lf, lg)
     uf = tuple(a - b for a, b in zip(lcm, lf))
     ug = tuple(a - b for a, b in zip(lcm, lg))
-    return _mono(sig, uf, 1 / f.terms[lf]) * f - _mono(sig, ug, 1 / g.terms[lg]) * g
+    return _mono(sig, uf, div(1, f.terms[lf])) * f - _mono(sig, ug, div(1, g.terms[lg])) * g
 
 
 def _product_criterion_safe(sig: AlgebraSignature, a: Exponent, b: Exponent) -> bool:

@@ -1,14 +1,20 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are dicts column -> coefficient.  Deterministic pivoting (lowest
-column index first) so repeated runs produce identical witnesses.
+Rows are dicts column -> coefficient.  Elimination is fraction-free: each
+row is scaled to coprime integers and reduced by integer combinations, so
+rationals appear only in back-substitution.  Every pivot sits at its row's
+lowest column, and the pivot columns are therefore those of the reduced
+echelon form; with free variables set to zero the solution is unique, and
+repeated runs produce identical witnesses.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, ZERO, div
 
 Row = Dict[int, object]
 Terms = Mapping[Tuple[int, ...], object]
@@ -33,76 +39,123 @@ def identity_system(
     return [equations[mono] for mono in monos], [rhs.get(mono, ZERO) for mono in monos]
 
 
-def _reduce_row(row: Row, rhs, pivots: Dict[int, Tuple[Row, object]]):
-    row = dict(row)
-    for col in sorted(row):
-        if col in pivots and col in row:
-            factor = row[col]
-            prow, prhs = pivots[col]
-            for c, v in prow.items():
-                acc = row.get(c, ZERO) - factor * v
-                if acc == 0:
-                    row.pop(c, None)
-                else:
+def _primitive(row: Row) -> Row:
+    """The positive multiple of a nonzero rational row whose entries are
+    coprime integers."""
+    g, l, ints = 0, 1, True
+    for v in row.values():
+        g = gcd(g, v.numerator)
+        if type(v) is not int:
+            ints = False
+            d = v.denominator
+            l = l * d // gcd(l, d)
+    if not ints:
+        return {c: v.numerator * (l // v.denominator) // g for c, v in row.items()}
+    if g != 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _reduce_row(row: Row, pivots: Dict[int, Row]) -> Row:
+    """A primitive integer row that, with the pivot rows, spans what the
+    given one does, and has no pivot column left.  The given dict may be
+    reused.
+
+    Fraction-free: the row is reduced against the pivot row of the smallest
+    pivot column it contains, r <- (p/g) r - (a/g) prow with a, p its entry
+    and the pivot and g = gcd(a, p), until none is left.  Fill-in columns
+    of pivot rows lie above their pivots, so the columns reduced increase.
+    """
+    row = _primitive(row)
+    todo = [c for c in row if c in pivots]
+    heapify(todo)
+    while todo:
+        col = heappop(todo)
+        a = row.get(col)
+        if a is None:
+            continue
+        prow = pivots[col]
+        p = prow[col]
+        g = gcd(a, p)
+        fa, fp = p // g, a // g
+        if fa != 1:
+            row = {c: v * fa for c, v in row.items()}
+        for c, v in prow.items():
+            acc = row.get(c)
+            if acc is None:
+                row[c] = -fp * v
+                if c in pivots:
+                    heappush(todo, c)
+            else:
+                acc -= fp * v
+                if acc:
                     row[c] = acc
-            rhs = rhs - factor * prhs
-    return row, rhs
+                else:
+                    del row[c]
+    return _primitive(row) if row else row
+
+
+def _sparsest_first(rows: Sequence[Row]) -> List[int]:
+    """Row indices by number of entries, ties in input order.  Short rows
+    make short pivot rows, which keeps fill-in down; the order changes
+    neither the pivot columns nor the solution."""
+    return sorted(range(len(rows)), key=lambda i: len(rows[i]))
+
+
+def _back_substitute(pivots: Dict[int, Row], values: List[object]) -> None:
+    """Fill the pivot entries of values, last pivot first, so that every
+    pivot row (its entry at column len(values), if any, is the right-hand
+    side) holds; the other entries stay as given."""
+    rhs_col = len(values)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        acc = row.get(rhs_col, ZERO)
+        for c, v in row.items():
+            if c != col and c != rhs_col:
+                acc -= v * values[c]
+        values[col] = div(acc, row[col])
 
 
 def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[List[object]]:
-    """One solution of A x = b (free variables set to zero), or None."""
-    pivots: Dict[int, Tuple[Row, object]] = {}
-    for row, b in zip(rows, rhs):
-        row, b = _reduce_row(row, Q(b), pivots)
-        if not row:
-            if b != 0:
+    """One solution of A x = b (free variables set to zero), or None when
+    there is none.
+
+    The right-hand side rides along as column ncols, so a row that reduces
+    to that column alone proves the system inconsistent.  Every solution is
+    checked against the input; a failed check raises ArithmeticError.
+    """
+    pivots: Dict[int, Row] = {}
+    for i in _sparsest_first(rows):
+        aug = dict(rows[i])
+        if rhs[i] != 0:
+            aug[ncols] = rhs[i]
+        aug = _reduce_row(aug, pivots)
+        if aug:
+            col = min(aug)
+            if col == ncols:
                 return None
-            continue
-        col = min(row)
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        b = b * inv
-        pivots[col] = (row, b)
-        # keep pivot rows mutually reduced lazily; final back-substitution below
-    solution = [ZERO] * ncols
-    for col in sorted(pivots, reverse=True):
-        row, b = pivots[col]
-        acc = b
-        for c, v in row.items():
-            if c != col:
-                acc = acc - v * solution[c]
-        solution[col] = acc
-    # verify (cheap relative to elimination, guards against logic slips)
+            pivots[col] = aug
+    solution: List[object] = [ZERO] * ncols
+    _back_substitute(pivots, solution)
     for row, b in zip(rows, rhs):
-        total = ZERO
-        for c, v in row.items():
-            total = total + v * solution[c]
-        if total != Q(b):
-            return None
+        if sum((v * solution[c] for c, v in row.items()), ZERO) != b:
+            raise ArithmeticError("elimination produced a non-solution")
     return solution
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[List[object]]:
-    """Basis of the right nullspace of A."""
-    pivots: Dict[int, Tuple[Row, object]] = {}
-    for row in rows:
-        row, _ = _reduce_row(row, ZERO, pivots)
-        if not row:
-            continue
-        col = min(row)
-        inv = 1 / row[col]
-        pivots[col] = ({c: v * inv for c, v in row.items()}, ZERO)
+    """Basis of the right nullspace of A: one vector per free column, 1
+    there and 0 at the other free columns."""
+    pivots: Dict[int, Row] = {}
+    for i in _sparsest_first(rows):
+        row = _reduce_row(dict(rows[i]), pivots)
+        if row:
+            pivots[min(row)] = row
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for free in free_cols:
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for col in sorted(pivots, reverse=True):
-            row, _ = pivots[col]
-            acc = ZERO
-            for c, v in row.items():
-                if c != col:
-                    acc = acc - v * vec[c]
-            vec[col] = acc
-        basis.append(vec)
+    for free in range(ncols):
+        if free not in pivots:
+            vec: List[object] = [ZERO] * ncols
+            vec[free] = ONE
+            _back_substitute(pivots, vec)
+            basis.append(vec)
     return basis

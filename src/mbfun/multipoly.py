@@ -1,16 +1,19 @@
 """Multivariate polynomials over the exact rationals.
 
-Terms map exponent tuples to nonzero rational coefficients.  Values are
-treated as immutable after construction; every operation returns a fresh
-polynomial.  Term iteration order is fixed (degrevlex, descending) so that
-printing and hashing are deterministic.
+Terms map exponent tuples to nonzero exact rational coefficients (see
+rationals).  Values are treated as immutable after construction; every
+operation returns a fresh polynomial.  Term iteration order is fixed
+(degrevlex, descending) so that printing and hashing are deterministic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .rationals import ONE, Q, ZERO, rational_content
+from .rationals import ONE, Q, ZERO, div, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -32,6 +35,11 @@ def _revlex_key(exps: Exponent):
     return (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
+def _heap_key(exps: Exponent):
+    """Negated _revlex_key: the smallest heap key is the leading monomial."""
+    return (-sum(exps),) + exps[::-1]
+
+
 class MultiPoly:
     """A polynomial in a fixed ordered list of variables."""
 
@@ -49,6 +57,16 @@ class MultiPoly:
             clean[tuple(exps)] = coeff
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...], terms: Dict[Exponent, object]) -> "MultiPoly":
+        """Wrap terms that are already clean: tuple exponents of the right
+        length, nonzero exact coefficients.  Takes ownership of the dict."""
+        poly = cls.__new__(cls)
+        poly.variables = variables
+        poly.terms = terms
+        poly._hash = None
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -105,12 +123,12 @@ class MultiPoly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = acc
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -125,18 +143,19 @@ class MultiPoly:
             scalar = Q(other)
             if scalar == 0:
                 return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables, {e: c * scalar for e, c in self.terms.items()})
+            return MultiPoly._trusted(
+                self.variables, {e: c * scalar for e, c in self.terms.items()}
+            )
         self._require_same(other)
         terms: Dict[Exponent, object] = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(_check_exponent(a + b) for a, b in zip(e1, e2))
-                acc = terms.get(exps, ZERO) + c1 * c2
-                if acc == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
-        return MultiPoly(self.variables, terms)
+                exps = tuple(map(add, e1, e2))
+                terms[exps] = get(exps, ZERO) + c1 * c2
+        if terms and self.variables:
+            _check_exponent(max(map(max, terms)))
+        return MultiPoly._trusted(self.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -155,7 +174,7 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int,)) or type(other) is type(ZERO):
+        if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -172,17 +191,10 @@ class MultiPoly:
         idx = self.variables.index(name)
         terms: Dict[Exponent, object] = {}
         for exps, coeff in self.terms.items():
-            if exps[idx] == 0:
-                continue
-            new = list(exps)
-            new[idx] -= 1
-            key = tuple(new)
-            acc = terms.get(key, ZERO) + coeff * exps[idx]
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return MultiPoly(self.variables, terms)
+            e = exps[idx]
+            if e:
+                terms[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
+        return MultiPoly._trusted(self.variables, terms)
 
     def evaluate(self, values: Dict[str, object]):
         """Full evaluation at rational values; every variable must be bound."""
@@ -222,7 +234,7 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
+        return MultiPoly._trusted(variables, terms)
 
     # -- division -------------------------------------------------------
 
@@ -233,26 +245,51 @@ class MultiPoly:
         return exps, self.terms[exps]
 
     def divmod_single(self, divisor: "MultiPoly"):
-        """Division with remainder by one divisor under degrevlex."""
+        """Division with remainder by one divisor under degrevlex.
+
+        The dividend's terms are reduced in one working dict, and a heap
+        holds their monomials, so each step costs one pass over the
+        divisor's tail (after Monagan & Pearce, CASC 2007).  Every monomial
+        a step adds lies below the one it reduces, so none comes back once
+        popped; one that cancelled may still sit in the heap, and is skipped.
+        """
         self._require_same(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         lead_e, lead_c = divisor.leading()
-        quotient = MultiPoly.zero(self.variables)
-        remainder = MultiPoly.zero(self.variables)
-        work = self
-        while not work.is_zero():
-            exps, coeff = work.leading()
-            if all(a >= b for a, b in zip(exps, lead_e)):
-                mono_e = tuple(a - b for a, b in zip(exps, lead_e))
-                mono = MultiPoly(self.variables, {mono_e: coeff / lead_c})
-                quotient = quotient + mono
-                work = work - mono * divisor
-            else:
-                mono = MultiPoly(self.variables, {exps: coeff})
-                remainder = remainder + mono
-                work = work - mono
-        return quotient, remainder
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+        work = dict(self.terms)
+        heap = [(_heap_key(e), e) for e in work]
+        heap.sort()
+        quotient: Dict[Exponent, object] = {}
+        remainder: Dict[Exponent, object] = {}
+        while heap:
+            exps = heappop(heap)[1]
+            coeff = work.pop(exps, None)
+            if coeff is None:
+                continue
+            mono_e = tuple(map(sub, exps, lead_e))
+            if min(mono_e, default=0) < 0:
+                remainder[exps] = coeff
+                continue
+            q = div(coeff, lead_c)
+            quotient[mono_e] = q
+            for e, c in tail:
+                key = tuple(map(add, mono_e, e))
+                acc = work.get(key)
+                if acc is None:
+                    work[key] = -q * c
+                    heappush(heap, (_heap_key(key), key))
+                else:
+                    acc -= q * c
+                    if acc:
+                        work[key] = acc
+                    else:
+                        del work[key]
+        return (
+            MultiPoly._trusted(self.variables, quotient),
+            MultiPoly._trusted(self.variables, remainder),
+        )
 
     def divides(self, other: "MultiPoly") -> bool:
         """True iff other == self * q exactly over Q."""
@@ -278,14 +315,13 @@ class MultiPoly:
     def primitive(self) -> "MultiPoly":
         if self.is_zero():
             return self
-        c = self.content()
-        return self * (1 / c)
+        return self * div(1, self.content())
 
     def monic(self) -> "MultiPoly":
         if self.is_zero():
             return self
         _, lc = self.leading()
-        return self * (1 / lc)
+        return self * div(1, lc)
 
     # -- univariate views -----------------------------------------------
 

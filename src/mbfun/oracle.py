@@ -26,7 +26,7 @@ from . import linalg
 from .bfunction import BFunction, S_VAR
 from .errors import CertificationError
 from .multipoly import MultiPoly, unify
-from .rationals import Q
+from .rationals import div, rational_content
 from .sections import (
     LaurentSection,
     MeroContext,
@@ -47,21 +47,23 @@ Columns = List[Tuple[Tuple[int, Exponent], LaurentSection]]
 # -- quasi-homogeneity lattice -------------------------------------------
 
 
-def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple]:
+def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
     """Basis of the rational weight vectors w != 0 making F and G both
-    w-homogeneous; empty when only w = 0 qualifies."""
+    w-homogeneous, each scaled to coprime integers; empty when only w = 0
+    qualifies."""
     n = len(F.variables)
     rows = []
     for poly, dcol in ((F, n), (G, n + 1)):
         for exps in poly.terms:
-            row = {i: Q(e) for i, e in enumerate(exps) if e}
-            row[dcol] = Q(-1)
+            row = {i: e for i, e in enumerate(exps) if e}
+            row[dcol] = -1
             rows.append(row)
     out = []
     for vec in linalg.nullspace(rows, n + 2):
-        w = tuple(vec[:n])
+        w = vec[:n]
         if any(c != 0 for c in w):
-            out.append(w)
+            content = rational_content(w)
+            out.append(tuple(div(c, content) for c in w))
     return out
 
 

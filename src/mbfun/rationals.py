@@ -1,9 +1,12 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package runs over arbitrary-precision
-rationals, always stored in lowest terms with a positive denominator.  We
-use gmpy2.mpq when available (noticeably faster on big Groebner runs) and
-fall back to fractions.Fraction; both satisfy the same contract.
+All coefficient arithmetic in this package is exact.  `Q` gives a plain
+int for an integral value and a fractions.Fraction in lowest terms
+otherwise.  Sums and products of ints stay ints, so polynomials with
+integer coefficients never build a Fraction; arithmetic on a Fraction may
+give one of denominator 1, which equals and hashes like the int.  True
+division is the one operation that leaves the integers (and, on two ints,
+would give a float): every quotient goes through `div`.
 """
 
 from __future__ import annotations
@@ -11,19 +14,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _ratio = Fraction
-
 
 def Q(numerator, denominator=1):
-    """Build an exact rational p/q in lowest terms."""
-    return _ratio(numerator, denominator)
+    """The exact rational p/q: an int when integral, else a Fraction."""
+    if denominator == 1 and type(numerator) is int:
+        return numerator
+    if isinstance(numerator, float) or isinstance(denominator, float):
+        raise TypeError("floats are not exact rationals")
+    value = Fraction(numerator, denominator)
+    return value.numerator if value.denominator == 1 else value
 
 
-ZERO = Q(0)
-ONE = Q(1)
+def div(a, b):
+    """Exact quotient a / b of two rationals, an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Q(a, b)
+
+
+ZERO = 0
+ONE = 1
 
 
 def rational_content(values):
@@ -32,8 +44,8 @@ def rational_content(values):
     At least one value must be nonzero."""
     g, l = 0, 1
     for c in values:
-        g = gcd(g, abs(int(c.numerator)))
-        d = int(c.denominator)
+        g = gcd(g, c.numerator)
+        d = c.denominator
         l = l * d // gcd(l, d)
     return Q(g, l)
 

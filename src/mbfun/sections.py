@@ -67,7 +67,9 @@ class _Context:
         self._powers = tuple({0: MultiPoly.const(self.ring, 1)} for _ in factors)
 
     def power(self, i: int, k: int) -> MultiPoly:
-        """factors[i] ** k, cached."""
+        """factors[i] ** k, cached; k >= 0."""
+        if k < 0:
+            raise ValueError(f"negative power {k} of a denominator factor")
         cache = self._powers[i]
         if k not in cache:
             cache[k] = self.power(i, k - 1) * self.factors[i]
@@ -94,7 +96,8 @@ class _Section:
         for i, (target, own) in enumerate(zip(pows, self.pows)):
             if target < own:
                 raise ValueError("target denominator smaller than current one")
-            num = num * self.ctx.power(i, target - own)
+            if target > own:
+                num = num * self.ctx.power(i, target - own)
         return num
 
     def scaled(self, poly: MultiPoly):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key, format_terms
-from .rationals import ONE, Q, ZERO, rational_content
+from .rationals import ONE, Q, ZERO, div, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -217,7 +217,7 @@ class WeylElement:
         """Remove rational content; integer, primitive, deterministic sign."""
         if not self.terms:
             return self
-        factor = 1 / rational_content(self.terms.values())
+        factor = div(1, rational_content(self.terms.values()))
         lead = max(self.terms, key=_revlex_key)
         if self.terms[lead] < 0:
             factor = -factor

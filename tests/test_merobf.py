@@ -75,6 +75,18 @@ class TestEngine:
             b_mero(F, G, 0)
 
 
+class TestInputsThatFinish:
+    """Pairs on which exact elimination used to report false "unsolvable"
+    systems, so that the engine ran to NotSpecializableError or timed out."""
+
+    @pytest.mark.parametrize("ftext, gtext, m", [("x", "y + 1", 0), ("y", "x^2 + 1", 1)])
+    def test_certified_s_plus_one(self, ftext, gtext, m):
+        F, G = pair(ftext, gtext)
+        res = b_mero(F, G, m)
+        assert res.status == "CERTIFIED"
+        assert str(res.b) == "(s + 1)"
+
+
 class TestSimpleVariant:
     def test_separated_variables(self):
         F, G = pair("x", "y")

@@ -1,5 +1,7 @@
 """Exact multivariate polynomial arithmetic."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,19 @@ class TestDivision:
     def test_divmod_single(self):
         q, r = P("x^3 + x*y").divmod_single(P("x"))
         assert q == P("x^2 + y") and r.is_zero()
+
+    @given(small_polys(), small_polys(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_divmod_single_is_division_with_remainder(self, a, d, scale):
+        if d.is_zero():
+            return
+        d = d * Q(1, scale)
+        q, r = a.divmod_single(d)
+        assert q * d + r == a
+        lead, _ = d.leading()
+        for exps in r.terms:
+            assert not all(x >= y for x, y in zip(exps, lead))
+        assert all(type(c) in (int, Fraction) for c in list(q.terms.values()) + list(r.terms.values()))
 
     def test_divides(self):
         assert P("x + y").divides(P("x^2 - y^2"))

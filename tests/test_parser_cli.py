@@ -68,6 +68,22 @@ class TestCLI:
         assert report["status"] == "CERTIFIED"
         assert [r for r, _ in report["result"]["roots"]] == ["-1/1", "-1/2"]
 
+    @pytest.mark.parametrize(
+        "argv, roots",
+        [
+            (["x^3+y^3"], ["-4/3", "-1/1", "-2/3"]),
+            (["x^2+y^4"], ["-5/4", "-1/1", "-3/4"]),
+            (["x^3+y^4", "--certify-deg", "7"],
+             ["-17/12", "-7/6", "-13/12", "-1/1", "-11/12", "-5/6", "-7/12"]),
+        ],
+    )
+    def test_classic_certifies_brieskorn_pham(self, capsys, argv, roots):
+        rc, out = run_json(capsys, ["bf", "classic", *argv, "--json"])
+        assert rc == 0
+        report = json.loads(out)
+        assert report["status"] == "CERTIFIED"
+        assert [r for r, _ in report["result"]["roots"]] == roots
+
     def test_mero_separated_variables(self, capsys, schema):
         rc, out = run_json(capsys, ["bf", "mero", "x", "y", "--m", "0", "--json"])
         assert rc == 0

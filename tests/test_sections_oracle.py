@@ -81,6 +81,11 @@ class TestSections:
         w = base_section(ctx, 0).scaled(poly("x^2", ("x",)).extend_to(ctx.ring))
         assert v.section_eq(w)
 
+    def test_negative_shift_is_refused(self):
+        ctx = MeroContext(poly("x"), poly("1", ("x",)))
+        with pytest.raises(ValueError, match="negative power"):
+            base_section(ctx, 0, shift=-1)
+
     def test_derivative_of_fs(self):
         # dx (x^s) = s x^{s-1}: numerator s, pows (1, 0)
         ctx = MeroContext(poly("x"), ONE_X)
