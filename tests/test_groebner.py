@@ -1,15 +1,21 @@
 """Left Groebner bases, elimination, and initial ideals."""
 
+import random
+
 import pytest
 
+from mbfun import groebner
 from mbfun.errors import CapabilityError
 from mbfun.groebner import (
     LeftIdeal,
+    buchberger,
     eliminate,
     initial_form,
     max_degree_cap,
     normal_form,
 )
+from mbfun.multipoly import MultiPoly
+from mbfun.rationals import div
 from mbfun.weyl import AlgebraSignature, MonomialOrder, WeylElement
 
 SIG = AlgebraSignature.make(pairs=[("x", "dx")], central=["s"])
@@ -90,3 +96,204 @@ def test_degree_cap_raises_capability_error(monkeypatch):
 
     with pytest.raises(CapabilityError):
         bernstein_sato(parse_poly("x^2"))
+
+
+# -- differential test of the pair selection --------------------------------
+#
+# The reference below is the plain Buchberger loop: the pending pairs are a
+# set, each step takes the `min` of (lcm degree, order key of the lcm, i, j)
+# over all of them, and every leading monomial is recomputed where it is
+# read.  `buchberger` must return the same basis list, in the same order,
+# and reduce the same S-polynomials in the same order: a reduced basis is
+# unique, so only the second check sees the selection order itself.
+
+
+def _lm(elem, order):
+    return max(elem.terms, key=order.key)
+
+
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _s_pair(f, g, order):
+    lf, lg = _lm(f, order), _lm(g, order)
+    lcm = _lcm(lf, lg)
+    uf = tuple(a - b for a, b in zip(lcm, lf))
+    ug = tuple(a - b for a, b in zip(lcm, lg))
+    return (
+        WeylElement(f.sig, {uf: div(1, f.terms[lf])}) * f
+        - WeylElement(g.sig, {ug: div(1, g.terms[lg])}) * g
+    )
+
+
+def _product_criterion(sig, a, b):
+    if any(min(x, y) for x, y in zip(a, b)):
+        return False
+    return not any((a[d] and b[c]) or (b[d] and a[c]) for c, d in sig.pairs)
+
+
+def _reference_core(sig, basis, order, cap):
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    done = set()
+    while pairs:
+        def pair_key(p):
+            lcm = _lcm(_lm(basis[p[0]], order), _lm(basis[p[1]], order))
+            return (sum(lcm),) + tuple(order.key(lcm)) + p
+
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        done.add((i, j))
+        li, lj = _lm(basis[i], order), _lm(basis[j], order)
+        if _product_criterion(sig, li, lj):
+            continue
+        lcm = _lcm(li, lj)
+        if any(
+            k not in (i, j)
+            and _divides(_lm(basis[k], order), lcm)
+            and (max(i, k), min(i, k)) in done
+            and (max(j, k), min(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        h = groebner.normal_form(_s_pair(basis[i], basis[j], order), basis, order, cap)
+        if h.is_zero():
+            continue
+        if h.total_degree() > cap:
+            raise CapabilityError("basis element exceeds degree cap")
+        basis.append(h.content_primitive())
+        pairs.update((len(basis) - 1, k) for k in range(len(basis) - 1))
+    return basis
+
+
+def _reference_interreduce(basis, order, cap):
+    basis = sorted(basis, key=lambda g: order.key(_lm(g, order)))
+    kept = []
+    for idx, g in enumerate(basis):
+        lm = _lm(g, order)
+        others = basis[:idx] + basis[idx + 1 :]
+        if any(_divides(_lm(o, order), lm) and _lm(o, order) != lm for o in others):
+            continue
+        if any(_lm(o, order) == lm for o in basis[:idx]):
+            continue
+        kept.append(g)
+    final = []
+    for idx, g in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1 :]
+        if others:
+            g = groebner.normal_form(g, others, order, cap)
+            if g.is_zero():
+                continue
+        final.append(g.content_primitive())
+    return sorted(final, key=lambda g: order.key(_lm(g, order)))
+
+
+def _reference_homogenized(sig, gens, order, cap):
+    sig_h = sig.homogenized()
+    nc = len(sig.coords)
+
+    def homogenize(g):
+        d = g.total_degree()
+        return WeylElement(
+            sig_h, {e[:nc] + (d - sum(e),) + e[nc:]: c for e, c in g.terms.items()}
+        )
+
+    def dehomogenize(g):
+        terms = {}
+        for e, c in g.terms.items():
+            key = e[:nc] + e[nc + 1 :]
+            terms[key] = terms.get(key, 0) + c
+        return WeylElement(sig, terms).content_primitive()
+
+    gens_h = [homogenize(g.content_primitive()) for g in gens]
+    basis = [dehomogenize(g) for g in _reference_core(sig_h, gens_h, order.extended(sig_h), cap)]
+    out, seen = [], set()
+    for g in sorted((g for g in basis if not g.is_zero()), key=lambda g: order.key(_lm(g, order))):
+        key = tuple(sorted(g.terms.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
+def reference_buchberger(sig, gens, order, cap):
+    gens = [g for g in gens if not g.is_zero()]
+    if order.has_negative_weight():
+        return _reference_homogenized(sig, gens, order, cap)
+    basis = [g.content_primitive() for g in gens]
+    return _reference_interreduce(_reference_core(sig, basis, order, cap), order, cap)
+
+
+def _annihilator_like(rng, sig, names):
+    """A random subset of {f d_v - s f_v} ∪ {f} (and f_y d_x - f_x d_y in
+    two variables) for a random f of degree <= 2 with three terms: the
+    shape of the ideals that classical b-functions eliminate from."""
+    terms = {}
+    for _ in range(3):
+        e = [0] * len(names)
+        for _ in range(rng.randint(1, 2)):
+            e[rng.randrange(len(names))] += 1
+        terms[tuple(e)] = rng.choice([-2, -1, 1, 2, 3])
+    f = MultiPoly(tuple(names), terms)
+    F = WeylElement.from_poly(sig, f)
+    s = WeylElement.gen(sig, "s")
+    df = {v: WeylElement.from_poly(sig, f.derivative(v)) for v in names}
+    gens = [F * WeylElement.gen(sig, "d" + v) - s * df[v] for v in names] + [F]
+    if len(names) == 2:
+        gens.append(df["y"] * WeylElement.gen(sig, "dx") - df["x"] * WeylElement.gen(sig, "dy"))
+    rng.shuffle(gens)
+    return gens[: rng.randint(2, len(gens))]
+
+
+def _run_recorded(fn, sig, gens, order, cap, monkeypatch):
+    """(basis or "cap", every element groebner.normal_form reduced)."""
+    reduced = []
+
+    def recording(elem, basis, *args, **kwargs):
+        reduced.append(elem)
+        return normal_form(elem, basis, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", recording)
+    try:
+        return fn(sig, gens, order, cap), reduced
+    except CapabilityError:
+        return "cap", reduced
+
+
+D1 = AlgebraSignature.make(pairs=[("x", "dx")], central=["s"])
+D2 = AlgebraSignature.make(pairs=[("x", "dx"), ("y", "dy")], central=["s"])
+ORDERS = {
+    "degrevlex": lambda sig: MonomialOrder.degrevlex(),
+    "positive-weight": lambda sig: MonomialOrder.weight(sig, {"x": 1, "dx": 1}),
+    "negative-weight": lambda sig: MonomialOrder.weight(sig, {"x": -1, "dx": 1}),
+}
+# Under the homogenized order h^2 ranks above x*dx, although dx*x = x*dx + h^2,
+# so that order is not compatible with the product: reducing these three
+# ideals cycles and never ends, on both sides.
+CYCLING = {("D2", "negative-weight"): {4, 7, 9}}
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("alg", ["D1", "D2"])
+def test_selection_matches_reference_loop(alg, order_name, monkeypatch):
+    sig, names = {"D1": (D1, ["x"]), "D2": (D2, ["x", "y"])}[alg]
+    order = ORDERS[order_name](sig)
+    skip = CYCLING.get((alg, order_name), set())
+    compared = 0
+    for trial in range(12):
+        if trial in skip:
+            continue
+        gens = _annihilator_like(random.Random(f"{alg}-{trial}"), sig, names)
+        got, got_reduced = _run_recorded(buchberger, sig, gens, order, 6, monkeypatch)
+        want, want_reduced = _run_recorded(
+            reference_buchberger, sig, gens, order, 6, monkeypatch
+        )
+        assert got == want, (alg, order_name, trial)
+        assert got_reduced == want_reduced, (alg, order_name, trial)
+        compared += got != "cap"
+    assert compared >= 5
+
