@@ -4,13 +4,20 @@ Buchberger with normal (minimal-lcm) selection, the PBW-safe product
 criterion and the chain criterion.  Weight orders with negative components
 (the V-filtration weight) run through the degree-homogenized algebra so
 that every reduction stays inside one graded piece and terminates.
+
+Each basis element's leading monomial is computed once, when the element
+enters the basis, and read from then on.  Pending pairs sit in a heap
+keyed by (lcm degree, order key of the lcm, i, j), each key computed when
+its pair is created; the indices make keys unique, so the pop order is
+that of a `min` over all pending pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError
 from .rationals import ZERO, div
@@ -35,8 +42,9 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _mono(sig: AlgebraSignature, exps: Exponent, coeff=1) -> WeylElement:
-    return WeylElement(sig, {exps: coeff})
+def _mono(sig: AlgebraSignature, exps: Exponent, coeff) -> WeylElement:
+    """The term coeff * exps; coeff must be a nonzero exact rational."""
+    return WeylElement._trusted(sig, {exps: coeff})
 
 
 def normal_form(
@@ -44,12 +52,16 @@ def normal_form(
     basis: Sequence[WeylElement],
     order: MonomialOrder,
     cap: Optional[int] = None,
+    _lms: Optional[Sequence[Exponent]] = None,
 ) -> WeylElement:
-    """Fully reduce elem against basis; the remainder's terms avoid all lms."""
+    """Fully reduce elem against basis; the remainder's terms avoid all lms.
+
+    _lms, when given, are the leading monomials of basis in its order: a
+    Buchberger run keeps them, so its reductions do not recompute them."""
     if cap is None:
         cap = max_degree_cap()
     sig = elem.sig
-    lms = [leading_exps(g, order) for g in basis]
+    lms = _lms if _lms is not None else [leading_exps(g, order) for g in basis]
     done: Dict[Exponent, object] = {}
     work = elem
     while not work.is_zero():
@@ -62,12 +74,13 @@ def normal_form(
                 break
         if reducer is None:
             done[exps] = coeff
-            work = work - _mono(sig, exps, coeff)
+            rest = dict(work.terms)
+            del rest[exps]
+            work = WeylElement._trusted(sig, rest)
             continue
         g, lm = reducer
         cof = tuple(a - b for a, b in zip(exps, lm))
-        scale = div(coeff, g.terms[lm])
-        work = work - _mono(sig, cof, scale) * g
+        work = work + _mono(sig, cof, -div(coeff, g.terms[lm])) * g
         if work.total_degree() > cap:
             raise CapabilityError(
                 f"reduction exceeded degree cap {cap} (MBFUN_MAX_DEGREE)"
@@ -75,9 +88,8 @@ def normal_form(
     return WeylElement(sig, done)
 
 
-def _s_pair(f: WeylElement, g: WeylElement, order: MonomialOrder) -> WeylElement:
+def _s_pair(f: WeylElement, lf: Exponent, g: WeylElement, lg: Exponent) -> WeylElement:
     sig = f.sig
-    lf, lg = leading_exps(f, order), leading_exps(g, order)
     lcm = _lcm(lf, lg)
     uf = tuple(a - b for a, b in zip(lcm, lf))
     ug = tuple(a - b for a, b in zip(lcm, lg))
@@ -106,7 +118,7 @@ def buchberger(
     if order.has_negative_weight():
         return _buchberger_homogenized(sig, generators, order, cap)
     basis = [g.content_primitive() for g in generators if not g.is_zero()]
-    return _interreduce(_buchberger_core(sig, basis, order, cap), order, cap)
+    return _interreduce(*_buchberger_core(sig, basis, order, cap), order, cap)
 
 
 def _buchberger_core(
@@ -114,75 +126,77 @@ def _buchberger_core(
     basis: List[WeylElement],
     order: MonomialOrder,
     cap: int,
-) -> List[WeylElement]:
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+) -> Tuple[List[WeylElement], List[Exponent]]:
+    """Complete basis in place; return it with its leading monomials."""
+    lms: List[Exponent] = []
+    heap: List[tuple] = []
+
+    def enter(g: WeylElement) -> None:
+        new, lm = len(lms), leading_exps(g, order)
+        for k, lk in enumerate(lms):
+            lcm = _lcm(lm, lk)
+            heapq.heappush(heap, (sum(lcm),) + tuple(order.key(lcm)) + (new, k))
+        lms.append(lm)
+
+    for g in basis:
+        enter(g)
     done = set()
-    while pairs:
-        def _pair_key(p):
-            lcm = _lcm(
-                leading_exps(basis[p[0]], order), leading_exps(basis[p[1]], order)
-            )
-            return (sum(lcm),) + tuple(order.key(lcm)) + p
-        i, j = min(pairs, key=_pair_key)
-        pairs.discard((i, j))
+    while heap:
+        i, j = heapq.heappop(heap)[-2:]
         done.add((i, j))
-        li = leading_exps(basis[i], order)
-        lj = leading_exps(basis[j], order)
+        li, lj = lms[i], lms[j]
         if _product_criterion_safe(sig, li, lj):
             continue
         lcm = _lcm(li, lj)
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            lk = leading_exps(basis[k], order)
-            pik = (max(i, k), min(i, k))
-            pjk = (max(j, k), min(j, k))
-            if _divides(lk, lcm) and pik in done and pjk in done:
-                chained = True
-                break
-        if chained:
+        if any(
+            k != i
+            and k != j
+            and _divides(lk, lcm)
+            and (max(i, k), min(i, k)) in done
+            and (max(j, k), min(j, k)) in done
+            for k, lk in enumerate(lms)
+        ):
             continue
-        h = normal_form(_s_pair(basis[i], basis[j], order), basis, order, cap)
+        h = normal_form(
+            _s_pair(basis[i], li, basis[j], lj), basis, order, cap, _lms=lms
+        )
         if h.is_zero():
             continue
         if h.total_degree() > cap:
-            raise CapabilityError(f"basis element exceeds degree cap {cap}")
+            raise CapabilityError(
+                f"basis element exceeds degree cap {cap} (MBFUN_MAX_DEGREE)"
+            )
         basis.append(h.content_primitive())
-        new = len(basis) - 1
-        pairs.update((new, k) for k in range(new))
-    return basis
+        enter(basis[-1])
+    return basis, lms
 
 
 def _interreduce(
-    basis: List[WeylElement], order: MonomialOrder, cap: int
+    basis: List[WeylElement], lms: List[Exponent], order: MonomialOrder, cap: int
 ) -> List[WeylElement]:
-    # drop elements whose lm is divisible by another lm, then tail-reduce
-    basis = sorted(basis, key=lambda g: order.key(leading_exps(g, order)))
-    kept: List[WeylElement] = []
-    for idx, g in enumerate(basis):
-        lm = leading_exps(g, order)
-        others = basis[:idx] + basis[idx + 1 :]
-        if any(
-            _divides(leading_exps(o, order), lm)
-            and leading_exps(o, order) != lm
-            for o in others
-        ) or any(
-            leading_exps(o, order) == lm for o in basis[:idx]
-        ):
-            continue
-        kept.append(g)
+    """Drop elements whose lm another lm divides, then tail-reduce.
+
+    The kept lms are distinct and none divides another, so each reduction
+    keeps its element's leading term and the result stays sorted."""
+    ranked = sorted(zip(basis, lms), key=lambda p: order.key(p[1]))
+    kept = [
+        (g, lm)
+        for idx, (g, lm) in enumerate(ranked)
+        if not any(
+            _divides(lo, lm) and (lo != lm or o < idx)
+            for o, (_, lo) in enumerate(ranked)
+            if o != idx
+        )
+    ]
     final = []
-    for idx, g in enumerate(kept):
+    for idx, (g, _) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         if others:
-            reduced = normal_form(g, others, order, cap)
-            if reduced.is_zero():
-                continue
-            final.append(reduced.content_primitive())
-        else:
-            final.append(g.content_primitive())
-    return sorted(final, key=lambda g: order.key(leading_exps(g, order)))
+            g = normal_form(
+                g, [o for o, _ in others], order, cap, _lms=[lo for _, lo in others]
+            )
+        final.append(g.content_primitive())
+    return final
 
 
 # -- homogenized route for negative weights ------------------------------
@@ -224,7 +238,7 @@ def _buchberger_homogenized(
         for g in generators
         if not g.is_zero()
     ]
-    basis_h = _buchberger_core(sig_h, gens_h, order_h, cap)
+    basis_h, _ = _buchberger_core(sig_h, gens_h, order_h, cap)
     basis = [_dehomogenize_elem(g, sig) for g in basis_h]
     basis = [g.content_primitive() for g in basis if not g.is_zero()]
     # no full interreduction here: that could spoil w-adaptedness; dedupe only

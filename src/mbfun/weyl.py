@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key, format_terms
-from .rationals import ONE, Q, ZERO, div, rational_content
+from .rationals import ONE, Q, ZERO, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -120,6 +120,15 @@ class WeylElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, sig: AlgebraSignature, terms: Dict[Exponent, object]) -> "WeylElement":
+        """Wrap terms that are already clean: tuple exponents of the right
+        length, nonzero exact coefficients.  Takes ownership of the dict."""
+        elem = cls.__new__(cls)
+        elem.sig = sig
+        elem.terms = terms
+        return elem
+
+    @classmethod
     def zero(cls, sig: AlgebraSignature) -> "WeylElement":
         return cls(sig, {})
 
@@ -165,12 +174,12 @@ class WeylElement:
                 terms.pop(exps, None)
             else:
                 terms[exps] = acc
-        return WeylElement(self.sig, terms)
+        return WeylElement._trusted(self.sig, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.sig, {e: -c for e, c in self.terms.items()})
+        return WeylElement._trusted(self.sig, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, WeylElement):
@@ -180,10 +189,15 @@ class WeylElement:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, other) -> "WeylElement":
+        scalar = Q(other)
+        if scalar == 0:
+            return WeylElement.zero(self.sig)
+        return WeylElement._trusted(self.sig, {e: c * scalar for e, c in self.terms.items()})
+
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
-            scalar = Q(other)
-            return WeylElement(self.sig, {e: c * scalar for e, c in self.terms.items()})
+            return self._scaled(other)
         self._require_same(other)
         terms: Dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
@@ -195,12 +209,11 @@ class WeylElement:
                         terms.pop(exps, None)
                     else:
                         terms[exps] = acc
-        return WeylElement(self.sig, terms)
+        return WeylElement._trusted(self.sig, terms)
 
     def __rmul__(self, other):
         # scalars only; element order matters otherwise
-        scalar = Q(other)
-        return WeylElement(self.sig, {e: c * scalar for e, c in self.terms.items()})
+        return self._scaled(other)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -217,11 +230,19 @@ class WeylElement:
         """Remove rational content; integer, primitive, deterministic sign."""
         if not self.terms:
             return self
-        factor = div(1, rational_content(self.terms.values()))
+        content = rational_content(self.terms.values())
+        num, den = content.numerator, content.denominator
         lead = max(self.terms, key=_revlex_key)
         if self.terms[lead] < 0:
-            factor = -factor
-        return WeylElement(self.sig, {e: c * factor for e, c in self.terms.items()})
+            num = -num
+        # c / content = c.numerator * (den / c.denominator) / num, exactly
+        return WeylElement._trusted(
+            self.sig,
+            {
+                e: c.numerator * (den // c.denominator) // num
+                for e, c in self.terms.items()
+            },
+        )
 
     def coord_part_poly(self) -> MultiPoly:
         """View as a commutative polynomial in the coords (no derivations allowed)."""

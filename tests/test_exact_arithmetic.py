@@ -5,8 +5,9 @@ Integral values from rationals are plain ints, and `int / int` is a
 float, so every quotient in src/mbfun must go through rationals.div.  The
 first check parses each module with ast and fails on any `/` or `/=`
 outside rationals.py; the others check that rationals gives ints for
-integral values, and that two cheap b_mero calls report no coefficient of
-any other type than int or Fraction.
+integral values, and that two cheap b_mero calls and a classical
+b-function's witness report no coefficient of any other type than int or
+Fraction.
 """
 
 import ast
@@ -15,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from mbfun.annihilator import bernstein_sato
 from mbfun.merobf import b_mero
+from mbfun.multipoly import MultiPoly
+from mbfun.oracle import verify_functional_equation
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q, div
 
@@ -64,4 +68,15 @@ def test_b_mero_results_are_exact(F, G, m, names):
         assert all(exact(c) for c in b.poly.terms.values())
         assert all(exact(r) for r in b.roots)
     coeffs = [c for P in res.witness.values() for c in P.terms.values()]
+    assert coeffs and all(exact(c) for c in coeffs)
+
+
+def test_classic_witness_is_exact():
+    # the route of `bf classic x^2+y^3`: Buchberger elimination, then the
+    # N=1 functional equation
+    F = parse_poly("x^2+y^3")
+    b = bernstein_sato(F)
+    assert all(exact(c) for c in b.poly.terms.values())
+    witness = verify_functional_equation(b, F, MultiPoly.const(F.variables, 1), 0, N=1)
+    coeffs = [c for P in witness.values() for c in P.terms.values()]
     assert coeffs and all(exact(c) for c in coeffs)

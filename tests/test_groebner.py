@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mbfun.cli import main
 from mbfun import groebner
 from mbfun.errors import CapabilityError
 from mbfun.groebner import (
@@ -297,3 +298,19 @@ def test_selection_matches_reference_loop(alg, order_name, monkeypatch):
         compared += got != "cap"
     assert compared >= 5
 
+
+def test_leading_monomials_are_not_recomputed(monkeypatch, capsys):
+    # A deterministic guard in place of a timing test: with each leading
+    # monomial and each pair key computed once, `bf classic x*y*(x+y)`
+    # makes about 7,000 order-key calls; recomputing them at every pair
+    # selection made 589,638.
+    calls = [0]
+    key = MonomialOrder.key
+
+    def counted(self, exps):
+        calls[0] += 1
+        return key(self, exps)
+
+    monkeypatch.setattr(MonomialOrder, "key", counted)
+    assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
+    assert calls[0] < 50_000

@@ -137,6 +137,7 @@ class TestCLI:
     def test_capability_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("MBFUN_MAX_DEGREE", "2")
         assert main(["bf", "classic", "x^2"]) == 1
+        assert "MBFUN_MAX_DEGREE" in capsys.readouterr().err
 
     def test_json_runs_are_byte_identical(self, capsys):
         _, first = run_json(capsys, ["bf", "classic", "x^2", "--json"])
