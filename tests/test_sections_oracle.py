@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbfun.bfunction import BFunction
+from mbfun.bfunction import S_VAR, BFunction
 from mbfun.errors import CertificationError
 from mbfun.oracle import (
     minimal_b_search,
@@ -15,7 +15,7 @@ from mbfun.oracle import (
     verify_functional_equation,
     weight_lattice,
 )
-from mbfun.multipoly import MultiPoly
+from mbfun.multipoly import MultiPoly, unify
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import (
@@ -340,3 +340,66 @@ class TestOracle:
         b, ops = found
         assert str(b) == "(s + 1)*(s + 1/2)"
         assert len(ops) == 1
+
+
+def reference_minimize(b, F, G, m, N, deg):
+    """The root-stripping loop that minimization used before the joint
+    least-degree search, kept as the reference: drop the first root r, in
+    sorted order, whose b/(s-r) still admits the equation at the full
+    bounds, until no such root is left."""
+    if b.roots is None or b.degree() <= 1:
+        return b
+    ctx = MeroContext(*unify(F, G))
+    columns = [
+        sec
+        for k in range(1, N + 1)
+        for _, sec in operator_columns(base_section(ctx, m, shift=k), deg, deg)
+    ]
+    lattice = weight_lattice(ctx.F, ctx.G)
+    s = MultiPoly.var((S_VAR,), S_VAR)
+
+    def passes(cand):
+        lhs = base_section(ctx, m).scaled(cand.poly.extend_to(ctx.ring))
+        return solve(lhs, columns, lattice) is not None
+
+    while b.degree() > 1:
+        for root, _ in b.sorted_roots():
+            cand = BFunction.from_poly(b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root)))
+            if passes(cand):
+                b = cand
+                break
+        else:
+            break
+    return b
+
+
+# (F, G, variables, b_{f,m} roots, degree bounds at which b_{f,m} admits the
+# equation); each case is checked at m = 0 and m = 1 when G is not 1
+MINIMIZATION_CASES = [
+    ("x^2", "1", ("x",), [(-1, 1), (-1, 2)], (2, 3)),
+    ("x^3", "1", ("x",), [(-1, 1), (-1, 3), (-2, 3)], (3,)),
+    ("x^2+y^2", "1", XY, [(-1, 1), (-1, 1)], (2, 3)),
+    ("x", "y", XY, [(-1, 1)], (2, 3)),
+    ("x^2", "y", XY, [(-1, 1), (-1, 2)], (3,)),
+]
+
+
+@pytest.mark.parametrize("case", MINIMIZATION_CASES, ids=lambda c: f"{c[0]}/{c[1]}")
+def test_minimization_matches_root_stripping(case):
+    text_f, text_g, names, b_roots, degs = case
+    F, G = poly(text_f, names), poly(text_g, names)
+    ms = (0,) if text_g == "1" else (0, 1)
+    for m in ms:
+        for trial in range(4):
+            rng = random.Random(f"{text_f}/{text_g}/{m}/{trial}")
+            roots = [Q(num, den) for num, den in b_roots]
+            roots += [Q(-rng.randint(1, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            counts = {}
+            for r in roots:
+                counts[r] = counts.get(r, 0) + 1
+            b = BFunction.from_roots(counts)
+            N, deg = rng.randint(1, 2), rng.choice(degs)
+            assert verify_functional_equation(b, F, G, m, N, deg) is not None
+            want = reference_minimize(b, F, G, m, N, deg)
+            got = minimize_by_oracle(b, F, G, m, N, deg)
+            assert got.poly == want.poly, (text_f, text_g, m, str(b), N, deg)
