@@ -7,10 +7,14 @@ searching for explicit operators P_k(s) with
 
 inside the Laurent module, as an exact rational linear system in the
 unknown coefficients of the P_k.  Success yields a concrete witness, which
-is re-verified by applying it; the same machinery also finds the minimal
-monic b admitting such an equation against a prescribed list of target
-sections (the one-term variant and the reduced equation are both of that
-shape).
+is re-verified by applying it.
+
+There is one minimization, `minimal_b_search`: the coefficients of b and
+of the operators enter one linear system per candidate degree of b, and
+the least degree that solves gives the unique minimal monic b within the
+bounds.  It serves the meromorphic equation (`minimize_by_oracle`), the
+one-term variant and the reduced equation, which differ only in their
+target sections.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
 blocks and columns of the wrong weight are discarded before solving; this
@@ -147,40 +151,6 @@ def verify_functional_equation(
     return None
 
 
-def _first_passing_divisor(
-    b: BFunction, ctx: MeroContext, m: int, columns: Columns, lattice
-) -> Optional[BFunction]:
-    """First b/(s-r), over the roots r in sorted order, that admits the
-    functional equation on the full-bound columns; None when none does."""
-    s = MultiPoly.var((S_VAR,), S_VAR)
-    for root, _ in b.sorted_roots():
-        quotient = b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root))
-        if quotient.is_constant():
-            continue
-        cand = BFunction.from_poly(quotient)
-        if _witness(cand, ctx, m, columns, lattice) is not None:
-            return cand
-    return None
-
-
-def reject_maximal_divisors(
-    b: BFunction,
-    F: MultiPoly,
-    G: MultiPoly,
-    m: int = 0,
-    N: int = DEFAULT_N,
-    deg: int = DEFAULT_DEG,
-) -> bool:
-    """True iff every b/(s-r) fails the functional equation at full bounds."""
-    if b.roots is None:
-        raise ValueError("minimality check needs a split b-function")
-    if b.degree() <= 1:
-        return True
-    ctx = MeroContext(*unify(F, G))
-    columns = _equation_columns(ctx, m, N, deg)
-    return _first_passing_divisor(b, ctx, m, columns, weight_lattice(ctx.F, ctx.G)) is None
-
-
 def minimize_by_oracle(
     b: BFunction,
     F: MultiPoly,
@@ -189,24 +159,22 @@ def minimize_by_oracle(
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
 ) -> BFunction:
-    """Smallest monic divisor of b (by dropping roots) passing the oracle.
+    """Monic b' of least degree in 1 .. deg(b)-1 admitting the functional
+    equation at (N, deg); b itself when none does.
 
-    Any polynomial admitting the functional equation is a multiple of the
-    true minimal one, so shrinking while the oracle still certifies can
-    only move toward (never past) the answer.  The full-bound columns are
-    built once and serve every candidate.
+    The caller has certified b at the same bounds, so b is the only monic
+    solution of its own degree and the search stops below it.  Every
+    solution is a multiple of the true minimal b, so b' never drops a root
+    the equation needs.
     """
-    if b.roots is None or b.degree() <= 1:
+    if b.degree() <= 1:
         return b
     ctx = MeroContext(*unify(F, G))
-    columns = _equation_columns(ctx, m, N, deg)
-    lattice = weight_lattice(ctx.F, ctx.G)
-    while b.degree() > 1:
-        smaller = _first_passing_divisor(b, ctx, m, columns, lattice)
-        if smaller is None:
-            break
-        b = smaller
-    return b
+    targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
+    found = minimal_b_search(
+        ctx, base_section(ctx, m), targets, deg, deg, max_bdeg=b.degree() - 1, min_bdeg=1
+    )
+    return b if found is None else found[0]
 
 
 def prefactored_witness(

@@ -16,10 +16,7 @@ from mbfun.errors import CapabilityError
 from mbfun.merobf import b_mero, reduced_b
 from mbfun.multiplier import check_cor_jump, jumping_numbers_nc
 from mbfun.ncres import NCChart, bound_set, check_lemma4, member
-from mbfun.oracle import (
-    reject_maximal_divisors,
-    verify_functional_equation,
-)
+from mbfun.oracle import minimize_by_oracle, verify_functional_equation
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import MeroContext, apply_operator, base_section
@@ -72,7 +69,7 @@ def test_criterion_1_classical_battery():
         lhs = base_section(ctx, 0).scaled(b.poly.extend_to(ctx.ring))
         rhs = apply_operator(P, base_section(ctx, 0, shift=1))
         assert lhs.section_eq(rhs), f"explicit witness fails for x^{a}"
-        assert reject_maximal_divisors(b, F, one, 0, N=1, deg=a)
+        assert minimize_by_oracle(b, F, one, 0, N=1, deg=a).poly == b.poly
     verdict(1, True, f"b(x^a) = prod(s + k/a) for a=1..4, worst {worst:.2f}s")
 
 
@@ -86,7 +83,7 @@ def test_criterion_2_quadric():
     assert b.poly == expected.poly
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     assert verify_functional_equation(b, F, one, 0, N=1, deg=2) is not None
-    assert reject_maximal_divisors(b, F, one, 0, N=1, deg=4)
+    assert minimize_by_oracle(b, F, one, 0, N=1, deg=4).poly == b.poly
     verdict(2, True, f"b(x^2+y^2+z^2) = (s+1)(s+3/2) in {elapsed:.2f}s, minimal at deg 4")
 
 
@@ -204,7 +201,7 @@ def test_criterion_9_oracle_soundness(rng):
         res = b_mero(F, G, m)
         assert res.status == "CERTIFIED", f"({a},{b},{m})"
         assert verify_functional_equation(res.b, F, G, m, N=3, deg=6) is not None
-        assert reject_maximal_divisors(res.b, F, G, m, N=3, deg=6), f"({a},{b},{m})"
+        assert minimize_by_oracle(res.b, F, G, m, N=3, deg=6).poly == res.b.poly, f"({a},{b},{m})"
         certified += 1
     verdict(9, True, f"{certified}/20 randomized pairs certified and strictly minimal")
 

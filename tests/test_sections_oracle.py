@@ -11,7 +11,6 @@ from mbfun.errors import CertificationError
 from mbfun.oracle import (
     minimal_b_search,
     minimize_by_oracle,
-    reject_maximal_divisors,
     verify_functional_equation,
     weight_lattice,
 )
@@ -300,7 +299,7 @@ class TestOracle:
         F = poly("x^2")
         b = b_of([((-1, 1), 1), ((-1, 2), 1)])
         assert verify_functional_equation(b, F, ONE_X, 0, N=1, deg=2) is not None
-        assert reject_maximal_divisors(b, F, ONE_X, 0, N=1, deg=4)
+        assert minimize_by_oracle(b, F, ONE_X, 0, N=1, deg=4).poly == b.poly
 
     def test_minimization_drops_superfluous_roots(self):
         # on the battery the engine value is already minimal; here two of
@@ -308,7 +307,7 @@ class TestOracle:
         F = poly("x^2")
         b = b_of([((-1, 1), 1), ((-1, 2), 1), ((-2, 1), 1), ((-3, 2), 1)])
         assert str(minimize_by_oracle(b, F, ONE_X, 0, N=1, deg=2)) == "(s + 1)*(s + 1/2)"
-        assert not reject_maximal_divisors(b, F, ONE_X, 0, N=1, deg=2)
+        assert minimize_by_oracle(b, F, ONE_X, 0, N=1, deg=2).poly != b.poly
 
     def test_rejects_wrong_candidate(self):
         F = poly("x^2")
