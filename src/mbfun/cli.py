@@ -120,10 +120,15 @@ def _run_bf_classic(args):
     b = bernstein_sato(F)
     one = MultiPoly.const(F.variables, 1)
     witness = verify_functional_equation(b, F, one, 0, N=1, deg=args.certify_deg)
-    status = CERTIFIED if witness is not None else UNCERTIFIED
     result = _b_payload(b)
     result["witness"] = _witness_payload(witness)
-    return {"F": str(F)}, result, status, []
+    if witness is not None:
+        return {"F": str(F)}, result, CERTIFIED, []
+    note = (
+        f"oracle found no witness with N=1 and operator degree <= {args.certify_deg}; "
+        "raise --certify-deg"
+    )
+    return {"F": str(F)}, result, UNCERTIFIED, [note]
 
 
 def _run_bf_mero(args):

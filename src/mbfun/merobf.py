@@ -180,7 +180,7 @@ def b_mero(
     witness = verify_functional_equation(engine_b, F, G, m, N, deg)
     if witness is None:
         return BResult(engine_b, UNCERTIFIED, None, engine_b,
-                       ("oracle found no witness within bounds",))
+                       (f"oracle found no witness within bounds N={N}, deg={deg}",))
     b = minimize_by_oracle(engine_b, F, G, m, N, deg)
     if b.poly != engine_b.poly:
         notes.append("engine value was a proper multiple; oracle minimized it")

@@ -208,22 +208,6 @@ class MultiPoly:
             total = total + prod
         return total
 
-    def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial (over the same variables) for one variable."""
-        self._require_same(replacement)
-        idx = self.variables.index(name)
-        powers = {0: MultiPoly.const(self.variables, 1)}
-        result = MultiPoly.zero(self.variables)
-        for exps, coeff in self.sorted_terms():
-            e = exps[idx]
-            if e not in powers:
-                powers[e] = replacement**e
-            rest = list(exps)
-            rest[idx] = 0
-            mono = MultiPoly(self.variables, {tuple(rest): coeff})
-            result = result + mono * powers[e]
-        return result
-
     def extend_to(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a superset of variables (order of new list wins)."""
         variables = tuple(variables)

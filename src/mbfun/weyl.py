@@ -267,10 +267,16 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """degrevlex | weight vector with degrevlex tiebreak."""
+    """degrevlex | weight vector with degrevlex tiebreak.
+
+    On a homogenized signature the weight ties are first broken by the
+    smaller exponent of h: there dx*x = x*dx + h^2, and only with x*dx
+    above h^2 is the leading monomial of a product the product of the
+    leading monomials."""
 
     kind: str = "degrevlex"
     weights: Tuple[int, ...] = ()
+    homog: Optional[int] = None             # exponent position of h, if homogenized
 
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
@@ -304,9 +310,11 @@ class MonomialOrder:
         return sum(w * e for w, e in zip(self.weights, exps))
 
     def key(self, exps: Exponent):
-        if self.kind == "weight":
-            return (self.wdeg(exps),) + _revlex_key(exps)
-        return _revlex_key(exps)
+        if self.kind != "weight":
+            return _revlex_key(exps)
+        if self.homog is not None:
+            return (self.wdeg(exps), -exps[self.homog]) + _revlex_key(exps)
+        return (self.wdeg(exps),) + _revlex_key(exps)
 
     def extended(self, sig_h: AlgebraSignature) -> "MonomialOrder":
         """Lift to the homogenized signature (h gets weight 0)."""
@@ -314,4 +322,4 @@ class MonomialOrder:
             return self
         nc = len(sig_h.coords)
         w = self.weights[: nc - 1] + (0,) + self.weights[nc - 1 :]
-        return MonomialOrder("weight", w)
+        return MonomialOrder("weight", w, sig_h.homog)

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion, each printing a pass/fail line,
+and the paper's monodromy statement checked on the criteria's battery.
 
 Run with -v (and -s to see the summary lines) to get exactly one verdict
 line per criterion.  Timing limits are part of the criteria and asserted.
@@ -13,9 +14,9 @@ from mbfun.annihilator import bernstein_sato
 from mbfun.bfunction import BFunction
 from mbfun.cli import main as cli_main
 from mbfun.errors import CapabilityError
-from mbfun.merobf import b_mero, reduced_b
+from mbfun.merobf import b_mero, b_simple, reduced_b
 from mbfun.multiplier import check_cor_jump, jumping_numbers_nc
-from mbfun.ncres import NCChart, bound_set, check_lemma4, member
+from mbfun.ncres import NCChart, bound_set, check_lemma4, eigenvalue_classes, member
 from mbfun.oracle import minimize_by_oracle, verify_functional_equation
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
@@ -172,6 +173,22 @@ def test_criterion_7_reduced_divisibility(battery):
                 assert red.b.divides(results[(a, b, m)].b), f"({a},{b},{m})"
             computed += 1
     verdict(7, True, f"fast path s+1 and reduced | mero on {computed} battery pairs")
+
+
+def test_monodromy_eigenvalues_agree(battery):
+    # The paper: several b-functions of f = F/G have roots that give the same
+    # Milnor-monodromy eigenvalues exp(2 pi i alpha).  On x^a/y^b, b_mero at
+    # every m, b_simple and the normal-crossing chart give one class set.
+    results, _ = battery
+    for a in BATTERY_AS:
+        for b in BATTERY_BS:
+            F, G = monomial_pair(a, b)
+            nvars = len(F.variables)
+            chart = NCChart("q", (a, 0)[:nvars], (0, b)[:nvars], (0, 0)[:nvars])
+            classes = eigenvalue_classes(b_simple(F, G, 0).b.roots)
+            for m in BATTERY_MS:
+                assert eigenvalue_classes(results[(a, b, m)].b.roots) == classes, (a, b, m)
+                assert eigenvalue_classes(bound_set([chart], m).residues) == classes, (a, b, m)
 
 
 def test_criterion_8_jumping_numbers():

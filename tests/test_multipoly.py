@@ -64,9 +64,6 @@ class TestCalculusAndStructure:
     def test_evaluate(self):
         assert P("x^2 + y").evaluate({"x": Q(2), "y": Q(-1)}) == Q(3)
 
-    def test_substitute(self):
-        assert P("x^2").substitute("x", P("y + 1")) == P("y^2 + 2*y + 1")
-
     def test_unify_extends_variable_sets(self):
         from mbfun.parser import parse_poly
 

@@ -84,6 +84,23 @@ class TestCLI:
         assert report["status"] == "CERTIFIED"
         assert [r for r, _ in report["result"]["roots"]] == roots
 
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["classic", "x^2", "--certify-deg", "1"],
+             "oracle found no witness with N=1 and operator degree <= 1; raise --certify-deg"),
+            (["mero", "x^2", "1", "--certify", "1,1"],
+             "oracle found no witness within bounds N=1, deg=1"),
+        ],
+    )
+    def test_uncertified_names_the_bounds(self, capsys, schema, argv, note):
+        rc, out = run_json(capsys, ["bf", *argv, "--json"])
+        assert rc == 0
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert report["status"] == "UNCERTIFIED"
+        assert report["notes"] == [note]
+
     def test_mero_separated_variables(self, capsys, schema):
         rc, out = run_json(capsys, ["bf", "mero", "x", "y", "--m", "0", "--json"])
         assert rc == 0
