@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbfun import linalg
 from mbfun.bfunction import S_VAR, BFunction
 from mbfun.errors import CertificationError
 from mbfun.oracle import (
@@ -401,3 +402,142 @@ def test_minimization_matches_root_stripping(case):
             want = reference_minimize(b, F, G, m, N, deg)
             got = minimize_by_oracle(b, F, G, m, N, deg)
             assert got.poly == want.poly, (text_f, text_g, m, str(b), N, deg)
+
+
+# -- images computed once, against imaging every column per degree ---------
+
+
+def reference_images(sections):
+    """Every section's numerator over the common denominator, reduced
+    modulo (tG-F)^a in the delta module: what solve imaged on each call
+    before images were cached."""
+    pows = tuple(max(p) for p in zip(*(sec.pows for sec in sections)))
+    images = [sec.cleared_numerator(pows) for sec in sections]
+    ctx = sections[0].ctx
+    if isinstance(ctx, DeltaContext):
+        modulus = ctx.P ** pows[0]
+        images = [image.divmod_single(modulus)[1] for image in images]
+    return images
+
+
+def image_weight(image, w):
+    weights = {sum(wi * e for wi, e in zip(w, exps)) for exps in image.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def reference_solve(rhs, columns, lattice=()):
+    """solve as it was before pruning moved ahead of imaging: image all,
+    drop zero images, then drop the columns of the wrong weight."""
+    rhs_image, *images = reference_images([rhs, *columns])
+    kept = [i for i, image in enumerate(images) if not image.is_zero()]
+    for w in lattice:
+        target = image_weight(rhs_image, w)
+        if target is not None:
+            kept = [i for i in kept if image_weight(images[i], w) in (None, target)]
+    rows, vec = linalg.identity_system([images[i].terms for i in kept], rhs_image.terms)
+    solution = linalg.solve(rows, vec, len(kept))
+    if solution is None:
+        return None
+    values = dict(zip(kept, solution))
+    return [values.get(i, 0) for i in range(len(columns))]
+
+
+def reference_least_monic(powers, columns, lattice=(), min_deg=0):
+    """least_monic as it was: one reference_solve per degree."""
+    for d in range(min_deg, len(powers)):
+        rhs = powers[d].scaled(MultiPoly.const(powers[d].ctx.ring, -1))
+        solution = reference_solve(rhs, list(powers[:d]) + list(columns), lattice)
+        if solution is not None:
+            return solution[:d] + [1], [-q for q in solution[d:]]
+    return None
+
+
+# quasi-homogeneous pairs, and two that are not (empty weight lattice)
+LAURENT_PAIRS = [
+    ("x^2", "y"), ("x^3", "y^2"), ("x^2+y^2", "x"), ("x+y^2", "y"),
+    ("x*y", "x+y"), ("x", "y+1"), ("x^2-y^2", "y+1"),
+]
+
+
+def assert_same_values(got, want):
+    assert got == want
+    if got is not None:
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+
+
+def laurent_case(pair, seed):
+    """Powers b-candidate powers of f^s/G^m, equation columns at N=1..2 (some
+    scaled by a random polynomial, so that their numerators are not
+    w-homogeneous) and the pair's weight lattice."""
+    rng = random.Random(f"{pair}/{seed}")
+    F, G = poly(pair[0], XY), poly(pair[1], XY)
+    ctx = MeroContext(F, G)
+    m = rng.randint(0, 2)
+    v0 = base_section(ctx, m)
+    powers = [v0.scaled(ctx.s ** i) for i in range(4)]
+    columns = [
+        sec
+        for k in range(1, rng.randint(1, 2) + 1)
+        for _, sec in operator_columns(base_section(ctx, m, shift=k), 2, rng.randint(1, 2))
+    ]
+    for i in rng.sample(range(len(columns)), 3):
+        columns[i] = columns[i].scaled(random_poly(rng, ctx.ring))
+    return rng, ctx, powers, columns, weight_lattice(F, G)
+
+
+@pytest.mark.parametrize("pair", LAURENT_PAIRS, ids="/".join)
+def test_laurent_least_monic_matches_imaging_per_degree(pair):
+    for seed in range(2):
+        rng, ctx, powers, columns, lattice = laurent_case(pair, seed)
+        for lat in (lattice, ()):
+            min_deg = rng.randint(0, 2)
+            got = least_monic(powers, columns, lat, min_deg)
+            want = reference_least_monic(powers, columns, lat, min_deg)
+            assert (got is None) == (want is None), (pair, seed, lat)
+            if got is not None:
+                assert_same_values(got[0], want[0])
+                assert_same_values(got[1], want[1])
+
+
+@pytest.mark.parametrize("pair", LAURENT_PAIRS, ids="/".join)
+def test_laurent_solve_matches_imaging_all(pair):
+    rng, ctx, powers, columns, lattice = laurent_case(pair, 7)
+    for _ in range(3):
+        picked = rng.sample(columns, 4)
+        rhs = combination(picked, [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in picked])
+        if rng.random() < 0.5:
+            rhs = rhs + powers[rng.randint(0, 3)]
+        for lat in (lattice, ()):
+            assert_same_values(solve(rhs, columns, lat), reference_solve(rhs, columns, lat))
+
+
+@pytest.mark.parametrize("pair", DELTA_PAIRS, ids="/".join)
+@pytest.mark.parametrize("m", [0, 1])
+def test_delta_least_monic_and_solve_match_imaging_all(pair, m):
+    # the engine's system: theta powers of sigma_m against V_{-1} columns,
+    # whose common denominator grows with the degree
+    rng = random.Random(f"{pair}/{m}")
+    ctx = DeltaContext(poly(pair[0], XY), poly(pair[1], XY), m)
+    sig, sigma = ctx.sig, ctx.generator()
+    theta = WeylElement.gen(sig, "t") * WeylElement.gen(sig, "dt")
+    powers = [sigma]
+    for _ in range(3):
+        powers.append(apply_delta_operator(theta, powers[-1]))
+    t, dt = sig.index("t"), sig.index("dt")
+    columns = [
+        sec for exps, sec in sorted(operator_columns(sigma, 2, 0))
+        if exps[dt] - exps[t] <= -1
+    ]
+    for min_deg in (0, 2):
+        got = least_monic(powers, columns, min_deg=min_deg)
+        want = reference_least_monic(powers, columns, min_deg=min_deg)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_values(got[0], want[0])
+            assert_same_values(got[1], want[1])
+    picked = rng.sample(columns, 3)
+    rhs = combination(picked, [Q(rng.randint(-3, 3)) for _ in picked])
+    for extra in (None, powers[3]):
+        target = rhs if extra is None else rhs + extra
+        assert_same_values(solve(target, columns), reference_solve(target, columns))
