@@ -247,7 +247,9 @@ def reduced_b(
 
     beta is minimal with beta(s) f^s in sum_i D[1/G][s] h_i f^s; negative
     G-powers are cleared by searching the equations G^l beta(s) f^s =
-    sum_i P_i h_i f^s for l = 0..lmax jointly with the degree of beta.
+    sum_i P_i h_i f^s for l = 0..lmax jointly with the degree of beta: one
+    least-degree search per l, each below the best degree found so far, so
+    the least degree wins and ties go to the least l.
     """
     F, G = unify(F, G)
     if not _check_quasi_homogeneous(F, weights, d1):
@@ -266,19 +268,21 @@ def reduced_b(
         for h in mero_pair_h(F, G)
         if not h.is_zero()
     ]
-    for bdeg in range(max_bdeg + 1):
-        for l in range(lmax + 1):
-            v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
-            found = minimal_b_search(
-                ctx, v0, targets, opdeg, opdeg, max_bdeg=bdeg, min_bdeg=bdeg
-            )
-            if found is not None:
-                beta, ops = found
-                b = BFunction.from_poly((s + 1) * beta.poly)
-                return BResult(
-                    b, CERTIFIED, {i + 1: op for i, op in enumerate(ops)}, None,
-                    (f"beta found at degree {bdeg} with G-clearing exponent {l}",),
-                )
+    best, cap = None, max_bdeg
+    for l in range(lmax + 1):
+        if cap < 0:
+            break
+        v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
+        found = minimal_b_search(ctx, v0, targets, opdeg, opdeg, max_bdeg=cap)
+        if found is not None:
+            best, cap = (found, l), found[0].degree() - 1
+    if best is not None:
+        (beta, ops), l = best
+        b = BFunction.from_poly((s + 1) * beta.poly)
+        return BResult(
+            b, CERTIFIED, {i + 1: op for i, op in enumerate(ops)}, None,
+            (f"beta found at degree {beta.degree()} with G-clearing exponent {l}",),
+        )
     raise CapabilityError(
         f"no reduced equation found with b-degree <= {max_bdeg}, "
         f"operator degree <= {opdeg}, G-exponent <= {lmax}"

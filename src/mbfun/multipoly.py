@@ -159,6 +159,15 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def shifted(self, exps: Exponent) -> "MultiPoly":
+        """self times the monomial with exponents exps."""
+        if len(exps) != len(self.variables):
+            raise ValueError("exponent vector length mismatch")
+        terms = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
+        if terms and self.variables:
+            _check_exponent(max(map(max, terms)))
+        return MultiPoly._trusted(self.variables, terms)
+
     def __pow__(self, power: int):
         if power < 0:
             raise ValueError("negative power")

@@ -17,9 +17,13 @@ one-term variant and the reduced equation, which differ only in their
 target sections.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
-blocks and columns of the wrong weight are discarded before solving; this
-preserves solvability in both directions because every column is
-weight-homogeneous in x.
+blocks, and only the block of the target's weight is solved.  Each column
+of another weight is discarded before it is built or imaged: its weight
+is read off its operator (see `sections.columns_of_weight`), and b(s) v0
+has v0's weight at every degree of b.  This preserves solvability in both
+directions because every column is weight-homogeneous in x.  The kept
+columns are imaged once per common denominator, however many degrees of
+b are tried.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .sections import (
     MeroContext,
     apply_operator,
     base_section,
+    columns_of_weight,
     least_monic,
-    operator_columns,
     solve,
 )
 from .weyl import Exponent, WeylElement
@@ -74,19 +78,23 @@ def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
 # -- labelled columns and witnesses --------------------------------------
 
 
-def _columns(targets: Dict[int, LaurentSection], deg: int, sdeg: int) -> Columns:
-    """Sections (x^alpha s^j d^beta) target_r, labelled (r, operator key)."""
+def _columns(
+    targets: Dict[int, LaurentSection],
+    deg: int,
+    sdeg: int,
+    lattice: Sequence = (),
+    rhs: Optional[LaurentSection] = None,
+) -> Columns:
+    """Sections (x^alpha s^j d^beta) target_r, labelled (r, operator key),
+    that `solve` keeps against rhs and the lattice; the others are not
+    built.  Every b(s) rhs has rhs's weight, so the same columns serve
+    each degree of a b-function."""
+    weights = [rhs.weight(w) for w in lattice]
     return [
         ((r, key), sec)
         for r, target in targets.items()
-        for key, sec in operator_columns(target, deg, sdeg)
+        for key, sec in columns_of_weight(target, deg, sdeg, lattice, weights)
     ]
-
-
-def _equation_columns(ctx: MeroContext, m: int, N: int, deg: int) -> Columns:
-    """Columns of the functional equation: operators of degree <= deg on
-    f^{s+k}/G^m, k = 1..N."""
-    return _columns({k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}, deg, deg)
 
 
 def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElement]:
@@ -104,10 +112,14 @@ def _lhs(b: BFunction, ctx: MeroContext, m: int) -> LaurentSection:
 
 
 def _witness(
-    b: BFunction, ctx: MeroContext, m: int, columns: Columns, lattice
+    b: BFunction, ctx: MeroContext, m: int, N: int, deg: int, lattice
 ) -> Optional[Dict[int, WeylElement]]:
-    """{k: P_k} solving the equation on the given columns, re-applied."""
-    values = solve(_lhs(b, ctx, m), [sec for _, sec in columns], lattice)
+    """{k: P_k} with b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, k = 1..N, and
+    the P_k of degree <= deg, re-applied."""
+    lhs = _lhs(b, ctx, m)
+    targets = {k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}
+    columns = _columns(targets, deg, deg, lattice, lhs)
+    values = solve(lhs, [sec for _, sec in columns], lattice)
     if values is None:
         return None
     witness = _operators(ctx, columns, values)
@@ -145,7 +157,7 @@ def verify_functional_equation(
     ctx = MeroContext(*unify(F, G))
     lattice = weight_lattice(ctx.F, ctx.G)
     for d in range(1, deg + 1):
-        witness = _witness(b, ctx, m, _equation_columns(ctx, m, N, d), lattice)
+        witness = _witness(b, ctx, m, N, d, lattice)
         if witness is not None:
             return witness
     return None
@@ -217,11 +229,10 @@ def minimal_b_search(
     order so the first hit has minimal degree within the operator bounds.
     Any solution is a multiple of the true minimal b for the equation.
     """
-    columns = _columns(dict(enumerate(targets)), opdeg, sdeg)
+    lattice = weight_lattice(ctx.F, ctx.G)
+    columns = _columns(dict(enumerate(targets)), opdeg, sdeg, lattice, v0)
     powers = [v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1)]
-    found = least_monic(
-        powers, [sec for _, sec in columns], weight_lattice(ctx.F, ctx.G), min_bdeg
-    )
+    found = least_monic(powers, [sec for _, sec in columns], lattice, min_bdeg)
     if found is None:
         return None
     coeffs, values = found

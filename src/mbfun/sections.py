@@ -34,12 +34,23 @@ On top of that:
                  span of the columns; a b-function is read off such a
                  relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
                  engine)
+
+Imaging is the costly step, so each column is imaged at most once per
+common denominator, and only when it can enter the solution.  A section's
+weight for a w making the factors w-homogeneous does not depend on the
+denominator it is written over, so `solve` drops the columns whose weight
+differs from the rhs's before imaging any, and `least_monic` shares the
+images of its columns, the power columns included, across the degrees it
+tries; each degree still solves its own system.  `columns_of_weight` goes
+one step earlier: it reads a column's weight off its operator and never
+builds the ones that would be dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -75,11 +86,19 @@ class _Context:
             cache[k] = self.power(i, k - 1) * self.factors[i]
         return cache[k]
 
+    def image(self, sec: "_Section", pows: Tuple[int, ...]) -> MultiPoly:
+        """The vector of sec over the common denominator given by pows."""
+        return sec.cleared_numerator(pows)
+
     def images(self, sections: Sequence["_Section"]) -> List[MultiPoly]:
-        """Numerators over the common denominator prod factors[i]^pows[i],
+        """Images over the common denominator prod factors[i]^pows[i],
         each pows[i] the largest among the sections."""
-        pows = tuple(max(p) for p in zip(*(sec.pows for sec in sections)))
-        return [sec.cleared_numerator(pows) for sec in sections]
+        pows = _common_pows(sections)
+        return [self.image(sec, pows) for sec in sections]
+
+
+def _common_pows(sections: Sequence["_Section"]) -> Tuple[int, ...]:
+    return tuple(max(p) for p in zip(*(sec.pows for sec in sections)))
 
 
 @dataclass(frozen=True)
@@ -130,6 +149,20 @@ class _Section:
             num = num + term
         pows = tuple(p + (i in raised) for i, p in enumerate(self.pows))
         return replace(self, numerator=num, pows=pows)
+
+    def weight(self, w: Sequence):
+        """w-weight of the section, whatever denominator it is written
+        over: that of the numerator less pows[i] times that of factors[i].
+        None when one of them is not w-homogeneous.  The image over a
+        common denominator pows' has this weight plus sum pows'[i] times
+        the weight of factors[i]."""
+        total = _weight(self.numerator, w)
+        for p, factor in zip(self.pows, self.ctx.factors):
+            fw = _weight(factor, w)
+            if total is None or fw is None:
+                return None
+            total -= p * fw
+        return total
 
     def is_zero(self) -> bool:
         """Zero in the context's module."""
@@ -207,13 +240,12 @@ class DeltaContext(_Context):
     def exponents(self, pows: Tuple[int, int]) -> Tuple[object, object]:
         return tuple(Q(-p) for p in pows)
 
-    def images(self, sections: Sequence[DeltaSection]) -> List[MultiPoly]:
-        """Numerators over the common denominator (tG-F)^a G^b, reduced modulo
-        (tG-F)^a.  A combination of the sections vanishes modulo O[t][1/G] iff
+    def image(self, sec: DeltaSection, pows: Tuple[int, int]) -> MultiPoly:
+        """Numerator over the common denominator (tG-F)^a G^b, reduced modulo
+        (tG-F)^a.  A combination of sections vanishes modulo O[t][1/G] iff
         the same combination of remainders is zero: (tG-F)^a must divide its
         numerator (G and tG-F are coprime), and that reduction is linear."""
-        modulus = self.power(0, max(sec.pows[0] for sec in sections))
-        return [num.divmod_single(modulus)[1] for num in super().images(sections)]
+        return sec.cleared_numerator(pows).divmod_single(self.power(0, pows[0]))[1]
 
     def generator(self) -> DeltaSection:
         """sigma_m = G^{1-m} / (tG - F)."""
@@ -271,7 +303,23 @@ def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, obje
     that carry a derivation, exponent <= sdeg on each central coordinate c.
 
     The derivatives d^beta base come from one tower, each one derivation
-    above an earlier one; the order is by beta, then |alpha|, alpha, j.
+    above an earlier one, and x^alpha c^j shifts their numerators; the
+    order is by beta, then |alpha|, alpha, j.
+    """
+    return columns_of_weight(base, deg, sdeg, (), ())
+
+
+def columns_of_weight(
+    base, deg: int, sdeg: int, lattice: Sequence, target: Sequence
+) -> Iterator[Tuple[Exponent, object]]:
+    """The columns of operator_columns(base, deg, sdeg) that `solve` keeps
+    against an rhs of w-weight target[i] for each w = lattice[i], in the
+    same order; the others are never built.
+
+    Each w weighs the coordinates that carry a derivation, so the weight
+    of x^alpha c^j d^beta base is that of d^beta base plus w.alpha, known
+    before the column is built.  A weight of None, of the rhs or of
+    d^beta base, prunes nothing.
     """
     ctx = base.ctx
     sig = ctx.sig
@@ -284,12 +332,19 @@ def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, obje
             prev = tuple(e - (1 if idx == i else 0) for idx, e in enumerate(beta))
             tower[beta] = tower[prev].derivative(paired[i])
     central = list(product(range(sdeg + 1), repeat=len(sig.coords) - n))
+    section = type(base)
     for beta, dbase in sorted(tower.items()):
+        wanted = []
+        for w, weight in zip(lattice, target):
+            own = dbase.weight(w)
+            if weight is not None and own is not None:
+                wanted.append((w, weight - own))
+        num, pows = dbase.numerator, dbase.pows
         for da in range(deg - sum(beta) + 1):
             for alpha in _compositions(n, da):
-                for j in central:
-                    mono = MultiPoly(ctx.ring, {alpha + j: ONE})
-                    yield alpha + j + beta, dbase.scaled(mono)
+                if all(sum(map(mul, w, alpha)) == rest for w, rest in wanted):
+                    for j in central:
+                        yield alpha + j + beta, section(ctx, num.shifted(alpha + j), pows)
 
 
 # -- sections to a linear system -------------------------------------------
@@ -302,27 +357,74 @@ def _weight(poly: MultiPoly, w: Sequence):
     return weights.pop() if len(weights) == 1 else None
 
 
+class _Images:
+    """Images of fixed sections, each computed at most once per common
+    pows, and their weights for each w in a lattice, computed once.
+
+    Only the images at the latest pows are kept: the callers' common
+    denominators never shrink, so older ones are not asked for again.
+    """
+
+    def __init__(self, sections: Sequence, lattice: Sequence):
+        self.sections = sections
+        self.lattice = lattice
+        self._weights: dict = {}
+        self._pows: Optional[Tuple[int, ...]] = None
+        self._images: dict = {}
+
+    def weights(self, i: int) -> Tuple[object, ...]:
+        if i not in self._weights:
+            self._weights[i] = tuple(self.sections[i].weight(w) for w in self.lattice)
+        return self._weights[i]
+
+    def image(self, i: int, pows: Tuple[int, ...]) -> MultiPoly:
+        if pows != self._pows:
+            self._pows, self._images = pows, {}
+        if i not in self._images:
+            sec = self.sections[i]
+            self._images[i] = sec.ctx.image(sec, pows)
+        return self._images[i]
+
+    def solve(self, rhs: int, cols: Sequence[int], negate: bool = False):
+        """Exact c with sum_k c_k sections[cols[k]] = sections[rhs] (its
+        negative when negate), or None; free and dropped coefficients are
+        zero.
+
+        A column of a weight other than the rhs's, for some w in the
+        lattice, is dropped before it is imaged: two images over the same
+        denominator differ in weight as the sections do.  Columns with a
+        zero image are dropped next.
+        """
+        sections = self.sections
+        pows = _common_pows([sections[i] for i in (rhs, *cols)])
+        kept = range(len(cols))
+        for wi, target in enumerate(self.weights(rhs)):
+            if target is not None:
+                kept = [k for k in kept if self.weights(cols[k])[wi] in (None, target)]
+        rhs_image = self.image(rhs, pows)
+        if negate:
+            rhs_image = -rhs_image
+        images = {k: self.image(cols[k], pows) for k in kept}
+        kept = [k for k in kept if not images[k].is_zero()]
+        rows, vec = linalg.identity_system([images[k].terms for k in kept], rhs_image.terms)
+        solution = linalg.solve(rows, vec, len(kept))
+        if solution is None:
+            return None
+        values = dict(zip(kept, solution))
+        return [values.get(k, ZERO) for k in range(len(cols))]
+
+
 def solve(rhs, columns: Sequence, lattice: Sequence = ()) -> Optional[List[object]]:
     """Exact c with sum_i c_i columns[i] = rhs, or None; free and dropped
     coefficients are zero.
 
-    Columns with a zero image are dropped, and so is each column whose
-    w-weight differs from the rhs's for a weight vector w in `lattice`.
-    The caller passes only w for which every column is w-homogeneous, so
-    the dropped columns cannot contribute to a solution.
+    Each column whose w-weight differs from the rhs's, for a weight vector
+    w in `lattice`, is dropped before it is imaged, and so is each column
+    with a zero image after.  The caller passes only w for which every
+    column is w-homogeneous, so the dropped columns cannot contribute to a
+    solution.
     """
-    rhs_image, *images = rhs.ctx.images([rhs, *columns])
-    kept = [i for i, image in enumerate(images) if not image.is_zero()]
-    for w in lattice:
-        target = _weight(rhs_image, w)
-        if target is not None:
-            kept = [i for i in kept if _weight(images[i], w) in (None, target)]
-    rows, vec = linalg.identity_system([images[i].terms for i in kept], rhs_image.terms)
-    solution = linalg.solve(rows, vec, len(kept))
-    if solution is None:
-        return None
-    values = dict(zip(kept, solution))
-    return [values.get(i, ZERO) for i in range(len(columns))]
+    return _Images([rhs, *columns], lattice).solve(0, range(1, len(columns) + 1))
 
 
 def least_monic(
@@ -332,11 +434,14 @@ def least_monic(
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
     no d < len(powers) admits one.
 
-    One system per d, the power columns first.
+    One system per d, the power columns first, each as `solve` builds it;
+    the systems share one set of images, so a column is imaged once per
+    common denominator however many degrees are tried.
     """
+    images = _Images([*powers, *columns], lattice)
+    column_ids = list(range(len(powers), len(powers) + len(columns)))
     for d in range(min_deg, len(powers)):
-        rhs = powers[d].scaled(MultiPoly.const(powers[d].ctx.ring, -1))
-        solution = solve(rhs, list(powers[:d]) + list(columns), lattice)
+        solution = images.solve(d, list(range(d)) + column_ids, negate=True)
         if solution is not None:
             return solution[:d] + [ONE], [-q for q in solution[d:]]
     return None

@@ -191,6 +191,20 @@ def test_monodromy_eigenvalues_agree(battery):
                 assert eigenvalue_classes(bound_set([chart], m).residues) == classes, (a, b, m)
 
 
+@pytest.mark.parametrize(
+    "pair, classes",
+    [(("x^2 + y^3", "x"), {0, Q(1, 3), Q(2, 3)}), (("x*y", "x + y"), {0})],
+    ids=["(x^2+y^3)/x", "xy/(x+y)"],
+)
+def test_monodromy_eigenvalues_agree_on_non_monomial_pairs(pair, classes):
+    # the same statement off the monomial battery: b_mero at every m and
+    # b_simple give one class set
+    F, G = (parse_poly(text, ("x", "y")) for text in pair)
+    assert eigenvalue_classes(b_simple(F, G, 0).b.roots) == classes
+    for m in BATTERY_MS:
+        assert eigenvalue_classes(b_mero(F, G, m).b.roots) == classes, m
+
+
 def test_criterion_8_jumping_numbers():
     b1 = b_mero(*monomial_pair(2, 0), 0).b
     b2 = b_mero(*monomial_pair(3, 2), 0).b

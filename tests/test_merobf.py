@@ -2,6 +2,7 @@
 
 import pytest
 
+from mbfun import merobf
 from mbfun.bfunction import theta_to_s
 from mbfun.errors import CapabilityError
 from mbfun.merobf import (
@@ -14,6 +15,7 @@ from mbfun.merobf import (
     reduced_b,
     smoothness_test,
 )
+from mbfun.oracle import minimal_b_search
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 
@@ -139,6 +141,22 @@ class TestReduced:
         assert res.b.roots == {Q(-1): 1, Q(-2, 3): 1, Q(-1, 3): 1}
         mero = b_mero(F, G, 0)
         assert res.b.divides(mero.b) or mero.b.divides(res.b)
+
+    def test_one_search_per_g_exponent(self, monkeypatch):
+        # each G-exponent l gets one least-degree search, capped below the
+        # best degree so far: l = 0 reaches degree 3, l = 1 wins at degree 2
+        # below it, and l = 2 is searched below that
+        caps = []
+
+        def counted(*args, **kwargs):
+            caps.append(kwargs["max_bdeg"])
+            return minimal_b_search(*args, **kwargs)
+
+        monkeypatch.setattr(merobf, "minimal_b_search", counted)
+        F, G = pair("x^3", "y^2")
+        res = reduced_b(F, G, (1, 1), 3, 2)
+        assert res.notes == ("beta found at degree 2 with G-clearing exponent 1",)
+        assert caps == [6, 2, 1]
 
     def test_validates_quasi_homogeneity(self):
         F, G = pair("x^2 + y^3", "y")

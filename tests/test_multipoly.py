@@ -78,6 +78,19 @@ class TestCalculusAndStructure:
         with pytest.raises(ExponentOverflow):
             huge * huge
 
+    @given(small_polys(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_is_product_with_monomial(self, p, exps):
+        assert p.shifted(exps) == p * MultiPoly(XY, {exps: Q(1)})
+
+    def test_shifted_guards_exponents(self):
+        huge = MultiPoly(XY, {(2**61, 1): Q(1)})
+        assert huge.shifted((2**61 - 1, 0)).terms == {(2**62 - 1, 1): 1}
+        with pytest.raises(ExponentOverflow):
+            huge.shifted((2**61, 0))
+        with pytest.raises(ValueError, match="length"):
+            huge.shifted((1,))
+
 
 class TestDivision:
     def test_divmod_single(self):

@@ -22,9 +22,11 @@ from mbfun.rationals import Q
 from mbfun.sections import (
     DeltaContext,
     MeroContext,
+    _weight,
     apply_delta_operator,
     apply_operator,
     base_section,
+    columns_of_weight,
     least_monic,
     operator_columns,
     solve,
@@ -541,3 +543,59 @@ def test_delta_least_monic_and_solve_match_imaging_all(pair, m):
     for extra in (None, powers[3]):
         target = rhs if extra is None else rhs + extra
         assert_same_values(solve(target, columns), reference_solve(target, columns))
+
+
+# -- the weight of a section, known before its image ----------------------
+
+
+MONOMIAL_PAIRS = [("x^2", "y"), ("x^3", "y^2"), ("x", "y^2"), ("x*y^2", "1")]
+
+
+def seeded_sections(pair, seed):
+    """Operator columns on f^{s+k}/G^m and random multiples of some, whose
+    numerators are then not w-homogeneous."""
+    rng = random.Random(f"{pair}/{seed}")
+    ctx = MeroContext(poly(pair[0], XY), poly(pair[1], XY))
+    base = base_section(ctx, rng.randint(0, 2), shift=rng.randint(0, 2))
+    sections = [sec for _, sec in operator_columns(base, 2, 1)]
+    sections += [sec.scaled(random_poly(rng, ctx.ring)) for sec in rng.sample(sections, 6)]
+    return rng, ctx, sections
+
+
+@pytest.mark.parametrize("pair", MONOMIAL_PAIRS, ids="/".join)
+def test_section_weight_is_image_weight_less_denominator(pair):
+    for seed in range(2):
+        rng, ctx, sections = seeded_sections(pair, seed)
+        lattice = weight_lattice(ctx.F, ctx.G)
+        assert lattice
+        homogeneous = 0
+        for sec in sections:
+            for w in lattice:
+                weight = sec.weight(w)
+                for extra in ((0, 0), (1, 0), (0, 2), (rng.randint(1, 3), rng.randint(1, 3))):
+                    pows = tuple(map(sum, zip(sec.pows, extra)))
+                    image_w = _weight(ctx.image(sec, pows), w)
+                    if image_w is None:
+                        assert weight is None
+                        continue
+                    shift = sum(p * _weight(f, w) for p, f in zip(pows, ctx.factors))
+                    assert weight == image_w - shift
+                    homogeneous += 1
+        assert homogeneous
+
+
+@pytest.mark.parametrize("pair", MONOMIAL_PAIRS + [("x^2+y^2", "x"), ("x", "y+1")], ids="/".join)
+def test_columns_of_weight_are_those_solve_keeps(pair):
+    ctx = MeroContext(poly(pair[0], XY), poly(pair[1], XY))
+    lattice = weight_lattice(ctx.F, ctx.G)
+    base = base_section(ctx, 1, shift=1)
+    rhs = base_section(ctx, 1)
+    columns = list(operator_columns(base, 3, 2))
+    for target in ([rhs.weight(w) for w in lattice], [None] * len(lattice)):
+        want = [
+            (key, sec)
+            for key, sec in columns
+            if all(t is None or sec.weight(w) in (None, t) for w, t in zip(lattice, target))
+        ]
+        assert list(columns_of_weight(base, 3, 2, lattice, target)) == want
+        assert len(want) < len(columns) or not any(t is not None for t in target)
