@@ -359,7 +359,7 @@ def _weight(poly: MultiPoly, w: Sequence):
 
 class _Images:
     """Images of fixed sections, each computed at most once per common
-    pows, and their weights for each w in a lattice, computed once.
+    pows, and their weights for each w in a lattice.
 
     Only the images at the latest pows are kept: the callers' common
     denominators never shrink, so older ones are not asked for again.
@@ -367,15 +367,9 @@ class _Images:
 
     def __init__(self, sections: Sequence, lattice: Sequence):
         self.sections = sections
-        self.lattice = lattice
-        self._weights: dict = {}
+        self.weights = [tuple(sec.weight(w) for w in lattice) for sec in sections]
         self._pows: Optional[Tuple[int, ...]] = None
         self._images: dict = {}
-
-    def weights(self, i: int) -> Tuple[object, ...]:
-        if i not in self._weights:
-            self._weights[i] = tuple(self.sections[i].weight(w) for w in self.lattice)
-        return self._weights[i]
 
     def image(self, i: int, pows: Tuple[int, ...]) -> MultiPoly:
         if pows != self._pows:
@@ -398,9 +392,9 @@ class _Images:
         sections = self.sections
         pows = _common_pows([sections[i] for i in (rhs, *cols)])
         kept = range(len(cols))
-        for wi, target in enumerate(self.weights(rhs)):
+        for wi, target in enumerate(self.weights[rhs]):
             if target is not None:
-                kept = [k for k in kept if self.weights(cols[k])[wi] in (None, target)]
+                kept = [k for k in kept if self.weights[cols[k]][wi] in (None, target)]
         rhs_image = self.image(rhs, pows)
         if negate:
             rhs_image = -rhs_image

@@ -469,9 +469,9 @@ def assert_same_values(got, want):
 
 
 def laurent_case(pair, seed):
-    """Powers b-candidate powers of f^s/G^m, equation columns at N=1..2 (some
-    scaled by a random polynomial, so that their numerators are not
-    w-homogeneous) and the pair's weight lattice."""
+    """Powers s^i f^s/G^m, equation columns for N = 1 or 2 (some scaled by
+    a random polynomial, so that their numerators are not w-homogeneous)
+    and the pair's weight lattice."""
     rng = random.Random(f"{pair}/{seed}")
     F, G = poly(pair[0], XY), poly(pair[1], XY)
     ctx = MeroContext(F, G)
@@ -543,6 +543,36 @@ def test_delta_least_monic_and_solve_match_imaging_all(pair, m):
     for extra in (None, powers[3]):
         target = rhs if extra is None else rhs + extra
         assert_same_values(solve(target, columns), reference_solve(target, columns))
+
+
+def over_larger_denominator(sec, i):
+    """The same section with one more power of factors[i] in numerator and
+    denominator."""
+    pows = tuple(p + (j == i) for j, p in enumerate(sec.pows))
+    return type(sec)(sec.ctx, sec.numerator * sec.ctx.factors[i], pows)
+
+
+@pytest.mark.parametrize("module", ["laurent", "delta"])
+def test_least_monic_reimages_when_the_denominator_grows(module):
+    # powers[1] lies in the span once powers[0] is added, but is written
+    # over a larger denominator than anything at degree 0
+    rng = random.Random(module)
+    F, G = poly("x*y", XY), poly("x+y", XY)
+    if module == "laurent":
+        ctx = MeroContext(F, G)
+        columns = [sec for _, sec in operator_columns(base_section(ctx, 1, shift=1), 2, 1)]
+    else:
+        ctx = DeltaContext(F, G, 1)
+        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2, 0))]
+    first = columns[-1].scaled(random_poly(rng, ctx.ring))
+    picked = rng.sample(columns, 3)
+    second = combination([first] + picked, [Q(-2, 3)] + [Q(rng.randint(1, 3)) for _ in picked])
+    powers = [first, over_larger_denominator(over_larger_denominator(second, 0), 1)]
+    degree_0 = [max(p) for p in zip(*(sec.pows for sec in [first] + columns))]
+    assert any(p > q for p, q in zip(powers[1].pows, degree_0))
+    got = least_monic(powers, columns)
+    assert got == reference_least_monic(powers, columns)
+    assert got is not None and got[0] == [Q(2, 3), 1]
 
 
 # -- the weight of a section, known before its image ----------------------
