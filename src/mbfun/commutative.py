@@ -1,60 +1,56 @@
-"""Bridge to sympy for commutative polynomial questions.
+"""Commutative polynomial questions, answered with the package's own exact
+linear algebra and Groebner bases.
 
-Only classical commutative facts cross this boundary: gcd/coprimality and
-radical membership.  All D-module computation stays in-package.
+The b-functions of F/G are defined for coprime F, G, and the reduced
+b-function needs the smoothness test V(h) ⊆ V(G), a radical membership.
+Both are textbook reductions (Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, §4.2 and §4.3): coprimality to the rank of one exact linear
+system, radical membership to an ideal membership with one extra variable.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import product
+from typing import List, Sequence
 
-import sympy
+from . import linalg
+from .groebner import LeftIdeal
+from .multipoly import Exponent, MultiPoly, unify
+from .weyl import AlgebraSignature, WeylElement
 
-from .multipoly import MultiPoly
 
-
-def to_sympy(p: MultiPoly):
-    symbols = sympy.symbols(p.variables) if p.variables else ()
-    if isinstance(symbols, sympy.Symbol):
-        symbols = (symbols,)
-    expr = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
-        term = sympy.Rational(int(coeff.numerator), int(coeff.denominator))
-        for sym, e in zip(symbols, exps):
-            if e:
-                term *= sym**e
-        expr += term
-    return expr, symbols
+def _monomials_below(n: int, deg: int) -> List[Exponent]:
+    """Exponent vectors in n variables of total degree < deg."""
+    return [e for e in product(range(deg), repeat=n) if sum(e) < deg]
 
 
 def are_coprime(F: MultiPoly, G: MultiPoly) -> bool:
-    ef, sf = to_sympy(F)
-    eg, _ = to_sympy(G)
-    if not sf:
-        return True
-    g = sympy.gcd(ef, eg)
-    return g.is_number
+    """True iff F and G have no nonconstant common factor.
+
+    A common factor H gives A F = B G with A = G/H and B = F/H, of degrees
+    below deg G and deg F.  Conversely, when gcd(F, G) = 1, G | A F with
+    deg A < deg G forces A = 0, and then B = 0.  So F, G are coprime iff
+    the products m F (deg m < deg G) and m G (deg m < deg F), m monomials,
+    are linearly independent over Q.
+    """
+    F, G = unify(F, G)
+    n = len(F.variables)
+    products = [F.shifted(e) for e in _monomials_below(n, G.total_degree())]
+    products += [G.shifted(e) for e in _monomials_below(n, F.total_degree())]
+    rows, _ = linalg.identity_system([p.terms for p in products])
+    return not linalg.nullspace(rows, len(products))
 
 
 def radical_contains(gens: Sequence[MultiPoly], target: MultiPoly) -> bool:
-    """target ∈ √⟨gens⟩, via the extra-variable trick 1 - z*target."""
-    if target.is_zero():
-        return all(g.is_zero() for g in gens)
-    exprs = []
-    symbols = None
-    for g in gens:
-        e, syms = to_sympy(g)
-        exprs.append(e)
-        if syms:
-            symbols = syms
-    et, syms = to_sympy(target)
-    if syms:
-        symbols = syms
-    if symbols is None:
-        return any(not g.is_zero() for g in gens)
-    z = sympy.Symbol("z_rad_")
-    basis = sympy.groebner(
-        [sympy.expand(e) for e in exprs] + [1 - z * et],
-        *symbols, z, order="grevlex"
+    """target ∈ √⟨gens⟩, by the Rabinowitsch trick: 1 ∈ ⟨gens, 1 - z target⟩
+    in Q[x, z], the PBW algebra whose generators are all central.  The
+    underscore in z_ keeps it apart from every parsed variable name."""
+    *gens, target = unify(*gens, target)
+    sig = AlgebraSignature.make(central=target.variables + ("z_",))
+    z = WeylElement.gen(sig, "z_")
+    ideal = LeftIdeal(
+        sig,
+        [WeylElement.from_poly(sig, g) for g in gens]
+        + [1 - z * WeylElement.from_poly(sig, target)],
     )
-    return any(term == 1 for term in basis.exprs)
+    return ideal.contains(WeylElement.const(sig, 1))

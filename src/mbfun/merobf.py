@@ -99,10 +99,10 @@ def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
         raise ValueError("F must be nonzero and nonconstant")
     if G.is_zero():
         raise ValueError("G must be nonzero")
-    if not are_coprime(F, G):
-        raise ValueError("F and G must be coprime")
     if len(F.variables) > 3 or max(F.total_degree(), G.total_degree()) > 8:
         raise CapabilityError("input beyond supported size (n <= 3, degree <= 8)")
+    if not are_coprime(F, G):
+        raise ValueError("F and G must be coprime")
     ctx = DeltaContext(F, G, m)
     sigma = ctx.generator()
     for g in _seed_generators(ctx):
@@ -120,10 +120,13 @@ def b_section_along_t(
     V_{-1}(D) sigma_m (theta = t d_t; V_{-1} = operators of t-weight <= -1).
 
     The candidate p and the V_{-1} witness are solved for jointly as one
-    exact linear system per degree; degrees increase, so the first hit is
-    minimal among those reachable with witness operators of total degree
-    <= vdeg.  Any hit is a multiple of the true b-polynomial of the
-    section, since such p form an ideal of Q[theta].
+    exact linear system per degree of p.  The witness degree bound steps
+    through 2, 4, ... up to vdeg, and within a step the degrees of p
+    increase up to max_pdeg.  So the hit is minimal only among the p with
+    a witness of total degree <= the first step that finds one: a p of
+    lower degree may need a witness of a later step.  Any hit is a
+    multiple of the true b-polynomial of the section, since such p form an
+    ideal of Q[theta].
     """
     sig = ctx.sig
     sigma = ctx.generator()
@@ -204,7 +207,7 @@ def b_simple(
     ctx = MeroContext(F, G)
     v0 = base_section(ctx, m)
     target = base_section(ctx, m, shift=1)
-    found = minimal_b_search(ctx, v0, [target], opdeg, opdeg, max_bdeg)
+    found = minimal_b_search(ctx, v0, [target], opdeg, max_bdeg)
     if found is None:
         raise CapabilityError(
             f"no one-term functional equation found with operator degree <= {opdeg} "
@@ -273,7 +276,7 @@ def reduced_b(
         if cap < 0:
             break
         v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
-        found = minimal_b_search(ctx, v0, targets, opdeg, opdeg, max_bdeg=cap)
+        found = minimal_b_search(ctx, v0, targets, opdeg, max_bdeg=cap)
         if found is not None:
             best, cap = (found, l), found[0].degree() - 1
     if best is not None:

@@ -81,19 +81,18 @@ def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
 def _columns(
     targets: Dict[int, LaurentSection],
     deg: int,
-    sdeg: int,
     lattice: Sequence = (),
     rhs: Optional[LaurentSection] = None,
 ) -> Columns:
-    """Sections (x^alpha s^j d^beta) target_r, labelled (r, operator key),
-    that `solve` keeps against rhs and the lattice; the others are not
-    built.  Every b(s) rhs has rhs's weight, so the same columns serve
-    each degree of a b-function."""
+    """Sections (x^alpha s^j d^beta) target_r with |alpha| + |beta| <= deg
+    and j <= deg, labelled (r, operator key), that `solve` keeps against
+    rhs and the lattice; the others are not built.  Every b(s) rhs has
+    rhs's weight, so the same columns serve each degree of a b-function."""
     weights = [rhs.weight(w) for w in lattice]
     return [
         ((r, key), sec)
         for r, target in targets.items()
-        for key, sec in columns_of_weight(target, deg, sdeg, lattice, weights)
+        for key, sec in columns_of_weight(target, deg, deg, lattice, weights)
     ]
 
 
@@ -118,7 +117,7 @@ def _witness(
     the P_k of degree <= deg, re-applied."""
     lhs = _lhs(b, ctx, m)
     targets = {k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}
-    columns = _columns(targets, deg, deg, lattice, lhs)
+    columns = _columns(targets, deg, lattice, lhs)
     values = solve(lhs, [sec for _, sec in columns], lattice)
     if values is None:
         return None
@@ -184,7 +183,7 @@ def minimize_by_oracle(
     ctx = MeroContext(*unify(F, G))
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     found = minimal_b_search(
-        ctx, base_section(ctx, m), targets, deg, deg, max_bdeg=b.degree() - 1, min_bdeg=1
+        ctx, base_section(ctx, m), targets, deg, max_bdeg=b.degree() - 1, min_bdeg=1
     )
     return b if found is None else found[0]
 
@@ -202,7 +201,7 @@ def prefactored_witness(
     pre = prefactor.extend_to(ctx.ring)
     columns = [
         (label, sec.scaled(pre))
-        for label, sec in _columns({1: base_section(ctx, m, shift=1)}, deg, deg)
+        for label, sec in _columns({1: base_section(ctx, m, shift=1)}, deg)
     ]
     values = solve(_lhs(b, ctx, m), [sec for _, sec in columns], weight_lattice(ctx.F, ctx.G))
     if values is None:
@@ -218,11 +217,12 @@ def minimal_b_search(
     v0: LaurentSection,
     targets: Sequence[LaurentSection],
     opdeg: int,
-    sdeg: int,
     max_bdeg: int,
     min_bdeg: int = 0,
 ) -> Optional[Tuple[BFunction, List[WeylElement]]]:
-    """Minimal monic b with b(s) v0 = sum_r P_r target_r, bounded search.
+    """Minimal monic b with b(s) v0 = sum_r P_r target_r, bounded search:
+    each P_r is a combination of x^alpha s^j d^beta with |alpha| + |beta|
+    <= opdeg and j <= opdeg.
 
     The b coefficients and the operator coefficients enter one joint
     linear system per candidate degree; degrees are tried in increasing
@@ -230,7 +230,7 @@ def minimal_b_search(
     Any solution is a multiple of the true minimal b for the equation.
     """
     lattice = weight_lattice(ctx.F, ctx.G)
-    columns = _columns(dict(enumerate(targets)), opdeg, sdeg, lattice, v0)
+    columns = _columns(dict(enumerate(targets)), opdeg, lattice, v0)
     powers = [v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1)]
     found = least_monic(powers, [sec for _, sec in columns], lattice, min_bdeg)
     if found is None:

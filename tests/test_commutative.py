@@ -5,8 +5,12 @@ coprimality, and a reduced Groebner basis of <gens, 1 - z*target> equal to
 [1] decides radical membership (the Rabinowitsch trick).
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,6 +19,7 @@ from mbfun.commutative import are_coprime, radical_contains
 from mbfun.multipoly import MultiPoly
 from mbfun.parser import parse_poly
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 NAMES = ("x", "y", "z")
 COPRIME_PAIRS = 200
 RADICAL_SYSTEMS = 100
@@ -95,6 +100,21 @@ def sympy_radical_contains(gens, target):
     return basis.exprs == [1]
 
 
+@pytest.mark.parametrize("gtexts, ttext, contained", [
+    (("x",), "0", True),
+    ((), "x", False),
+    (("x^2*y",), "x*y", True),
+    (("x^2", "y^3"), "x + y", True),
+    (("x*y",), "x + y", False),
+    (("0",), "1", False),
+])
+def test_radical_edge_cases(gtexts, ttext, contained):
+    gens = [parse_poly(g, ("x", "y")) for g in gtexts]
+    target = parse_poly(ttext, ("x", "y"))
+    assert sympy_radical_contains(gens, target) == contained
+    assert radical_contains(gens, target) == contained
+
+
 def random_system(rng):
     """One to three generators in x, y and a nonzero target of degree <=
     2; in about a third of the systems a power of the target is planted in
@@ -118,3 +138,11 @@ def test_radical_contains_matches_sympy_groebner():
         outcomes[expected] += 1
     assert min(outcomes.values()) >= RADICAL_SYSTEMS // 5, outcomes
 
+
+def test_importing_the_cli_leaves_sympy_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mbfun.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

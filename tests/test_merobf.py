@@ -76,6 +76,17 @@ class TestEngine:
         with pytest.raises(ValueError):
             b_mero(F, G, 0)
 
+    def test_size_is_checked_before_coprimality(self, monkeypatch):
+        # the size check is cheap; coprimality of a degree-12 pair in three
+        # variables is a large linear system
+        def forbidden(*args, **kwargs):
+            raise AssertionError("coprimality tested on an oversized pair")
+
+        monkeypatch.setattr(merobf, "are_coprime", forbidden)
+        F, G = pair("x^12 + y^5*z^7 + 1", "x*y*z + 1")
+        with pytest.raises(CapabilityError):
+            build_sigma(F, G, 0)
+
 
 class TestInputsThatFinish:
     """Pairs on which exact elimination used to report false "unsolvable"

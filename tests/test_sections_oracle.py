@@ -338,7 +338,7 @@ class TestOracle:
     def test_minimal_search_matches_direct_answer(self):
         ctx = MeroContext(poly("x^2"), ONE_X)
         found = minimal_b_search(
-            ctx, base_section(ctx, 0), [base_section(ctx, 0, shift=1)], 2, 2, 4
+            ctx, base_section(ctx, 0), [base_section(ctx, 0, shift=1)], 2, 4
         )
         assert found is not None
         b, ops = found
