@@ -3,9 +3,9 @@ linear algebra and Groebner bases.
 
 The b-functions of F/G are defined for coprime F, G, and the reduced
 b-function needs the smoothness test V(h) ⊆ V(G), a radical membership.
-Both are textbook reductions (Cox, Little & O'Shea, Ideals, Varieties, and
-Algorithms, §4.2 and §4.3): coprimality to the rank of one exact linear
-system, radical membership to an ideal membership with one extra variable.
+Coprimality reduces to the rank of one exact linear system, and radical
+membership to an ideal membership with one extra variable (Cox, Little &
+O'Shea, Ideals, Varieties, and Algorithms, §4.2).
 """
 
 from __future__ import annotations
