@@ -88,6 +88,33 @@ class TestEngine:
             build_sigma(F, G, 0)
 
 
+# Engine p(theta) on non-monomial pairs: the mero-engine and frontier
+# pairs of perfbench/workloads.py, and two random pairs of degree 2
+ENGINE_PINS = [
+    ("x^2+y^3", "x", 0, "theta^3 - 2*theta^2 + 8/9*theta"),
+    ("x*y", "x+y", 0, "theta^2 - theta"),
+    ("x^2", "x+1", 1, "theta^2 + 1/2*theta"),
+    ("x^2-y^2", "y+1", 0, "theta^2"),
+    ("x^2+x*y", "x^2+2*y^2+x", 0, "theta^2 - 2*theta"),
+    ("x^2+2*x*y", "2*x^2+2*x*y+y", 1, "theta^2"),
+] + [
+    (ftext, gtext, m, "theta")
+    for ftext, gtext, m in [
+        ("x+y^2", "y", 0), ("x^2+y", "x", 0), ("x+y^2", "x", 0),
+        ("x", "x^2+y^2", 0), ("x", "x+y", 0), ("x+y^2", "y", 1),
+        ("x", "x+y", 1), ("x+y^2", "y", 2), ("x", "x+y", 2),
+        ("x+y^2", "x", 1), ("x^2+y", "x", 1), ("x+y^3", "y", 0),
+        ("x", "y+1", 0), ("y", "x^2+1", 1),
+    ]
+]
+
+
+@pytest.mark.parametrize("ftext, gtext, m, want", ENGINE_PINS)
+def test_engine_value_on_non_monomial_pairs(ftext, gtext, m, want):
+    F, G = pair(ftext, gtext)
+    assert str(b_section_along_t(build_sigma(F, G, m))) == want
+
+
 class TestInputsThatFinish:
     """Pairs on which exact elimination used to report false "unsolvable"
     systems, so that the engine ran to NotSpecializableError or timed out."""
