@@ -1,16 +1,18 @@
 """Bernstein-Sato polynomials of meromorphic functions f = F/G.
 
 The engine realizes the canonical section sigma_m = G^{1-m}/(tG - F) of
-O[1/((tG-F)G)] / O[1/G] on the graph tG = F and reads off the b-polynomial
-of sigma_m along t = 0.  b_{f,m}(s) = p(-s-1).
+O[1/((tG-F)G)] / O[t][1/G] on the graph tG = F and reads off the
+b-polynomial of sigma_m along t = 0.  b_{f,m}(s) = p(-s-1).  Modulo
+O[t][1/G] each section is one polar part sum_j n_j(x) G^-b (tG-F)^-j, so
+the engine never divides by tG - F (see sections.DeltaContext).
 
 The direct route (b_section_along_t) solves for p(t d_t) and its V_{-1}
 witness as exact linear systems in the section's context alone; it needs
 no annihilator.  Only the initial-ideal cross-check
 (b_section_along_t_initial) completes one: starting from hand-verified
 seed operators, all operators of bounded total degree killing sigma_m in
-the quotient module are found as a nullspace (membership there is
-decidable because G and tG - F are coprime).
+the quotient module are found as a nullspace (a section is zero there iff
+its polar numerator is).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .sections import (
     apply_delta_operator,
     base_section,
     dname,
+    images,
     least_monic,
     operator_columns,
 )
@@ -64,7 +67,8 @@ class BResult:
 
 def _seed_generators(ctx: DeltaContext) -> List[WeylElement]:
     sig = ctx.sig
-    gens = [WeylElement.from_poly(sig, ctx.P)]
+    G = WeylElement.from_poly(sig, ctx.G)
+    gens = [WeylElement.gen(sig, T_VAR) * G - WeylElement.from_poly(sig, ctx.F)]
     G2 = WeylElement.from_poly(sig, ctx.G * ctx.G)
     for x in ctx.xvars:
         dF, dG = ctx.F.derivative(x), ctx.G.derivative(x)
@@ -82,7 +86,7 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     as a nullspace over the operator monomials."""
     columns = sorted(operator_columns(ctx.generator(), deg, 0))
     rows, _ = linalg.identity_system(
-        [image.terms for image in ctx.images([sec for _, sec in columns])]
+        [image.terms for image in images([sec for _, sec in columns])]
     )
     out = []
     for vec in linalg.nullspace(rows, len(columns)):

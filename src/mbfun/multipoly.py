@@ -9,7 +9,6 @@ operation returns a fresh polynomial.  Term iteration order is fixed
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,11 +32,6 @@ def _check_exponent(e: int) -> int:
 
 def _revlex_key(exps: Exponent):
     return (sum(exps),) + tuple(-e for e in reversed(exps))
-
-
-def _heap_key(exps: Exponent):
-    """Negated _revlex_key: the smallest heap key is the leading monomial."""
-    return (-sum(exps),) + exps[::-1]
 
 
 class MultiPoly:
@@ -240,11 +234,9 @@ class MultiPoly:
     def divmod_single(self, divisor: "MultiPoly"):
         """Division with remainder by one divisor under degrevlex.
 
-        The dividend's terms are reduced in one working dict, and a heap
-        holds their monomials, so each step costs one pass over the
-        divisor's tail (after Monagan & Pearce, CASC 2007).  Every monomial
-        a step adds lies below the one it reduces, so none comes back once
-        popped; one that cancelled may still sit in the heap, and is skipped.
+        The leading term of what is left of the dividend is cancelled by a
+        multiple of the divisor when the divisor's leading monomial divides
+        it, and moved to the remainder otherwise.
         """
         self._require_same(divisor)
         if divisor.is_zero():
@@ -252,15 +244,11 @@ class MultiPoly:
         lead_e, lead_c = divisor.leading()
         tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
         work = dict(self.terms)
-        heap = [(_heap_key(e), e) for e in work]
-        heap.sort()
         quotient: Dict[Exponent, object] = {}
         remainder: Dict[Exponent, object] = {}
-        while heap:
-            exps = heappop(heap)[1]
-            coeff = work.pop(exps, None)
-            if coeff is None:
-                continue
+        while work:
+            exps = max(work, key=_revlex_key)
+            coeff = work.pop(exps)
             mono_e = tuple(map(sub, exps, lead_e))
             if min(mono_e, default=0) < 0:
                 remainder[exps] = coeff
@@ -269,16 +257,11 @@ class MultiPoly:
             quotient[mono_e] = q
             for e, c in tail:
                 key = tuple(map(add, mono_e, e))
-                acc = work.get(key)
-                if acc is None:
-                    work[key] = -q * c
-                    heappush(heap, (_heap_key(key), key))
+                acc = work.get(key, ZERO) - q * c
+                if acc:
+                    work[key] = acc
                 else:
-                    acc -= q * c
-                    if acc:
-                        work[key] = acc
-                    else:
-                        del work[key]
+                    work.pop(key, None)
         return (
             MultiPoly._trusted(self.variables, quotient),
             MultiPoly._trusted(self.variables, remainder),

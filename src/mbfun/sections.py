@@ -1,32 +1,34 @@
 """Formal sections of the modules the engines and the oracle act on.
 
-A section is (ctx, numerator, pows): a numerator h over the context's two
-denominator factors, h D_1^-a D_2^-b with pows = (a, b).  The context
-defines the module, the exponents its factors carry, and when a section
-is zero:
+A section is (ctx, numerator, pows): a numerator h over the context's
+denominator factors, h prod D_i^-pows[i].  The context defines the
+module, the exponents its factors carry, and when a section is zero:
 
     MeroContext   h F^-a G^-b f^s in O[1/(FG)][s] f^s, f = F/G
                   factors (F, G), exponents (s-a, -s-b)
-    DeltaContext  h (tG-F)^-a G^-b in O[1/((tG-F)G)] modulo O[1/G]
-                  factors (tG-F, G), exponents (-a, -b)
+    DeltaContext  h G^-b in O[1/((tG-F)G)] modulo O[t][1/G], h = h(x, u)
+                  with u = (tG-F)^-1 and no u^0 term; factor G, exponent -b
 
 The first is the oracle's working module, in which f^(s+k)/G^m is
-F^k f^s/G^(m+k); the engine's generator sigma_m = G^(1-m)/(tG-F) lives
-in the second.  Each context lists its factors, their partials, and the
-factors R each derivation raises (both for every x_i, only tG-F for t),
-and one quotient rule serves all:
+F^k f^s/G^(m+k); the engine's generator sigma_m = G^(1-m)/(tG-F) = G^(1-m) u
+lives in the second, whose sections are polar parts sum_j h_j(x) G^-b
+(tG-F)^-j.  Each context lists its factors, their partials, the factors R
+each derivation raises (all of them for every x_i; none for t), and the
+chain term c_v = d_v(u) prod_R D_i of u (the Laurent module has no u):
 
     d_v (h prod D_i^l_i) = [h_v prod_R D_i + h sum_{i in R} l_i d_v(D_i)
-                            prod_{j in R, j != i} D_j] prod D_i^l_i / prod_R D_i
+                            prod_{j in R, j != i} D_j + h_u c_v]
+                           prod D_i^l_i / prod_R D_i
 
+with c_x = u^2 (F_x G - F G_x) - u G_x and c_t = -G u^2.  Coordinates act
+through `times`: a shift of the numerator, except that t acts on a polar
+part as t h G^-b = (h/u + F h) G^(-b-1), whose u^0 term is dropped.
 Derivations commute exactly on these representations, so one operator
 loop and one column builder serve both modules.
 
-Each context turns sections into vectors with `images`: numerators over
-one common denominator, reduced modulo (tG-F)^a in the delta module, in
-which a combination of the sections vanishes iff the same combination of
-images does.  A section is zero, or equal to another, when its image is.
-On top of that:
+In both modules a section is zero iff its numerator is, so a combination
+of sections vanishes iff the same combination of their images does: their
+numerators over one common denominator.  On top of that:
 
     solve        c with sum_i c_i columns[i] = rhs, one exact rational
                  equation per monomial of the images
@@ -61,6 +63,7 @@ from .weyl import AlgebraSignature, Exponent, WeylElement
 S_VAR = "s"
 T_VAR = "t"
 DT_VAR = "dt"
+U_VAR = "u_"
 
 
 def dname(x: str) -> str:
@@ -68,13 +71,15 @@ def dname(x: str) -> str:
 
 
 class _Context:
-    """Denominator factors, their partials, and the factors each
-    derivation raises; subclasses set `ring` first and give `exponents`."""
+    """Denominator factors, the factors each derivation raises and their
+    partials, and the chain terms of u; subclasses set `ring` first and
+    give `exponents`."""
 
-    def _set_factors(self, factors, raises) -> None:
+    def _set_factors(self, factors, raises, chain=None) -> None:
         self.factors = factors
-        self.partials = {v: tuple(D.derivative(v) for D in factors) for v in raises}
+        self.partials = {v: {i: factors[i].derivative(v) for i in r} for v, r in raises.items()}
         self.raises = raises
+        self.chain = chain or {}
         self._powers = tuple({0: MultiPoly.const(self.ring, 1)} for _ in factors)
 
     def power(self, i: int, k: int) -> MultiPoly:
@@ -86,15 +91,12 @@ class _Context:
             cache[k] = self.power(i, k - 1) * self.factors[i]
         return cache[k]
 
-    def image(self, sec: "_Section", pows: Tuple[int, ...]) -> MultiPoly:
-        """The vector of sec over the common denominator given by pows."""
-        return sec.cleared_numerator(pows)
 
-    def images(self, sections: Sequence["_Section"]) -> List[MultiPoly]:
-        """Images over the common denominator prod factors[i]^pows[i],
-        each pows[i] the largest among the sections."""
-        pows = _common_pows(sections)
-        return [self.image(sec, pows) for sec in sections]
+def images(sections: Sequence["_Section"]) -> List[MultiPoly]:
+    """Numerators over the common denominator prod factors[i]^pows[i],
+    each pows[i] the largest among the sections."""
+    pows = _common_pows(sections)
+    return [sec.cleared_numerator(pows) for sec in sections]
 
 
 def _common_pows(sections: Sequence["_Section"]) -> Tuple[int, ...]:
@@ -123,6 +125,12 @@ class _Section:
         """Multiply by a polynomial over ctx.ring."""
         return replace(self, numerator=self.numerator * poly)
 
+    def times(self, exps: Exponent, coeff):
+        """coeff x^exps times the section, exps over the coordinates of
+        ctx.sig: a shift of the numerator."""
+        num = self.numerator.shifted(exps)
+        return type(self)(self.ctx, num if coeff == 1 else num * coeff, self.pows)
+
     def __add__(self, other):
         if self.ctx is not other.ctx:
             raise ValueError("sections from different contexts")
@@ -135,7 +143,7 @@ class _Section:
         ctx, h = self.ctx, self.numerator
         raised = ctx.raises[var]
         exponents = ctx.exponents(self.pows)
-        num = h.derivative(var)
+        num = h.derivative(var) if var in ctx.ring else MultiPoly.zero(ctx.ring)
         for i in raised:
             num = num * ctx.factors[i]
         for i in raised:
@@ -147,6 +155,8 @@ class _Section:
                 if j != i:
                     term = term * ctx.factors[j]
             num = num + term
+        if var in ctx.chain:
+            num = num + h.derivative(U_VAR) * ctx.chain[var]
         pows = tuple(p + (i in raised) for i, p in enumerate(self.pows))
         return replace(self, numerator=num, pows=pows)
 
@@ -166,10 +176,10 @@ class _Section:
 
     def is_zero(self) -> bool:
         """Zero in the context's module."""
-        return self.ctx.images([self])[0].is_zero()
+        return self.numerator.is_zero()
 
     def section_eq(self, other) -> bool:
-        mine, theirs = self.ctx.images([self, other])
+        mine, theirs = images([self, other])
         return mine == theirs
 
 
@@ -187,6 +197,15 @@ class DeltaSection(_Section):
     """A section of the delta module of a DeltaContext."""
 
     cleared_numerator = _Section.cleared_numerator
+
+    def times(self, exps: Exponent, coeff):
+        """coeff x^alpha t^k times the section, exps = alpha + (k,): each t
+        takes h G^-b to (h/u + F h) G^(-b-1), less its u^0 term."""
+        num, b = self.numerator, self.pows[0]
+        for _ in range(exps[-1]):
+            over_u = {e[:-1] + (e[-1] - 1,): c for e, c in num.terms.items() if e[-1] > 1}
+            num, b = MultiPoly._trusted(num.variables, over_u) + self.ctx.F_u * num, b + 1
+        return _Section.times(DeltaSection(self.ctx, num, (b,)), exps[:-1] + (0,), coeff)
 
 
 class MeroContext(_Context):
@@ -220,38 +239,33 @@ def base_section(ctx: MeroContext, m: int, shift: int = 0) -> LaurentSection:
 
 
 class DeltaContext(_Context):
-    """Sections of O[1/((tG-F)G)] modulo O[1/G]; factors (tG-F, G) over (x, t)."""
+    """Sections of O[1/((tG-F)G)] modulo O[t][1/G], as polar parts
+    h(x, u) G^-b with u = (tG-F)^-1; one factor G over the ring (x, u)."""
 
     def __init__(self, F: MultiPoly, G: MultiPoly, m: int):
+        if U_VAR in F.variables + G.variables:
+            raise ValueError(f"variable name {U_VAR!r} is reserved")
         self.xvars = F.variables
-        self.m = m
-        self.ring: Tuple[str, ...] = self.xvars + (T_VAR,)
-        self.F = F.extend_to(self.ring)
-        self.G = G.extend_to(self.ring)
-        t = MultiPoly.var(self.ring, T_VAR)
-        self.P = t * self.G - self.F          # tG - F, the graph equation
-        raises = {x: (0, 1) for x in self.xvars}
-        raises[T_VAR] = (0,)
-        self._set_factors((self.P, self.G), raises)
+        self.F, self.G, self.m = F, G, m
+        self.ring: Tuple[str, ...] = self.xvars + (U_VAR,)
+        self.F_u, G_u = F.extend_to(self.ring), G.extend_to(self.ring)
+        self.u = u = MultiPoly.var(self.ring, U_VAR)
+        raises, chain = {T_VAR: ()}, {T_VAR: -G_u * u * u}
+        for x in self.xvars:
+            dF, dG = self.F_u.derivative(x), G_u.derivative(x)
+            raises[x], chain[x] = (0,), u * u * (dF * G_u - self.F_u * dG) - u * dG
+        self._set_factors((G_u,), raises, chain)
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars] + [(T_VAR, DT_VAR)]
         )
 
-    def exponents(self, pows: Tuple[int, int]) -> Tuple[object, object]:
-        return tuple(Q(-p) for p in pows)
-
-    def image(self, sec: DeltaSection, pows: Tuple[int, int]) -> MultiPoly:
-        """Numerator over the common denominator (tG-F)^a G^b, reduced modulo
-        (tG-F)^a.  A combination of sections vanishes modulo O[t][1/G] iff
-        the same combination of remainders is zero: (tG-F)^a must divide its
-        numerator (G and tG-F are coprime), and that reduction is linear."""
-        return sec.cleared_numerator(pows).divmod_single(self.power(0, pows[0]))[1]
+    def exponents(self, pows: Tuple[int]) -> Tuple[object]:
+        return (Q(-pows[0]),)
 
     def generator(self) -> DeltaSection:
-        """sigma_m = G^{1-m} / (tG - F)."""
-        if self.m >= 1:
-            return DeltaSection(self, MultiPoly.const(self.ring, 1), (1, self.m - 1))
-        return DeltaSection(self, self.G, (1, 0))
+        """sigma_m = G^{1-m} / (tG - F) = G^{1-m} u."""
+        num = self.u if self.m >= 1 else self.factors[0] * self.u
+        return DeltaSection(self, num, (max(self.m - 1, 0),))
 
 
 # -- operators acting on sections -----------------------------------------
@@ -273,7 +287,7 @@ def _apply(P: WeylElement, v):
         for ci, di in sig.pairs:
             for _ in range(exps[di]):
                 part = part.derivative(sig.coords[ci])
-        part = part.scaled(MultiPoly(ctx.ring, {exps[:ncoords]: coeff}))
+        part = part.times(exps[:ncoords], coeff)
         total = part if total is None else total + part
     return v.scaled(MultiPoly.zero(ctx.ring)) if total is None else total
 
@@ -303,8 +317,8 @@ def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, obje
     that carry a derivation, exponent <= sdeg on each central coordinate c.
 
     The derivatives d^beta base come from one tower, each one derivation
-    above an earlier one, and x^alpha c^j shifts their numerators; the
-    order is by beta, then |alpha|, alpha, j.
+    above an earlier one, and x^alpha c^j acts on them through `times`;
+    the order is by beta, then |alpha|, alpha, j.
     """
     return columns_of_weight(base, deg, sdeg, (), ())
 
@@ -321,8 +335,7 @@ def columns_of_weight(
     before the column is built.  A weight of None, of the rhs or of
     d^beta base, prunes nothing.
     """
-    ctx = base.ctx
-    sig = ctx.sig
+    sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
     tower = {(0,) * n: base}
@@ -332,19 +345,17 @@ def columns_of_weight(
             prev = tuple(e - (1 if idx == i else 0) for idx, e in enumerate(beta))
             tower[beta] = tower[prev].derivative(paired[i])
     central = list(product(range(sdeg + 1), repeat=len(sig.coords) - n))
-    section = type(base)
     for beta, dbase in sorted(tower.items()):
         wanted = []
         for w, weight in zip(lattice, target):
             own = dbase.weight(w)
             if weight is not None and own is not None:
                 wanted.append((w, weight - own))
-        num, pows = dbase.numerator, dbase.pows
         for da in range(deg - sum(beta) + 1):
             for alpha in _compositions(n, da):
                 if all(sum(map(mul, w, alpha)) == rest for w, rest in wanted):
                     for j in central:
-                        yield alpha + j + beta, section(ctx, num.shifted(alpha + j), pows)
+                        yield alpha + j + beta, dbase.times(alpha + j, ONE)
 
 
 # -- sections to a linear system -------------------------------------------
@@ -375,8 +386,7 @@ class _Images:
         if pows != self._pows:
             self._pows, self._images = pows, {}
         if i not in self._images:
-            sec = self.sections[i]
-            self._images[i] = sec.ctx.image(sec, pows)
+            self._images[i] = self.sections[i].cleared_numerator(pows)
         return self._images[i]
 
     def solve(self, rhs: int, cols: Sequence[int], negate: bool = False):

@@ -15,6 +15,7 @@ from mbfun.merobf import (
     reduced_b,
     smoothness_test,
 )
+from mbfun.multipoly import MultiPoly
 from mbfun.oracle import minimal_b_search
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
@@ -60,6 +61,19 @@ class TestEngine:
         res = b_mero(F, G, 1)
         assert res.status == "CERTIFIED"
         assert res.b.roots == {Q(-1): 1, Q(-1, 2): 1}
+
+    @pytest.mark.parametrize(
+        "ftext, gtext, m, want",
+        [("x^3", "y^2", 1, "theta^3 + theta^2 + 2/9*theta"), ("x*y", "x+y", 0, "theta^2 - theta")],
+    )
+    def test_engine_never_divides(self, monkeypatch, ftext, gtext, m, want):
+        # delta sections are polar parts, zero iff their numerators are
+        def forbidden(*args, **kwargs):
+            raise AssertionError("polynomial division on the engine path")
+
+        monkeypatch.setattr(MultiPoly, "divmod_single", forbidden)
+        F, G = pair(ftext, gtext)
+        assert str(b_section_along_t(build_sigma(F, G, m))) == want
 
     def test_witness_is_returned(self):
         F, G = pair("x^2", "1")
