@@ -32,6 +32,7 @@ from .oracle import (
     minimal_b_search,
     minimize_by_oracle,
     verify_functional_equation,
+    weight_lattice,
 )
 from .rationals import Q
 from .sections import (
@@ -46,6 +47,8 @@ from .sections import (
     images,
     least_monic,
     operator_columns,
+    operator_weight,
+    poly_weight,
 )
 from .vfiltration import b_polynomial_theta, theta_reduce
 from .weyl import WeylElement
@@ -131,6 +134,11 @@ def b_section_along_t(
     lower degree may need a witness of a later step.  Any hit is a
     multiple of the true b-polynomial of the section, since such p form an
     ideal of Q[theta].
+
+    Only witness operators of w-weight 0 are built, for each w making F
+    and G homogeneous, with t weighted w(F) - w(G) so that tG - F is too:
+    the module is then graded, and theta^k sigma_m has sigma_m's weight.
+    p is the unique least monic relation, so this cannot change it.
     """
     sig = ctx.sig
     sigma = ctx.generator()
@@ -138,14 +146,18 @@ def b_section_along_t(
     theta_secs = [sigma]
     for _ in range(max_pdeg):
         theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
-    t_pos, dt_pos = sig.index(T_VAR), sig.index(DT_VAR)
-    schedule = sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg})
-    for step in schedule:
-        vcols = [
-            sec
-            for exps, sec in sorted(operator_columns(sigma, step, 0))
-            if exps[dt_pos] - exps[t_pos] <= -1
-        ]
+    t_weight = (0,) * len(ctx.xvars) + (-1,)
+    lattice = [
+        w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in weight_lattice(ctx.F, ctx.G)
+    ]
+
+    def keep(exps):
+        if operator_weight(t_weight, exps) > -1:
+            return False
+        return all(operator_weight(w, exps) == 0 for w in lattice)
+
+    for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
+        vcols = [sec for _, sec in operator_columns(sigma, step, 0, keep)]
         found = least_monic(theta_secs, vcols)
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})

@@ -77,6 +77,11 @@ def _threshold(alpha: Q, c: int) -> int:
 
 def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
     """Multiplier ideal at level alpha in one identity-resolution chart."""
+    if any(chart.kappa):
+        raise ValueError(
+            f"chart {chart.label} has kappa != 0; multiplier ideals here cover "
+            "only the identity resolution, where kappa = 0"
+        )
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gen = []

@@ -42,17 +42,17 @@ def roots_nc(chart: NCChart, m: int) -> Set[Q]:
     """Candidate roots contributed by one chart at denominator order m.
 
     For each coordinate divisor with a_i > b_i the contribution is
-    { (m b_i - k) / (a_i - b_i) : 1 <= k <= a_i - b_i }.
+    { (m b_i - kappa_i - k) / (a_i - b_i) : 1 <= k <= a_i - b_i }.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     out: Set[Q] = set()
-    for ai, bi in zip(chart.a, chart.b):
+    for ai, bi, ki in zip(chart.a, chart.b, chart.kappa):
         c = ai - bi
         if c <= 0:
             continue
         for k in range(1, c + 1):
-            out.add(Q(m * bi - k, c))
+            out.add(Q(m * bi - ki - k, c))
     return out
 
 

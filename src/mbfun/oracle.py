@@ -17,13 +17,13 @@ one-term variant and the reduced equation, which differ only in their
 target sections.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
-blocks, and only the block of the target's weight is solved.  Each column
-of another weight is discarded before it is built or imaged: its weight
-is read off its operator (see `sections.columns_of_weight`), and b(s) v0
-has v0's weight at every degree of b.  This preserves solvability in both
-directions because every column is weight-homogeneous in x.  The kept
-columns are imaged once per common denominator, however many degrees of
-b are tried.
+blocks, and only the block of the target's weight is solved.  A column's
+weight is its target's plus its operator's (`sections.operator_weight`),
+so each column of another weight is discarded before it is built, and
+b(s) v0 has v0's weight at every degree of b.  This preserves
+solvability in both directions because every column is
+weight-homogeneous in x.  The kept columns are imaged once per common
+denominator, however many degrees of b are tried.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .sections import (
     MeroContext,
     apply_operator,
     base_section,
-    columns_of_weight,
     least_monic,
+    operator_columns,
+    operator_weight,
     solve,
 )
 from .weyl import Exponent, WeylElement
@@ -79,21 +80,29 @@ def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
 
 
 def _columns(
-    targets: Dict[int, LaurentSection],
-    deg: int,
-    lattice: Sequence = (),
-    rhs: Optional[LaurentSection] = None,
+    targets: Dict[int, LaurentSection], deg: int, lattice: Sequence, rhs: LaurentSection
 ) -> Columns:
     """Sections (x^alpha s^j d^beta) target_r with |alpha| + |beta| <= deg
-    and j <= deg, labelled (r, operator key), that `solve` keeps against
-    rhs and the lattice; the others are not built.  Every b(s) rhs has
-    rhs's weight, so the same columns serve each degree of a b-function."""
-    weights = [rhs.weight(w) for w in lattice]
-    return [
-        ((r, key), sec)
-        for r, target in targets.items()
-        for key, sec in columns_of_weight(target, deg, deg, lattice, weights)
-    ]
+    and j <= deg, labelled (r, operator key), that `_weight_rule` keeps
+    against rhs; the others are not built.  Every b(s) rhs has rhs's
+    weight, so the same columns serve each degree of a b-function."""
+    columns = []
+    for r, target in targets.items():
+        keep = _weight_rule(target, rhs, lattice)
+        columns += [((r, key), sec) for key, sec in operator_columns(target, deg, deg, keep)]
+    return columns
+
+
+def _weight_rule(base: LaurentSection, rhs: LaurentSection, lattice: Sequence):
+    """Test on an operator key: has the column it builds on base the
+    w-weight of rhs, for each w in the lattice?  Its weight is base's plus
+    the operator's; a weight of None, of base or of rhs, prunes nothing."""
+    wanted = []
+    for w in lattice:
+        own, weight = base.weight(w), rhs.weight(w)
+        if own is not None and weight is not None:
+            wanted.append((w, weight - own))
+    return lambda exps: all(operator_weight(w, exps) == rest for w, rest in wanted)
 
 
 def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElement]:
@@ -118,7 +127,7 @@ def _witness(
     lhs = _lhs(b, ctx, m)
     targets = {k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}
     columns = _columns(targets, deg, lattice, lhs)
-    values = solve(lhs, [sec for _, sec in columns], lattice)
+    values = solve(lhs, [sec for _, sec in columns])
     if values is None:
         return None
     witness = _operators(ctx, columns, values)
@@ -198,12 +207,14 @@ def prefactored_witness(
 ) -> Optional[WeylElement]:
     """P with b(s) f^s/G^m = prefactor * P (f^{s+1}/G^m), or None."""
     ctx = MeroContext(*unify(F, G))
-    pre = prefactor.extend_to(ctx.ring)
+    lhs, pre = _lhs(b, ctx, m), prefactor.extend_to(ctx.ring)
+    target = base_section(ctx, m, shift=1)
+    # a column times pre has the weight of one built on target * pre
+    keep = _weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
     columns = [
-        (label, sec.scaled(pre))
-        for label, sec in _columns({1: base_section(ctx, m, shift=1)}, deg)
+        ((1, key), sec.scaled(pre)) for key, sec in operator_columns(target, deg, deg, keep)
     ]
-    values = solve(_lhs(b, ctx, m), [sec for _, sec in columns], weight_lattice(ctx.F, ctx.G))
+    values = solve(lhs, [sec for _, sec in columns])
     if values is None:
         return None
     return _operators(ctx, columns, values)[1]
@@ -232,7 +243,7 @@ def minimal_b_search(
     lattice = weight_lattice(ctx.F, ctx.G)
     columns = _columns(dict(enumerate(targets)), opdeg, lattice, v0)
     powers = [v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1)]
-    found = least_monic(powers, [sec for _, sec in columns], lattice, min_bdeg)
+    found = least_monic(powers, [sec for _, sec in columns], min_bdeg)
     if found is None:
         return None
     coeffs, values = found

@@ -37,15 +37,14 @@ numerators over one common denominator.  On top of that:
                  relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
                  engine)
 
-Imaging is the costly step, so each column is imaged at most once per
-common denominator, and only when it can enter the solution.  A section's
-weight for a w making the factors w-homogeneous does not depend on the
-denominator it is written over, so `solve` drops the columns whose weight
-differs from the rhs's before imaging any, and `least_monic` shares the
-images of its columns, the power columns included, across the degrees it
-tries; each degree still solves its own system.  `columns_of_weight` goes
-one step earlier: it reads a column's weight off its operator and never
-builds the ones that would be dropped.
+Imaging is the costly step, so `least_monic` images each column, the
+power columns included, once per common denominator for all the degrees
+it tries.  Which columns there are is decided before any is built: the
+caller's `keep` test runs on each operator's exponent tuple.  When the
+factors are w-homogeneous, x^alpha c^j d^beta adds `operator_weight` =
+w.alpha - w.beta to a section's weight, which does not depend on the
+denominator; sections of different weights have images with no monomial
+in common, so callers keep only the operators of the weight they need.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .multipoly import MultiPoly
@@ -166,9 +165,9 @@ class _Section:
         None when one of them is not w-homogeneous.  The image over a
         common denominator pows' has this weight plus sum pows'[i] times
         the weight of factors[i]."""
-        total = _weight(self.numerator, w)
+        total = poly_weight(self.numerator, w)
         for p, factor in zip(self.pows, self.ctx.factors):
-            fw = _weight(factor, w)
+            fw = poly_weight(factor, w)
             if total is None or fw is None:
                 return None
             total -= p * fw
@@ -311,57 +310,52 @@ def _compositions(k: int, total: int) -> Iterator[Tuple[int, ...]]:
             yield (head,) + rest
 
 
-def operator_columns(base, deg: int, sdeg: int) -> Iterator[Tuple[Exponent, object]]:
+def operator_weight(w: Sequence, exps: Exponent):
+    """w.alpha - w.beta, the weight of x^alpha c^j d^beta (exps in
+    signature order) for w over the coordinates that carry a derivation."""
+    n = len(w)
+    return sum(map(mul, w, exps[:n])) - sum(map(mul, w, exps[len(exps) - n:]))
+
+
+def operator_columns(
+    base, deg: int, sdeg: int, keep: Optional[Callable[[Exponent], bool]] = None
+) -> Iterator[Tuple[Exponent, object]]:
     """Sections (x^alpha c^j d^beta) base, keyed by the operator's exponent
     tuple in signature order: |alpha| + |beta| <= deg over the coordinates
-    that carry a derivation, exponent <= sdeg on each central coordinate c.
+    that carry a derivation, exponent <= sdeg on each central coordinate c;
+    when keep is given, only those whose key passes it.
 
-    The derivatives d^beta base come from one tower, each one derivation
-    above an earlier one, and x^alpha c^j acts on them through `times`;
-    the order is by beta, then |alpha|, alpha, j.
-    """
-    return columns_of_weight(base, deg, sdeg, (), ())
-
-
-def columns_of_weight(
-    base, deg: int, sdeg: int, lattice: Sequence, target: Sequence
-) -> Iterator[Tuple[Exponent, object]]:
-    """The columns of operator_columns(base, deg, sdeg) that `solve` keeps
-    against an rhs of w-weight target[i] for each w = lattice[i], in the
-    same order; the others are never built.
-
-    Each w weighs the coordinates that carry a derivation, so the weight
-    of x^alpha c^j d^beta base is that of d^beta base plus w.alpha, known
-    before the column is built.  A weight of None, of the rhs or of
-    d^beta base, prunes nothing.
+    keep runs on the key before the column is built.  Each derivative
+    d^beta base is built the first time a kept column needs it, one
+    derivation above an earlier one in a tower, and x^alpha c^j acts on it
+    through `times`; the order is by beta, then |alpha|, alpha, j.
     """
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
-    tower = {(0,) * n: base}
-    for d in range(1, deg + 1):
-        for beta in _compositions(n, d):
-            i = next(idx for idx, e in enumerate(beta) if e)
-            prev = tuple(e - (1 if idx == i else 0) for idx, e in enumerate(beta))
-            tower[beta] = tower[prev].derivative(paired[i])
     central = list(product(range(sdeg + 1), repeat=len(sig.coords) - n))
-    for beta, dbase in sorted(tower.items()):
-        wanted = []
-        for w, weight in zip(lattice, target):
-            own = dbase.weight(w)
-            if weight is not None and own is not None:
-                wanted.append((w, weight - own))
+    tower = {(0,) * n: base}
+
+    def derivative(beta):
+        if beta not in tower:
+            i = next(idx for idx, e in enumerate(beta) if e)
+            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            tower[beta] = derivative(prev).derivative(paired[i])
+        return tower[beta]
+
+    for beta in sorted(beta for d in range(deg + 1) for beta in _compositions(n, d)):
         for da in range(deg - sum(beta) + 1):
             for alpha in _compositions(n, da):
-                if all(sum(map(mul, w, alpha)) == rest for w, rest in wanted):
-                    for j in central:
-                        yield alpha + j + beta, dbase.times(alpha + j, ONE)
+                for j in central:
+                    exps = alpha + j + beta
+                    if keep is None or keep(exps):
+                        yield exps, derivative(beta).times(alpha + j, ONE)
 
 
 # -- sections to a linear system -------------------------------------------
 
 
-def _weight(poly: MultiPoly, w: Sequence):
+def poly_weight(poly: MultiPoly, w: Sequence):
     """Weight of a w-homogeneous polynomial in the variables w covers (the
     leading ones); None when its terms have different weights."""
     weights = {sum((wi * e for wi, e in zip(w, exps)), ZERO) for exps in poly.terms}
@@ -369,16 +363,14 @@ def _weight(poly: MultiPoly, w: Sequence):
 
 
 class _Images:
-    """Images of fixed sections, each computed at most once per common
-    pows, and their weights for each w in a lattice.
+    """Images of fixed sections, each computed at most once per common pows.
 
     Only the images at the latest pows are kept: the callers' common
     denominators never shrink, so older ones are not asked for again.
     """
 
-    def __init__(self, sections: Sequence, lattice: Sequence):
+    def __init__(self, sections: Sequence):
         self.sections = sections
-        self.weights = [tuple(sec.weight(w) for w in lattice) for sec in sections]
         self._pows: Optional[Tuple[int, ...]] = None
         self._images: dict = {}
 
@@ -391,25 +383,15 @@ class _Images:
 
     def solve(self, rhs: int, cols: Sequence[int], negate: bool = False):
         """Exact c with sum_k c_k sections[cols[k]] = sections[rhs] (its
-        negative when negate), or None; free and dropped coefficients are
-        zero.
-
-        A column of a weight other than the rhs's, for some w in the
-        lattice, is dropped before it is imaged: two images over the same
-        denominator differ in weight as the sections do.  Columns with a
-        zero image are dropped next.
-        """
+        negative when negate), or None; free coefficients, and those of
+        columns with a zero image, are zero."""
         sections = self.sections
         pows = _common_pows([sections[i] for i in (rhs, *cols)])
-        kept = range(len(cols))
-        for wi, target in enumerate(self.weights[rhs]):
-            if target is not None:
-                kept = [k for k in kept if self.weights[cols[k]][wi] in (None, target)]
         rhs_image = self.image(rhs, pows)
         if negate:
             rhs_image = -rhs_image
-        images = {k: self.image(cols[k], pows) for k in kept}
-        kept = [k for k in kept if not images[k].is_zero()]
+        images = [self.image(i, pows) for i in cols]
+        kept = [k for k, image in enumerate(images) if not image.is_zero()]
         rows, vec = linalg.identity_system([images[k].terms for k in kept], rhs_image.terms)
         solution = linalg.solve(rows, vec, len(kept))
         if solution is None:
@@ -418,21 +400,14 @@ class _Images:
         return [values.get(k, ZERO) for k in range(len(cols))]
 
 
-def solve(rhs, columns: Sequence, lattice: Sequence = ()) -> Optional[List[object]]:
-    """Exact c with sum_i c_i columns[i] = rhs, or None; free and dropped
-    coefficients are zero.
-
-    Each column whose w-weight differs from the rhs's, for a weight vector
-    w in `lattice`, is dropped before it is imaged, and so is each column
-    with a zero image after.  The caller passes only w for which every
-    column is w-homogeneous, so the dropped columns cannot contribute to a
-    solution.
-    """
-    return _Images([rhs, *columns], lattice).solve(0, range(1, len(columns) + 1))
+def solve(rhs, columns: Sequence) -> Optional[List[object]]:
+    """Exact c with sum_i c_i columns[i] = rhs, or None; free coefficients,
+    and those of columns with a zero image, are zero."""
+    return _Images([rhs, *columns]).solve(0, range(1, len(columns) + 1))
 
 
 def least_monic(
-    powers: Sequence, columns: Sequence, lattice: Sequence = (), min_deg: int = 0
+    powers: Sequence, columns: Sequence, min_deg: int = 0
 ) -> Optional[Tuple[List[object], List[object]]]:
     """Least d >= min_deg with powers[d] + sum_{i<d} c_i powers[i] =
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
@@ -442,7 +417,7 @@ def least_monic(
     the systems share one set of images, so a column is imaged once per
     common denominator however many degrees are tried.
     """
-    images = _Images([*powers, *columns], lattice)
+    images = _Images([*powers, *columns])
     column_ids = list(range(len(powers), len(powers) + len(columns)))
     for d in range(min_deg, len(powers)):
         solution = images.solve(d, list(range(d)) + column_ids, negate=True)

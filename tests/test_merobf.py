@@ -15,10 +15,13 @@ from mbfun.merobf import (
     reduced_b,
     smoothness_test,
 )
+from mbfun.errors import NotSpecializableError
 from mbfun.multipoly import MultiPoly
-from mbfun.oracle import minimal_b_search
+from mbfun.oracle import minimal_b_search, weight_lattice
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
+from mbfun.sections import apply_delta_operator, least_monic, operator_columns
+from mbfun.weyl import WeylElement
 
 
 def pair(ftext, gtext):
@@ -127,6 +130,47 @@ ENGINE_PINS = [
 def test_engine_value_on_non_monomial_pairs(ftext, gtext, m, want):
     F, G = pair(ftext, gtext)
     assert str(b_section_along_t(build_sigma(F, G, m))) == want
+
+
+
+def unpruned_engine(ctx, vdeg=6, max_pdeg=8):
+    """b_section_along_t with every operator of t-weight <= -1 among the
+    columns at each step of its schedule; None where no step finds p."""
+    sig, sigma = ctx.sig, ctx.generator()
+    theta = WeylElement.gen(sig, "t") * WeylElement.gen(sig, "dt")
+    powers = [sigma]
+    for _ in range(max_pdeg):
+        powers.append(apply_delta_operator(theta, powers[-1]))
+    t, dt = sig.index("t"), sig.index("dt")
+    for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
+        columns = [
+            sec for exps, sec in operator_columns(sigma, step, 0) if exps[dt] - exps[t] <= -1
+        ]
+        found = least_monic(powers, columns)
+        if found is not None:
+            return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
+    return None
+
+
+BATTERY = [
+    (f"x^{a}", f"y^{b}" if b else "1", m) for a in (1, 2, 3) for b in (0, 1, 2) for m in (0, 1, 2)
+]
+# the ENGINE_PINS pairs that some w != 0 makes jointly quasi-homogeneous
+GRADED_PINS = sorted({(f, g) for f, g, _, _ in ENGINE_PINS if weight_lattice(*pair(f, g))})
+
+
+@pytest.mark.parametrize(
+    "ftext, gtext, m", BATTERY + [(f, g, m) for f, g in GRADED_PINS for m in (0, 1, 2)]
+)
+def test_engine_equals_the_unpruned_system(ftext, gtext, m):
+    # the engine builds only the witness operators of weight 0
+    ctx = build_sigma(*pair(ftext, gtext), m)
+    want = unpruned_engine(ctx)
+    if want is None:
+        with pytest.raises(NotSpecializableError):
+            b_section_along_t(ctx)
+    else:
+        assert b_section_along_t(ctx) == want
 
 
 class TestInputsThatFinish:

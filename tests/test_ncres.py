@@ -15,6 +15,8 @@ from mbfun.ncres import (
     member,
     roots_nc,
 )
+from mbfun.merobf import b_mero
+from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 
 
@@ -41,6 +43,15 @@ class TestRoots:
             for b in range(0, a):
                 for r in roots_nc(chart((a,), (b,)), 0):
                     assert Q(-1) <= r < 0
+
+    def test_kappa_shifts_the_candidates(self):
+        # the last exceptional divisor of the cusp's minimal log resolution
+        # carries (a, b, kappa) = (6, 3, 4) for (x^2+y^3)/x, and its
+        # candidates at m = 1 are the roots of b_mero
+        roots = roots_nc(chart((6,), (3,), (4,)), 1)
+        assert roots == {Q(-2, 3), Q(-1), Q(-4, 3)}
+        F, G = parse_poly("x^2+y^3", ("x", "y")), parse_poly("x", ("x", "y"))
+        assert set(b_mero(F, G, 1).b.roots) == roots
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +109,17 @@ class TestEigenvalueClasses:
 
     def test_deduplication(self):
         assert eigenvalue_classes([Q(1), Q(-1)]) == {Q(0)}
+
+    def test_kappa_leaves_the_classes(self):
+        # kappa_i shifts the numerators m b_i - k of a full residue system
+        # mod a_i - b_i
+        charts = [((6,), (3,), (4,)), ((2, 5), (1, 0), (1, 3)), ((3, 1), (0, 2), (2, 7))]
+        for a, b, kappa in charts:
+            for m in range(3):
+                shifted = bound_set([chart(a, b, kappa)], m).residues
+                plain = bound_set([chart(a, b)], m).residues
+                assert shifted != plain
+                assert eigenvalue_classes(shifted) == eigenvalue_classes(plain)
 
     @given(
         st.fractions(min_value=-4, max_value=4),

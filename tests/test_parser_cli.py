@@ -140,6 +140,31 @@ class TestCLI:
         assert report["result"]["jumps"] == ["1/2", "1/1"]
         assert report["result"]["lct"] == "1/2"
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_thm41_with_kappa_charts(self, tmp_path, capsys, m):
+        # (x^2+y^3)/x on the cusp's minimal log resolution: the strict
+        # transform of F and the three exceptional divisors, as (a, b, kappa)
+        path = tmp_path / "charts.json"
+        entries = [(1, 0, 0), (2, 1, 1), (3, 2, 2), (6, 3, 4)]
+        path.write_text(json.dumps({"charts": [
+            {"label": f"E{i}", "a": [a], "b": [b], "kappa": [k]}
+            for i, (a, b, k) in enumerate(entries, 1)
+        ]}))
+        argv = ["check", "thm41", "x^2+y^3", "x", "--m", str(m), "--charts", str(path), "--json"]
+        rc, out = run_json(capsys, argv)
+        report = json.loads(out)
+        assert rc == 0 and report["status"] == "CERTIFIED"
+        assert report["result"]["holds"] and report["result"]["misses"] == []
+
+    def test_jumps_refuse_kappa(self, tmp_path, capsys):
+        # jumping numbers cover only the identity chart, where kappa = 0
+        path = tmp_path / "charts.json"
+        path.write_text('{"charts":[{"label":"E4","a":[6],"b":[3],"kappa":[4]}]}')
+        assert main(["jump", "nc", "--charts", str(path), "--json"]) == 2
+        assert "kappa" in capsys.readouterr().err
+        assert main(["check", "corjump", "x^2+y^3", "x", "--charts", str(path)]) == 2
+        assert "kappa" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["bf", "classic", "x^(-1)"]) == 2
         assert main(["nc", "roots", "--charts", "/no/such/file.json"]) == 2

@@ -12,6 +12,7 @@ from mbfun.bfunction import S_VAR, BFunction
 from mbfun.errors import CertificationError, NotSpecializableError
 from mbfun.merobf import b_section_along_t
 from mbfun.oracle import (
+    _weight_rule,
     minimal_b_search,
     minimize_by_oracle,
     verify_functional_equation,
@@ -26,13 +27,13 @@ from mbfun.sections import (
     MeroContext,
     _Context,
     _Section,
-    _weight,
     apply_delta_operator,
     apply_operator,
     base_section,
-    columns_of_weight,
     least_monic,
     operator_columns,
+    operator_weight,
+    poly_weight,
     solve,
 )
 from mbfun.weyl import WeylElement
@@ -278,6 +279,61 @@ class TestSections:
         ]
 
 
+def tower_chain(beta):
+    """beta and the derivatives below it that the tower builds it from."""
+    chain = set()
+    while any(beta):
+        chain.add(beta)
+        i = next(idx for idx, e in enumerate(beta) if e)
+        beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+    return chain
+
+
+@pytest.mark.parametrize("module", ["laurent", "delta"])
+def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
+    # one times call per kept column, and derivatives only toward the
+    # beta of kept columns, each built once
+    F, G = poly("x^3", XY), poly("y^2", XY)
+    lattice = weight_lattice(F, G)
+    if module == "laurent":
+        ctx = MeroContext(F, G)
+        base, deg, sdeg = base_section(ctx, 1, shift=1), 3, 2
+        weight_rule = _weight_rule(base, base_section(ctx, 1), lattice)
+    else:
+        ctx = DeltaContext(F, G, 1)
+        base, deg, sdeg = ctx.generator(), 4, 0
+        graded = [w + (poly_weight(F, w) - poly_weight(G, w),) for w in lattice]
+
+        def weight_rule(exps):
+            v_filtered = operator_weight((0, 0, -1), exps) <= -1
+            return v_filtered and all(operator_weight(w, exps) == 0 for w in graded)
+
+    full = list(operator_columns(base, deg, sdeg))
+    chosen = set(random.Random(module).sample([key for key, _ in full], 12))
+    section_type = type(base)
+    calls = Counter()
+    times, derivative = section_type.times, _Section.derivative
+
+    def counted_times(self, *args):
+        calls["times"] += 1
+        return times(self, *args)
+
+    def counted_derivative(self, var):
+        calls["derivative"] += 1
+        return derivative(self, var)
+
+    monkeypatch.setattr(section_type, "times", counted_times)
+    monkeypatch.setattr(_Section, "derivative", counted_derivative)
+    n = len(ctx.sig.pairs)
+    for keep in (weight_rule, chosen.__contains__, lambda exps: False):
+        calls.clear()
+        got = list(operator_columns(base, deg, sdeg, keep))
+        assert got == [(key, sec) for key, sec in full if keep(key)]
+        assert calls["times"] == len(got) < len(full)
+        built = set().union(*(tower_chain(key[-n:]) for key, _ in got))
+        assert calls["derivative"] == len(built)
+
+
 def combination(columns, values):
     total = None
     for col, c in zip(columns, values):
@@ -343,17 +399,25 @@ class TestSolve:
 
     @pytest.mark.parametrize("pair", QUASI_HOMOGENEOUS)
     def test_weight_pruning_keeps_solvability(self, pair):
+        # the columns the oracle's weight rule builds solve what all do,
+        # as the reference solves all and drops the wrong weights after
         F, G = poly(pair[0], XY), poly(pair[1], XY)
         ctx = MeroContext(F, G)
         lattice = weight_lattice(F, G)
         assert lattice
+        base = base_section(ctx, 1, shift=1)
         columns = equation_columns(ctx, 1, 3)
         for roots in B_CANDIDATES:
             rhs = base_section(ctx, 1).scaled(b_of(roots).poly.extend_to(ctx.ring))
-            pruned, full = solve(rhs, columns, lattice), solve(rhs, columns)
+            keep = _weight_rule(base, rhs, lattice)
+            built = [sec for _, sec in operator_columns(base, 3, 3, keep)]
+            assert len(built) < len(columns)
+            pruned, full = solve(rhs, built), solve(rhs, columns)
             assert (pruned is None) == (full is None), roots
+            mask = [keep(key) for key, _ in operator_columns(base, 3, 3)]
+            assert_same_values(spread(pruned, mask), reference_solve(rhs, columns, lattice))
             if pruned is not None:
-                assert combination(columns, pruned).section_eq(rhs)
+                assert combination(built, pruned).section_eq(rhs)
 
 
 class TestOracle:
@@ -421,17 +485,18 @@ def reference_minimize(b, F, G, m, N, deg):
     if b.roots is None or b.degree() <= 1:
         return b
     ctx = MeroContext(*unify(F, G))
-    columns = [
-        sec
-        for k in range(1, N + 1)
-        for _, sec in operator_columns(base_section(ctx, m, shift=k), deg, deg)
-    ]
     lattice = weight_lattice(ctx.F, ctx.G)
+    v0 = base_section(ctx, m)
+    columns = []
+    for k in range(1, N + 1):
+        target = base_section(ctx, m, shift=k)
+        keep = _weight_rule(target, v0, lattice)
+        columns += [sec for _, sec in operator_columns(target, deg, deg, keep)]
     s = MultiPoly.var((S_VAR,), S_VAR)
 
     def passes(cand):
-        lhs = base_section(ctx, m).scaled(cand.poly.extend_to(ctx.ring))
-        return solve(lhs, columns, lattice) is not None
+        lhs = v0.scaled(cand.poly.extend_to(ctx.ring))
+        return solve(lhs, columns) is not None
 
     while b.degree() > 1:
         for root, _ in b.sorted_roots():
@@ -535,50 +600,88 @@ def assert_same_values(got, want):
             assert type(g) is type(w)
 
 
+def spread(values, mask):
+    """values on the columns kept by mask, with 0 on the others."""
+    if values is None:
+        return None
+    rest = iter(values)
+    return [next(rest) if kept else 0 for kept in mask]
+
+
 def laurent_case(pair, seed):
     """Powers s^i f^s/G^m, equation columns for N = 1 or 2 (some scaled by
-    a random polynomial, so that their numerators are not w-homogeneous)
-    and the pair's weight lattice."""
+    a random polynomial, so that their numerators are not w-homogeneous),
+    the pair's weight lattice, and `pruned`: for an rhs, the columns kept
+    against its weight and their mask.  An equation column is kept when
+    the oracle's weight rule builds it, and a scaled one by its section
+    weight, as it comes from no operator."""
     rng = random.Random(f"{pair}/{seed}")
     F, G = poly(pair[0], XY), poly(pair[1], XY)
     ctx = MeroContext(F, G)
     m = rng.randint(0, 2)
     v0 = base_section(ctx, m)
     powers = [v0.scaled(ctx.s ** i) for i in range(4)]
-    columns = [
-        sec
+    bases = [
+        (base_section(ctx, m, shift=k), rng.randint(1, 2))
         for k in range(1, rng.randint(1, 2) + 1)
-        for _, sec in operator_columns(base_section(ctx, m, shift=k), 2, rng.randint(1, 2))
     ]
-    for i in rng.sample(range(len(columns)), 3):
+    labelled = [
+        ((r, key), sec)
+        for r, (base, sdeg) in enumerate(bases)
+        for key, sec in operator_columns(base, 2, sdeg)
+    ]
+    columns = [sec for _, sec in labelled]
+    scaled = rng.sample(range(len(columns)), 3)
+    for i in scaled:
         columns[i] = columns[i].scaled(random_poly(rng, ctx.ring))
-    return rng, ctx, powers, columns, weight_lattice(F, G)
+    lattice = weight_lattice(F, G)
+
+    def pruned(rhs):
+        kept = {
+            (r, key): sec
+            for r, (base, sdeg) in enumerate(bases)
+            for key, sec in operator_columns(base, 2, sdeg, _weight_rule(base, rhs, lattice))
+        }
+        built = [kept.get(label) for label, _ in labelled]
+        target = [rhs.weight(w) for w in lattice]
+        for i in scaled:
+            weights = [columns[i].weight(w) for w in lattice]
+            of_target = all(t is None or cw in (None, t) for cw, t in zip(weights, target))
+            built[i] = columns[i] if of_target else None
+        return [sec for sec in built if sec is not None], [sec is not None for sec in built]
+
+    return rng, ctx, powers, columns, lattice, pruned
 
 
 @pytest.mark.parametrize("pair", LAURENT_PAIRS, ids="/".join)
 def test_laurent_least_monic_matches_imaging_per_degree(pair):
+    # with the lattice, least_monic runs on the columns built for the
+    # powers' weight, the reference on all of them
     for seed in range(2):
-        rng, ctx, powers, columns, lattice = laurent_case(pair, seed)
+        rng, ctx, powers, columns, lattice, pruned = laurent_case(pair, seed)
         for lat in (lattice, ()):
             min_deg = rng.randint(0, 2)
-            got = least_monic(powers, columns, lat, min_deg)
+            built, mask = pruned(powers[0]) if lat else (columns, [True] * len(columns))
+            got = least_monic(powers, built, min_deg)
             want = reference_least_monic(powers, columns, lat, min_deg)
             assert (got is None) == (want is None), (pair, seed, lat)
             if got is not None:
                 assert_same_values(got[0], want[0])
-                assert_same_values(got[1], want[1])
+                assert_same_values(spread(got[1], mask), want[1])
 
 
 @pytest.mark.parametrize("pair", LAURENT_PAIRS, ids="/".join)
 def test_laurent_solve_matches_imaging_all(pair):
-    rng, ctx, powers, columns, lattice = laurent_case(pair, 7)
+    rng, ctx, powers, columns, lattice, pruned = laurent_case(pair, 7)
     for _ in range(3):
         picked = rng.sample(columns, 4)
         rhs = combination(picked, [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in picked])
         if rng.random() < 0.5:
             rhs = rhs + powers[rng.randint(0, 3)]
-        for lat in (lattice, ()):
-            assert_same_values(solve(rhs, columns, lat), reference_solve(rhs, columns, lat))
+        built, mask = pruned(rhs)
+        want = reference_solve(rhs, columns, lattice)
+        assert_same_values(spread(solve(rhs, built), mask), want)
+        assert_same_values(solve(rhs, columns), reference_solve(rhs, columns))
 
 
 def engine_system(sigma, pdeg, vdeg):
@@ -715,11 +818,11 @@ def test_section_weight_is_image_weight_less_denominator(pair):
                 weight = sec.weight(w)
                 for extra in ((0, 0), (1, 0), (0, 2), (rng.randint(1, 3), rng.randint(1, 3))):
                     pows = tuple(map(sum, zip(sec.pows, extra)))
-                    image_w = _weight(sec.cleared_numerator(pows), w)
+                    image_w = poly_weight(sec.cleared_numerator(pows), w)
                     if image_w is None:
                         assert weight is None
                         continue
-                    shift = sum(p * _weight(f, w) for p, f in zip(pows, ctx.factors))
+                    shift = sum(p * poly_weight(f, w) for p, f in zip(pows, ctx.factors))
                     assert weight == image_w - shift
                     homogeneous += 1
         assert homogeneous
@@ -727,16 +830,18 @@ def test_section_weight_is_image_weight_less_denominator(pair):
 
 @pytest.mark.parametrize("pair", MONOMIAL_PAIRS + [("x^2+y^2", "x"), ("x", "y+1")], ids="/".join)
 def test_columns_of_weight_are_those_solve_keeps(pair):
+    # the columns the oracle's weight rule builds, read off operators, are
+    # those of the rhs's section weight (or of none)
     ctx = MeroContext(poly(pair[0], XY), poly(pair[1], XY))
     lattice = weight_lattice(ctx.F, ctx.G)
     base = base_section(ctx, 1, shift=1)
-    rhs = base_section(ctx, 1)
     columns = list(operator_columns(base, 3, 2))
-    for target in ([rhs.weight(w) for w in lattice], [None] * len(lattice)):
+    for rhs in (base_section(ctx, 1), base_section(ctx, 1).scaled(poly("x+y+1", ctx.ring))):
+        target = [rhs.weight(w) for w in lattice]
         want = [
             (key, sec)
             for key, sec in columns
             if all(t is None or sec.weight(w) in (None, t) for w, t in zip(lattice, target))
         ]
-        assert list(columns_of_weight(base, 3, 2, lattice, target)) == want
-        assert len(want) < len(columns) or not any(t is not None for t in target)
+        assert list(operator_columns(base, 3, 2, _weight_rule(base, rhs, lattice))) == want
+        assert len(want) < len(columns) or target == [None] * len(lattice)
