@@ -76,6 +76,16 @@ def _load_charts(path: str) -> List[NCChart]:
         raise UsageError(f"malformed chart file {path}: {exc}") from exc
 
 
+def _single_chart(path: str) -> NCChart:
+    """The one chart of a chart file; jumping numbers need exactly one."""
+    charts = _load_charts(path)
+    if len(charts) != 1:
+        raise UsageError(
+            f"jumping numbers work on a single identity-resolution chart; {path} has {len(charts)}"
+        )
+    return charts[0]
+
+
 def _parse(text: str, variables=None) -> MultiPoly:
     try:
         return parse_poly(text, variables)
@@ -199,11 +209,9 @@ def _run_nc(args):
 
 
 def _run_jump(args):
-    charts = _load_charts(args.charts)
-    if len(charts) != 1:
-        raise UsageError("jump nc works on a single identity-resolution chart")
+    chart = _single_chart(args.charts)
     upper = parse_ratio(args.upper) if args.upper is not None else None
-    report = jumping_numbers_nc(charts[0], upper)
+    report = jumping_numbers_nc(chart, upper)
     inputs = {"charts": args.charts}
     if args.upper is not None:
         inputs["upper"] = format_ratio(parse_ratio(args.upper))
@@ -252,9 +260,7 @@ def _run_check_thm41(args):
 
 def _run_check_corjump(args):
     F, G = _parse_pair(args)
-    chart = (
-        _load_charts(args.charts)[0] if args.charts else _monomial_chart(F, G)
-    )
+    chart = _single_chart(args.charts) if args.charts else _monomial_chart(F, G)
     upper = parse_ratio(args.upper) if args.upper is not None else None
     report = jumping_numbers_nc(chart, upper)
     res = b_mero(F, G, 0)

@@ -18,6 +18,7 @@ its polar numerator is).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -47,7 +48,6 @@ from .sections import (
     images,
     least_monic,
     operator_columns,
-    operator_weight,
     poly_weight,
 )
 from .vfiltration import b_polynomial_theta, theta_reduce
@@ -87,7 +87,7 @@ def _seed_generators(ctx: DeltaContext) -> List[WeylElement]:
 def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     """All operators of total degree <= deg killing sigma_m in the quotient,
     as a nullspace over the operator monomials."""
-    columns = sorted(operator_columns(ctx.generator(), deg, 0))
+    columns = sorted(operator_columns(ctx.generator(), deg))
     rows, _ = linalg.identity_system(
         [image.terms for image in images([sec for _, sec in columns])]
     )
@@ -135,10 +135,12 @@ def b_section_along_t(
     multiple of the true b-polynomial of the section, since such p form an
     ideal of Q[theta].
 
-    Only witness operators of w-weight 0 are built, for each w making F
-    and G homogeneous, with t weighted w(F) - w(G) so that tG - F is too:
-    the module is then graded, and theta^k sigma_m has sigma_m's weight.
-    p is the unique least monic relation, so this cannot change it.
+    The witness operators x^alpha d^beta (x and t together) are chosen by
+    their shift delta = alpha - beta alone: delta_t >= 1 puts them in
+    V_{-1}, and w.delta = 0 for each w making F and G homogeneous, with t
+    weighted w(F) - w(G) so that tG - F is too: the module is then graded,
+    and theta^k sigma_m has sigma_m's weight.  p is the unique least monic
+    relation, so this cannot change it.
     """
     sig = ctx.sig
     sigma = ctx.generator()
@@ -146,18 +148,15 @@ def b_section_along_t(
     theta_secs = [sigma]
     for _ in range(max_pdeg):
         theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
-    t_weight = (0,) * len(ctx.xvars) + (-1,)
     lattice = [
         w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in weight_lattice(ctx.F, ctx.G)
     ]
 
-    def keep(exps):
-        if operator_weight(t_weight, exps) > -1:
-            return False
-        return all(operator_weight(w, exps) == 0 for w in lattice)
+    def keep(delta):
+        return delta[-1] >= 1 and all(sum(map(mul, w, delta)) == 0 for w in lattice)
 
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
-        vcols = [sec for _, sec in operator_columns(sigma, step, 0, keep)]
+        vcols = [sec for _, sec in operator_columns(sigma, step, keep)]
         found = least_monic(theta_secs, vcols)
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})

@@ -10,6 +10,7 @@ inequality; no numeric epsilon appears anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
@@ -68,13 +69,6 @@ class JumpReport:
         }
 
 
-def _threshold(alpha: Q, c: int) -> int:
-    # least integer u with u > alpha*c - 1
-    bound = alpha * Q(c) - 1
-    n, d = int(bound.numerator), int(bound.denominator)
-    return n // d + 1
-
-
 def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
     """Multiplier ideal at level alpha in one identity-resolution chart."""
     if any(chart.kappa):
@@ -87,7 +81,8 @@ def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
     gen = []
     for ai, bi in zip(chart.a, chart.b):
         c = ai - bi
-        gen.append(_threshold(alpha, c) if c > 0 else 0)
+        # the least integer u with u > alpha*c - 1
+        gen.append(math.floor(alpha * c) if c > 0 else 0)
     return MonomialIdeal.from_generators(len(chart.a), [tuple(gen)])
 
 

@@ -9,6 +9,7 @@ B = K - Z_{>=0} and the monodromy eigenvalue classes are closed-form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -78,13 +79,8 @@ def eigenvalue_classes(roots: Iterable[Q]) -> Set[Q]:
     """Fractional parts in [0, 1); each class alpha stands for exp(2*pi*i*alpha)."""
     out: Set[Q] = set()
     for r in roots:
-        out.add(r - Q(_floor(r)))
+        out.add(r - math.floor(r))
     return out
-
-
-def _floor(r) -> int:
-    n, d = int(r.numerator), int(r.denominator)
-    return n // d
 
 
 def check_lemma4(

@@ -17,9 +17,10 @@ one-term variant and the reduced equation, which differ only in their
 target sections.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
-blocks, and only the block of the target's weight is solved.  A column's
-weight is its target's plus its operator's (`sections.operator_weight`),
-so each column of another weight is discarded before it is built, and
+blocks, and only the block of the target's weight is solved.  A column
+x^alpha s^j d^beta target has its target's weight plus w.(alpha - beta),
+so `_weight_rule` keeps the shifts alpha - beta with w.(alpha - beta) =
+w(rhs) - w(target) for each w, and no column of another shift is built;
 b(s) v0 has v0's weight at every degree of b.  This preserves
 solvability in both directions because every column is
 weight-homogeneous in x.  The kept columns are imaged once per common
@@ -28,6 +29,7 @@ denominator, however many degrees of b are tried.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -42,7 +44,6 @@ from .sections import (
     base_section,
     least_monic,
     operator_columns,
-    operator_weight,
     solve,
 )
 from .weyl import Exponent, WeylElement
@@ -89,20 +90,21 @@ def _columns(
     columns = []
     for r, target in targets.items():
         keep = _weight_rule(target, rhs, lattice)
-        columns += [((r, key), sec) for key, sec in operator_columns(target, deg, deg, keep)]
+        columns += [((r, key), sec) for key, sec in operator_columns(target, deg, keep)]
     return columns
 
 
 def _weight_rule(base: LaurentSection, rhs: LaurentSection, lattice: Sequence):
-    """Test on an operator key: has the column it builds on base the
-    w-weight of rhs, for each w in the lattice?  Its weight is base's plus
-    the operator's; a weight of None, of base or of rhs, prunes nothing."""
+    """Test on an operator's shift delta = alpha - beta: has the column
+    it builds on base the w-weight of rhs, for each w in the lattice?  Its
+    weight is base's plus w.delta; a weight of None, of base or of rhs,
+    prunes nothing."""
     wanted = []
     for w in lattice:
         own, weight = base.weight(w), rhs.weight(w)
         if own is not None and weight is not None:
             wanted.append((w, weight - own))
-    return lambda exps: all(operator_weight(w, exps) == rest for w, rest in wanted)
+    return lambda delta: all(sum(map(mul, w, delta)) == rest for w, rest in wanted)
 
 
 def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElement]:
@@ -212,7 +214,7 @@ def prefactored_witness(
     # a column times pre has the weight of one built on target * pre
     keep = _weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
     columns = [
-        ((1, key), sec.scaled(pre)) for key, sec in operator_columns(target, deg, deg, keep)
+        ((1, key), sec.scaled(pre)) for key, sec in operator_columns(target, deg, keep)
     ]
     values = solve(lhs, [sec for _, sec in columns])
     if values is None:

@@ -39,19 +39,20 @@ numerators over one common denominator.  On top of that:
 
 Imaging is the costly step, so `least_monic` images each column, the
 power columns included, once per common denominator for all the degrees
-it tries.  Which columns there are is decided before any is built: the
-caller's `keep` test runs on each operator's exponent tuple.  When the
-factors are w-homogeneous, x^alpha c^j d^beta adds `operator_weight` =
-w.alpha - w.beta to a section's weight, which does not depend on the
-denominator; sections of different weights have images with no monomial
-in common, so callers keep only the operators of the weight they need.
+it tries.  Which columns there are is decided before any is built, by the
+caller's `keep` test on the operator's shift delta = alpha - beta over the
+coordinates that carry a derivation.  When the factors are w-homogeneous,
+x^alpha c^j d^beta adds w.delta to a section's weight, which does not
+depend on the denominator; sections of different weights have images with
+no monomial in common, so callers keep only the shifts of the weight they
+need, and `operator_columns` builds no column of another shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from operator import mul
+from operator import add
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -301,39 +302,26 @@ def apply_delta_operator(P: WeylElement, v: DeltaSection) -> DeltaSection:
     return _apply(P, v)
 
 
-def _compositions(k: int, total: int) -> Iterator[Tuple[int, ...]]:
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(k - 1, total - head):
-            yield (head,) + rest
-
-
-def operator_weight(w: Sequence, exps: Exponent):
-    """w.alpha - w.beta, the weight of x^alpha c^j d^beta (exps in
-    signature order) for w over the coordinates that carry a derivation."""
-    n = len(w)
-    return sum(map(mul, w, exps[:n])) - sum(map(mul, w, exps[len(exps) - n:]))
-
-
 def operator_columns(
-    base, deg: int, sdeg: int, keep: Optional[Callable[[Exponent], bool]] = None
+    base, deg: int, keep: Optional[Callable[[Tuple[int, ...]], bool]] = None
 ) -> Iterator[Tuple[Exponent, object]]:
     """Sections (x^alpha c^j d^beta) base, keyed by the operator's exponent
     tuple in signature order: |alpha| + |beta| <= deg over the coordinates
-    that carry a derivation, exponent <= sdeg on each central coordinate c;
-    when keep is given, only those whose key passes it.
+    that carry a derivation, exponent <= deg on each central coordinate c;
+    when keep is given, only those whose shift alpha - beta passes it.
 
-    keep runs on the key before the column is built.  Each derivative
-    d^beta base is built the first time a kept column needs it, one
-    derivation above an earlier one in a tower, and x^alpha c^j acts on it
-    through `times`; the order is by beta, then |alpha|, alpha, j.
+    keep runs once on each shift, before any column is built.  Each
+    derivative d^beta base is built the first time a kept column needs it,
+    one derivation above an earlier one in a tower, and x^alpha c^j acts on
+    it through `times`; the order is by beta, then |alpha|, alpha, j.
     """
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
-    central = list(product(range(sdeg + 1), repeat=len(sig.coords) - n))
+    central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
+    shifts = [d for d in product(range(-deg, deg + 1), repeat=n) if sum(map(abs, d)) <= deg]
+    if keep is not None:
+        shifts = [d for d in shifts if keep(d)]
     tower = {(0,) * n: base}
 
     def derivative(beta):
@@ -343,13 +331,13 @@ def operator_columns(
             tower[beta] = derivative(prev).derivative(paired[i])
         return tower[beta]
 
-    for beta in sorted(beta for d in range(deg + 1) for beta in _compositions(n, d)):
-        for da in range(deg - sum(beta) + 1):
-            for alpha in _compositions(n, da):
-                for j in central:
-                    exps = alpha + j + beta
-                    if keep is None or keep(exps):
-                        yield exps, derivative(beta).times(alpha + j, ONE)
+    for beta in product(range(deg + 1), repeat=n):
+        room = deg - sum(beta)
+        alphas = [tuple(map(add, beta, d)) for d in shifts]
+        alphas = [a for a in alphas if min(a) >= 0 and sum(a) <= room]
+        for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
+            for j in central:
+                yield alpha + j + beta, derivative(beta).times(alpha + j, ONE)
 
 
 # -- sections to a linear system -------------------------------------------

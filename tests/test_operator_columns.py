@@ -7,20 +7,28 @@ whose exponent tuple passes a rule.  `sections.operator_columns` must give
 the same (key, section) list, order included, under the rule of each of
 its callers: the oracle's weight rule, `prefactored_witness`'s rule with
 the G^2 prefactor, the engine's rule at each step of its schedule, and no
-rule at all.
+rule at all.  A rule sees only the operator's shift alpha - beta, so the
+builder tests each shift once per call.
 """
 
+from collections import Counter
 from itertools import product
 from operator import mul
 
 import pytest
 
-from mbfun import merobf, oracle
+from mbfun import merobf, oracle, sections
 from mbfun.bfunction import BFunction
 from mbfun.errors import NotSpecializableError
 from mbfun.oracle import _columns, prefactored_witness, weight_lattice
 from mbfun.rationals import ONE, Q
-from mbfun.sections import DeltaContext, MeroContext, base_section, poly_weight
+from mbfun.sections import (
+    DeltaContext,
+    MeroContext,
+    base_section,
+    operator_columns,
+    poly_weight,
+)
 from test_merobf import BATTERY, GRADED_PINS, pair
 
 # pairs that no weight w != 0 makes jointly quasi-homogeneous
@@ -155,20 +163,43 @@ def test_engine_rule_builds_the_reference_columns(ftext, gtext, m, monkeypatch):
         assert got == list(reference_operator_columns(sigma, deg, keep))
 
 
-def build_all(base, deg):
-    """The builder with no rule, each central exponent <= deg."""
-    from mbfun.sections import operator_columns
-    import inspect
-
-    if "sdeg" in inspect.signature(operator_columns).parameters:
-        return list(operator_columns(base, deg, deg))
-    return list(operator_columns(base, deg))
-
-
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
 def test_builder_without_a_rule_builds_every_column(ftext, gtext, m):
     F, G = pair(ftext, gtext)
     laurent = base_section(MeroContext(F, G), m, shift=1)
     sigma = DeltaContext(F, G, m).generator()
     for base, deg in ((laurent, 2), (sigma, 3)):
-        assert build_all(base, deg) == list(reference_operator_columns(base, deg))
+        assert list(operator_columns(base, deg)) == list(reference_operator_columns(base, deg))
+
+
+def counted_builder(monkeypatch, counts):
+    """Make oracle and merobf build through a wrapper that counts keep
+    calls and built columns, and fails on a shift tested twice in one
+    call."""
+
+    def counted(base, deg, keep=None):
+        seen = set()
+
+        def counted_keep(delta):
+            assert delta not in seen, f"shift {delta} tested twice"
+            seen.add(delta)
+            counts["keep"] += 1
+            return keep(delta)
+
+        for item in sections.operator_columns(base, deg, None if keep is None else counted_keep):
+            counts["columns"] += 1
+            yield item
+
+    for module in (oracle, merobf):
+        monkeypatch.setattr(module, "operator_columns", counted)
+
+
+def test_battery_tests_each_shift_once(monkeypatch):
+    # a builder that ran keep on every operator's exponent tuple made
+    # 95,973 keep calls for these 555 columns
+    counts = Counter()
+    counted_builder(monkeypatch, counts)
+    for ftext, gtext, m in BATTERY:
+        merobf.b_mero(*pair(ftext, gtext), m)
+    assert counts["keep"] <= 13_809
+    assert counts["columns"] == 555

@@ -165,6 +165,19 @@ class TestCLI:
         assert main(["check", "corjump", "x^2+y^3", "x", "--charts", str(path)]) == 2
         assert "kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["jump", "nc"], ["check", "corjump", "x^3", "y^2"]])
+    def test_jumps_refuse_two_charts(self, tmp_path, capsys, argv):
+        # jumping numbers read one identity chart; a second is refused,
+        # not ignored
+        path = tmp_path / "charts.json"
+        path.write_text(
+            '{"charts":[{"label":"p","a":[3,0],"b":[0,2],"kappa":[0,0]},'
+            '{"label":"q","a":[2,0],"b":[0,1],"kappa":[0,0]}]}'
+        )
+        assert main(argv + ["--charts", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "single identity-resolution chart" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["bf", "classic", "x^(-1)"]) == 2
         assert main(["nc", "roots", "--charts", "/no/such/file.json"]) == 2

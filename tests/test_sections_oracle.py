@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,6 @@ from mbfun.sections import (
     base_section,
     least_monic,
     operator_columns,
-    operator_weight,
     poly_weight,
     solve,
 )
@@ -266,12 +266,12 @@ class TestSections:
     def test_operator_columns_match_applied_monomials(self):
         ctx = DeltaContext(poly("x*y", XY), poly("x+y", XY), 1)
         sigma = ctx.generator()
-        columns = dict(operator_columns(sigma, 2, 0))
+        columns = dict(operator_columns(sigma, 2))
         assert len(columns) == 28   # monomials of degree <= 2 in 6 generators
         for exps, sec in columns.items():
             assert sec == apply_delta_operator(WeylElement(ctx.sig, {exps: Q(1)}), sigma)
         mero = MeroContext(poly("x^2", XY), poly("y", XY))
-        keys = [key for key, _ in operator_columns(base_section(mero, 1), 1, 1)]
+        keys = [key for key, _ in operator_columns(base_section(mero, 1), 1)]
         assert keys == [
             (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0),
             (0, 1, 1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 1, 0, 0),
@@ -289,6 +289,23 @@ def tower_chain(beta):
     return chain
 
 
+def shift(key):
+    """alpha - beta of an operator key alpha + (j,) + beta or alpha + beta,
+    over the coordinates that carry a derivation."""
+    n = len(key) // 2
+    return tuple(a - b for a, b in zip(key[:n], key[len(key) - n:]))
+
+
+def columns_within(base, deg, max_j, keep=None):
+    """operator_columns with each central exponent <= max_j."""
+    n = len(base.ctx.sig.pairs)
+    return [
+        (key, sec)
+        for key, sec in operator_columns(base, deg, keep)
+        if all(j <= max_j for j in key[n:len(key) - n])
+    ]
+
+
 @pytest.mark.parametrize("module", ["laurent", "delta"])
 def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     # one times call per kept column, and derivatives only toward the
@@ -297,19 +314,20 @@ def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     lattice = weight_lattice(F, G)
     if module == "laurent":
         ctx = MeroContext(F, G)
-        base, deg, sdeg = base_section(ctx, 1, shift=1), 3, 2
+        base, deg = base_section(ctx, 1, shift=1), 3
         weight_rule = _weight_rule(base, base_section(ctx, 1), lattice)
     else:
         ctx = DeltaContext(F, G, 1)
-        base, deg, sdeg = ctx.generator(), 4, 0
+        base, deg = ctx.generator(), 4
         graded = [w + (poly_weight(F, w) - poly_weight(G, w),) for w in lattice]
 
-        def weight_rule(exps):
-            v_filtered = operator_weight((0, 0, -1), exps) <= -1
-            return v_filtered and all(operator_weight(w, exps) == 0 for w in graded)
+        def weight_rule(delta):
+            v_filtered = delta[-1] >= 1
+            return v_filtered and all(sum(map(mul, w, delta)) == 0 for w in graded)
 
-    full = list(operator_columns(base, deg, sdeg))
-    chosen = set(random.Random(module).sample([key for key, _ in full], 12))
+    full = list(operator_columns(base, deg))
+    shifts = sorted({shift(key) for key, _ in full})
+    chosen = set(random.Random(module).sample(shifts, 12))
     section_type = type(base)
     calls = Counter()
     times, derivative = section_type.times, _Section.derivative
@@ -325,10 +343,10 @@ def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     monkeypatch.setattr(section_type, "times", counted_times)
     monkeypatch.setattr(_Section, "derivative", counted_derivative)
     n = len(ctx.sig.pairs)
-    for keep in (weight_rule, chosen.__contains__, lambda exps: False):
+    for keep in (weight_rule, chosen.__contains__, lambda delta: False):
         calls.clear()
-        got = list(operator_columns(base, deg, sdeg, keep))
-        assert got == [(key, sec) for key, sec in full if keep(key)]
+        got = list(operator_columns(base, deg, keep))
+        assert got == [(key, sec) for key, sec in full if keep(shift(key))]
         assert calls["times"] == len(got) < len(full)
         built = set().union(*(tower_chain(key[-n:]) for key, _ in got))
         assert calls["derivative"] == len(built)
@@ -343,7 +361,7 @@ def combination(columns, values):
 
 
 def equation_columns(ctx, m, deg):
-    return [sec for _, sec in operator_columns(base_section(ctx, m, shift=1), deg, deg)]
+    return [sec for _, sec in operator_columns(base_section(ctx, m, shift=1), deg)]
 
 
 QUASI_HOMOGENEOUS = [("x^2", "1"), ("x^2", "y"), ("x^3", "y^2"), ("x^2+y^3", "1"), ("x^2+y^2", "x")]
@@ -369,7 +387,7 @@ class TestSolve:
 
     def test_delta_solution_reapplies_mod_holomorphic(self):
         ctx = DeltaContext(poly("x^3", XY), poly("y^2", XY), 1)
-        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2, 0))]
+        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2))]
         rhs = combination(columns[3:6], [Q(2), Q(-1), Q(1, 3)])
         values = solve(rhs, columns)
         assert values is not None
@@ -386,7 +404,7 @@ class TestSolve:
             powers.append(apply_delta_operator(theta, powers[-1]))
         t, dt = sig.index("t"), sig.index("dt")
         columns = [
-            sec for exps, sec in sorted(operator_columns(sigma, 4, 0))
+            sec for exps, sec in sorted(operator_columns(sigma, 4))
             if exps[dt] - exps[t] <= -1
         ]
         coeffs, q = least_monic(powers, columns)
@@ -410,11 +428,11 @@ class TestSolve:
         for roots in B_CANDIDATES:
             rhs = base_section(ctx, 1).scaled(b_of(roots).poly.extend_to(ctx.ring))
             keep = _weight_rule(base, rhs, lattice)
-            built = [sec for _, sec in operator_columns(base, 3, 3, keep)]
+            built = [sec for _, sec in operator_columns(base, 3, keep)]
             assert len(built) < len(columns)
             pruned, full = solve(rhs, built), solve(rhs, columns)
             assert (pruned is None) == (full is None), roots
-            mask = [keep(key) for key, _ in operator_columns(base, 3, 3)]
+            mask = [keep(shift(key)) for key, _ in operator_columns(base, 3)]
             assert_same_values(spread(pruned, mask), reference_solve(rhs, columns, lattice))
             if pruned is not None:
                 assert combination(built, pruned).section_eq(rhs)
@@ -491,7 +509,7 @@ def reference_minimize(b, F, G, m, N, deg):
     for k in range(1, N + 1):
         target = base_section(ctx, m, shift=k)
         keep = _weight_rule(target, v0, lattice)
-        columns += [sec for _, sec in operator_columns(target, deg, deg, keep)]
+        columns += [sec for _, sec in operator_columns(target, deg, keep)]
     s = MultiPoly.var((S_VAR,), S_VAR)
 
     def passes(cand):
@@ -627,8 +645,8 @@ def laurent_case(pair, seed):
     ]
     labelled = [
         ((r, key), sec)
-        for r, (base, sdeg) in enumerate(bases)
-        for key, sec in operator_columns(base, 2, sdeg)
+        for r, (base, max_j) in enumerate(bases)
+        for key, sec in columns_within(base, 2, max_j)
     ]
     columns = [sec for _, sec in labelled]
     scaled = rng.sample(range(len(columns)), 3)
@@ -639,8 +657,8 @@ def laurent_case(pair, seed):
     def pruned(rhs):
         kept = {
             (r, key): sec
-            for r, (base, sdeg) in enumerate(bases)
-            for key, sec in operator_columns(base, 2, sdeg, _weight_rule(base, rhs, lattice))
+            for r, (base, max_j) in enumerate(bases)
+            for key, sec in columns_within(base, 2, max_j, _weight_rule(base, rhs, lattice))
         }
         built = [kept.get(label) for label, _ in labelled]
         target = [rhs.weight(w) for w in lattice]
@@ -694,7 +712,7 @@ def engine_system(sigma, pdeg, vdeg):
         powers.append(apply_delta_operator(theta, powers[-1]))
     t, dt = sig.index("t"), sig.index("dt")
     columns = [
-        sec for exps, sec in sorted(operator_columns(sigma, vdeg, 0))
+        sec for exps, sec in sorted(operator_columns(sigma, vdeg))
         if exps[dt] - exps[t] <= -1
     ]
     return powers, columns
@@ -772,10 +790,10 @@ def test_least_monic_reimages_when_the_denominator_grows(module):
     F, G = poly("x*y", XY), poly("x+y", XY)
     if module == "laurent":
         ctx = MeroContext(F, G)
-        columns = [sec for _, sec in operator_columns(base_section(ctx, 1, shift=1), 2, 1)]
+        columns = [sec for _, sec in columns_within(base_section(ctx, 1, shift=1), 2, 1)]
     else:
         ctx = DeltaContext(F, G, 1)
-        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2, 0))]
+        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2))]
     first = columns[-1].scaled(random_poly(rng, ctx.ring))
     picked = rng.sample(columns, 3)
     second = combination([first] + picked, [Q(-2, 3)] + [Q(rng.randint(1, 3)) for _ in picked])
@@ -801,7 +819,7 @@ def seeded_sections(pair, seed):
     rng = random.Random(f"{pair}/{seed}")
     ctx = MeroContext(poly(pair[0], XY), poly(pair[1], XY))
     base = base_section(ctx, rng.randint(0, 2), shift=rng.randint(0, 2))
-    sections = [sec for _, sec in operator_columns(base, 2, 1)]
+    sections = [sec for _, sec in columns_within(base, 2, 1)]
     sections += [sec.scaled(random_poly(rng, ctx.ring)) for sec in rng.sample(sections, 6)]
     return rng, ctx, sections
 
@@ -835,7 +853,7 @@ def test_columns_of_weight_are_those_solve_keeps(pair):
     ctx = MeroContext(poly(pair[0], XY), poly(pair[1], XY))
     lattice = weight_lattice(ctx.F, ctx.G)
     base = base_section(ctx, 1, shift=1)
-    columns = list(operator_columns(base, 3, 2))
+    columns = columns_within(base, 3, 2)
     for rhs in (base_section(ctx, 1), base_section(ctx, 1).scaled(poly("x+y+1", ctx.ring))):
         target = [rhs.weight(w) for w in lattice]
         want = [
@@ -843,5 +861,5 @@ def test_columns_of_weight_are_those_solve_keeps(pair):
             for key, sec in columns
             if all(t is None or sec.weight(w) in (None, t) for w, t in zip(lattice, target))
         ]
-        assert list(operator_columns(base, 3, 2, _weight_rule(base, rhs, lattice))) == want
+        assert columns_within(base, 3, 2, _weight_rule(base, rhs, lattice)) == want
         assert len(want) < len(columns) or target == [None] * len(lattice)
