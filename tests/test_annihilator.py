@@ -83,3 +83,104 @@ def test_sabbah_line_is_multiple_of_mero_b():
 def test_sabbah_requires_coprime_inputs():
     with pytest.raises(ValueError):
         sabbah_line(parse_poly("x"), parse_poly("x"), 0)
+
+
+# Pins of the Buchberger side: the cli-classic items, a few classics, and
+# twelve random F in x, y (1-3 terms, exponents <= 2, coefficients in
+# {1, -1, 2}, drawn once with a fixed seed)
+CLASSICAL_PINS = [
+    ("x^2", "(s + 1)*(s + 1/2)"),
+    ("x^2*y", "(s + 1)^2*(s + 1/2)"),
+    ("x^2*y^3", "(s + 1)^2*(s + 2/3)*(s + 1/2)*(s + 1/3)"),
+    ("x^2+y^3", "(s + 7/6)*(s + 1)*(s + 5/6)"),
+    ("x^3+y^3", "(s + 4/3)*(s + 1)^2*(s + 2/3)"),
+    ("x^2+y^4", "(s + 5/4)*(s + 1)^2*(s + 3/4)"),
+    ("x^3+y^4", "(s + 17/12)*(s + 7/6)*(s + 13/12)*(s + 1)*(s + 11/12)*(s + 5/6)*(s + 7/12)"),
+    ("x^2+y^2+z^2", "(s + 3/2)*(s + 1)"),
+    ("x*y*(x+y)", "(s + 4/3)*(s + 1)^2*(s + 2/3)"),
+    ("x^3+x*y", "(s + 1)^2"),
+    ("x*y", "(s + 1)^2"),
+    ("x^2+y^2", "(s + 1)^2"),
+    ("x+y^2", "(s + 1)"),
+    ("x^3", "(s + 1)*(s + 2/3)*(s + 1/3)"),
+    ("2*x^2*y^2", "(s + 1)^2*(s + 1/2)^2"),
+    ("-x^2*y + 2*x*y^2 + y", "(s + 1)^2"),
+    ("-x*y^2 + x*y", "(s + 1)^2"),
+    ("-x*y", "(s + 1)^2"),
+    ("2*x^2*y^2 + x^2", "(s + 1)^2*(s + 1/2)"),
+    ("-x^2*y + 2*x^2 + 1", "(s + 1)"),
+    ("y", "(s + 1)"),
+    ("x*y^2 + 2*y^2", "(s + 1)^2*(s + 1/2)"),
+    ("2*x^2*y^2 - x^2*y + 2", "(s + 1)"),
+    ("-x*y^2 + x + y", "(s + 1)"),
+    ("y^2 - 1", "(s + 1)"),
+    ("-x^2*y^2 + 2*x*y^2 + y", "(s + 1)"),
+]
+
+
+@pytest.mark.parametrize("text, want", CLASSICAL_PINS)
+def test_classical_bfunction_pins(text, want):
+    assert str(bernstein_sato(parse_poly(text))) == want
+
+
+ANN_PINS = [
+    ("x^2", ("x", "s"), ("dx",), ["x*dx - 2*s"]),
+    ("x*y", ("x", "y", "s"), ("dx", "dy"), ["y*dy - s", "x*dx - s"]),
+    (
+        "x^2+y^3",
+        ("x", "y", "s"),
+        ("dx", "dy"),
+        ["3*x*dx + 2*y*dy - 6*s", "3*y^2*dx - 2*x*dy", "y^3*dy - 3*y^2*s + x^2*dy"],
+    ),
+    (
+        "x*y*(x+y)",
+        ("x", "y", "s"),
+        ("dx", "dy"),
+        [
+            "x*dx + y*dy - 3*s",
+            "x*y*dy + y^2*dy - x*s - 2*y*s",
+            "y^2*dx*dy - y^2*dy^2 - 2*y*s*dx + 4*y*s*dy - 3*s^2 - s",
+        ],
+    ),
+    (
+        "x+y^2",
+        ("x", "y", "s"),
+        ("dx", "dy"),
+        ["2*y*dx - dy", "2*x*dx + y*dy - 2*s", "y^2*dy - 2*y*s + x*dy"],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, coords, derivs, want", ANN_PINS)
+def test_ann_fs_pins(text, coords, derivs, want):
+    ann = ann_fs([(parse_poly(text), "s")])
+    pairs = tuple((i, len(coords) + i) for i in range(len(derivs)))
+    assert (ann.sig.coords, ann.sig.derivs, ann.sig.pairs, ann.sig.homog) == (
+        coords, derivs, pairs, None
+    )
+    assert [str(g) for g in ann.generators] == want
+
+
+SABBAH_PINS = [
+    ("x", "y", 0, "(s + 1)^2", "s1*s2 + s1 + s2 + 1", "-dx*dy"),
+    (
+        "x^2", "y", 0, "(s + 1)^2*(s + 1/2)",
+        "2*s1^2*s2 + 2*s1^2 + 3*s1*s2 + 3*s1 + s2 + 1", "-1/4*dx^2*dy",
+    ),
+    ("x", "y", 1, "(s + 2)*(s + 1)", "s1*s2 + s1 + s2 + 1", "-dx*dy"),
+    (
+        "x^2", "y^2", 1, "(s + 5/2)*(s + 2)*(s + 1)*(s + 1/2)",
+        "4*s1^2*s2^2 + 6*s1^2*s2 + 6*s1*s2^2 + 2*s1^2 + 9*s1*s2 + 2*s2^2 + 3*s1 + 3*s2 + 1",
+        "1/16*dx^2*dy^2",
+    ),
+    ("x", "x+y", 0, "(s + 1)^2", "s1*s2 + s1 + s2 + 1", "-dx*dy + dy^2"),
+]
+
+
+@pytest.mark.parametrize("ftext, gtext, m, b, element, witness", SABBAH_PINS)
+def test_sabbah_line_pins(ftext, gtext, m, b, element, witness):
+    names = ("x", "y")
+    res = sabbah_line(parse_poly(ftext, names), parse_poly(gtext, names), m)
+    assert (str(res.b), str(res.bs_element), str(res.witness), res.status) == (
+        b, element, witness, "CERTIFIED"
+    )

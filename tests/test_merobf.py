@@ -45,13 +45,6 @@ class TestEngine:
         assert res.b.roots == {Q(-1): 1, Q(-2, 3): 1, Q(-1, 3): 1}
         assert res.status == "CERTIFIED"
 
-    def test_engine_agrees_with_initial_ideal_route(self):
-        # two independent mechanisms for the same V-filtration b-polynomial
-        F, G = pair("x^2", "1")
-        pres = build_sigma(F, G, 1)
-        direct = theta_to_s(b_section_along_t(pres))
-        via_initial = theta_to_s(b_section_along_t_initial(pres))
-        assert direct.poly == via_initial.poly
 
     def test_b_mero_never_completes_the_annihilator(self, monkeypatch):
         # the direct route reads only the context; the completion serves the
@@ -171,6 +164,20 @@ def test_engine_equals_the_unpruned_system(ftext, gtext, m):
             b_section_along_t(ctx)
     else:
         assert b_section_along_t(ctx) == want
+
+
+@pytest.mark.parametrize(
+    "ftext, gtext, m",
+    BATTERY
+    + [(f, g, m) for f, g in [("x+y^2", "y"), ("x", "x+y")] for m in (0, 1)]
+    + [("x^2+y", "x", 0), ("x", "x^2+y^2", 0), ("x*y", "x+y", 0)],
+)
+def test_engine_agrees_with_initial_ideal_route(ftext, gtext, m):
+    # two independent mechanisms for the same V-filtration b-polynomial
+    ctx = build_sigma(*pair(ftext, gtext), m)
+    direct = theta_to_s(b_section_along_t(ctx))
+    via_initial = theta_to_s(b_section_along_t_initial(ctx))
+    assert direct.poly == via_initial.poly
 
 
 class TestInputsThatFinish:
