@@ -10,12 +10,12 @@ eliminate all u_i, v_i, and pass to the degree-zero part along each
 (t_i, d_{t_i}) pair.  The generators are homogeneous for every per-factor
 weight (t_i: -1, d_{t_i}: +1, u_i: -1, v_i: +1), homogeneity survives
 Buchberger and elimination, so the degree-zero part is obtained by
-shifting each eliminated generator with t_i / d_{t_i} powers and
-rewriting balanced blocks as theta_i = t_i d_{t_i}; finally theta_i ->
--s_i - 1.  The classical b-function is then the generator of
-(Ann + D[s] F) ∩ Q[s]; a Bernstein-Sato ideal element for a pair (F, G)
-comes from the same construction with F*G added and both x-pairs
-eliminated.
+shifting each eliminated generator with t_i / d_{t_i} powers and writing
+each balanced block t_i^k d_{t_i}^k as its polynomial in the central
+variable s_i = -t_i d_{t_i} - 1 (see vfiltration).  The classical
+b-function is then the generator of (Ann + D[s] F) ∩ Q[s]; a
+Bernstein-Sato ideal element for a pair (F, G) comes from the same
+construction with F*G added and both x-pairs eliminated.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .multipoly import MultiPoly, unify
 from .oracle import prefactored_witness
 from .rationals import Q
 from .sections import dname
-from .vfiltration import central_intersection, homogeneous_theta_part, univariate_gcd
+from .vfiltration import b_polynomial, central_intersection, homogeneous_theta_part
 from .weyl import AlgebraSignature, WeylElement
 
 
@@ -66,34 +66,6 @@ def _graph_ideal_uv(
     return LeftIdeal(sig, gens), taus, uvs
 
 
-def _theta_to_s(ideal: LeftIdeal, theta_names: Sequence[str], s_names: Sequence[str]) -> LeftIdeal:
-    """Substitute theta_i -> -s_i - 1, landing in D_n[s_1..s_k]."""
-    sig = ideal.sig
-    pair_names = [
-        (sig.coords[ci], sig.derivs[di - len(sig.coords)]) for ci, di in sig.pairs
-    ]
-    sig_s = AlgebraSignature.make(pairs=pair_names, central=list(s_names))
-    subs = {}
-    for th, s in zip(theta_names, s_names):
-        subs[sig.index(th)] = -WeylElement.gen(sig_s, s) - 1
-    out: List[WeylElement] = []
-    for g in ideal.generators:
-        acc = WeylElement.zero(sig_s)
-        for exps, coeff in g.terms.items():
-            base = [0] * sig_s.ngens
-            for pos, e in enumerate(exps):
-                if pos in subs or e == 0:
-                    continue
-                base[sig_s.index(sig.names[pos])] = e
-            term = WeylElement(sig_s, {tuple(base): coeff})
-            for pos, repl in subs.items():
-                for _ in range(exps[pos]):
-                    term = term * repl
-            acc = acc + term
-        out.append(acc.content_primitive())
-    return LeftIdeal(sig_s, [g for g in out if not g.is_zero()])
-
-
 def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
     """Annihilator of prod F_i^{s_i} in D_n[s_1..s_k]."""
     polys = unify(*[F for F, _ in factors])
@@ -105,10 +77,9 @@ def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
             raise ValueError("factors must be nonzero")
     ideal, taus, uvs = _graph_ideal_uv(polys)
     ideal = eliminate(ideal, [n for pair in uvs for n in pair])
-    theta_names = [f"theta{i+1}" for i in range(len(polys))]
-    for (t, dt), th in zip(taus, theta_names):
-        ideal = homogeneous_theta_part(ideal, t, dt, th)
-    return _theta_to_s(ideal, theta_names, s_names)
+    for (t, dt), s_name in zip(taus, s_names):
+        ideal = homogeneous_theta_part(ideal, t, dt, s_name)
+    return ideal
 
 
 def bernstein_sato(F: MultiPoly) -> BFunction:
@@ -117,10 +88,7 @@ def bernstein_sato(F: MultiPoly) -> BFunction:
         raise ValueError("F must be nonzero and nonconstant")
     ann = ann_fs([(F, S_VAR)])
     gens = list(ann.generators) + [WeylElement.from_poly(ann.sig, F)]
-    polys = central_intersection(LeftIdeal(ann.sig, gens))
-    if not polys:
-        raise NotSpecializableError("b-function elimination returned the zero ideal")
-    return BFunction.from_poly(univariate_gcd(polys, S_VAR))
+    return b_polynomial(LeftIdeal(ann.sig, gens))
 
 
 @dataclass
@@ -157,6 +125,8 @@ def sabbah_line(
     The specialized polynomial satisfies b(s) (f^s/G^m) = G^2 P (f^{s+1}/G^m)
     and is a multiple of the meromorphic b-function for the same m.
     """
+    if m < 0:
+        raise ValueError(f"the order m must be nonnegative, got {m}")
     F, G = unify(F, G)
     if not are_coprime(F, G):
         raise ValueError("F and G must be coprime")

@@ -143,7 +143,8 @@ def _run_bf_classic(args):
 
 def _run_bf_mero(args):
     F, G = _parse_pair(args)
-    res = b_mero(F, G, args.m, N=args.certify_n, deg=args.certify_deg)
+    N, deg = args.certify
+    res = b_mero(F, G, args.m, N=N, deg=deg)
     result = _b_payload(res.b)
     result["witness"] = _witness_payload(res.witness)
     result["engine_b"] = str(res.engine_b) if res.engine_b is not None else None
@@ -293,6 +294,31 @@ def _shared_vars(*texts: str):
 # -- dispatch -------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+NONNEG, POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
+def _certify_bounds(text: str):
+    """argparse type for --certify: N,DEG with both >= 1."""
+    try:
+        n, deg = (POSITIVE(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"expects N,DEG with N, DEG >= 1, got {text!r}")
+    return n, deg
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mbfun",
@@ -310,19 +336,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p = add(bf, "classic", "classical b-function of F")
     p.add_argument("F")
-    p.add_argument("--certify-deg", type=int, default=DEFAULT_DEG)
+    p.add_argument("--certify-deg", type=POSITIVE, default=DEFAULT_DEG)
     p.set_defaults(run=_run_bf_classic)
     p = add(bf, "mero", "meromorphic b-function of F/G at order m")
     p.add_argument("F")
     p.add_argument("G")
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--certify", default=None, metavar="N,DEG",
+    p.add_argument("--m", type=NONNEG, default=0)
+    p.add_argument("--certify", type=_certify_bounds, default=(DEFAULT_N, DEFAULT_DEG),
+                   metavar="N,DEG",
                    help="oracle bounds: shift count and operator degree")
     p.set_defaults(run=_run_bf_mero)
     p = add(bf, "simple", "one-term functional equation variant")
     p.add_argument("F")
     p.add_argument("G")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=NONNEG, default=0)
     p.set_defaults(run=_run_bf_simple)
     p = add(bf, "reduced", "reduced b-function for quasi-homogeneous F, G")
     p.add_argument("F")
@@ -334,7 +361,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = add(bf, "sabbah-line", "Bernstein-Sato ideal element on s2=-s-m-2")
     p.add_argument("F")
     p.add_argument("G")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=NONNEG, default=0)
     p.set_defaults(run=_run_bf_sabbah)
 
     nc = sub.add_parser("nc", help="normal-crossing root combinatorics").add_subparsers(
@@ -347,7 +374,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ):
         p = add(nc, name, helptext)
         p.add_argument("--charts", required=True)
-        p.add_argument("--m", type=int, default=0)
+        p.add_argument("--m", type=NONNEG, default=0)
         p.set_defaults(run=_run_nc)
 
     jump = sub.add_parser("jump", help="multiplier-ideal jumping numbers").add_subparsers(
@@ -364,14 +391,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = add(check, "lemma4", "root shifts between two denominator orders")
     p.add_argument("F")
     p.add_argument("G")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--lcap", type=int, default=5)
+    p.add_argument("--m1", type=NONNEG, required=True)
+    p.add_argument("--m2", type=NONNEG, required=True)
+    p.add_argument("--lcap", type=NONNEG, default=5)
     p.set_defaults(run=_run_check_lemma4)
     p = add(check, "thm41", "roots against the chart bound set")
     p.add_argument("F")
     p.add_argument("G")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=NONNEG, default=0)
     p.add_argument("--charts", default=None)
     p.set_defaults(run=_run_check_thm41)
     p = add(check, "corjump", "jumping numbers against b at m=0")
@@ -408,17 +435,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "certify", None) is not None:
-        try:
-            n_text, deg_text = args.certify.split(",")
-            args.certify_n, args.certify_deg = int(n_text), int(deg_text)
-        except ValueError:
-            print("error: --certify expects N,DEG", file=sys.stderr)
-            return 2
-    else:
-        args.certify_n = DEFAULT_N
-        if not hasattr(args, "certify_deg"):
-            args.certify_deg = DEFAULT_DEG
     start = time.monotonic()
     try:
         inputs, result, status, notes = args.run(args)

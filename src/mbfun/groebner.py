@@ -280,9 +280,10 @@ class LeftIdeal:
 def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     """Intersect with the subalgebra on the kept generators.
 
-    drop must consist of matched (x_i, d_i) pairs; elements
-    of the weight-(1 on dropped) Groebner basis free of dropped generators
-    generate the intersection.
+    drop must hold both or neither name of each (x_i, d_i) pair, and may
+    hold central names; elements of the weight-(1 on dropped) Groebner
+    basis free of dropped generators generate the intersection.  Their
+    exponents move to the smaller signature by generator name.
     """
     sig = ideal.sig
     drop = set(drop)
@@ -291,29 +292,18 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
         if (ci in positions) != (di in positions):
             raise ValueError("drop set must contain matched (x, d) pairs")
     order = MonomialOrder.weight(sig, {name: 1 for name in drop})
-    basis = ideal.groebner(order)
-    kept_elems = [
-        g for g in basis if all(not any(e[p] for p in positions) for e in g.terms)
-    ]
-    sub_sig = AlgebraSignature(
-        tuple(c for i, c in enumerate(sig.coords) if i not in positions),
-        tuple(d for i, d in enumerate(sig.derivs) if i + len(sig.coords) not in positions),
-        tuple(
-            (_shift(ci, positions), _shift(di, positions))
-            for ci, di in sig.pairs
-            if ci not in positions
-        ),
+    paired = {c for c, _ in sig.pair_names}
+    sub_sig = AlgebraSignature.make(
+        pairs=[p for p in sig.pair_names if p[0] not in drop],
+        central=[c for c in sig.coords if c not in paired and c not in drop],
     )
-    keep_positions = [i for i in range(sig.ngens) if i not in positions]
+    source = [sig.index(name) for name in sub_sig.names]
     moved = [
-        WeylElement(sub_sig, {tuple(e[i] for i in keep_positions): c for e, c in g.terms.items()})
-        for g in kept_elems
+        WeylElement(sub_sig, {tuple(e[i] for i in source): c for e, c in g.terms.items()})
+        for g in ideal.groebner(order)
+        if all(not any(e[p] for p in positions) for e in g.terms)
     ]
     return LeftIdeal(sub_sig, moved)
-
-
-def _shift(pos: int, removed: set) -> int:
-    return pos - sum(1 for r in removed if r < pos)
 
 
 def initial_form(elem: WeylElement, order: MonomialOrder) -> WeylElement:

@@ -12,7 +12,8 @@ no annihilator.  Only the initial-ideal cross-check
 (b_section_along_t_initial) completes one: starting from hand-verified
 seed operators, all operators of bounded total degree killing sigma_m in
 the quotient module are found as a nullspace (a section is zero there iff
-its polar numerator is).
+its polar numerator is).  That route writes the degree-zero part of the
+initial ideal in s = -t d_t - 1 and so returns b(s) itself.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .sections import (
     operator_columns,
     poly_weight,
 )
-from .vfiltration import b_polynomial_theta, theta_reduce
+from .vfiltration import b_polynomial, theta_reduce
 from .weyl import WeylElement
 
 COMPLETION_DEGREE = 3
@@ -101,6 +102,8 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
 
 def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
     """Context of sigma_m, after checking the inputs and the seed operators."""
+    if m < 0:
+        raise ValueError(f"the order m must be nonnegative, got {m}")
     F, G = unify(F, G)
     if F.is_zero() or F.is_constant():
         raise ValueError("F must be nonzero and nonconstant")
@@ -166,9 +169,10 @@ def b_section_along_t(
     )
 
 
-def b_section_along_t_initial(ctx: DeltaContext) -> MultiPoly:
-    """Same value through the initial-ideal route: generator of
-    in_w(annihilator) ∩ Q[theta] for w = (t: -1, d_t: +1).
+def b_section_along_t_initial(ctx: DeltaContext) -> BFunction:
+    """b(s) = p(-s-1) through the initial-ideal route: the monic generator
+    of in_w(annihilator) ∩ Q[s] for w = (t: -1, d_t: +1), written in
+    s = -t d_t - 1.
 
     The annihilator is the seed ideal completed by the operators of total
     degree <= COMPLETION_DEGREE killing sigma_m.  Exact when that
@@ -180,8 +184,7 @@ def b_section_along_t_initial(ctx: DeltaContext) -> MultiPoly:
     for cand in annihilating_operators(ctx, COMPLETION_DEGREE):
         if not ideal.contains(cand):
             ideal = LeftIdeal(ctx.sig, ideal.generators + [cand])
-    reduced = theta_reduce(ideal, T_VAR, DT_VAR, "theta")
-    return b_polynomial_theta(reduced)
+    return b_polynomial(theta_reduce(ideal, T_VAR, DT_VAR, S_VAR))
 
 
 def b_mero(
@@ -216,6 +219,8 @@ def b_simple(
     max_bdeg: int = 8,
 ) -> BResult:
     """Minimal monic b with b(s) f^s/G^m in D[s] (f^{s+1}/G^m), within bounds."""
+    if m < 0:
+        raise ValueError(f"the order m must be nonnegative, got {m}")
     F, G = unify(F, G)
     if not are_coprime(F, G):
         raise ValueError("F and G must be coprime")

@@ -7,7 +7,8 @@ searching for explicit operators P_k(s) with
 
 inside the Laurent module, as an exact rational linear system in the
 unknown coefficients of the P_k.  Success yields a concrete witness, which
-is re-verified by applying it.
+is re-verified by applying it; so is every witness that
+`minimal_b_search` or `prefactored_witness` returns.
 
 There is one minimization, `minimal_b_search`: the coefficients of b and
 of the operators enter one linear system per candidate degree of b, and
@@ -133,18 +134,25 @@ def _witness(
     if values is None:
         return None
     witness = _operators(ctx, columns, values)
-    _recheck_witness(b, m, ctx, witness)
+    _recheck_witness(lhs, targets, witness)
     return witness
 
 
 def _recheck_witness(
-    b: BFunction, m: int, ctx: MeroContext, witness: Dict[int, WeylElement]
+    lhs: LaurentSection,
+    targets: Dict[int, LaurentSection],
+    ops: Dict[int, WeylElement],
+    prefactor: Optional[MultiPoly] = None,
 ) -> None:
+    """Raise CertificationError unless lhs = prefactor * sum_r P_r target_r,
+    with each operator applied afresh to its target."""
     total: Optional[LaurentSection] = None
-    for k, P in witness.items():
-        part = apply_operator(P, base_section(ctx, m, shift=k))
+    for r, P in ops.items():
+        part = apply_operator(P, targets[r])
         total = part if total is None else total + part
-    if total is None or not total.section_eq(_lhs(b, ctx, m)):
+    if total is not None and prefactor is not None:
+        total = total.scaled(prefactor)
+    if total is None or not total.section_eq(lhs):
         raise CertificationError("witness failed independent re-application")
 
 
@@ -207,7 +215,8 @@ def prefactored_witness(
     prefactor: MultiPoly,
     deg: int = DEFAULT_DEG,
 ) -> Optional[WeylElement]:
-    """P with b(s) f^s/G^m = prefactor * P (f^{s+1}/G^m), or None."""
+    """P with b(s) f^s/G^m = prefactor * P (f^{s+1}/G^m), re-applied, or
+    None."""
     ctx = MeroContext(*unify(F, G))
     lhs, pre = _lhs(b, ctx, m), prefactor.extend_to(ctx.ring)
     target = base_section(ctx, m, shift=1)
@@ -219,7 +228,9 @@ def prefactored_witness(
     values = solve(lhs, [sec for _, sec in columns])
     if values is None:
         return None
-    return _operators(ctx, columns, values)[1]
+    ops = _operators(ctx, columns, values)
+    _recheck_witness(lhs, {1: target}, ops, pre)
+    return ops[1]
 
 
 # -- minimal-b joint search ----------------------------------------------
@@ -241,6 +252,7 @@ def minimal_b_search(
     linear system per candidate degree; degrees are tried in increasing
     order so the first hit has minimal degree within the operator bounds.
     Any solution is a multiple of the true minimal b for the equation.
+    The operators are re-applied before they are returned.
     """
     lattice = weight_lattice(ctx.F, ctx.G)
     columns = _columns(dict(enumerate(targets)), opdeg, lattice, v0)
@@ -251,4 +263,5 @@ def minimal_b_search(
     coeffs, values = found
     b = BFunction.from_poly(MultiPoly((S_VAR,), {(i,): c for i, c in enumerate(coeffs)}))
     ops = _operators(ctx, columns, values)
+    _recheck_witness(v0.scaled(b.poly.extend_to(ctx.ring)), dict(enumerate(targets)), ops)
     return b, [ops.get(r, WeylElement.zero(ctx.sig)) for r in range(len(targets))]

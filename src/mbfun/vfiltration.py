@@ -3,43 +3,44 @@
 Given a left ideal I in D[..., t, d_t], the weight w = (t: -1, d_t: +1)
 filters the algebra; the degree-zero part of in_w(I) lives in D[...][theta]
 with theta = t*d_t, and its intersection with Q[theta] is the b-polynomial
-of the corresponding section along t = 0.  The passage to degree zero uses
-that every w-degree-(-d) monomial factors as t^d (resp. d_t^{-d} for d < 0)
-times a degree-zero one, so one shifted generator per initial form
-suffices; balanced blocks t^a d_t^a rewrite as falling factorials in theta.
+p(theta) of the corresponding section along t = 0, read as b(s) = p(-s-1).
+The passage to degree zero uses that every w-degree-(-d) monomial factors
+as t^d (resp. d_t^{-d} for d < 0) times a degree-zero one, so one shifted
+generator per initial form suffices.  Balanced blocks are written straight
+in the central variable s = -theta-1: t^k d_t^k = theta(theta-1)...
+(theta-k+1) = (-s-1)(-s-2)...(-s-k).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from .bfunction import BFunction, S_VAR
 from .errors import NotSpecializableError
 from .groebner import LeftIdeal, eliminate, initial_form
 from .multipoly import MultiPoly
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, ZERO
 from .weyl import AlgebraSignature, MonomialOrder, WeylElement
 
 
-def falling_factorial_coeffs(a: int) -> List[object]:
-    """Coefficients of theta (theta-1) ... (theta-a+1), low degree first."""
+def _block_in_s(k: int) -> List[int]:
+    """Coefficients of t^k d_t^k = (-s-1)(-s-2)...(-s-k), low degree first."""
     coeffs = [ONE]
-    for i in range(a):
+    for j in range(1, k + 1):
         nxt = [ZERO] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] = nxt[j + 1] + c
-            nxt[j] = nxt[j] - Q(i) * c
+        for i, c in enumerate(coeffs):
+            nxt[i] -= j * c
+            nxt[i + 1] -= c
         coeffs = nxt
     return coeffs
 
 
-def _theta_signature(sig: AlgebraSignature, t_name: str, theta_name: str) -> AlgebraSignature:
-    pair_names = [
-        (sig.coords[ci], sig.derivs[di - len(sig.coords)]) for ci, di in sig.pairs
-    ]
-    kept_pairs = [(c, d) for c, d in pair_names if c != t_name]
-    pair_coords = {c for c, _ in pair_names}
-    central = [c for c in sig.coords if c not in pair_coords]
-    return AlgebraSignature.make(pairs=kept_pairs, central=central + [theta_name])
+def _s_signature(sig: AlgebraSignature, t_name: str, s_name: str) -> AlgebraSignature:
+    paired = {c for c, _ in sig.pair_names}
+    return AlgebraSignature.make(
+        pairs=[p for p in sig.pair_names if p[0] != t_name],
+        central=[c for c in sig.coords if c not in paired] + [s_name],
+    )
 
 
 def _rewrite_balanced(
@@ -48,11 +49,11 @@ def _rewrite_balanced(
     t_pos: int,
     dt_pos: int,
 ) -> WeylElement:
-    """Map x^a t^k d^b d_t^k  ->  x^a d^b theta(theta-1)...(theta-k+1)."""
+    """Map x^a t^k d^b d_t^k  ->  x^a d^b (-s-1)(-s-2)...(-s-k)."""
     sig = elem.sig
     keep = [i for i in range(sig.ngens) if i not in (t_pos, dt_pos)]
     out_index = [sig_out.index(sig.names[i]) for i in keep]
-    theta_pos = sig_out.ngens - len(sig_out.derivs) - 1  # last coord
+    s_pos = len(sig_out.coords) - 1  # last coord
     terms: Dict[Tuple[int, ...], object] = {}
     for exps, coeff in elem.terms.items():
         if exps[t_pos] != exps[dt_pos]:
@@ -60,11 +61,11 @@ def _rewrite_balanced(
         base = [0] * sig_out.ngens
         for src, dst in zip(keep, out_index):
             base[dst] = exps[src]
-        for j, c in enumerate(falling_factorial_coeffs(exps[t_pos])):
+        for j, c in enumerate(_block_in_s(exps[t_pos])):
             if c == 0:
                 continue
             key = list(base)
-            key[theta_pos] = j
+            key[s_pos] = j
             key = tuple(key)
             acc = terms.get(key, ZERO) + coeff * c
             if acc == 0:
@@ -80,9 +81,9 @@ def _balance_and_rewrite(
     order: MonomialOrder,
     t_name: str,
     dt_name: str,
-    theta_name: str,
+    s_name: str,
 ) -> LeftIdeal:
-    """Shift w-homogeneous elements to degree zero and rewrite in theta.
+    """Shift w-homogeneous elements to degree zero and rewrite in s.
 
     A w-degree-d monomial factors as t^d (d > 0) or d_t^{-d} (d < 0) times
     a degree-zero one, so one shifted generator per form spans the whole
@@ -91,7 +92,7 @@ def _balance_and_rewrite(
     t_pos, dt_pos = sig.index(t_name), sig.index(dt_name)
     t_gen = WeylElement.gen(sig, t_name)
     dt_gen = WeylElement.gen(sig, dt_name)
-    sig_out = _theta_signature(sig, t_name, theta_name)
+    sig_out = _s_signature(sig, t_name, s_name)
     reduced: List[WeylElement] = []
     for form in forms:
         if form.is_zero():
@@ -113,25 +114,25 @@ def theta_reduce(
     ideal: LeftIdeal,
     t_name: str = "t",
     dt_name: str = "dt",
-    theta_name: str = "theta",
+    s_name: str = S_VAR,
 ) -> LeftIdeal:
     """Degree-zero part of in_w(ideal) for w = (t: -1, d_t: +1).
 
     Returns a left ideal in the algebra with (t, d_t) replaced by the
-    central variable theta = t*d_t.
+    central variable s = -t*d_t - 1.
     """
     sig = ideal.sig
     order = MonomialOrder.weight(sig, {t_name: -1, dt_name: 1})
     basis = ideal.groebner(order)
     forms = [initial_form(g, order) for g in basis]
-    return _balance_and_rewrite(forms, sig, order, t_name, dt_name, theta_name)
+    return _balance_and_rewrite(forms, sig, order, t_name, dt_name, s_name)
 
 
 def homogeneous_theta_part(
     ideal: LeftIdeal,
     t_name: str,
     dt_name: str,
-    theta_name: str,
+    s_name: str,
 ) -> LeftIdeal:
     """Degree-zero part of an ideal with w-homogeneous generators.
 
@@ -141,26 +142,27 @@ def homogeneous_theta_part(
     """
     sig = ideal.sig
     order = MonomialOrder.weight(sig, {t_name: -1, dt_name: 1})
-    return _balance_and_rewrite(ideal.generators, sig, order, t_name, dt_name, theta_name)
+    return _balance_and_rewrite(ideal.generators, sig, order, t_name, dt_name, s_name)
 
 
 def central_intersection(ideal: LeftIdeal) -> List[MultiPoly]:
     """Generators of ideal ∩ Q[central variables] via pair elimination."""
-    sig = ideal.sig
-    drop: List[str] = []
-    for ci, di in sig.pairs:
-        drop.append(sig.coords[ci])
-        drop.append(sig.derivs[di - len(sig.coords)])
+    drop = [name for pair in ideal.sig.pair_names for name in pair]
     sub = eliminate(ideal, drop) if drop else ideal
     polys = [g.coord_part_poly() for g in sub.generators if not g.is_zero()]
     return [p for p in polys if not p.is_zero()]
 
 
-def univariate_gcd(polys: Sequence[MultiPoly], name: str) -> MultiPoly:
-    """Monic gcd of univariate polynomials over Q (Euclid)."""
-    polys = [p for p in polys if not p.is_zero()]
+def b_polynomial(ideal: LeftIdeal) -> BFunction:
+    """Monic generator b(s) of ideal ∩ Q[s], s the one central variable
+    (Euclid over the eliminated generators); raises when the ideal meets
+    Q[s] in zero (section not specializable within the configured bounds)."""
+    polys = central_intersection(ideal)
     if not polys:
-        raise ValueError("gcd of no nonzero polynomials")
+        raise NotSpecializableError(
+            "no nonzero polynomial in s found; section not specializable "
+            "within the configured bounds"
+        )
     acc = polys[0]
     for p in polys[1:]:
         a, b = acc, p
@@ -170,27 +172,4 @@ def univariate_gcd(polys: Sequence[MultiPoly], name: str) -> MultiPoly:
         acc = a
         if acc.is_constant():
             break
-    return acc.monic()
-
-
-def b_polynomial_theta(ideal: LeftIdeal, theta_name: str = "theta") -> MultiPoly:
-    """Monic generator of ideal ∩ Q[theta]; raises when the ideal meets
-    the coefficient field trivially (section not specializable at bounds)."""
-    polys = central_intersection(ideal)
-    polys = [p for p in polys if all(v == theta_name or p.degree_in(v) == 0 for v in p.variables)]
-    if not polys:
-        raise NotSpecializableError(
-            "no nonzero polynomial in theta found; section not specializable "
-            "within the configured bounds"
-        )
-    squeezed = []
-    for p in polys:
-        squeezed.append(
-            MultiPoly(
-                (theta_name,),
-                {(e[p.variables.index(theta_name)],): c for e, c in p.terms.items()}
-                if theta_name in p.variables
-                else {(0,): p.constant_value()},
-            )
-        )
-    return univariate_gcd(squeezed, theta_name)
+    return BFunction.from_poly(acc)

@@ -61,6 +61,10 @@ class AlgebraSignature:
         return self.coords + self.derivs
 
     @property
+    def pair_names(self) -> Tuple[Tuple[str, str], ...]:
+        return tuple((self.names[ci], self.names[di]) for ci, di in self.pairs)
+
+    @property
     def ngens(self) -> int:
         return len(self.coords) + len(self.derivs)
 

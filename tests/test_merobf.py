@@ -2,9 +2,10 @@
 
 import pytest
 
-from mbfun import merobf
+from mbfun import merobf, oracle
+from mbfun.annihilator import sabbah_line
 from mbfun.bfunction import theta_to_s
-from mbfun.errors import CapabilityError
+from mbfun.errors import CapabilityError, CertificationError
 from mbfun.merobf import (
     b_mero,
     b_simple,
@@ -176,7 +177,7 @@ def test_engine_agrees_with_initial_ideal_route(ftext, gtext, m):
     # two independent mechanisms for the same V-filtration b-polynomial
     ctx = build_sigma(*pair(ftext, gtext), m)
     direct = theta_to_s(b_section_along_t(ctx))
-    via_initial = theta_to_s(b_section_along_t_initial(ctx))
+    via_initial = b_section_along_t_initial(ctx)
     assert direct.poly == via_initial.poly
 
 
@@ -270,3 +271,28 @@ class TestReduced:
         F, G = pair("x", "y")
         with pytest.raises(ValueError):
             reduced_b(F, G, (1, 1), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: b_simple(*pair("x^2", "y"), 0),
+        lambda: reduced_b(*pair("x^3", "y^2"), (1, 1), 3, 2),
+        lambda: sabbah_line(*pair("x", "y"), 0),
+    ],
+    ids=["b_simple", "reduced_b", "sabbah_line"],
+)
+def test_every_returned_witness_is_reapplied(monkeypatch, route):
+    # a witness that no longer satisfies its equation is caught, not returned
+    original = oracle._operators
+
+    def perturbed(ctx, columns, values):
+        ops = original(ctx, columns, values)
+        r, P = next(iter(ops.items()))
+        exps = next(iter(P.terms))
+        ops[r] = P + WeylElement(P.sig, {exps: 1})
+        return ops
+
+    monkeypatch.setattr(oracle, "_operators", perturbed)
+    with pytest.raises(CertificationError):
+        route()

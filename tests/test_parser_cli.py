@@ -205,3 +205,23 @@ class TestCLI:
         rc = main(["bf", "classic", "x"])
         human = capsys.readouterr().out
         assert "time" in human
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bf", "mero", "x", "y", "--m", "-1"],
+        ["check", "lemma4", "x", "y", "--m1", "-1", "--m2", "0"],
+        ["check", "thm41", "x", "y", "--m", "-1"],
+        ["bf", "simple", "x", "y", "--m", "-1"],
+        ["bf", "sabbah-line", "x", "y", "--m", "-1"],
+        ["bf", "mero", "x", "y", "--certify", "2,-1"],
+        ["bf", "mero", "x", "y", "--certify", "0,3"],
+        ["bf", "classic", "x", "--certify-deg", "0"],
+        ["check", "lemma4", "x", "y", "--m1", "0", "--m2", "1", "--lcap", "-1"],
+    ],
+)
+def test_bad_orders_and_bounds_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err

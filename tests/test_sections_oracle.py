@@ -480,9 +480,10 @@ class TestOracle:
 
         ctx = MeroContext(poly("x"), ONE_X)
         b = b_of([((-1, 1), 1)])
+        lhs = base_section(ctx, 0).scaled(b.poly.extend_to(ctx.ring))
         bogus = {1: WeylElement.gen(ctx.sig, "x")}
         with pytest.raises(CertificationError):
-            _recheck_witness(b, 0, ctx, bogus)
+            _recheck_witness(lhs, {1: base_section(ctx, 0, shift=1)}, bogus)
 
     def test_minimal_search_matches_direct_answer(self):
         ctx = MeroContext(poly("x^2"), ONE_X)
