@@ -1,6 +1,7 @@
 """Left Groebner bases, elimination, and initial ideals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from mbfun.groebner import (
     normal_form,
 )
 from mbfun.multipoly import MultiPoly
-from mbfun.rationals import div
+from mbfun.rationals import Q, div
 from mbfun.weyl import AlgebraSignature, MonomialOrder, WeylElement
 
 SIG = AlgebraSignature.make(pairs=[("x", "dx")], central=["s"])
@@ -341,3 +342,95 @@ def test_leading_monomials_are_not_recomputed(monkeypatch, capsys):
     monkeypatch.setattr(MonomialOrder, "key", counted)
     assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
     assert calls[0] < 50_000
+
+
+# -- differential test of the reduction loop --------------------------------
+#
+# The reference is the plain rational loop: at every step it takes the
+# leading monomial of the whole working element, cancels it with the first
+# basis element whose leading monomial divides it (or moves it to the
+# remainder), and checks the degree of what is left after each cancellation.
+# `normal_form` must return the same terms, in the same order and with the
+# same value types (int where integral, Fraction otherwise), and raise
+# CapabilityError exactly where the reference does.
+
+
+def reference_normal_form(elem, basis, order, cap):
+    sig = elem.sig
+    lms = [_lm(g, order) for g in basis]
+    done = {}
+    work = elem
+    while not work.is_zero():
+        exps = _lm(work, order)
+        coeff = work.terms[exps]
+        reducer = next(((g, lm) for g, lm in zip(basis, lms) if _divides(lm, exps)), None)
+        if reducer is None:
+            done[exps] = coeff
+            work = WeylElement(sig, {e: c for e, c in work.terms.items() if e != exps})
+            continue
+        g, lm = reducer
+        cof = tuple(a - b for a, b in zip(exps, lm))
+        work = work + WeylElement(sig, {cof: -div(coeff, g.terms[lm])}) * g
+        if work.total_degree() > cap:
+            raise CapabilityError(f"reduction exceeded degree cap {cap}")
+    return WeylElement(sig, done)
+
+
+COEFFS = [-2, -1, 1, 2, 3, Q(1, 2), Q(-2, 3)]
+
+
+def _random_element(rng, sig, nterms, degree, coeffs):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * sig.ngens
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(sig.ngens)] += 1
+        terms[tuple(e)] = rng.choice(coeffs)
+    return WeylElement(sig, terms)
+
+
+def _outcome(fn, elem, basis, order, cap):
+    try:
+        r = fn(elem, basis, order, cap)
+    except CapabilityError:
+        return "cap"
+    return [(e, c, type(c)) for e, c in r.terms.items()]
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("alg", ["D1", "D2"])
+def test_normal_form_matches_reference_loop(alg, order_name):
+    sig, names = {"D1": (D1, ["x"]), "D2": (D2, ["x", "y"])}[alg]
+    order = ORDERS[order_name](sig)
+    homogenize = order.has_negative_weight()
+    if homogenize:
+        sig, order = sig.homogenized(), order.extended(sig.homogenized())
+    counts = {"cap": 0, "fraction": 0, "reduced": 0}
+    for trial in range(40):
+        rng = random.Random(f"nf-{alg}-{order_name}-{trial}")
+        # integer elements, as in a Buchberger run, and rational ones
+        coeffs = COEFFS if trial % 2 else COEFFS[:5]
+        if trial % 4 == 0 and not homogenize:
+            gens = _annihilator_like(rng, sig, names)
+            try:
+                basis = buchberger(sig, gens, order, 6)
+            except CapabilityError:
+                continue
+        else:
+            basis = [
+                _random_element(rng, sig, rng.randint(1, 3), 2, coeffs)
+                for _ in range(rng.randint(1, 4))
+            ]
+        elem = _random_element(rng, sig, rng.randint(1, 6), 4, coeffs)
+        if homogenize:
+            basis = [groebner._homogenize_elem(g, sig) for g in basis if not g.is_zero()]
+            elem = groebner._homogenize_elem(elem, sig)
+        for cap in (3, 24):
+            want = _outcome(reference_normal_form, elem, basis, order, cap)
+            assert _outcome(normal_form, elem, basis, order, cap) == want, (trial, cap)
+            if want == "cap":
+                counts["cap"] += 1
+            elif want != [(e, c, type(c)) for e, c in elem.terms.items()]:
+                counts["reduced"] += 1
+                counts["fraction"] += any(t is Fraction for _, _, t in want)
+    assert all(counts.values()), counts
