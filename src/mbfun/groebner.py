@@ -10,6 +10,14 @@ enters the basis, and read from then on.  Pending pairs sit in a heap
 keyed by (lcm degree, order key of the lcm, i, j), each key computed when
 its pair is created; the indices make keys unique, so the pop order is
 that of a `min` over all pending pairs.
+
+A reduction runs over the integers.  The element's denominators are
+cleared once, into a scale mu; a step that cancels a term c*x^e with a
+basis element g scales what is left by lc(g)/gamma and subtracts
+(c/gamma) * x^(e - lm(g)) * g, where gamma = gcd(c, lc(g)), so a Fraction
+is built only when a remainder term is divided by mu.  What is left sits
+in one dict, and its monomials in a heap, each keyed by the order once,
+when it enters.
 """
 
 from __future__ import annotations
@@ -17,11 +25,13 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
+from math import gcd, lcm
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError
 from .rationals import ZERO, div
-from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement
+from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement, _mono_product
 
 DEFAULT_MAX_DEGREE = 24
 
@@ -42,9 +52,29 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _heap_key(order: MonomialOrder, exps: Exponent) -> tuple:
+    """Negated order key: the smallest heap key is the largest monomial."""
+    return tuple(-k for k in order.key(exps))
+
+
 def _mono(sig: AlgebraSignature, exps: Exponent, coeff) -> WeylElement:
     """The term coeff * exps; coeff must be a nonzero exact rational."""
     return WeylElement._trusted(sig, {exps: coeff})
+
+
+def _reducer(lms: Sequence[Exponent], exps: Exponent) -> Optional[int]:
+    """Index of the first leading monomial dividing exps, or None."""
+    for i, lm in enumerate(lms):
+        if _divides(lm, exps):
+            return i
+    return None
+
+
+def _cleared(terms: Dict[Exponent, object]) -> Tuple[Dict[Exponent, int], int]:
+    """(mu * terms, mu) for the least positive integer mu that makes every
+    coefficient an integer."""
+    mu = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (mu // c.denominator) for e, c in terms.items()}, mu
 
 
 def normal_form(
@@ -56,44 +86,84 @@ def normal_form(
 ) -> WeylElement:
     """Fully reduce elem against basis; the remainder's terms avoid all lms.
 
+    Each step takes the largest monomial left, cancels it with the first
+    basis element whose leading monomial divides it, or moves it to the
+    remainder.  CapabilityError is raised when a cancellation leaves a
+    term of total degree above cap.
+
     _lms, when given, are the leading monomials of basis in its order: a
     Buchberger run keeps them, so its reductions do not recompute them."""
     if cap is None:
         cap = max_degree_cap()
     sig = elem.sig
     lms = _lms if _lms is not None else [leading_exps(g, order) for g in basis]
+    # work / mu is what is left of elem; reducers[i] is an integer multiple
+    # of basis[i], which gives the same cancellations
+    work, mu = _cleared(elem.terms)
+    reducers: Dict[int, Dict[Exponent, int]] = {}
+    heap = [(_heap_key(order, e), e) for e in work]
+    heapq.heapify(heap)
+    above = sum(sum(e) > cap for e in work)
     done: Dict[Exponent, object] = {}
-    work = elem
-    while not work.is_zero():
-        exps = leading_exps(work, order)
-        coeff = work.terms[exps]
-        reducer = None
-        for g, lm in zip(basis, lms):
-            if _divides(lm, exps):
-                reducer = (g, lm)
-                break
-        if reducer is None:
-            done[exps] = coeff
-            rest = dict(work.terms)
-            del rest[exps]
-            work = WeylElement._trusted(sig, rest)
+    while heap:
+        entry = heapq.heappop(heap)
+        exps = entry[1]
+        coeff = work.get(exps)
+        if coeff is None:
             continue
-        g, lm = reducer
-        cof = tuple(a - b for a, b in zip(exps, lm))
-        work = work + _mono(sig, cof, -div(coeff, g.terms[lm])) * g
-        if work.total_degree() > cap:
+        i = _reducer(lms, exps)
+        if i is None:
+            del work[exps]
+            above -= sum(exps) > cap
+            done[exps] = div(coeff, mu)
+            continue
+        if i not in reducers:
+            reducers[i] = _cleared(basis[i].terms)[0]
+        g, lm = reducers[i], lms[i]
+        # (lc / gamma) * work - (coeff / gamma) * x^cof * g cancels exps
+        gamma = gcd(coeff, g[lm])
+        scale, q = g[lm] // gamma, coeff // gamma
+        if scale != 1:
+            for e in work:
+                work[e] *= scale
+            mu *= scale
+        cof = tuple(map(sub, exps, lm))
+        for e2, c2 in g.items():
+            qc = q * c2
+            for e, k in _mono_product(sig, cof, e2):
+                t = qc * k
+                acc = work.get(e)
+                if acc is None:
+                    work[e] = -t
+                    heapq.heappush(heap, (_heap_key(order, e), e))
+                    above += sum(e) > cap
+                elif acc == t:
+                    del work[e]
+                    above -= sum(e) > cap
+                else:
+                    work[e] = acc - t
+        if exps in work:
+            heapq.heappush(heap, entry)
+        # the total degree of what is left (0 when nothing is) exceeds cap
+        if above or cap < 0:
             raise CapabilityError(
                 f"reduction exceeded degree cap {cap} (MBFUN_MAX_DEGREE)"
             )
-    return WeylElement(sig, done)
+    return WeylElement._trusted(sig, done)
 
 
 def _s_pair(f: WeylElement, lf: Exponent, g: WeylElement, lg: Exponent) -> WeylElement:
+    """x^uf f / lc(f) - x^ug g / lc(g), formed over the integers and
+    divided once; f and g have integer coefficients."""
     sig = f.sig
-    lcm = _lcm(lf, lg)
-    uf = tuple(a - b for a, b in zip(lcm, lf))
-    ug = tuple(a - b for a, b in zip(lcm, lg))
-    return _mono(sig, uf, div(1, f.terms[lf])) * f - _mono(sig, ug, div(1, g.terms[lg])) * g
+    lcm_fg = _lcm(lf, lg)
+    uf = tuple(map(sub, lcm_fg, lf))
+    ug = tuple(map(sub, lcm_fg, lg))
+    gamma = gcd(f.terms[lf], g.terms[lg])
+    a, b = g.terms[lg] // gamma, f.terms[lf] // gamma
+    diff = _mono(sig, uf, a) * f - _mono(sig, ug, b) * g
+    den = a * f.terms[lf]
+    return WeylElement._trusted(sig, {e: div(c, den) for e, c in diff.terms.items()})
 
 
 def _product_criterion_safe(sig: AlgebraSignature, a: Exponent, b: Exponent) -> bool:

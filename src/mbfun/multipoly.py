@@ -9,6 +9,7 @@ operation returns a fresh polynomial.  Term iteration order is fixed
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -32,6 +33,11 @@ def _check_exponent(e: int) -> int:
 
 def _revlex_key(exps: Exponent):
     return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def _heap_key(exps: Exponent):
+    """Negated _revlex_key: the smallest heap key is the leading monomial."""
+    return (-sum(exps),) + exps[::-1]
 
 
 class MultiPoly:
@@ -236,7 +242,10 @@ class MultiPoly:
 
         The leading term of what is left of the dividend is cancelled by a
         multiple of the divisor when the divisor's leading monomial divides
-        it, and moved to the remainder otherwise.
+        it, and moved to the remainder otherwise.  What is left sits in one
+        working dict, and a heap holds its monomials, each keyed once when
+        it enters; a monomial that cancelled may still sit in the heap, and
+        is skipped when popped.
         """
         self._require_same(divisor)
         if divisor.is_zero():
@@ -244,11 +253,15 @@ class MultiPoly:
         lead_e, lead_c = divisor.leading()
         tail = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
         work = dict(self.terms)
+        heap = [(_heap_key(e), e) for e in work]
+        heapify(heap)
         quotient: Dict[Exponent, object] = {}
         remainder: Dict[Exponent, object] = {}
-        while work:
-            exps = max(work, key=_revlex_key)
-            coeff = work.pop(exps)
+        while heap:
+            exps = heappop(heap)[1]
+            coeff = work.pop(exps, None)
+            if coeff is None:
+                continue
             mono_e = tuple(map(sub, exps, lead_e))
             if min(mono_e, default=0) < 0:
                 remainder[exps] = coeff
@@ -257,11 +270,16 @@ class MultiPoly:
             quotient[mono_e] = q
             for e, c in tail:
                 key = tuple(map(add, mono_e, e))
-                acc = work.get(key, ZERO) - q * c
-                if acc:
-                    work[key] = acc
+                acc = work.get(key)
+                if acc is None:
+                    work[key] = -q * c
+                    heappush(heap, (_heap_key(key), key))
                 else:
-                    work.pop(key, None)
+                    acc -= q * c
+                    if acc:
+                        work[key] = acc
+                    else:
+                        del work[key]
         return (
             MultiPoly._trusted(self.variables, quotient),
             MultiPoly._trusted(self.variables, remainder),

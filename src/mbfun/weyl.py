@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key, format_terms
@@ -78,35 +80,36 @@ class AlgebraSignature:
         return AlgebraSignature(coords, self.derivs, pairs, homog=n - 1)
 
 
+@lru_cache(maxsize=4096)
+def _expansion(b: int, a: int) -> Tuple[Tuple[int, int], ...]:
+    """d^b x^a = sum_k C(b,k) C(a,k) k! x^(a-k) d^(b-k), as (k, coefficient)."""
+    return tuple(
+        (k, math.comb(b, k) * math.comb(a, k) * math.factorial(k))
+        for k in range(min(b, a) + 1)
+    )
+
+
 def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
     """Expand the normally ordered product of two monomials.
 
-    Yields (exponent, integer coefficient) pairs.
+    Returns a list of (exponent, integer coefficient) pairs.
     """
-    choices: List[Tuple[Dict[int, int], int]] = [({}, 1)]
+    out: List[Tuple[Exponent, int]] = [(tuple(map(add, e1, e2)), 1)]
     for ci, di in sig.pairs:
         b1, a2 = e1[di], e2[ci]
         if b1 and a2:
             expanded = []
-            for delta, coeff in choices:
-                for k in range(min(b1, a2) + 1):
-                    c = math.comb(b1, k) * math.comb(a2, k) * math.factorial(k)
-                    d2 = dict(delta)
-                    d2[ci] = d2.get(ci, 0) - k
-                    d2[di] = d2.get(di, 0) - k
-                    if sig.homog is not None and k:
-                        d2[sig.homog] = d2.get(sig.homog, 0) + 2 * k
-                    expanded.append((d2, coeff * c))
-            choices = expanded
-    base = tuple(a + b for a, b in zip(e1, e2))
-    for delta, coeff in choices:
-        if delta:
-            exps = list(base)
-            for pos, shift in delta.items():
-                exps[pos] += shift
-            yield tuple(exps), coeff
-        else:
-            yield base, coeff
+            for exps, coeff in out:
+                expanded.append((exps, coeff))
+                for k, c in _expansion(b1, a2)[1:]:
+                    shifted = list(exps)
+                    shifted[ci] -= k
+                    shifted[di] -= k
+                    if sig.homog is not None:
+                        shifted[sig.homog] += 2 * k
+                    expanded.append((tuple(shifted), coeff * c))
+            out = expanded
+    return out
 
 
 class WeylElement:

@@ -97,25 +97,26 @@ def test_homogenized_order_is_compatible_with_products():
 def test_negative_weight_reduction_does_not_cycle(monkeypatch):
     # With h^2 ranked above x*dx, the second reduction of this ideal came
     # back to its own working element after three steps and never ended.
-    # The step guard turns a returning cycle into a failure; the basis
-    # needs under a hundred steps.
+    # Every reduction step looks up one reducer, so the step guard turns a
+    # returning cycle into a failure; the basis needs under a hundred steps.
     sig = AlgebraSignature.make(pairs=[("x", "dx"), ("y", "dy")], central=["s"])
     x, y, s, dx, dy = (WeylElement.gen(sig, n) for n in ("x", "y", "s", "dx", "dy"))
     steps = [0]
-    leading = groebner.leading_exps
+    reducer = groebner._reducer
 
-    def guarded(elem, order):
+    def guarded(lms, exps):
         steps[0] += 1
         if steps[0] > 10_000:
             raise RuntimeError("reduction still running after 10,000 steps")
-        return leading(elem, order)
+        return reducer(lms, exps)
 
-    monkeypatch.setattr(groebner, "leading_exps", guarded)
+    monkeypatch.setattr(groebner, "_reducer", guarded)
     order = MonomialOrder.weight(sig, {"x": -1, "dx": 1})
     gens = [3 * x * x * dy + y * dy - s, -6 * x * dy + dx, 3 * x * x + y]
     basis = LeftIdeal(sig, gens).groebner(order)
     assert len(basis) == 11
     assert all(normal_form(g, basis, order).is_zero() for g in gens)
+    assert steps[0] > 0
 
 
 def test_degree_cap_env(monkeypatch):
@@ -342,6 +343,33 @@ def test_leading_monomials_are_not_recomputed(monkeypatch, capsys):
     monkeypatch.setattr(MonomialOrder, "key", counted)
     assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
     assert calls[0] < 50_000
+
+
+def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
+    # A deterministic guard in place of a timing test: reducing over the
+    # integers, `bf classic x*y*(x+y)` builds about 400 Fractions inside
+    # buchberger, where each S-polynomial is divided by its leading
+    # coefficients once; the rational reduction loop built 8,032.
+    made, inside = [0], [False]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += inside[0]
+        return new(cls, *args, **kwargs)
+
+    run = groebner.buchberger
+
+    def traced(*args, **kwargs):
+        inside[0] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(groebner, "buchberger", traced)
+    assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
+    assert 0 < made[0] < 2_000
 
 
 # -- differential test of the reduction loop --------------------------------

@@ -756,18 +756,12 @@ def graph_b_section_along_t(ctx, vdeg, max_pdeg):
     return None
 
 
-# (vdeg, max_pdeg) of the engine's default, except for (x^2-y^2)/(y+1): its
-# theta^2 needs a witness of degree 5, where the reference, which divides
-# anew at every degree, takes seconds; there only the bounds at which both
-# give up are checked
-ENGINE_BOUNDS = {("x^2-y^2", "y+1"): (4, 3)}
-
-
 @pytest.mark.parametrize("pair", DELTA_PAIRS, ids="/".join)
 @pytest.mark.parametrize("m", [0, 1])
 def test_b_section_along_t_matches_graph_form(pair, m):
     ctx = DeltaContext(poly(pair[0], XY), poly(pair[1], XY), m)
-    for vdeg, max_pdeg in (ENGINE_BOUNDS.get(pair, (6, 8)), (2, 1)):
+    # the engine's default (vdeg, max_pdeg), then small bounds
+    for vdeg, max_pdeg in ((6, 8), (2, 1)):
         want = graph_b_section_along_t(ctx, vdeg, max_pdeg)
         if want is None:
             with pytest.raises(NotSpecializableError):
