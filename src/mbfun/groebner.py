@@ -26,7 +26,7 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import sub
+from operator import le, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError
@@ -45,16 +45,16 @@ def leading_exps(elem: WeylElement, order: MonomialOrder) -> Exponent:
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _heap_key(order: MonomialOrder, exps: Exponent) -> tuple:
     """Negated order key: the smallest heap key is the largest monomial."""
-    return tuple(-k for k in order.key(exps))
+    return tuple(map(neg, order.key(exps)))
 
 
 def _mono(sig: AlgebraSignature, exps: Exponent, coeff) -> WeylElement:
@@ -142,7 +142,7 @@ def normal_form(
                     above -= sum(e) > cap
                 else:
                     work[e] = acc - t
-        if exps in work:
+        if exps in work:  # only under an order not compatible with products
             heapq.heappush(heap, entry)
         # the total degree of what is left (0 when nothing is) exceeds cap
         if above or cap < 0:

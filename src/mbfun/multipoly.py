@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .rationals import ONE, Q, ZERO, div, rational_content
@@ -32,7 +32,7 @@ def _check_exponent(e: int) -> int:
 
 
 def _revlex_key(exps: Exponent):
-    return (sum(exps),) + tuple(-e for e in reversed(exps))
+    return (sum(exps),) + tuple(map(neg, reversed(exps)))
 
 
 def _heap_key(exps: Exponent):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multipoly import MultiPoly, _revlex_key, format_terms
@@ -314,7 +314,7 @@ class MonomialOrder:
     def wdeg(self, exps: Exponent) -> int:
         if self.kind != "weight":
             return 0
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def key(self, exps: Exponent):
         if self.kind != "weight":
