@@ -82,10 +82,11 @@ class AlgebraSignature:
 
 @lru_cache(maxsize=4096)
 def _expansion(b: int, a: int) -> Tuple[Tuple[int, int], ...]:
-    """d^b x^a = sum_k C(b,k) C(a,k) k! x^(a-k) d^(b-k), as (k, coefficient)."""
+    """The terms k >= 1 of d^b x^a = sum_k C(b,k) C(a,k) k! x^(a-k) d^(b-k),
+    as (k, coefficient); the term k = 0 is x^a d^b."""
     return tuple(
         (k, math.comb(b, k) * math.comb(a, k) * math.factorial(k))
-        for k in range(min(b, a) + 1)
+        for k in range(1, min(b, a) + 1)
     )
 
 
@@ -101,7 +102,7 @@ def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
             expanded = []
             for exps, coeff in out:
                 expanded.append((exps, coeff))
-                for k, c in _expansion(b1, a2)[1:]:
+                for k, c in _expansion(b1, a2):
                     shifted = list(exps)
                     shifted[ci] -= k
                     shifted[di] -= k

@@ -40,6 +40,15 @@ def test_leibniz_contraction():
     assert dx * dx * x * x == x * x * dx * dx + 4 * (x * dx) + 2
 
 
+def test_homogenized_leibniz_contraction():
+    # [dx, x] = h^2, so each contraction of dx^b x^a carries h^2
+    sig_h = SIG.homogenized()
+    x, dx, h = (WeylElement.gen(sig_h, n) for n in ("x", "dx", "h_"))
+    assert dx * dx * dx * x * x == (
+        x * x * dx * dx * dx + 6 * (h * h * x * dx * dx) + 6 * (h * h * h * h * dx)
+    )
+
+
 def test_content_primitive_normalizes_sign():
     e = Q(-2, 3) * gen("x") - Q(4, 3) * gen("dx")
     prim = e.content_primitive()
