@@ -151,6 +151,6 @@ def sabbah_line(
         )
     bs_elem, spec = chosen
     b = BFunction.from_poly(spec)
-    witness = prefactored_witness(b, F, G, m, G * G, deg=witness_deg)
+    witness = prefactored_witness(b, F, G, m, deg=witness_deg)
     status = "CERTIFIED" if witness is not None else "UNCERTIFIED"
     return SabbahLineResult(b, bs_elem, m, witness, status)

@@ -7,15 +7,17 @@ searching for explicit operators P_k(s) with
 
 inside the Laurent module, as an exact rational linear system in the
 unknown coefficients of the P_k.  Success yields a concrete witness, which
-is re-verified by applying it; so is every witness that
-`minimal_b_search` or `prefactored_witness` returns.
+is re-verified by applying it before it is returned.
 
-There is one minimization, `minimal_b_search`: the coefficients of b and
-of the operators enter one linear system per candidate degree of b, and
-the least degree that solves gives the unique minimal monic b within the
+There is one solver, `minimal_b_search`: the coefficients of b and of the
+operators enter one linear system per candidate degree of b, and the
+least degree that solves gives the unique minimal monic b within the
 bounds.  It serves the meromorphic equation (`minimize_by_oracle`), the
 one-term variant and the reduced equation, which differ only in their
-target sections.
+target sections.  A check of a fixed b is the same search at b-degree 0
+with b(s) v0 as its v0: `verify_functional_equation` runs it once per
+operator degree, and `prefactored_witness` once, with G^2 moved to the
+left as G^-2.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
 blocks, and only the block of the target's weight is solved.  A column
@@ -45,7 +47,6 @@ from .sections import (
     base_section,
     least_monic,
     operator_columns,
-    solve,
 )
 from .weyl import Exponent, WeylElement
 
@@ -118,40 +119,15 @@ def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElem
     return {r: WeylElement(ctx.sig, terms) for r, terms in sorted(coeffs.items())}
 
 
-def _lhs(b: BFunction, ctx: MeroContext, m: int) -> LaurentSection:
-    return base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
-
-
-def _witness(
-    b: BFunction, ctx: MeroContext, m: int, N: int, deg: int, lattice
-) -> Optional[Dict[int, WeylElement]]:
-    """{k: P_k} with b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, k = 1..N, and
-    the P_k of degree <= deg, re-applied."""
-    lhs = _lhs(b, ctx, m)
-    targets = {k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}
-    columns = _columns(targets, deg, lattice, lhs)
-    values = solve(lhs, [sec for _, sec in columns])
-    if values is None:
-        return None
-    witness = _operators(ctx, columns, values)
-    _recheck_witness(lhs, targets, witness)
-    return witness
-
-
 def _recheck_witness(
-    lhs: LaurentSection,
-    targets: Dict[int, LaurentSection],
-    ops: Dict[int, WeylElement],
-    prefactor: Optional[MultiPoly] = None,
+    lhs: LaurentSection, targets: Dict[int, LaurentSection], ops: Dict[int, WeylElement]
 ) -> None:
-    """Raise CertificationError unless lhs = prefactor * sum_r P_r target_r,
-    with each operator applied afresh to its target."""
+    """Raise CertificationError unless lhs = sum_r P_r target_r, with each
+    operator applied afresh to its target."""
     total: Optional[LaurentSection] = None
     for r, P in ops.items():
         part = apply_operator(P, targets[r])
         total = part if total is None else total + part
-    if total is not None and prefactor is not None:
-        total = total.scaled(prefactor)
     if total is None or not total.section_eq(lhs):
         raise CertificationError("witness failed independent re-application")
 
@@ -170,14 +146,17 @@ def verify_functional_equation(
     """Witness {k: P_k} for b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, or None.
 
     The degree bound grows from 1 up to deg and the search stops at the
-    first success, so a None has exercised the full bounds.
+    first success, so a None has exercised the full bounds.  Each degree
+    is a `minimal_b_search` at b-degree 0 with b(s) f^s/G^m as v0; the
+    operators that are not zero are returned.
     """
     ctx = MeroContext(*unify(F, G))
-    lattice = weight_lattice(ctx.F, ctx.G)
+    lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
+    targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     for d in range(1, deg + 1):
-        witness = _witness(b, ctx, m, N, d, lattice)
-        if witness is not None:
-            return witness
+        found = minimal_b_search(ctx, lhs, targets, d, max_bdeg=0)
+        if found is not None:
+            return {r + 1: P for r, P in enumerate(found[1]) if not P.is_zero()}
     return None
 
 
@@ -208,29 +187,17 @@ def minimize_by_oracle(
 
 
 def prefactored_witness(
-    b: BFunction,
-    F: MultiPoly,
-    G: MultiPoly,
-    m: int,
-    prefactor: MultiPoly,
-    deg: int = DEFAULT_DEG,
+    b: BFunction, F: MultiPoly, G: MultiPoly, m: int, deg: int = DEFAULT_DEG
 ) -> Optional[WeylElement]:
-    """P with b(s) f^s/G^m = prefactor * P (f^{s+1}/G^m), re-applied, or
-    None."""
+    """P with b(s) f^s/G^m = G^2 P (f^{s+1}/G^m), re-applied, or None.
+
+    G is a unit of the Laurent module, so this is b(s) f^s/G^(m+2) =
+    P (f^{s+1}/G^m): a `minimal_b_search` at b-degree 0.
+    """
     ctx = MeroContext(*unify(F, G))
-    lhs, pre = _lhs(b, ctx, m), prefactor.extend_to(ctx.ring)
-    target = base_section(ctx, m, shift=1)
-    # a column times pre has the weight of one built on target * pre
-    keep = _weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
-    columns = [
-        ((1, key), sec.scaled(pre)) for key, sec in operator_columns(target, deg, keep)
-    ]
-    values = solve(lhs, [sec for _, sec in columns])
-    if values is None:
-        return None
-    ops = _operators(ctx, columns, values)
-    _recheck_witness(lhs, {1: target}, ops, pre)
-    return ops[1]
+    v0 = LaurentSection(ctx, b.poly.extend_to(ctx.ring), (0, m + 2))
+    found = minimal_b_search(ctx, v0, [base_section(ctx, m, shift=1)], deg, max_bdeg=0)
+    return None if found is None else found[1][0]
 
 
 # -- minimal-b joint search ----------------------------------------------

@@ -30,12 +30,12 @@ In both modules a section is zero iff its numerator is, so a combination
 of sections vanishes iff the same combination of their images does: their
 numerators over one common denominator.  On top of that:
 
-    solve        c with sum_i c_i columns[i] = rhs, one exact rational
-                 equation per monomial of the images
     least_monic  least d with powers[d] + sum_{i<d} c_i powers[i] in the
-                 span of the columns; a b-function is read off such a
+                 span of the columns, one exact rational equation per
+                 monomial of the images; a b-function is read off such a
                  relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
-                 engine)
+                 engine), and at d = 0 it decides whether one section is
+                 in the span (a fixed b(s) v0 in the oracle)
 
 Imaging is the costly step, so `least_monic` images each column, the
 power columns included, once per common denominator for all the degrees
@@ -369,29 +369,22 @@ class _Images:
             self._images[i] = self.sections[i].cleared_numerator(pows)
         return self._images[i]
 
-    def solve(self, rhs: int, cols: Sequence[int], negate: bool = False):
-        """Exact c with sum_k c_k sections[cols[k]] = sections[rhs] (its
-        negative when negate), or None; free coefficients, and those of
-        columns with a zero image, are zero."""
+    def solve(self, rhs: int, cols: Sequence[int]):
+        """Exact c with sum_k c_k sections[cols[k]] = sections[rhs], or
+        None; free coefficients, and those of columns with a zero image,
+        are zero."""
         sections = self.sections
         pows = _common_pows([sections[i] for i in (rhs, *cols)])
-        rhs_image = self.image(rhs, pows)
-        if negate:
-            rhs_image = -rhs_image
         images = [self.image(i, pows) for i in cols]
         kept = [k for k, image in enumerate(images) if not image.is_zero()]
-        rows, vec = linalg.identity_system([images[k].terms for k in kept], rhs_image.terms)
+        rows, vec = linalg.identity_system(
+            [images[k].terms for k in kept], self.image(rhs, pows).terms
+        )
         solution = linalg.solve(rows, vec, len(kept))
         if solution is None:
             return None
         values = dict(zip(kept, solution))
         return [values.get(k, ZERO) for k in range(len(cols))]
-
-
-def solve(rhs, columns: Sequence) -> Optional[List[object]]:
-    """Exact c with sum_i c_i columns[i] = rhs, or None; free coefficients,
-    and those of columns with a zero image, are zero."""
-    return _Images([rhs, *columns]).solve(0, range(1, len(columns) + 1))
 
 
 def least_monic(
@@ -401,14 +394,17 @@ def least_monic(
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
     no d < len(powers) admits one.
 
-    One system per d, the power columns first, each as `solve` builds it;
-    the systems share one set of images, so a column is imaged once per
-    common denominator however many degrees are tried.
+    One system per d, powers[d] against the lower powers and the columns,
+    one exact rational equation per monomial of the images; free
+    coefficients, and those of columns with a zero image, are zero.  The
+    systems share one set of images, so a column is imaged once per common
+    denominator however many degrees are tried.  At d = 0 this solves
+    powers[0] = sum_j q_j columns[j].
     """
     images = _Images([*powers, *columns])
     column_ids = list(range(len(powers), len(powers) + len(columns)))
     for d in range(min_deg, len(powers)):
-        solution = images.solve(d, list(range(d)) + column_ids, negate=True)
+        solution = images.solve(d, list(range(d)) + column_ids)
         if solution is not None:
-            return solution[:d] + [ONE], [-q for q in solution[d:]]
+            return [-c for c in solution[:d]] + [ONE], solution[d:]
     return None

@@ -5,10 +5,10 @@
 builder's order (beta, then |alpha|, alpha, then j), and yields the ones
 whose exponent tuple passes a rule.  `sections.operator_columns` must give
 the same (key, section) list, order included, under the rule of each of
-its callers: the oracle's weight rule, `prefactored_witness`'s rule with
-the G^2 prefactor, the engine's rule at each step of its schedule, and no
-rule at all.  A rule sees only the operator's shift alpha - beta, so the
-builder tests each shift once per call.
+its callers: the oracle's weight rule, which `prefactored_witness` must
+apply as the G^2-scaled columns would, the engine's rule at each step of
+its schedule, and no rule at all.  A rule sees only the operator's shift
+alpha - beta, so the builder tests each shift once per call.
 """
 
 from collections import Counter
@@ -135,11 +135,14 @@ def test_oracle_rule_builds_the_reference_columns(ftext, gtext, m):
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
 def test_prefactored_rule_builds_the_reference_columns(ftext, gtext, m, monkeypatch):
+    # the witness is searched for with G^-2 on the left and unscaled
+    # columns; the rule must keep the shifts that the G^2-scaled columns
+    # against b(s) f^s/G^m keep
     calls = recorder(monkeypatch, oracle)
-    monkeypatch.setattr(oracle, "solve", lambda *args: None)
+    monkeypatch.setattr(oracle, "least_monic", lambda *args: None)
     F, G = pair(ftext, gtext)
     b = BFunction.from_roots({Q(-1): 1})
-    assert prefactored_witness(b, F, G, m, G * G, deg=ORACLE_DEG) is None
+    assert prefactored_witness(b, F, G, m, deg=ORACLE_DEG) is None
     [(target, deg, got)] = calls
     ctx = target.ctx
     pre = (ctx.G * ctx.G).extend_to(ctx.ring)

@@ -34,13 +34,18 @@ from mbfun.sections import (
     least_monic,
     operator_columns,
     poly_weight,
-    solve,
 )
 from mbfun.weyl import WeylElement
 
 
 def poly(text, variables=None):
     return parse_poly(text, variables)
+
+
+def solve(rhs, columns):
+    """c with sum_i c_i columns[i] = rhs, or None: least_monic at degree 0."""
+    found = least_monic([rhs], columns)
+    return None if found is None else found[1]
 
 
 def b_of(roots):
