@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
+from math import gcd
 from operator import add, neg, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rationals import ONE, Q, ZERO, div, rational_content
 
@@ -407,12 +409,38 @@ def _int_divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
+def _integer_value(coeffs: List[int], p: int, q: int) -> int:
+    """q^n c(p/q) = sum_i c_i p^i q^(n-i), coeffs [c_0 .. c_n]."""
+    value, qpow = 0, 1
+    for c in reversed(coeffs):
+        value = value * p + c * qpow
+        qpow *= q
+    return value
+
+
+def _deflated(coeffs: List[int], p: int, q: int) -> Optional[List[int]]:
+    """Integer coefficients of c / (q v - p), or None when q v - p does not
+    divide c over the integers."""
+    out, b = [], 0
+    for c in reversed(coeffs[1:]):
+        b, rest = divmod(c + p * b, q)
+        if rest:
+            return None
+        out.append(b)
+    return out[::-1] if coeffs[0] + p * b == 0 else None
+
+
 def rational_roots(p: MultiPoly):
     """Split off all rational linear factors of a univariate polynomial.
 
     Returns (roots, remainder) with p == remainder * prod (v - r)^mult and
-    remainder free of rational roots (rational root theorem on the
-    primitive integer form).
+    remainder free of rational roots.  On the primitive integer form
+    c_0 .. c_n, zero has the multiplicity of the low zero coefficients;
+    every other root is a reduced a/q with a | c_0 and q | c_n (rational
+    root theorem).  Each candidate is tested once, by an integer
+    evaluation, in the order of (|a|, q, sign), and a root is divided out
+    as often as q v - a divides exactly; the roots are listed in that
+    order.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -421,41 +449,29 @@ def rational_roots(p: MultiPoly):
         raise ValueError("not univariate")
     if not live:
         return {}, p
-    name = live[0]
-    var = MultiPoly.var(p.variables, name)
+    idx = p.variables.index(live[0])
+    content = p.content()
+    coeffs = [div(c, content) for c in p.univariate_in(live[0])]
     roots: Dict[object, int] = {}
-    work = p
-    while work.degree_in(name) > 0:
-        coeffs = work.primitive().univariate_in(name)
-        lead = int(coeffs[-1].numerator)
-        k = 0
-        while coeffs[k] == 0:
-            k += 1
-        if k:
-            roots[ZERO] = roots.get(ZERO, 0) + k
-            terms = {}
-            idx = work.variables.index(name)
-            for exps, coeff in work.terms.items():
-                new = list(exps)
-                new[idx] -= k
-                terms[tuple(new)] = coeff
-            work = MultiPoly(work.variables, terms)
-            continue
-        const = int(coeffs[k].numerator)
-        found = None
-        for pn in _int_divisors(const):
-            for qn in _int_divisors(lead):
-                for sign in (1, -1):
-                    cand = Q(sign * pn, qn)
-                    if work.evaluate({name: cand} | {v: ZERO for v in work.variables if v != name}) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    if zeros:
+        roots[ZERO] = zeros
+        coeffs = coeffs[zeros:]
+    scale = content
+    for a, q in product(_int_divisors(coeffs[0]), _int_divisors(coeffs[-1])):
+        if len(coeffs) == 1:
             break
-        roots[found] = roots.get(found, 0) + 1
-        work = work.exact_quotient(var - MultiPoly.const(p.variables, found))
-    return roots, work
+        if gcd(a, q) != 1 or coeffs[0] % a or coeffs[-1] % q:
+            continue
+        for num in (a, -a):
+            if _integer_value(coeffs, num, q) == 0:
+                mult = 0
+                while (quotient := _deflated(coeffs, num, q)) is not None:
+                    coeffs, mult, scale = quotient, mult + 1, scale * q
+                roots[Q(num, q)] = mult
+    zero_exps = [0] * len(p.variables)
+    terms = {}
+    for i, c in enumerate(coeffs):
+        zero_exps[idx] = i
+        terms[tuple(zero_exps)] = c * scale
+    return roots, MultiPoly(p.variables, terms)

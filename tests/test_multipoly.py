@@ -1,5 +1,6 @@
 """Exact multivariate polynomial arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from mbfun.multipoly import (
     ExponentOverflow,
     MultiPoly,
+    _int_divisors,
     poly_from_roots,
     rational_roots,
     unify,
 )
-from mbfun.rationals import Q
+from mbfun.rationals import Q, ZERO
 
 XY = ("x", "y")
 
@@ -138,3 +140,83 @@ class TestRoots:
         roots, rem = rational_roots(parse_poly("s^2 + 1", ("s",)))
         assert roots == {}
         assert rem.degree_in("s") == 2
+
+
+def reference_rational_roots(p):
+    """rational_roots as it was: every unreduced candidate +-a/q evaluated
+    in Fraction arithmetic, and the search started over after each root."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    live = [v for v in p.variables if p.degree_in(v) > 0]
+    if len(live) > 1:
+        raise ValueError("not univariate")
+    if not live:
+        return {}, p
+    name = live[0]
+    var = MultiPoly.var(p.variables, name)
+    roots = {}
+    work = p
+    while work.degree_in(name) > 0:
+        coeffs = work.primitive().univariate_in(name)
+        lead = int(coeffs[-1].numerator)
+        k = 0
+        while coeffs[k] == 0:
+            k += 1
+        if k:
+            roots[ZERO] = roots.get(ZERO, 0) + k
+            terms = {}
+            idx = work.variables.index(name)
+            for exps, coeff in work.terms.items():
+                new = list(exps)
+                new[idx] -= k
+                terms[tuple(new)] = coeff
+            work = MultiPoly(work.variables, terms)
+            continue
+        const = int(coeffs[k].numerator)
+        found = None
+        for pn in _int_divisors(const):
+            for qn in _int_divisors(lead):
+                for sign in (1, -1):
+                    cand = Q(sign * pn, qn)
+                    point = {name: cand} | {v: ZERO for v in work.variables if v != name}
+                    if work.evaluate(point) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        work = work.exact_quotient(var - MultiPoly.const(p.variables, found))
+    return roots, work
+
+
+def random_factored(rng, variables, name):
+    """A rational constant times rational linear factors (repeats and the
+    root 0 included) and irreducible quadratics v^2 + c, c > 0, in name."""
+    v = MultiPoly.var(variables, name)
+    out = MultiPoly.const(variables, Q(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 7])))
+    for _ in range(rng.randint(0, 5)):
+        root = Q(rng.randint(-6, 6), rng.randint(1, 4))
+        out = out * (v - MultiPoly.const(variables, root))
+    for _ in range(rng.randint(0, 2)):
+        out = out * (v * v + MultiPoly.const(variables, Q(rng.randint(1, 5), rng.randint(1, 3))))
+    return out
+
+
+def exact_split(split):
+    """The roots in order with their types, and the remainder: its values
+    only, since the reference hands back an input whose coefficients may
+    be Fractions of denominator 1."""
+    roots, rem = split
+    return [(r, type(r), m) for r, m in roots.items()], rem.variables, rem
+
+
+@pytest.mark.parametrize("variables, name", [(("s",), "s"), (("x", "s", "y"), "s")])
+def test_rational_roots_matches_the_restarting_search(variables, name):
+    rng = random.Random(f"rational_roots/{variables}")
+    for _ in range(150):
+        p = random_factored(rng, variables, name)
+        assert exact_split(rational_roots(p)) == exact_split(reference_rational_roots(p)), p
