@@ -16,6 +16,7 @@ import json
 import re
 import sys
 import time
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from .annihilator import bernstein_sato, sabbah_line
@@ -428,9 +429,16 @@ def _print_human(report: Dict, elapsed: float) -> None:
     print(f"time    : {elapsed:.3f}s")
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process: parse_args leaves
+    it as it was."""
+    return build_arg_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_arg_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

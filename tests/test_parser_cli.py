@@ -225,3 +225,21 @@ def test_bad_orders_and_bounds_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from mbfun import cli
+
+    real, built = cli.build_arg_parser, []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counted)
+    cli._parser.cache_clear()
+    argvs = [["bf", "classic", "x^2", "--json"], ["bf", "mero", "x", "y"], ["bf", "bogus"]]
+    assert [main(argv) for argv in argvs] == [0, 0, 2]
+    assert len(built) == 1
+    capsys.readouterr()
+    cli._parser.cache_clear()
