@@ -95,9 +95,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * len(self.variables), ZERO)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
