@@ -466,9 +466,6 @@ def rational_roots(p: MultiPoly):
                 while (quotient := _deflated(coeffs, num, q)) is not None:
                     coeffs, mult, scale = quotient, mult + 1, scale * q
                 roots[Q(num, q)] = mult
-    zero_exps = [0] * len(p.variables)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        zero_exps[idx] = i
-        terms[tuple(zero_exps)] = c * scale
+    before, after = (0,) * idx, (0,) * (len(p.variables) - idx - 1)
+    terms = {before + (i,) + after: c * scale for i, c in enumerate(coeffs)}
     return roots, MultiPoly(p.variables, terms)
