@@ -31,12 +31,12 @@ from .multipoly import MultiPoly, unify
 from .oracle import (
     DEFAULT_DEG,
     DEFAULT_N,
+    context_lattice,
     minimal_b_search,
     minimize_by_oracle,
     verify_functional_equation,
-    weight_lattice,
 )
-from .rationals import Q
+from .rationals import ONE, Q
 from .sections import (
     DT_VAR,
     DeltaContext,
@@ -89,12 +89,11 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     """All operators of total degree <= deg killing sigma_m in the quotient,
     as a nullspace over the operator monomials."""
     columns = sorted(operator_columns(ctx.generator(), deg))
-    rows, _ = linalg.identity_system(
-        [image.terms for image in images([sec for _, sec in columns])]
-    )
+    sections = [elem.times(shift, ONE) for _, elem, shift in columns]
+    rows, _ = linalg.identity_system([image.terms for image in images(sections)])
     out = []
     for vec in linalg.nullspace(rows, len(columns)):
-        terms = {exps: c for (exps, _), c in zip(columns, vec) if c != 0}
+        terms = {exps: c for (exps, _, _), c in zip(columns, vec) if c != 0}
         if terms:
             out.append(WeylElement(ctx.sig, terms).content_primitive())
     return out
@@ -152,17 +151,22 @@ def b_section_along_t(
     for _ in range(max_pdeg):
         theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
     lattice = [
-        w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in weight_lattice(ctx.F, ctx.G)
+        w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in context_lattice(ctx)
     ]
 
     def keep(delta):
         return delta[-1] >= 1 and all(sum(map(mul, w, delta)) == 0 for w in lattice)
 
+    failed = None
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
-        vcols = [sec for _, sec in operator_columns(sigma, step, keep)]
-        found = least_monic(theta_secs, vcols)
+        vcols = list(operator_columns(sigma, step, keep))
+        keys = [key for key, _, _ in vcols]
+        if keys == failed:
+            continue
+        found = least_monic(theta_secs, [(elem, shift) for _, elem, shift in vcols])
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
+        failed = keys
     raise NotSpecializableError(
         f"no p(theta) of degree <= {max_pdeg} with a V_{{-1}} witness of "
         f"degree <= {vdeg}"
@@ -196,16 +200,19 @@ def b_mero(
 ) -> BResult:
     """b_{f,m}(s) = p_sigma(-s-1), oracle-certified and oracle-minimized."""
     F, G = unify(F, G)
-    engine_b = theta_to_s(b_section_along_t(build_sigma(F, G, m)))
+    sigma_ctx = build_sigma(F, G, m)
+    engine_b = theta_to_s(b_section_along_t(sigma_ctx))
+    # one Laurent context for every oracle search, sharing the pair's lattice
+    ctx = MeroContext(F, G, sigma_ctx.lattice)
     notes: List[str] = []
-    witness = verify_functional_equation(engine_b, F, G, m, N, deg)
+    witness = verify_functional_equation(engine_b, F, G, m, N, deg, ctx)
     if witness is None:
         return BResult(engine_b, UNCERTIFIED, None, engine_b,
                        (f"oracle found no witness within bounds N={N}, deg={deg}",))
-    b = minimize_by_oracle(engine_b, F, G, m, N, deg)
+    b = minimize_by_oracle(engine_b, F, G, m, N, deg, ctx)
     if b.poly != engine_b.poly:
         notes.append("engine value was a proper multiple; oracle minimized it")
-        witness = verify_functional_equation(b, F, G, m, N, deg)
+        witness = verify_functional_equation(b, F, G, m, N, deg, ctx)
         if witness is None:
             raise AssertionError("minimized b lost its witness")
     return BResult(b, CERTIFIED, witness, engine_b, tuple(notes))

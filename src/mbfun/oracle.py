@@ -26,8 +26,12 @@ so `_weight_rule` keeps the shifts alpha - beta with w.(alpha - beta) =
 w(rhs) - w(target) for each w, and no column of another shift is built;
 b(s) v0 has v0's weight at every degree of b.  This preserves
 solvability in both directions because every column is
-weight-homogeneous in x.  The kept columns are imaged once per common
-denominator, however many degrees of b are tried.
+weight-homogeneous in x.  Each column is a shift of a derivative of its
+target, and each derivative is imaged once per common denominator,
+however many degrees of b are tried.  The derivatives and the weight
+lattice belong to the MeroContext, so every search on one context, the
+operator degrees of `verify_functional_equation` and the minimization in
+`b_mero` among them, builds each derivative and the lattice once.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from .weyl import Exponent, WeylElement
 DEFAULT_N = 3
 DEFAULT_DEG = 6
 
-Columns = List[Tuple[Tuple[int, Exponent], LaurentSection]]
+# each column labelled (r, operator key), as (tower element, shift)
+Columns = List[Tuple[Tuple[int, Exponent], Tuple[LaurentSection, Exponent]]]
 
 
 # -- quasi-homogeneity lattice -------------------------------------------
@@ -79,6 +84,14 @@ def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
     return out
 
 
+def context_lattice(ctx) -> List[Tuple[int, ...]]:
+    """weight_lattice(ctx.F, ctx.G), computed once per context, which keeps
+    it."""
+    if ctx.lattice is None:
+        ctx.lattice = weight_lattice(ctx.F, ctx.G)
+    return ctx.lattice
+
+
 # -- labelled columns and witnesses --------------------------------------
 
 
@@ -92,7 +105,9 @@ def _columns(
     columns = []
     for r, target in targets.items():
         keep = _weight_rule(target, rhs, lattice)
-        columns += [((r, key), sec) for key, sec in operator_columns(target, deg, keep)]
+        columns += [
+            ((r, key), (elem, shift)) for key, elem, shift in operator_columns(target, deg, keep)
+        ]
     return columns
 
 
@@ -142,15 +157,19 @@ def verify_functional_equation(
     m: int = 0,
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
+    ctx: Optional[MeroContext] = None,
 ) -> Optional[Dict[int, WeylElement]]:
     """Witness {k: P_k} for b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, or None.
 
     The degree bound grows from 1 up to deg and the search stops at the
     first success, so a None has exercised the full bounds.  Each degree
     is a `minimal_b_search` at b-degree 0 with b(s) f^s/G^m as v0; the
-    operators that are not zero are returned.
+    operators that are not zero are returned.  ctx, when given, is a
+    MeroContext of (F, G): the degrees, and other searches on it, share
+    its derivative towers and weight lattice.
     """
-    ctx = MeroContext(*unify(F, G))
+    if ctx is None:
+        ctx = MeroContext(*unify(F, G))
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     for d in range(1, deg + 1):
@@ -167,6 +186,7 @@ def minimize_by_oracle(
     m: int = 0,
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
+    ctx: Optional[MeroContext] = None,
 ) -> BFunction:
     """Monic b' of least degree in 1 .. deg(b)-1 admitting the functional
     equation at (N, deg); b itself when none does.
@@ -174,11 +194,12 @@ def minimize_by_oracle(
     The caller has certified b at the same bounds, so b is the only monic
     solution of its own degree and the search stops below it.  Every
     solution is a multiple of the true minimal b, so b' never drops a root
-    the equation needs.
+    the equation needs.  ctx is as in `verify_functional_equation`.
     """
     if b.degree() <= 1:
         return b
-    ctx = MeroContext(*unify(F, G))
+    if ctx is None:
+        ctx = MeroContext(*unify(F, G))
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     found = minimal_b_search(
         ctx, base_section(ctx, m), targets, deg, max_bdeg=b.degree() - 1, min_bdeg=1
@@ -221,10 +242,9 @@ def minimal_b_search(
     Any solution is a multiple of the true minimal b for the equation.
     The operators are re-applied before they are returned.
     """
-    lattice = weight_lattice(ctx.F, ctx.G)
-    columns = _columns(dict(enumerate(targets)), opdeg, lattice, v0)
+    columns = _columns(dict(enumerate(targets)), opdeg, context_lattice(ctx), v0)
     powers = [v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1)]
-    found = least_monic(powers, [sec for _, sec in columns], min_bdeg)
+    found = least_monic(powers, [column for _, column in columns], min_bdeg)
     if found is None:
         return None
     coeffs, values = found

@@ -13,8 +13,9 @@ The first is the oracle's working module, in which f^(s+k)/G^m is
 F^k f^s/G^(m+k); the engine's generator sigma_m = G^(1-m)/(tG-F) = G^(1-m) u
 lives in the second, whose sections are polar parts sum_j h_j(x) G^-b
 (tG-F)^-j.  Each context lists its factors, their partials, the factors R
-each derivation raises (all of them for every x_i; none for t), and the
-chain term c_v = d_v(u) prod_R D_i of u (the Laurent module has no u):
+each derivation raises (for x_i, F and G where they depend on x_i, and G
+in the delta module; none for t), and the chain term c_v = d_v(u) prod_R
+D_i of u (the Laurent module has no u):
 
     d_v (h prod D_i^l_i) = [h_v prod_R D_i + h sum_{i in R} l_i d_v(D_i)
                             prod_{j in R, j != i} D_j + h_u c_v]
@@ -37,20 +38,29 @@ numerators over one common denominator.  On top of that:
                  engine), and at d = 0 it decides whether one section is
                  in the span (a fixed b(s) v0 in the oracle)
 
-Imaging is the costly step, so `least_monic` images each column, the
-power columns included, once per common denominator for all the degrees
-it tries.  Which columns there are is decided before any is built, by the
+Imaging is the costly step, and each derivative and each image is built
+once.  `operator_columns` gives the column x^alpha c^j d^beta base as
+(element, shift): the element is d^beta base, kept in the context's tower
+of base for the context's life, so the degrees of one search and the
+searches on one context share it (in the delta module t^k d^beta base,
+since t does not act by a shift).  Over a common denominator the column's
+image is the element's image shifted, so `least_monic` clears each element,
+and each power column, once per common denominator for all the degrees it
+tries.  Which columns there are is decided before any is built, by the
 caller's `keep` test on the operator's shift delta = alpha - beta over the
-coordinates that carry a derivation.  When the factors are w-homogeneous,
+coordinates that carry a derivation, run on a table of shifts kept per
+(number of derivations, deg).  When the factors are w-homogeneous,
 x^alpha c^j d^beta adds w.delta to a section's weight, which does not
 depend on the denominator; sections of different weights have images with
 no monomial in common, so callers keep only the shifts of the weight they
-need, and `operator_columns` builds no column of another shift.
+need (the pair's weight lattice, which the context keeps), and
+`operator_columns` builds no column of another shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -75,12 +85,21 @@ class _Context:
     partials, and the chain terms of u; subclasses set `ring` first and
     give `exponents`."""
 
+    lattice = None   # weight lattice of (F, G), once computed (oracle.context_lattice)
+
     def _set_factors(self, factors, raises, chain=None) -> None:
         self.factors = factors
         self.partials = {v: {i: factors[i].derivative(v) for i in r} for v, r in raises.items()}
         self.raises = raises
         self.chain = chain or {}
         self._powers = tuple({0: MultiPoly.const(self.ring, 1)} for _ in factors)
+        self._towers: dict = {}
+
+    def tower(self, base: "_Section") -> dict:
+        """The elements built on base so far, kept for the context's life:
+        each derivative d^beta base, and each t^k d^beta base in the delta
+        module, keyed by (beta, head) as in `operator_columns`."""
+        return self._towers.setdefault(base, {})
 
     def power(self, i: int, k: int) -> MultiPoly:
         """factors[i] ** k, cached; k >= 0."""
@@ -130,6 +149,12 @@ class _Section:
         ctx.sig: a shift of the numerator."""
         num = self.numerator.shifted(exps)
         return type(self)(self.ctx, num if coeff == 1 else num * coeff, self.pows)
+
+    def split(self, exps: Exponent) -> Tuple[Exponent, Exponent]:
+        """(head, shift) with x^exps = x^shift x^head on sections, where
+        x^head acts through `times` and x^shift shifts the numerator, both
+        over the coordinates of ctx.sig; here the head is 1."""
+        return (0,) * len(exps), exps
 
     def __add__(self, other):
         if self.ctx is not other.ctx:
@@ -207,11 +232,17 @@ class DeltaSection(_Section):
             num, b = MultiPoly._trusted(num.variables, over_u) + self.ctx.F_u * num, b + 1
         return _Section.times(DeltaSection(self.ctx, num, (b,)), exps[:-1] + (0,), coeff)
 
+    def split(self, exps: Exponent) -> Tuple[Exponent, Exponent]:
+        """t^k is the head and x^alpha the shift of exps = alpha + (k,)."""
+        return (0,) * (len(exps) - 1) + exps[-1:], exps[:-1] + (0,)
+
 
 class MeroContext(_Context):
-    """Fixed pair (F, G); factors (F, G) over the ring (x, s)."""
+    """Fixed pair (F, G); factors (F, G) over the ring (x, s), each raised
+    by the derivations in which it is not constant.  lattice, when given,
+    is weight_lattice(F, G)."""
 
-    def __init__(self, F: MultiPoly, G: MultiPoly):
+    def __init__(self, F: MultiPoly, G: MultiPoly, lattice=None):
         if F.variables != G.variables:
             raise ValueError("F and G must share a variable list")
         self.xvars: Tuple[str, ...] = F.variables
@@ -219,10 +250,15 @@ class MeroContext(_Context):
             raise ValueError(f"variable names {S_VAR!r}/{T_VAR!r} are reserved")
         self.F = F
         self.G = G
+        self.lattice = lattice
         self.ring: Tuple[str, ...] = self.xvars + (S_VAR,)
         self.s = MultiPoly.var(self.ring, S_VAR)
         factors = (F.extend_to(self.ring), G.extend_to(self.ring))
-        self._set_factors(factors, {x: (0, 1) for x in self.xvars})
+        raises = {
+            x: tuple(i for i, D in enumerate(factors) if not D.derivative(x).is_zero())
+            for x in self.xvars
+        }
+        self._set_factors(factors, raises)
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
         )
@@ -302,42 +338,63 @@ def apply_delta_operator(P: WeylElement, v: DeltaSection) -> DeltaSection:
     return _apply(P, v)
 
 
+@lru_cache(maxsize=None)
+def _shift_ball(n: int, deg: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(sum delta, delta) for each delta in Z^n with |delta|_1 <= deg,
+    sorted."""
+    ball = (d for d in product(range(-deg, deg + 1), repeat=n) if sum(map(abs, d)) <= deg)
+    return tuple(sorted((sum(d), d) for d in ball))
+
+
 def operator_columns(
     base, deg: int, keep: Optional[Callable[[Tuple[int, ...]], bool]] = None
-) -> Iterator[Tuple[Exponent, object]]:
-    """Sections (x^alpha c^j d^beta) base, keyed by the operator's exponent
-    tuple in signature order: |alpha| + |beta| <= deg over the coordinates
-    that carry a derivation, exponent <= deg on each central coordinate c;
-    when keep is given, only those whose shift alpha - beta passes it.
+) -> Iterator[Tuple[Exponent, "_Section", Exponent]]:
+    """The columns (x^alpha c^j d^beta) base, as (key, element, shift): key
+    is the operator's exponent tuple in signature order, with |alpha| +
+    |beta| <= deg over the coordinates that carry a derivation and exponent
+    <= deg on each central coordinate c; when keep is given, only those
+    whose shift alpha - beta passes it.  The column is element.times(shift,
+    ONE), and its image over any common denominator is the element's,
+    shifted.
 
-    keep runs once on each shift, before any column is built.  Each
-    derivative d^beta base is built the first time a kept column needs it,
-    one derivation above an earlier one in a tower, and x^alpha c^j acts on
-    it through `times`; the order is by beta, then |alpha|, alpha, j.
+    keep runs once on each shift of |alpha - beta|_1 <= deg, taken from a
+    table kept per (number of derivations, deg), before any column is
+    built.  The elements are those of base's tower in its context (see
+    `_Context.tower`): each derivative d^beta base is built the first time
+    a kept column needs it, one derivation above an earlier one, and the
+    head of x^alpha c^j (`_Section.split`, t^k in the delta module) acts on
+    it once per (beta, head).  The order is by beta, then |alpha|, alpha, j.
     """
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
     central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
-    shifts = [d for d in product(range(-deg, deg + 1), repeat=n) if sum(map(abs, d)) <= deg]
-    if keep is not None:
-        shifts = [d for d in shifts if keep(d)]
-    tower = {(0,) * n: base}
+    shifts = [(total, d) for total, d in _shift_ball(n, deg) if keep is None or keep(d)]
+    no_head = (0,) * len(sig.coords)
+    tower = base.ctx.tower(base)
+    tower.setdefault(((0,) * n, no_head), base)
 
-    def derivative(beta):
-        if beta not in tower:
-            i = next(idx for idx, e in enumerate(beta) if e)
-            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            tower[beta] = derivative(prev).derivative(paired[i])
-        return tower[beta]
+    def element(beta, head):
+        if (beta, head) not in tower:
+            if head != no_head:
+                tower[beta, head] = element(beta, no_head).times(head, ONE)
+            else:
+                i = next(idx for idx, e in enumerate(beta) if e)
+                prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                tower[beta, head] = element(prev, no_head).derivative(paired[i])
+        return tower[beta, head]
 
     for beta in product(range(deg + 1), repeat=n):
-        room = deg - sum(beta)
-        alphas = [tuple(map(add, beta, d)) for d in shifts]
-        alphas = [a for a in alphas if min(a) >= 0 and sum(a) <= room]
-        for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
+        room = deg - 2 * sum(beta)
+        for total, delta in shifts:
+            if total > room:
+                break
+            alpha = tuple(map(add, beta, delta))
+            if min(alpha) < 0:
+                continue
             for j in central:
-                yield alpha + j + beta, derivative(beta).times(alpha + j, ONE)
+                head, shift = base.split(alpha + j)
+                yield alpha + j + beta, element(beta, head), shift
 
 
 # -- sections to a linear system -------------------------------------------
@@ -351,30 +408,36 @@ def poly_weight(poly: MultiPoly, w: Sequence):
 
 
 class _Images:
-    """Images of fixed sections, each computed at most once per common pows.
+    """Images of fixed columns (element, shift), each computed at most once
+    per common pows: an element is cleared once and each column on it is
+    its image shifted (a shift of None is none).
 
     Only the images at the latest pows are kept: the callers' common
     denominators never shrink, so older ones are not asked for again.
     """
 
-    def __init__(self, sections: Sequence):
-        self.sections = sections
+    def __init__(self, columns: Sequence[Tuple["_Section", Optional[Exponent]]]):
+        self.columns = columns
         self._pows: Optional[Tuple[int, ...]] = None
         self._images: dict = {}
+        self._cleared: dict = {}
 
     def image(self, i: int, pows: Tuple[int, ...]) -> MultiPoly:
         if pows != self._pows:
-            self._pows, self._images = pows, {}
+            self._pows, self._images, self._cleared = pows, {}, {}
         if i not in self._images:
-            self._images[i] = self.sections[i].cleared_numerator(pows)
+            elem, shift = self.columns[i]
+            cleared = self._cleared.get(id(elem))
+            if cleared is None:
+                cleared = self._cleared[id(elem)] = elem.cleared_numerator(pows)
+            self._images[i] = cleared if shift is None else cleared.shifted(shift)
         return self._images[i]
 
     def solve(self, rhs: int, cols: Sequence[int]):
-        """Exact c with sum_k c_k sections[cols[k]] = sections[rhs], or
-        None; free coefficients, and those of columns with a zero image,
-        are zero."""
-        sections = self.sections
-        pows = _common_pows([sections[i] for i in (rhs, *cols)])
+        """Exact c with sum_k c_k columns[cols[k]] = columns[rhs], or None;
+        free coefficients, and those of columns with a zero image, are
+        zero."""
+        pows = _common_pows([self.columns[i][0] for i in (rhs, *cols)])
         images = [self.image(i, pows) for i in cols]
         kept = [k for k, image in enumerate(images) if not image.is_zero()]
         rows, vec = linalg.identity_system(
@@ -392,16 +455,18 @@ def least_monic(
 ) -> Optional[Tuple[List[object], List[object]]]:
     """Least d >= min_deg with powers[d] + sum_{i<d} c_i powers[i] =
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
-    no d < len(powers) admits one.
+    no d < len(powers) admits one.  The powers are sections, the columns
+    (element, shift) pairs as `operator_columns` gives them.
 
     One system per d, powers[d] against the lower powers and the columns,
     one exact rational equation per monomial of the images; free
     coefficients, and those of columns with a zero image, are zero.  The
-    systems share one set of images, so a column is imaged once per common
-    denominator however many degrees are tried.  At d = 0 this solves
-    powers[0] = sum_j q_j columns[j].
+    systems share one set of images, so an element is cleared once per
+    common denominator however many degrees are tried, and each column on
+    it is a shift of that image.  At d = 0 this solves powers[0] = sum_j
+    q_j columns[j].
     """
-    images = _Images([*powers, *columns])
+    images = _Images([*((p, None) for p in powers), *columns])
     column_ids = list(range(len(powers), len(powers) + len(columns)))
     for d in range(min_deg, len(powers)):
         solution = images.solve(d, list(range(d)) + column_ids)

@@ -2,10 +2,9 @@
 
 `legacy_operator_columns` is `sections.operator_columns` as it was before
 columns came out as (tower element, shift) pairs: it enumerates every
-shift with |delta|_1 <= deg on each call, builds derivatives in a tower
-of its own, and makes each column a section through `times`.  Here the
-tower is passed in, so that the test builds each derivative once across
-the degrees.  The builder must give the same keys, in the same order, and
+shift with |delta|_1 <= deg on each call (`legacy_operators`), builds
+derivatives in a tower of its own, and makes each column a section
+through `times`.  The builder must give the same keys, in the same order, and
 pairs that make equal sections, at every degree 0 .. 6, on the battery
 and the engine pins, in the Laurent and the delta module, with no rule,
 the oracle's weight rule and the engine's rule.  The image of a pair over a common
@@ -13,6 +12,7 @@ denominator, its element's image shifted, must equal that of the section
 it makes.
 """
 
+from functools import lru_cache
 from itertools import product
 from operator import add
 
@@ -20,7 +20,14 @@ import pytest
 
 from mbfun.oracle import _weight_rule, weight_lattice
 from mbfun.rationals import ONE
-from mbfun.sections import DeltaContext, MeroContext, base_section, operator_columns
+from mbfun.sections import (
+    DeltaContext,
+    MeroContext,
+    _Images,
+    base_section,
+    operator_columns,
+)
+from column_helpers import section_of
 from test_merobf import BATTERY, ENGINE_PINS, pair
 from test_operator_columns import engine_rule
 
@@ -28,17 +35,42 @@ CASES = BATTERY + [(f, g, m) for f, g, m, _ in ENGINE_PINS]
 DEGREES = range(7)
 
 
-def legacy_operator_columns(base, deg, keep, tower):
-    """(key, section) in the builder's order: by beta, then |alpha|,
-    alpha, j; tower holds the derivatives d^beta base built so far."""
+def legacy_operators(base, deg, keep):
+    """(key, beta, alpha + j) in the builder's order: by beta, then
+    |alpha|, alpha, j."""
     sig = base.ctx.sig
-    paired = [sig.coords[ci] for ci, _ in sig.pairs]
-    n = len(paired)
-    central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
+    n = len(sig.pairs)
+    if keep is None:
+        return unruled_operators(n, len(sig.coords) - n, deg)
+    return list(_legacy_operators(n, len(sig.coords) - n, deg, keep))
+
+
+@lru_cache(maxsize=None)
+def unruled_operators(n, ncentral, deg):
+    """Every operator, which depends only on the signature's shape."""
+    return list(_legacy_operators(n, ncentral, deg, None))
+
+
+def _legacy_operators(n, ncentral, deg, keep):
+    central = list(product(range(deg + 1), repeat=ncentral))
     shifts = [d for d in product(range(-deg, deg + 1), repeat=n) if sum(map(abs, d)) <= deg]
     if keep is not None:
         shifts = [d for d in shifts if keep(d)]
-    tower.setdefault((0,) * n, base)
+    for beta in product(range(deg + 1), repeat=n):
+        room = deg - sum(beta)
+        alphas = [tuple(map(add, beta, d)) for d in shifts]
+        alphas = [a for a in alphas if min(a) >= 0 and sum(a) <= room]
+        for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
+            for j in central:
+                yield alpha + j + beta, beta, alpha + j
+
+
+def legacy_operator_columns(base, deg, keep, tower):
+    """(key, section) for each operator of `legacy_operators`; tower holds
+    the derivatives d^beta base built so far."""
+    sig = base.ctx.sig
+    paired = [sig.coords[ci] for ci, _ in sig.pairs]
+    tower.setdefault((0,) * len(paired), base)
 
     def derivative(beta):
         if beta not in tower:
@@ -47,28 +79,8 @@ def legacy_operator_columns(base, deg, keep, tower):
             tower[beta] = derivative(prev).derivative(paired[i])
         return tower[beta]
 
-    for beta in product(range(deg + 1), repeat=n):
-        room = deg - sum(beta)
-        alphas = [tuple(map(add, beta, d)) for d in shifts]
-        alphas = [a for a in alphas if min(a) >= 0 and sum(a) <= room]
-        for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
-            for j in central:
-                yield alpha + j + beta, derivative(beta).times(alpha + j, ONE)
-
-
-def as_pairs(items):
-    """(key, element, shift) for each column the builder yields."""
-    out = []
-    for key, *column in items:
-        if len(column) == 1:
-            column = [column[0], (0,) * len(key[:len(column[0].ctx.sig.coords)])]
-        out.append((key, *column))
-    return out
-
-
-def section_of(elem, shift):
-    """The section x^shift elem, which the pair (elem, shift) stands for."""
-    return elem.times(shift, ONE)
+    for key, beta, exps in legacy_operators(base, deg, keep):
+        yield key, derivative(beta).times(exps, ONE)
 
 
 def laurent_rules(ctx, m):
@@ -89,25 +101,23 @@ def rule_cases(ftext, gtext, m):
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
 def test_builder_matches_the_legacy_builder(ftext, gtext, m):
-    towers = {}
+    # a key's section does not depend on deg, so sections are compared at
+    # the largest deg, which has every key of the smaller ones
     for base, keep in rule_cases(ftext, gtext, m):
-        tower = towers.setdefault(base, {})
         for deg in DEGREES:
-            got = as_pairs(operator_columns(base, deg, keep))
-            want = list(legacy_operator_columns(base, deg, keep, tower))
-            assert [key for key, _, _ in got] == [key for key, _ in want], deg
-            assert [section_of(elem, shift) for _, elem, shift in got] == [
-                sec for _, sec in want
-            ], deg
+            got = [key for key, _, _ in operator_columns(base, deg, keep)]
+            assert got == [key for key, _, _ in legacy_operators(base, deg, keep)], deg
+        got = [(key, section_of(elem, shift)) for key, elem, shift in operator_columns(base, deg, keep)]
+        assert got == list(legacy_operator_columns(base, deg, keep, {}))
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
 def test_pair_images_are_the_images_of_their_sections(ftext, gtext, m):
     for base, keep in rule_cases(ftext, gtext, m):
-        got = as_pairs(operator_columns(base, 4, keep))
+        got = list(operator_columns(base, 4, keep))
         if not got:
             continue
         pows = tuple(max(p) for p in zip(*(elem.pows for _, elem, _ in got)))
-        for _, elem, shift in got:
-            image = elem.cleared_numerator(pows).shifted(shift)
-            assert image == section_of(elem, shift).cleared_numerator(pows)
+        images = _Images([(elem, shift) for _, elem, shift in got])
+        for i, (_, elem, shift) in enumerate(got):
+            assert images.image(i, pows) == section_of(elem, shift).cleared_numerator(pows)

@@ -138,7 +138,9 @@ def unpruned_engine(ctx, vdeg=6, max_pdeg=8):
     t, dt = sig.index("t"), sig.index("dt")
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
         columns = [
-            sec for exps, sec in operator_columns(sigma, step) if exps[dt] - exps[t] <= -1
+            (elem, shift)
+            for exps, elem, shift in operator_columns(sigma, step)
+            if exps[dt] - exps[t] <= -1
         ]
         found = least_monic(powers, columns)
         if found is not None:

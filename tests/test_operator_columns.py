@@ -4,10 +4,11 @@
 |alpha| + |beta| <= deg and each central exponent j <= deg, in the
 builder's order (beta, then |alpha|, alpha, then j), and yields the ones
 whose exponent tuple passes a rule.  `sections.operator_columns` must give
-the same (key, section) list, order included, under the rule of each of
-its callers: the oracle's weight rule, which `prefactored_witness` must
-apply as the G^2-scaled columns would, the engine's rule at each step of
-its schedule, and no rule at all.  A rule sees only the operator's shift
+the same (key, section) list, order included, once each (element, shift)
+it yields is made a section (`column_helpers.materialized`), under the
+rule of each of its callers: the oracle's weight rule, which
+`prefactored_witness` must apply as the G^2-scaled columns would, the
+engine's rule at each step of its schedule, and no rule at all.  A rule sees only the operator's shift
 alpha - beta, so the builder tests each shift once per call.
 """
 
@@ -29,6 +30,7 @@ from mbfun.sections import (
     operator_columns,
     poly_weight,
 )
+from column_helpers import materialized, section_of
 from test_merobf import BATTERY, GRADED_PINS, pair
 
 # pairs that no weight w != 0 makes jointly quasi-homogeneous
@@ -104,7 +106,7 @@ def engine_rule(ctx):
 
 def recorder(monkeypatch, module):
     """Replace module.operator_columns by a wrapper recording (base, deg,
-    the (key, section) list) for each call."""
+    the (key, element, shift) list) for each call."""
     calls = []
     real = module.operator_columns
 
@@ -130,7 +132,8 @@ def test_oracle_rule_builds_the_reference_columns(ftext, gtext, m):
             target, ORACLE_DEG, oracle_rule(target, rhs, lattice)
         )
     ]
-    assert _columns(targets, ORACLE_DEG, lattice, rhs) == want
+    got = _columns(targets, ORACLE_DEG, lattice, rhs)
+    assert [(label, section_of(*column)) for label, column in got] == want
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
@@ -149,7 +152,7 @@ def test_prefactored_rule_builds_the_reference_columns(ftext, gtext, m, monkeypa
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     keep = oracle_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
     assert target == base_section(ctx, m, shift=1) and deg == ORACLE_DEG
-    assert got == list(reference_operator_columns(target, deg, keep))
+    assert materialized(got) == list(reference_operator_columns(target, deg, keep))
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
@@ -163,7 +166,7 @@ def test_engine_rule_builds_the_reference_columns(ftext, gtext, m, monkeypatch):
     assert [deg for _, deg, _ in calls] == [2, 4, 6]
     keep = engine_rule(ctx)
     for sigma, deg, got in calls:
-        assert got == list(reference_operator_columns(sigma, deg, keep))
+        assert materialized(got) == list(reference_operator_columns(sigma, deg, keep))
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
@@ -172,7 +175,8 @@ def test_builder_without_a_rule_builds_every_column(ftext, gtext, m):
     laurent = base_section(MeroContext(F, G), m, shift=1)
     sigma = DeltaContext(F, G, m).generator()
     for base, deg in ((laurent, 2), (sigma, 3)):
-        assert list(operator_columns(base, deg)) == list(reference_operator_columns(base, deg))
+        got = materialized(operator_columns(base, deg))
+        assert got == list(reference_operator_columns(base, deg))
 
 
 def counted_builder(monkeypatch, counts):
@@ -206,3 +210,45 @@ def test_battery_tests_each_shift_once(monkeypatch):
         merobf.b_mero(*pair(ftext, gtext), m)
     assert counts["keep"] <= 13_809
     assert counts["columns"] == 555
+
+
+def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
+    # one b_mero pass over the battery.  When each search built its own
+    # towers and lattice and every column was a section imaged on its own,
+    # it made 126 weight_lattice calls, 624 derivatives, 1,353 times calls
+    # (DeltaSection's inner _Section.times included), 2,469 clearings and
+    # 60 engine least_monic calls, 33 of them on no column
+    counts = Counter()
+
+    def count(owner, attr, label):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[label] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(oracle, "weight_lattice", "lattice")
+    count(sections._Section, "derivative", "derivative")
+    count(sections._Section, "times", "times")
+    count(sections.DeltaSection, "times", "times")
+    count(sections.LaurentSection, "cleared_numerator", "cleared")
+    count(sections.DeltaSection, "cleared_numerator", "cleared")
+    least_monic = merobf.least_monic
+
+    def engine_least_monic(powers, columns, *rest):
+        counts["engine least_monic"] += 1
+        counts["on no column"] += not columns
+        return least_monic(powers, columns, *rest)
+
+    monkeypatch.setattr(merobf, "least_monic", engine_least_monic)
+    for ftext, gtext, m in BATTERY:
+        merobf.b_mero(*pair(ftext, gtext), m)
+    assert counts["lattice"] == len(BATTERY)
+    assert counts["derivative"] == 579
+    assert counts["times"] == 825
+    assert counts["cleared"] == 1_623
+    # a step whose columns are those of the failed step before it is skipped
+    assert counts["engine least_monic"] == 51
+    assert counts["on no column"] == 24

@@ -19,6 +19,7 @@ from mbfun.oracle import _operators, _weight_rule, verify_functional_equation, w
 from mbfun.parser import parse_poly
 from mbfun.rationals import ZERO
 from mbfun.sections import MeroContext, base_section, images, operator_columns
+from column_helpers import section_of
 from test_annihilator import SABBAH_PINS
 from test_merobf import BATTERY, ENGINE_PINS, pair
 
@@ -52,9 +53,11 @@ def reference_verify(b, F, G, m, N, deg):
     targets = {k: base_section(ctx, m, shift=k) for k in range(1, N + 1)}
     for d in range(1, deg + 1):
         columns = [
-            ((k, key), sec)
+            ((k, key), section_of(elem, shift))
             for k, target in targets.items()
-            for key, sec in operator_columns(target, d, _weight_rule(target, lhs, lattice))
+            for key, elem, shift in operator_columns(
+                target, d, _weight_rule(target, lhs, lattice)
+            )
         ]
         values = reference_values(lhs, [sec for _, sec in columns])
         if values is not None:
@@ -68,7 +71,10 @@ def reference_sabbah_witness(b, F, G, m, deg):
     lhs, pre = lhs_section(b, ctx, m), (ctx.G * ctx.G).extend_to(ctx.ring)
     target = base_section(ctx, m, shift=1)
     keep = _weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
-    columns = [((1, key), sec.scaled(pre)) for key, sec in operator_columns(target, deg, keep)]
+    columns = [
+        ((1, key), section_of(elem, shift).scaled(pre))
+        for key, elem, shift in operator_columns(target, deg, keep)
+    ]
     values = reference_values(lhs, [sec for _, sec in columns])
     return None if values is None else _operators(ctx, columns, values)[1]
 

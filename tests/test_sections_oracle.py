@@ -36,6 +36,7 @@ from mbfun.sections import (
     poly_weight,
 )
 from mbfun.weyl import WeylElement
+from column_helpers import as_columns, materialized, section_of, sections_of
 
 
 def poly(text, variables=None):
@@ -43,8 +44,9 @@ def poly(text, variables=None):
 
 
 def solve(rhs, columns):
-    """c with sum_i c_i columns[i] = rhs, or None: least_monic at degree 0."""
-    found = least_monic([rhs], columns)
+    """c with sum_i c_i columns[i] = rhs for sections, or None:
+    least_monic at degree 0."""
+    found = least_monic([rhs], as_columns(columns))
     return None if found is None else found[1]
 
 
@@ -271,12 +273,12 @@ class TestSections:
     def test_operator_columns_match_applied_monomials(self):
         ctx = DeltaContext(poly("x*y", XY), poly("x+y", XY), 1)
         sigma = ctx.generator()
-        columns = dict(operator_columns(sigma, 2))
+        columns = dict(materialized(operator_columns(sigma, 2)))
         assert len(columns) == 28   # monomials of degree <= 2 in 6 generators
         for exps, sec in columns.items():
             assert sec == apply_delta_operator(WeylElement(ctx.sig, {exps: Q(1)}), sigma)
         mero = MeroContext(poly("x^2", XY), poly("y", XY))
-        keys = [key for key, _ in operator_columns(base_section(mero, 1), 1)]
+        keys = [key for key, _, _ in operator_columns(base_section(mero, 1), 1)]
         assert keys == [
             (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0),
             (0, 1, 1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 1, 0, 0),
@@ -302,35 +304,47 @@ def shift(key):
 
 
 def columns_within(base, deg, max_j, keep=None):
-    """operator_columns with each central exponent <= max_j."""
+    """operator_columns with each central exponent <= max_j, as (key,
+    section)."""
     n = len(base.ctx.sig.pairs)
     return [
         (key, sec)
-        for key, sec in operator_columns(base, deg, keep)
+        for key, sec in materialized(operator_columns(base, deg, keep))
         if all(j <= max_j for j in key[n:len(key) - n])
     ]
 
 
+def plain(columns):
+    """(key, numerator, pows) of (key, section) columns, which compare
+    across contexts."""
+    return [(key, sec.numerator, sec.pows) for key, sec in columns]
+
+
 @pytest.mark.parametrize("module", ["laurent", "delta"])
 def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
-    # one times call per kept column, and derivatives only toward the
-    # beta of kept columns, each built once
+    # derivatives only toward the beta of kept columns, each built once,
+    # and one times call per (beta, head) that has a head (t^k in the
+    # delta module); the context keeps them, so a second call builds none
     F, G = poly("x^3", XY), poly("y^2", XY)
     lattice = weight_lattice(F, G)
+
+    def fresh():
+        if module == "laurent":
+            return base_section(MeroContext(F, G), 1, shift=1), 3
+        return DeltaContext(F, G, 1).generator(), 4
+
+    base, deg = fresh()
+    ctx = base.ctx
     if module == "laurent":
-        ctx = MeroContext(F, G)
-        base, deg = base_section(ctx, 1, shift=1), 3
         weight_rule = _weight_rule(base, base_section(ctx, 1), lattice)
     else:
-        ctx = DeltaContext(F, G, 1)
-        base, deg = ctx.generator(), 4
         graded = [w + (poly_weight(F, w) - poly_weight(G, w),) for w in lattice]
 
         def weight_rule(delta):
             v_filtered = delta[-1] >= 1
             return v_filtered and all(sum(map(mul, w, delta)) == 0 for w in graded)
 
-    full = list(operator_columns(base, deg))
+    full = materialized(operator_columns(base, deg))
     shifts = sorted({shift(key) for key, _ in full})
     chosen = set(random.Random(module).sample(shifts, 12))
     section_type = type(base)
@@ -349,12 +363,22 @@ def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     monkeypatch.setattr(_Section, "derivative", counted_derivative)
     n = len(ctx.sig.pairs)
     for keep in (weight_rule, chosen.__contains__, lambda delta: False):
-        calls.clear()
-        got = list(operator_columns(base, deg, keep))
-        assert got == [(key, sec) for key, sec in full if keep(shift(key))]
-        assert calls["times"] == len(got) < len(full)
-        built = set().union(*(tower_chain(key[-n:]) for key, _ in got))
-        assert calls["derivative"] == len(built)
+        base, deg = fresh()
+        for again in (False, True):
+            calls.clear()
+            got = list(operator_columns(base, deg, keep))
+            built = Counter(calls)
+            want = [(key, sec) for key, sec in full if keep(shift(key))]
+            assert plain(materialized(got)) == plain(want)
+            assert len(got) < len(full)
+            heads = {(key[-n:], base.split(key[:-n])[0]) for key, _, _ in got}
+            chain = set().union(*(tower_chain(key[-n:]) for key, _, _ in got))
+            if again:
+                assert built == Counter()
+            else:
+                assert built["times"] == len([h for h in heads if any(h[1])])
+                assert built["derivative"] == len(chain)
+            assert module == "delta" or built["times"] == 0
 
 
 def combination(columns, values):
@@ -366,7 +390,7 @@ def combination(columns, values):
 
 
 def equation_columns(ctx, m, deg):
-    return [sec for _, sec in operator_columns(base_section(ctx, m, shift=1), deg)]
+    return [sec for _, sec in materialized(operator_columns(base_section(ctx, m, shift=1), deg))]
 
 
 QUASI_HOMOGENEOUS = [("x^2", "1"), ("x^2", "y"), ("x^3", "y^2"), ("x^2+y^3", "1"), ("x^2+y^2", "x")]
@@ -392,7 +416,7 @@ class TestSolve:
 
     def test_delta_solution_reapplies_mod_holomorphic(self):
         ctx = DeltaContext(poly("x^3", XY), poly("y^2", XY), 1)
-        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2))]
+        columns = [sec for _, sec in sorted(materialized(operator_columns(ctx.generator(), 2)))]
         rhs = combination(columns[3:6], [Q(2), Q(-1), Q(1, 3)])
         values = solve(rhs, columns)
         assert values is not None
@@ -409,13 +433,13 @@ class TestSolve:
             powers.append(apply_delta_operator(theta, powers[-1]))
         t, dt = sig.index("t"), sig.index("dt")
         columns = [
-            sec for exps, sec in sorted(operator_columns(sigma, 4))
+            (elem, shift) for exps, elem, shift in sorted(operator_columns(sigma, 4))
             if exps[dt] - exps[t] <= -1
         ]
         coeffs, q = least_monic(powers, columns)
         d = len(coeffs) - 1
         assert coeffs == [0, Q(1, 2), 1]
-        diff = combination(powers, coeffs) + combination(columns, [-c for c in q])
+        diff = combination(powers, coeffs) + combination(sections_of(columns), [-c for c in q])
         assert diff.is_zero()
         assert least_monic(powers, columns, min_deg=d) == (coeffs, q)
         assert least_monic(powers[:d], columns) is None
@@ -433,11 +457,11 @@ class TestSolve:
         for roots in B_CANDIDATES:
             rhs = base_section(ctx, 1).scaled(b_of(roots).poly.extend_to(ctx.ring))
             keep = _weight_rule(base, rhs, lattice)
-            built = [sec for _, sec in operator_columns(base, 3, keep)]
+            built = [sec for _, sec in materialized(operator_columns(base, 3, keep))]
             assert len(built) < len(columns)
             pruned, full = solve(rhs, built), solve(rhs, columns)
             assert (pruned is None) == (full is None), roots
-            mask = [keep(shift(key)) for key, _ in operator_columns(base, 3)]
+            mask = [keep(shift(key)) for key, _, _ in operator_columns(base, 3)]
             assert_same_values(spread(pruned, mask), reference_solve(rhs, columns, lattice))
             if pruned is not None:
                 assert combination(built, pruned).section_eq(rhs)
@@ -515,7 +539,7 @@ def reference_minimize(b, F, G, m, N, deg):
     for k in range(1, N + 1):
         target = base_section(ctx, m, shift=k)
         keep = _weight_rule(target, v0, lattice)
-        columns += [sec for _, sec in operator_columns(target, deg, keep)]
+        columns += [sec for _, sec in materialized(operator_columns(target, deg, keep))]
     s = MultiPoly.var((S_VAR,), S_VAR)
 
     def passes(cand):
@@ -686,7 +710,7 @@ def test_laurent_least_monic_matches_imaging_per_degree(pair):
         for lat in (lattice, ()):
             min_deg = rng.randint(0, 2)
             built, mask = pruned(powers[0]) if lat else (columns, [True] * len(columns))
-            got = least_monic(powers, built, min_deg)
+            got = least_monic(powers, as_columns(built), min_deg)
             want = reference_least_monic(powers, columns, lat, min_deg)
             assert (got is None) == (want is None), (pair, seed, lat)
             if got is not None:
@@ -709,8 +733,9 @@ def test_laurent_solve_matches_imaging_all(pair):
 
 
 def engine_system(sigma, pdeg, vdeg):
-    """The engine's system: theta powers of sigma_m against V_{-1} columns,
-    whose common denominator grows with the degree."""
+    """The engine's system: theta powers of sigma_m against V_{-1} columns
+    as (element, shift) pairs, whose common denominator grows with the
+    degree."""
     sig = sigma.ctx.sig
     theta = WeylElement.gen(sig, "t") * WeylElement.gen(sig, "dt")
     powers = [sigma]
@@ -718,7 +743,7 @@ def engine_system(sigma, pdeg, vdeg):
         powers.append(apply_delta_operator(theta, powers[-1]))
     t, dt = sig.index("t"), sig.index("dt")
     columns = [
-        sec for exps, sec in sorted(operator_columns(sigma, vdeg))
+        (elem, shift) for exps, elem, shift in sorted(operator_columns(sigma, vdeg))
         if exps[dt] - exps[t] <= -1
     ]
     return powers, columns
@@ -731,10 +756,11 @@ def test_delta_least_monic_and_solve_match_imaging_all(pair, m):
     # for every degree
     rng = random.Random(f"{pair}/{m}")
     ctx = DeltaContext(poly(pair[0], XY), poly(pair[1], XY), m)
-    powers, columns = engine_system(ctx.generator(), 3, 2)
-    g_powers, g_columns = engine_system(GraphContext(ctx).generator(), 3, 2)
+    powers, pairs = engine_system(ctx.generator(), 3, 2)
+    g_powers, g_pairs = engine_system(GraphContext(ctx).generator(), 3, 2)
+    columns, g_columns = sections_of(pairs), sections_of(g_pairs)
     for min_deg in (0, 2):
-        got = least_monic(powers, columns, min_deg=min_deg)
+        got = least_monic(powers, pairs, min_deg=min_deg)
         want = reference_least_monic(g_powers, g_columns, min_deg=min_deg)
         assert (got is None) == (want is None)
         if got is not None:
@@ -755,7 +781,8 @@ def graph_b_section_along_t(ctx, vdeg, max_pdeg):
     by reference_least_monic; None where the engine raises."""
     sigma = GraphContext(ctx).generator()
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
-        found = reference_least_monic(*engine_system(sigma, max_pdeg, step))
+        powers, pairs = engine_system(sigma, max_pdeg, step)
+        found = reference_least_monic(powers, sections_of(pairs))
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
     return None
@@ -793,7 +820,7 @@ def test_least_monic_reimages_when_the_denominator_grows(module):
         columns = [sec for _, sec in columns_within(base_section(ctx, 1, shift=1), 2, 1)]
     else:
         ctx = DeltaContext(F, G, 1)
-        columns = [sec for _, sec in sorted(operator_columns(ctx.generator(), 2))]
+        columns = [sec for _, sec in sorted(materialized(operator_columns(ctx.generator(), 2)))]
     first = columns[-1].scaled(random_poly(rng, ctx.ring))
     picked = rng.sample(columns, 3)
     second = combination([first] + picked, [Q(-2, 3)] + [Q(rng.randint(1, 3)) for _ in picked])
@@ -802,7 +829,7 @@ def test_least_monic_reimages_when_the_denominator_grows(module):
     powers = [first, second]
     degree_0 = [max(p) for p in zip(*(sec.pows for sec in [first] + columns))]
     assert any(p > q for p, q in zip(powers[1].pows, degree_0))
-    got = least_monic(powers, columns)
+    got = least_monic(powers, as_columns(columns))
     assert got == reference_least_monic(powers, columns)
     assert got is not None and got[0] == [Q(2, 3), 1]
 
