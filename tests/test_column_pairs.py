@@ -4,12 +4,12 @@
 columns came out as (tower element, shift) pairs: it enumerates every
 shift with |delta|_1 <= deg on each call (`legacy_operators`), builds
 derivatives in a tower of its own, and makes each column a section
-through `times`.  The builder must give the same keys, in the same order, and
-pairs that make equal sections, at every degree 0 .. 6, on the battery
-and the engine pins, in the Laurent and the delta module, with no rule,
-the oracle's weight rule and the engine's rule.  The image of a pair over a common
-denominator, its element's image shifted, must equal that of the section
-it makes.
+through `times`.  The builder must give the same keys, in the same order,
+and pairs that make equal sections, at every degree 0 .. 6, on the
+battery and the engine pins, in the Laurent and the delta module, with no
+rule, the oracle's weight rule and the engine's rule.  The image of a
+pair over a common denominator, its element's image shifted, must equal
+that of the section it makes.
 """
 
 from functools import lru_cache
@@ -27,7 +27,7 @@ from mbfun.sections import (
     base_section,
     operator_columns,
 )
-from column_helpers import section_of
+from column_helpers import materialized, section_of
 from test_merobf import BATTERY, ENGINE_PINS, pair
 from test_operator_columns import engine_rule
 
@@ -65,12 +65,11 @@ def _legacy_operators(n, ncentral, deg, keep):
                 yield alpha + j + beta, beta, alpha + j
 
 
-def legacy_operator_columns(base, deg, keep, tower):
-    """(key, section) for each operator of `legacy_operators`; tower holds
-    the derivatives d^beta base built so far."""
+def legacy_operator_columns(base, deg, keep):
+    """(key, section) for each operator of `legacy_operators`."""
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
-    tower.setdefault((0,) * len(paired), base)
+    tower = {(0,) * len(paired): base}
 
     def derivative(beta):
         if beta not in tower:
@@ -107,8 +106,8 @@ def test_builder_matches_the_legacy_builder(ftext, gtext, m):
         for deg in DEGREES:
             got = [key for key, _, _ in operator_columns(base, deg, keep)]
             assert got == [key for key, _, _ in legacy_operators(base, deg, keep)], deg
-        got = [(key, section_of(elem, shift)) for key, elem, shift in operator_columns(base, deg, keep)]
-        assert got == list(legacy_operator_columns(base, deg, keep, {}))
+        got = materialized(operator_columns(base, deg, keep))
+        assert got == list(legacy_operator_columns(base, deg, keep))
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CASES)
