@@ -36,7 +36,7 @@ from mbfun.sections import (
     poly_weight,
 )
 from mbfun.weyl import WeylElement
-from column_helpers import as_columns, materialized, section_of, sections_of
+from column_helpers import as_columns, materialized, sections_of
 
 
 def poly(text, variables=None):
