@@ -21,7 +21,7 @@ from mbfun.multipoly import MultiPoly
 from mbfun.oracle import minimal_b_search, weight_lattice
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
-from mbfun.sections import apply_delta_operator, least_monic, operator_columns
+from mbfun.sections import U_VAR, apply_delta_operator, least_monic, operator_columns
 from mbfun.weyl import WeylElement
 
 
@@ -167,6 +167,20 @@ def test_engine_equals_the_unpruned_system(ftext, gtext, m):
             b_section_along_t(ctx)
     else:
         assert b_section_along_t(ctx) == want
+
+
+@pytest.mark.parametrize("ftext, gtext, m", BATTERY + [(f, g, m) for f, g, m, _ in ENGINE_PINS])
+def test_theta_powers_have_exact_u_degree(ftext, gtext, m):
+    # theta takes c u^k to a section whose top term is -k c F u^(k+1), so
+    # theta^d sigma_m has u-degree d + 1 and p(theta) sigma_m != 0 for
+    # every monic p: a step with no V_{-1} column can never find p
+    ctx = build_sigma(*pair(ftext, gtext), m)
+    theta = WeylElement.gen(ctx.sig, "t") * WeylElement.gen(ctx.sig, "dt")
+    powers = [ctx.generator()]
+    for _ in range(8):
+        powers.append(apply_delta_operator(theta, powers[-1]))
+    assert [p.numerator.degree_in(U_VAR) for p in powers] == list(range(1, 10))
+    assert least_monic(powers, []) is None
 
 
 @pytest.mark.parametrize(
