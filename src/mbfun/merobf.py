@@ -143,13 +143,26 @@ def b_section_along_t(
     weighted w(F) - w(G) so that tG - F is too: the module is then graded,
     and theta^k sigma_m has sigma_m's weight.  p is the unique least monic
     relation, so this cannot change it.
+
+    A step with no witness column is skipped, as is one with the columns
+    of the failed step before it.  The skip is exact: theta takes c u^k to
+    a section whose top term is -k c F u^(k+1) (over one more G), so
+    theta^d sigma_m has u-degree exactly d + 1, p(theta) sigma_m != 0 for
+    every monic p, and no p exists without a column.  The powers theta^d
+    sigma_m are built one theta at a time, only as `least_monic` tries
+    degree d, and kept across the steps.
     """
     sig = ctx.sig
     sigma = ctx.generator()
     theta_op = WeylElement.gen(sig, T_VAR) * WeylElement.gen(sig, DT_VAR)
     theta_secs = [sigma]
-    for _ in range(max_pdeg):
-        theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
+
+    def theta_powers():
+        for d in range(max_pdeg + 1):
+            if d == len(theta_secs):
+                theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
+            yield theta_secs[d]
+
     lattice = [
         w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in context_lattice(ctx)
     ]
@@ -161,9 +174,9 @@ def b_section_along_t(
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
         vcols = list(operator_columns(sigma, step, keep))
         keys = [key for key, _, _ in vcols]
-        if keys == failed:
+        if not keys or keys == failed:
             continue
-        found = least_monic(theta_secs, [(elem, shift) for _, elem, shift in vcols])
+        found = least_monic(theta_powers(), [(elem, shift) for _, elem, shift in vcols])
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
         failed = keys

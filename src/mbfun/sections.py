@@ -36,7 +36,10 @@ numerators over one common denominator.  On top of that:
                  monomial of the images; a b-function is read off such a
                  relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
                  engine), and at d = 0 it decides whether one section is
-                 in the span (a fixed b(s) v0 in the oracle)
+                 in the span (a fixed b(s) v0 in the oracle).  powers is
+                 an iterable, pulled one power per degree tried, so a
+                 caller that builds them lazily builds none past the
+                 least d
 
 Imaging is the costly step, and each derivative and each image is built
 once.  `operator_columns` gives the column x^alpha c^j d^beta base as
@@ -63,7 +66,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .multipoly import MultiPoly
@@ -408,9 +411,11 @@ def poly_weight(poly: MultiPoly, w: Sequence):
 
 
 class _Images:
-    """Images of fixed columns (element, shift), each computed at most once
-    per common pows: an element is cleared once and each column on it is
-    its image shifted (a shift of None is none).
+    """Images of fixed columns (element, shift), and of the powers added
+    after them, each computed at most once per common pows: an element is
+    cleared once and each column on it is its image shifted (a shift of
+    None is none).  Index i < len(columns) is columns[i], and len(columns)
+    + d is powers[d].
 
     Only the images at the latest pows are kept: the callers' common
     denominators never shrink, so older ones are not asked for again.
@@ -418,6 +423,7 @@ class _Images:
 
     def __init__(self, columns: Sequence[Tuple["_Section", Optional[Exponent]]]):
         self.columns = columns
+        self.powers: List["_Section"] = []
         self._pows: Optional[Tuple[int, ...]] = None
         self._images: dict = {}
         self._cleared: dict = {}
@@ -426,18 +432,18 @@ class _Images:
         if pows != self._pows:
             self._pows, self._images, self._cleared = pows, {}, {}
         if i not in self._images:
-            elem, shift = self.columns[i]
+            ncols = len(self.columns)
+            elem, shift = self.columns[i] if i < ncols else (self.powers[i - ncols], None)
             cleared = self._cleared.get(id(elem))
             if cleared is None:
                 cleared = self._cleared[id(elem)] = elem.cleared_numerator(pows)
             self._images[i] = cleared if shift is None else cleared.shifted(shift)
         return self._images[i]
 
-    def solve(self, rhs: int, cols: Sequence[int]):
-        """Exact c with sum_k c_k columns[cols[k]] = columns[rhs], or None;
-        free coefficients, and those of columns with a zero image, are
-        zero."""
-        pows = _common_pows([self.columns[i][0] for i in (rhs, *cols)])
+    def solve(self, rhs: int, cols: Sequence[int], pows: Tuple[int, ...]):
+        """Exact c with sum_k c_k image[cols[k]] = image[rhs] over the
+        common denominator pows, or None; free coefficients, and those of
+        columns with a zero image, are zero."""
         images = [self.image(i, pows) for i in cols]
         kept = [k for k, image in enumerate(images) if not image.is_zero()]
         rows, vec = linalg.identity_system(
@@ -451,25 +457,34 @@ class _Images:
 
 
 def least_monic(
-    powers: Sequence, columns: Sequence, min_deg: int = 0
+    powers: Iterable, columns: Sequence, min_deg: int = 0
 ) -> Optional[Tuple[List[object], List[object]]]:
     """Least d >= min_deg with powers[d] + sum_{i<d} c_i powers[i] =
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
-    no d < len(powers) admits one.  The powers are sections, the columns
+    no d the powers reach admits one.  The powers are an iterable of
+    sections, pulled one at a time: powers[d] is taken only when degree d
+    is tried (all of powers[:min_deg + 1] at the first), so a caller that
+    builds them lazily builds none above the least d.  The columns are
     (element, shift) pairs as `operator_columns` gives them.
 
     One system per d, powers[d] against the lower powers and the columns,
-    one exact rational equation per monomial of the images; free
-    coefficients, and those of columns with a zero image, are zero.  The
-    systems share one set of images, so an element is cleared once per
-    common denominator however many degrees are tried, and each column on
-    it is a shift of that image.  At d = 0 this solves powers[0] = sum_j
-    q_j columns[j].
+    one exact rational equation per monomial of the images over their
+    common denominator; free coefficients, and those of columns with a
+    zero image, are zero.  The systems share one set of images, so an
+    element is cleared once per common denominator however many degrees
+    are tried, and each column on it is a shift of that image.  At d = 0
+    this solves powers[0] = sum_j q_j columns[j].
     """
-    images = _Images([*((p, None) for p in powers), *columns])
-    column_ids = list(range(len(powers), len(powers) + len(columns)))
-    for d in range(min_deg, len(powers)):
-        solution = images.solve(d, list(range(d)) + column_ids)
+    images = _Images(columns)
+    ncols = len(columns)
+    column_ids = list(range(ncols))
+    pows = _common_pows([elem for elem, _ in columns]) if columns else None
+    for d, power in enumerate(powers):
+        images.powers.append(power)
+        pows = power.pows if pows is None else tuple(map(max, pows, power.pows))
+        if d < min_deg:
+            continue
+        solution = images.solve(ncols + d, list(range(ncols, ncols + d)) + column_ids, pows)
         if solution is not None:
             return [-c for c in solution[:d]] + [ONE], solution[d:]
     return None

@@ -18,7 +18,7 @@ from operator import mul
 
 import pytest
 
-from mbfun import merobf, oracle, sections
+from mbfun import linalg, merobf, oracle, sections
 from mbfun.bfunction import BFunction
 from mbfun.errors import NotSpecializableError
 from mbfun.oracle import _columns, prefactored_witness, weight_lattice
@@ -217,7 +217,11 @@ def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
     # towers and lattice and every column was a section imaged on its own,
     # it made 126 weight_lattice calls, 624 derivatives, 1,353 times calls
     # (DeltaSection's inner _Section.times included), 2,469 clearings and
-    # 60 engine least_monic calls, 33 of them on no column
+    # 60 engine least_monic calls, 33 of them on no column.  When the
+    # engine built theta^d sigma_m for every d <= 8 up front and ran
+    # least_monic on steps with no column, it made 579 derivatives, 825
+    # times calls, 1,623 clearings, 288 apply_delta_operator calls, 405
+    # solves and 51 engine least_monic calls, 24 of them on no column
     counts = Counter()
 
     def count(owner, attr, label):
@@ -235,6 +239,8 @@ def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
     count(sections.DeltaSection, "times", "times")
     count(sections.LaurentSection, "cleared_numerator", "cleared")
     count(sections.DeltaSection, "cleared_numerator", "cleared")
+    count(merobf, "apply_delta_operator", "apply_delta_operator")
+    count(linalg, "solve", "solve")
     least_monic = merobf.least_monic
 
     def engine_least_monic(powers, columns, *rest):
@@ -246,9 +252,13 @@ def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
     for ftext, gtext, m in BATTERY:
         merobf.b_mero(*pair(ftext, gtext), m)
     assert counts["lattice"] == len(BATTERY)
-    assert counts["derivative"] == 579
-    assert counts["times"] == 825
-    assert counts["cleared"] == 1_623
-    # a step whose columns are those of the failed step before it is skipped
-    assert counts["engine least_monic"] == 51
-    assert counts["on no column"] == 24
+    assert counts["derivative"] == 417
+    assert counts["times"] == 501
+    assert counts["cleared"] == 543
+    assert counts["apply_delta_operator"] <= 126
+    assert counts["solve"] <= 189
+    # a step with no column, or with the columns of the failed step before
+    # it, is skipped, and theta^d sigma_m is built only when degree d is
+    # tried
+    assert counts["engine least_monic"] == 27
+    assert counts["on no column"] == 0

@@ -443,6 +443,18 @@ class TestSolve:
         assert diff.is_zero()
         assert least_monic(powers, columns, min_deg=d) == (coeffs, q)
         assert least_monic(powers[:d], columns) is None
+        # the powers are pulled one at a time, none above the least d
+        pulled = []
+
+        def lazy(upto):
+            for power in powers[:upto]:
+                pulled.append(power)
+                yield power
+
+        assert least_monic(lazy(len(powers)), columns) == (coeffs, q)
+        assert pulled == powers[:d + 1]
+        pulled.clear()
+        assert least_monic(lazy(d), columns) is None and pulled == powers[:d]
 
     @pytest.mark.parametrize("pair", QUASI_HOMOGENEOUS)
     def test_weight_pruning_keeps_solvability(self, pair):
