@@ -37,7 +37,14 @@ DEFAULT_MAX_DEGREE = 24
 
 
 def max_degree_cap() -> int:
-    return int(os.environ.get("MBFUN_MAX_DEGREE", DEFAULT_MAX_DEGREE))
+    """The degree cap of Buchberger's basis elements: MBFUN_MAX_DEGREE, a
+    nonnegative integer, when set; ValueError naming it otherwise."""
+    text = os.environ.get("MBFUN_MAX_DEGREE")
+    if text is None:
+        return DEFAULT_MAX_DEGREE
+    if not text.strip().isdecimal():
+        raise ValueError(f"MBFUN_MAX_DEGREE must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def leading_exps(elem: WeylElement, order: MonomialOrder) -> Exponent:

@@ -194,6 +194,14 @@ class TestCLI:
         assert main(["bf", "classic", "x^2"]) == 1
         assert "MBFUN_MAX_DEGREE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "", "-1"])
+    def test_bad_degree_cap_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MBFUN_MAX_DEGREE", value)
+        assert main(["bf", "classic", "x^2"]) == 2
+        err = capsys.readouterr().err
+        assert "MBFUN_MAX_DEGREE" in err and f"{value!r}" in err
+        assert "Traceback" not in err
+
     def test_json_runs_are_byte_identical(self, capsys):
         _, first = run_json(capsys, ["bf", "classic", "x^2", "--json"])
         _, second = run_json(capsys, ["bf", "classic", "x^2", "--json"])
