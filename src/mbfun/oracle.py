@@ -239,8 +239,9 @@ def minimal_b_search(
     The b coefficients and the operator coefficients enter one joint
     linear system per candidate degree; degrees are tried in increasing
     order so the first hit has minimal degree within the operator bounds,
-    and s^i v0 is built only when degree i is tried.  Any solution is a multiple of the true minimal b for the equation.
-    The operators are re-applied before they are returned.
+    and s^i v0 is built only when degree i is tried.  Any solution is a
+    multiple of the true minimal b for the equation.  The operators are
+    re-applied before they are returned.
     """
     columns = _columns(dict(enumerate(targets)), opdeg, context_lattice(ctx), v0)
     powers = (v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1))

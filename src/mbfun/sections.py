@@ -468,12 +468,12 @@ def least_monic(
     (element, shift) pairs as `operator_columns` gives them.
 
     One system per d, powers[d] against the lower powers and the columns,
-    one exact rational equation per monomial of the images over their
-    common denominator; free coefficients, and those of columns with a
-    zero image, are zero.  The systems share one set of images, so an
-    element is cleared once per common denominator however many degrees
-    are tried, and each column on it is a shift of that image.  At d = 0
-    this solves powers[0] = sum_j q_j columns[j].
+    one exact rational equation per monomial of the images; free
+    coefficients, and those of columns with a zero image, are zero.  The
+    systems share one set of images, so an element is cleared once per
+    common denominator however many degrees are tried, and each column on
+    it is a shift of that image.  At d = 0 this solves powers[0] = sum_j
+    q_j columns[j].
     """
     images = _Images(columns)
     ncols = len(columns)
