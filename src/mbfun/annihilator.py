@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
-from .commutative import are_coprime
 from .errors import NotSpecializableError, ZeroSpecializationError
 from .groebner import LeftIdeal, eliminate
+from .merobf import meromorphic_pair
 from .multipoly import MultiPoly, unify
 from .oracle import prefactored_witness
 from .rationals import Q
@@ -125,11 +125,7 @@ def sabbah_line(
     The specialized polynomial satisfies b(s) (f^s/G^m) = G^2 P (f^{s+1}/G^m)
     and is a multiple of the meromorphic b-function for the same m.
     """
-    if m < 0:
-        raise ValueError(f"the order m must be nonnegative, got {m}")
-    F, G = unify(F, G)
-    if not are_coprime(F, G):
-        raise ValueError("F and G must be coprime")
+    F, G = meromorphic_pair(F, G, m)
     ann = ann_fs([(F, "s1"), (G, "s2")])
     gens = list(ann.generators) + [WeylElement.from_poly(ann.sig, F * G)]
     polys = central_intersection(LeftIdeal(ann.sig, gens))

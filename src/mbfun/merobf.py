@@ -9,11 +9,12 @@ the engine never divides by tG - F (see sections.DeltaContext).
 The direct route (b_section_along_t) solves for p(t d_t) and its V_{-1}
 witness as exact linear systems in the section's context alone; it needs
 no annihilator.  Only the initial-ideal cross-check
-(b_section_along_t_initial) completes one: starting from hand-verified
-seed operators, all operators of bounded total degree killing sigma_m in
-the quotient module are found as a nullspace (a section is zero there iff
-its polar numerator is).  That route writes the degree-zero part of the
-initial ideal in s = -t d_t - 1 and so returns b(s) itself.
+(b_section_along_t_initial) completes one, and so only it builds the seed
+operators and checks that they kill sigma_m: starting from them, all
+operators of bounded total degree killing sigma_m in the quotient module
+are found as a nullspace (a section is zero there iff its polar numerator
+is).  That route writes the degree-zero part of the initial ideal in
+s = -t d_t - 1 and so returns b(s) itself.
 """
 
 from __future__ import annotations
@@ -99,25 +100,29 @@ def annihilating_operators(ctx: DeltaContext, deg: int) -> List[WeylElement]:
     return out
 
 
-def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
-    """Context of sigma_m, after checking the inputs and the seed operators."""
+def meromorphic_pair(F: MultiPoly, G: MultiPoly, m: int = 0) -> Tuple[MultiPoly, MultiPoly]:
+    """(F, G) over one variable list, after checking that f = F/G is a
+    meromorphic function the b-functions are defined for: F and G nonzero
+    and coprime, and the order m nonnegative."""
     if m < 0:
         raise ValueError(f"the order m must be nonnegative, got {m}")
     F, G = unify(F, G)
-    if F.is_zero() or F.is_constant():
-        raise ValueError("F must be nonzero and nonconstant")
-    if G.is_zero():
-        raise ValueError("G must be nonzero")
-    if len(F.variables) > 3 or max(F.total_degree(), G.total_degree()) > 8:
-        raise CapabilityError("input beyond supported size (n <= 3, degree <= 8)")
+    if F.is_zero() or G.is_zero():
+        raise ValueError("F and G must be nonzero")
     if not are_coprime(F, G):
         raise ValueError("F and G must be coprime")
-    ctx = DeltaContext(F, G, m)
-    sigma = ctx.generator()
-    for g in _seed_generators(ctx):
-        if not apply_delta_operator(g, sigma).is_zero():
-            raise AssertionError("seed generator fails to annihilate sigma_m")
-    return ctx
+    return F, G
+
+
+def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
+    """Context of sigma_m, after checking the inputs.  The size cap comes
+    before the pair check, whose coprimality test grows with the degrees."""
+    F, G = unify(F, G)
+    if F.is_constant():
+        raise ValueError("F must be nonzero and nonconstant")
+    if len(F.variables) > 3 or max(F.total_degree(), G.total_degree()) > 8:
+        raise CapabilityError("input beyond supported size (n <= 3, degree <= 8)")
+    return DeltaContext(*meromorphic_pair(F, G, m), m)
 
 
 def b_section_along_t(
@@ -197,7 +202,10 @@ def b_section_along_t_initial(ctx: DeltaContext) -> BFunction:
     for small inputs (the weight Groebner basis is expensive for
     nontrivial G).
     """
-    ideal = LeftIdeal(ctx.sig, _seed_generators(ctx))
+    seeds, sigma = _seed_generators(ctx), ctx.generator()
+    if any(not apply_delta_operator(g, sigma).is_zero() for g in seeds):
+        raise AssertionError("seed generator fails to annihilate sigma_m")
+    ideal = LeftIdeal(ctx.sig, seeds)
     for cand in annihilating_operators(ctx, COMPLETION_DEGREE):
         if not ideal.contains(cand):
             ideal = LeftIdeal(ctx.sig, ideal.generators + [cand])
@@ -212,8 +220,8 @@ def b_mero(
     deg: int = DEFAULT_DEG,
 ) -> BResult:
     """b_{f,m}(s) = p_sigma(-s-1), oracle-certified and oracle-minimized."""
-    F, G = unify(F, G)
     sigma_ctx = build_sigma(F, G, m)
+    F, G = sigma_ctx.F, sigma_ctx.G
     engine_b = theta_to_s(b_section_along_t(sigma_ctx))
     # one Laurent context for every oracle search, sharing the pair's lattice
     ctx = MeroContext(F, G, sigma_ctx.lattice)
@@ -239,12 +247,7 @@ def b_simple(
     max_bdeg: int = 8,
 ) -> BResult:
     """Minimal monic b with b(s) f^s/G^m in D[s] (f^{s+1}/G^m), within bounds."""
-    if m < 0:
-        raise ValueError(f"the order m must be nonnegative, got {m}")
-    F, G = unify(F, G)
-    if not are_coprime(F, G):
-        raise ValueError("F and G must be coprime")
-    ctx = MeroContext(F, G)
+    ctx = MeroContext(*meromorphic_pair(F, G, m))
     v0 = base_section(ctx, m)
     target = base_section(ctx, m, shift=1)
     found = minimal_b_search(ctx, v0, [target], opdeg, max_bdeg)
@@ -294,7 +297,7 @@ def reduced_b(
     least-degree search per l, each below the best degree found so far, so
     the least degree wins and ties go to the least l.
     """
-    F, G = unify(F, G)
+    F, G = meromorphic_pair(F, G)
     if not _check_quasi_homogeneous(F, weights, d1):
         raise ValueError("F is not quasi-homogeneous of weight d1 under w")
     if not _check_quasi_homogeneous(G, weights, d2):

@@ -183,18 +183,35 @@ def test_theta_powers_have_exact_u_degree(ftext, gtext, m):
     assert least_monic(powers, []) is None
 
 
-@pytest.mark.parametrize(
-    "ftext, gtext, m",
+INITIAL_ROUTE_PAIRS = (
     BATTERY
     + [(f, g, m) for f, g in [("x+y^2", "y"), ("x", "x+y")] for m in (0, 1)]
-    + [("x^2+y", "x", 0), ("x", "x^2+y^2", 0), ("x*y", "x+y", 0)],
+    + [("x^2+y", "x", 0), ("x", "x^2+y^2", 0), ("x*y", "x+y", 0)]
 )
+
+
+@pytest.mark.parametrize("ftext, gtext, m", INITIAL_ROUTE_PAIRS)
 def test_engine_agrees_with_initial_ideal_route(ftext, gtext, m):
     # two independent mechanisms for the same V-filtration b-polynomial
     ctx = build_sigma(*pair(ftext, gtext), m)
     direct = theta_to_s(b_section_along_t(ctx))
     via_initial = b_section_along_t_initial(ctx)
     assert direct.poly == via_initial.poly
+
+
+@pytest.mark.parametrize(
+    "ftext, gtext, m",
+    list(dict.fromkeys(BATTERY + [(f, g, m) for f, g, m, _ in ENGINE_PINS] + INITIAL_ROUTE_PAIRS)),
+)
+def test_seed_operators_kill_sigma(ftext, gtext, m):
+    # tG - F and G^2 d_x + m G G_x + (F_x G - F G_x) d_t annihilate
+    # sigma_m = G^{1-m} / (tG - F); the initial-ideal route starts from them
+    ctx = build_sigma(*pair(ftext, gtext), m)
+    sigma = ctx.generator()
+    seeds = merobf._seed_generators(ctx)
+    assert len(seeds) == len(ctx.xvars) + 1
+    for g in seeds:
+        assert apply_delta_operator(g, sigma).is_zero()
 
 
 class TestInputsThatFinish:
@@ -287,6 +304,13 @@ class TestReduced:
         F, G = pair("x", "y")
         with pytest.raises(ValueError):
             reduced_b(F, G, (1, 1), 1, 1)
+
+    @pytest.mark.parametrize("ftext, gtext, d2", [("x*y", "0", 0), ("x*y", "x", 1)])
+    def test_rejects_a_zero_or_non_coprime_denominator(self, ftext, gtext, d2):
+        # both inputs are quasi-homogeneous, and f = F/G is not defined
+        F, G = pair(ftext, gtext)
+        with pytest.raises(ValueError, match="nonzero|coprime"):
+            reduced_b(F, G, (1, 1), 2, d2)
 
 
 @pytest.mark.parametrize(

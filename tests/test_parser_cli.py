@@ -227,6 +227,11 @@ class TestCLI:
         ["bf", "mero", "x", "y", "--certify", "0,3"],
         ["bf", "classic", "x", "--certify-deg", "0"],
         ["check", "lemma4", "x", "y", "--m1", "0", "--m2", "1", "--lcap", "-1"],
+        # F or G zero, or F and G with a common factor
+        ["bf", "reduced", "x*y", "0", "--weights", "1,1", "--d1", "2", "--d2", "0"],
+        ["bf", "reduced", "x*y", "x", "--weights", "1,1", "--d1", "2", "--d2", "1"],
+        ["bf", "simple", "0", "1"],
+        ["bf", "reduced", "0", "x", "--weights", "1", "--d1", "0", "--d2", "1"],
     ],
 )
 def test_bad_orders_and_bounds_are_usage_errors(capsys, argv):
