@@ -1,27 +1,30 @@
 """Annihilators of power-product symbols and classical b-functions.
 
 The annihilator of F_1^{s_1}...F_k^{s_k} is computed by the
-one-extra-variable-per-factor elimination scheme: in D_{n+k}[u_i, v_i]
-(u_i, v_i central) take
+Briancon-Maisonobe scheme: one derivation d_{t_i} per factor, with
+d_{t_i} s_i = (s_i - 1) d_{t_i} (s_i = -d_{t_i} t_i, the convention of
+vfiltration) and every other pair of generators commuting as in D_n[s].
+In that algebra the left ideal
 
-    < t_i - u_i F_i,  u_i v_i - 1,  d_j + sum_i u_i (dF_i/dx_j) d_{t_i} >,
+    < s_i + F_i d_{t_i},  d_j + sum_i (dF_i/dx_j) d_{t_i} >
 
-eliminate all u_i, v_i, and pass to the degree-zero part along each
-(t_i, d_{t_i}) pair.  The generators are homogeneous for every per-factor
-weight (t_i: -1, d_{t_i}: +1, u_i: -1, v_i: +1), homogeneity survives
-Buchberger and elimination, so the degree-zero part is obtained by
-shifting each eliminated generator with t_i / d_{t_i} powers and writing
-each balanced block t_i^k d_{t_i}^k as its polynomial in the central
-variable s_i = -t_i d_{t_i} - 1 (see vfiltration).  The classical
-b-function is then the generator of (Ann + D[s] F) ∩ Q[s]; a
-Bernstein-Sato ideal element for a pair (F, G) comes from the same
-construction with F*G added and both x-pairs eliminated.
+meets D_n[s_1..s_k] in Ann(F_1^{s_1}...F_k^{s_k}), so eliminating the
+d_{t_i} (weight 1 on each) gives it.  The classical b-function is then the
+generator of (Ann + D[s] F) ∩ Q[s]; a Bernstein-Sato ideal element for a
+pair (F, G) comes from the same construction with F*G added and the
+x-pairs eliminated.
+
+References: J. Briancon and Ph. Maisonobe, "Remarques sur l'ideal de
+Bernstein associe a des polynomes", preprint 650, Univ. Nice (2002);
+V. Levandovskyy and J. Martin-Morales, "Computational D-module theory with
+SINGULAR, comparison with other systems and two new algorithms", ISSAC
+2008.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
 from .errors import NotSpecializableError, ZeroSpecializationError
@@ -31,43 +34,15 @@ from .multipoly import MultiPoly, unify
 from .oracle import prefactored_witness
 from .rationals import Q
 from .sections import dname
-from .vfiltration import b_polynomial, central_intersection, homogeneous_theta_part
+from .vfiltration import b_polynomial, central_intersection
 from .weyl import AlgebraSignature, WeylElement
 
 
-def _graph_ideal_uv(
-    factors: Sequence[MultiPoly],
-) -> Tuple[LeftIdeal, List[Tuple[str, str]], List[Tuple[str, str]]]:
-    xvars = factors[0].variables
-    k = len(factors)
-    taus = [(f"t{i+1}", f"dt{i+1}") for i in range(k)]
-    uvs = [(f"u{i+1}", f"v{i+1}") for i in range(k)]
-    reserved = {n for pair in taus + uvs for n in pair}
-    if reserved & set(xvars):
-        raise ValueError("input variables collide with reserved internal names")
-    sig = AlgebraSignature.make(
-        pairs=[(x, dname(x)) for x in xvars] + list(taus),
-        central=[n for pair in uvs for n in pair],
-    )
-    gens: List[WeylElement] = []
-    for (t, _), (u, v), F in zip(taus, uvs, factors):
-        ug = WeylElement.gen(sig, u)
-        gens.append(WeylElement.gen(sig, t) - ug * WeylElement.from_poly(sig, F))
-        gens.append(ug * WeylElement.gen(sig, v) - 1)
-    for x in xvars:
-        elem = WeylElement.gen(sig, dname(x))
-        for (_, dt), (u, _), F in zip(taus, uvs, factors):
-            elem = elem + (
-                WeylElement.gen(sig, u)
-                * WeylElement.from_poly(sig, F.derivative(x))
-                * WeylElement.gen(sig, dt)
-            )
-        gens.append(elem)
-    return LeftIdeal(sig, gens), taus, uvs
-
-
 def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
-    """Annihilator of prod F_i^{s_i} in D_n[s_1..s_k]."""
+    """Annihilator of prod F_i^{s_i} in D_n[s_1..s_k].
+
+    The names t_i stay reserved: the derivation of a variable t_i would
+    be the internal d_{t_i}."""
     polys = unify(*[F for F, _ in factors])
     s_names = [name for _, name in factors]
     if len(set(s_names)) != len(s_names):
@@ -75,11 +50,28 @@ def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
     for F in polys:
         if F.is_zero():
             raise ValueError("factors must be nonzero")
-    ideal, taus, uvs = _graph_ideal_uv(polys)
-    ideal = eliminate(ideal, [n for pair in uvs for n in pair])
-    for (t, dt), s_name in zip(taus, s_names):
-        ideal = homogeneous_theta_part(ideal, t, dt, s_name)
-    return ideal
+    xvars = polys[0].variables
+    ts = [f"t{i+1}" for i in range(len(polys))]
+    dts = [dname(t) for t in ts]
+    if set(ts + dts) & set(xvars):
+        raise ValueError("input variables collide with reserved internal names")
+    sig = AlgebraSignature.make(
+        pairs=[(x, dname(x)) for x in xvars], shift_pairs=list(zip(s_names, dts))
+    )
+
+    def gen(name: str) -> WeylElement:
+        return WeylElement.gen(sig, name)
+
+    gens = [
+        gen(s) + WeylElement.from_poly(sig, F) * gen(dt)
+        for s, dt, F in zip(s_names, dts, polys)
+    ]
+    for x in xvars:
+        elem = gen(dname(x))
+        for dt, F in zip(dts, polys):
+            elem = elem + WeylElement.from_poly(sig, F.derivative(x)) * gen(dt)
+        gens.append(elem)
+    return eliminate(LeftIdeal(sig, gens), dts)
 
 
 def bernstein_sato(F: MultiPoly) -> BFunction:

@@ -174,10 +174,11 @@ def _s_pair(f: WeylElement, lf: Exponent, g: WeylElement, lg: Exponent) -> WeylE
 
 
 def _product_criterion_safe(sig: AlgebraSignature, a: Exponent, b: Exponent) -> bool:
-    """Disjoint supports with no conjugate pair split across the monomials."""
+    """Disjoint supports with no conjugate or shift pair split across the
+    monomials."""
     if any(min(x, y) for x, y in zip(a, b)):
         return False
-    for ci, di in sig.pairs:
+    for ci, di in sig.pairs + sig.shift_pairs:
         if (a[di] and b[ci]) or (b[di] and a[ci]):
             return False
     return True
@@ -357,10 +358,13 @@ class LeftIdeal:
 def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     """Intersect with the subalgebra on the kept generators.
 
-    drop must hold both or neither name of each (x_i, d_i) pair, and may
-    hold central names; elements of the weight-(1 on dropped) Groebner
-    basis free of dropped generators generate the intersection.  Their
-    exponents move to the smaller signature by generator name.
+    drop must hold both or neither name of each (x_i, d_i) pair; it may hold
+    central names, and of a shift pair (s, d_t) both names, neither, or d_t
+    alone, whereupon s is central in what is kept.  The order is the weight
+    1 on each dropped generator, ties broken by degrevlex; it is an
+    elimination order, so the elements of its Groebner basis that are free
+    of dropped generators generate the intersection.  Their exponents move
+    to the smaller signature by generator name.
     """
     sig = ideal.sig
     drop = set(drop)
@@ -368,11 +372,17 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     for ci, di in sig.pairs:
         if (ci in positions) != (di in positions):
             raise ValueError("drop set must contain matched (x, d) pairs")
+    for si, ti in sig.shift_pairs:
+        if si in positions and ti not in positions:
+            raise ValueError("drop set must not hold s of a shift pair without its d_t")
     order = MonomialOrder.weight(sig, {name: 1 for name in drop})
-    paired = {c for c, _ in sig.pair_names}
+    names = sig.names
+    kept_shifts = [(names[si], names[ti]) for si, ti in sig.shift_pairs if ti not in positions]
+    paired = {c for c, _ in sig.pair_names} | {s for s, _ in kept_shifts}
     sub_sig = AlgebraSignature.make(
         pairs=[p for p in sig.pair_names if p[0] not in drop],
         central=[c for c in sig.coords if c not in paired and c not in drop],
+        shift_pairs=kept_shifts,
     )
     source = [sig.index(name) for name in sub_sig.names]
     moved = [

@@ -1,14 +1,19 @@
-"""Degree-zero reduction along a distinguished (t, d_t) pair.
+"""Degree-zero reduction along a (t, d_t) pair, and central intersections.
 
-Given a left ideal I in D[..., t, d_t], the weight w = (t: -1, d_t: +1)
-filters the algebra; the degree-zero part of in_w(I) lives in D[...][theta]
-with theta = t*d_t, and its intersection with Q[theta] is the b-polynomial
+`theta_reduce` serves the initial-ideal route of merobf.  Given a left
+ideal I in D[..., t, d_t], the weight w = (t: -1, d_t: +1) filters the
+algebra; the degree-zero part of in_w(I) lives in D[...][theta] with
+theta = t*d_t, and its intersection with Q[theta] is the b-polynomial
 p(theta) of the corresponding section along t = 0, read as b(s) = p(-s-1).
 The passage to degree zero uses that every w-degree-(-d) monomial factors
 as t^d (resp. d_t^{-d} for d < 0) times a degree-zero one, so one shifted
-generator per initial form suffices.  Balanced blocks are written straight
-in the central variable s = -theta-1: t^k d_t^k = theta(theta-1)...
-(theta-k+1) = (-s-1)(-s-2)...(-s-k).
+initial form per Groebner basis element suffices.  Balanced blocks are
+written straight in the central variable s = -theta-1:
+t^k d_t^k = theta(theta-1)...(theta-k+1) = (-s-1)(-s-2)...(-s-k).
+
+`central_intersection` eliminates every (x, d) pair of an ideal in
+D_n[central], and `b_polynomial` reads the monic generator of its
+intersection with Q[s]; both serve the annihilator route as well.
 """
 
 from __future__ import annotations
@@ -126,23 +131,6 @@ def theta_reduce(
     basis = ideal.groebner(order)
     forms = [initial_form(g, order) for g in basis]
     return _balance_and_rewrite(forms, sig, order, t_name, dt_name, s_name)
-
-
-def homogeneous_theta_part(
-    ideal: LeftIdeal,
-    t_name: str,
-    dt_name: str,
-    s_name: str,
-) -> LeftIdeal:
-    """Degree-zero part of an ideal with w-homogeneous generators.
-
-    Unlike theta_reduce this takes the generators as they are (no initial
-    forms), which is exact when every generator is already homogeneous for
-    w = (t: -1, d_t: +1).
-    """
-    sig = ideal.sig
-    order = MonomialOrder.weight(sig, {t_name: -1, dt_name: 1})
-    return _balance_and_rewrite(ideal.generators, sig, order, t_name, dt_name, s_name)
 
 
 def central_intersection(ideal: LeftIdeal) -> List[MultiPoly]:

@@ -1,8 +1,11 @@
 """PBW algebras with normally ordered elements.
 
 Supported signatures: Weyl algebras D_n (pairs [d_i, x_i] = 1), optional
-central variables (s-parameters), and the degree homogenization used for
-weight-vector Groebner runs ([d, x] = h^2).
+central variables (s-parameters), shift pairs (s, d_t) with
+d_t s = (s - 1) d_t, and the degree homogenization used for weight-vector
+Groebner runs ([d, x] = h^2).  A shift pair is the pair (s, d_t) of the
+Briancon-Maisonobe algebra: s = -d_t t acts as a coordinate that d_t
+shifts by one.
 
 Generators are numbered coords-then-derivations; a monomial is the exponent
 vector of its normally ordered form (all coords left of all derivations).
@@ -32,15 +35,20 @@ class AlgebraSignature:
     derivs: Tuple[str, ...]
     pairs: Tuple[Tuple[int, int], ...]      # (coord position, deriv position)
     homog: Optional[int] = None             # coord position of h, if homogenized
+    shift_pairs: Tuple[Tuple[int, int], ...] = ()   # (s position, d_t position)
 
     @classmethod
     def make(
         cls,
         pairs: Sequence[Tuple[str, str]] = (),
         central: Sequence[str] = (),
+        shift_pairs: Sequence[Tuple[str, str]] = (),
     ) -> "AlgebraSignature":
-        coords = tuple(x for x, _ in pairs) + tuple(central)
-        derivs = tuple(d for _, d in pairs)
+        """Coords: the pairs' coordinates, the central names, then the shift
+        pairs' s; derivations: the pairs' derivations, then the shift
+        pairs' d_t."""
+        coords = tuple(x for x, _ in pairs) + tuple(central) + tuple(s for s, _ in shift_pairs)
+        derivs = tuple(d for _, d in pairs) + tuple(dt for _, dt in shift_pairs)
         seen = set()
         for name in coords + derivs:
             if name in seen:
@@ -55,8 +63,13 @@ class AlgebraSignature:
                     f"variable name {name!r} is 'd' followed by the derivation "
                     f"name {name[1:]!r}, so derivation names would be ambiguous"
                 )
-        n = len(coords)
-        return cls(coords, derivs, tuple((i, n + i) for i in range(len(pairs))))
+        n, m, k = len(coords), len(pairs), len(shift_pairs)
+        return cls(
+            coords,
+            derivs,
+            tuple((i, n + i) for i in range(m)),
+            shift_pairs=tuple((n - k + j, n + m + j) for j in range(k)),
+        )
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -74,6 +87,8 @@ class AlgebraSignature:
         return self.names.index(name)
 
     def homogenized(self, h_name: str = "h_") -> "AlgebraSignature":
+        if self.shift_pairs:
+            raise ValueError("a signature with shift pairs has no homogenization")
         coords = self.coords + (h_name,)
         n = len(coords)
         pairs = tuple((c, d + 1) for c, d in self.pairs)
@@ -90,10 +105,20 @@ def _expansion(b: int, a: int) -> Tuple[Tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=4096)
+def _shift_expansion(b: int, a: int) -> Tuple[Tuple[int, int], ...]:
+    """The terms k >= 1 of d_t^b s^a = (s-b)^a d_t^b
+    = sum_k C(a,k) (-b)^k s^(a-k) d_t^b, as (k, coefficient); the term
+    k = 0 is s^a d_t^b."""
+    return tuple((k, math.comb(a, k) * (-b) ** k) for k in range(1, a + 1))
+
+
 def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
     """Expand the normally ordered product of two monomials.
 
-    Returns a list of (exponent, integer coefficient) pairs.
+    Returns a list of (exponent, integer coefficient) pairs.  Generators of
+    different pairs commute, so each pair whose derivation in e1 meets its
+    coordinate in e2 expands every term found so far.
     """
     out: List[Tuple[Exponent, int]] = [(tuple(map(add, e1, e2)), 1)]
     for ci, di in sig.pairs:
@@ -108,6 +133,17 @@ def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
                     shifted[di] -= k
                     if sig.homog is not None:
                         shifted[sig.homog] += 2 * k
+                    expanded.append((tuple(shifted), coeff * c))
+            out = expanded
+    for si, ti in sig.shift_pairs:
+        b1, a2 = e1[ti], e2[si]
+        if b1 and a2:
+            expanded = []
+            for exps, coeff in out:
+                expanded.append((exps, coeff))
+                for k, c in _shift_expansion(b1, a2):
+                    shifted = list(exps)
+                    shifted[si] -= k
                     expanded.append((tuple(shifted), coeff * c))
             out = expanded
     return out
@@ -308,6 +344,10 @@ class MonomialOrder:
                 raise ValueError(
                     f"inadmissible weight: u({sig.names[ci]}) + u({sig.names[di]}) < 0"
                 )
+        # d_t s = s d_t - d_t: s d_t must lead, so u(s) >= 0
+        for si, _ in sig.shift_pairs:
+            if w[si] < 0:
+                raise ValueError(f"inadmissible weight: u({sig.names[si]}) < 0")
 
     def has_negative_weight(self) -> bool:
         return self.kind == "weight" and any(w < 0 for w in self.weights)

@@ -184,3 +184,27 @@ def test_sabbah_line_pins(ftext, gtext, m, b, element, witness):
     assert (str(res.b), str(res.bs_element), str(res.witness), res.status) == (
         b, element, witness, "CERTIFIED"
     )
+
+
+@pytest.mark.parametrize(
+    "run, cap",
+    [
+        # 144 and 44 calls with the earlier u, v construction, 106 and 22
+        # with one d_t per factor
+        (lambda: bernstein_sato(parse_poly("x*y*(x+y)")), 106),
+        (lambda: sabbah_line(parse_poly("x", ("x", "y")), parse_poly("y", ("x", "y")), 0), 22),
+    ],
+    ids=["bernstein_sato x*y*(x+y)", "sabbah_line x y 0"],
+)
+def test_normal_form_calls(monkeypatch, run, cap):
+    from mbfun import groebner
+
+    calls, real = [], groebner.normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    run()
+    assert len(calls) <= cap

@@ -58,6 +58,39 @@ def test_eliminate_requires_matched_pairs():
         eliminate(ideal, ["x"])
 
 
+SHIFT_SIG = AlgebraSignature.make(pairs=[("x", "dx")], shift_pairs=[("s", "dt")])
+
+
+def test_product_criterion_is_off_across_a_shift_pair():
+    # exponent order: x, s, dx, dt; dt s = s dt - dt, so s and dt do not commute
+    s, dt, x, dx = (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)
+    assert not groebner._product_criterion_safe(SHIFT_SIG, s, dt)
+    assert not groebner._product_criterion_safe(SHIFT_SIG, dt, s)
+    assert not groebner._product_criterion_safe(SHIFT_SIG, x, dx)
+    assert groebner._product_criterion_safe(SHIFT_SIG, x, dt)
+    assert groebner._product_criterion_safe(SHIFT_SIG, s, dx)
+
+
+def test_eliminating_dt_leaves_s_central():
+    # Ann(x^s) from <s + x dt, dx + dt>: eliminating dt gives x dx - s
+    x, s, dx, dt = (gen(n, SHIFT_SIG) for n in ("x", "s", "dx", "dt"))
+    sub = eliminate(LeftIdeal(SHIFT_SIG, [s + x * dt, dx + dt]), ["dt"])
+    assert (sub.sig.coords, sub.sig.derivs, sub.sig.pairs, sub.sig.shift_pairs) == (
+        ("x", "s"), ("dx",), ((0, 2),), ()
+    )
+    assert [str(g) for g in sub.generators] == ["x*dx - s"]
+
+
+def test_eliminate_keeps_a_whole_shift_pair():
+    # dx (x dt s) - (s - 1) dt (x dx - s) = s (s - 1) dt, as dt s = (s - 1) dt
+    x, s, dx, dt = (gen(n, SHIFT_SIG) for n in ("x", "s", "dx", "dt"))
+    sub = eliminate(LeftIdeal(SHIFT_SIG, [x * dx - s, x * dt * s]), ["x", "dx"])
+    assert sub.sig == AlgebraSignature.make(shift_pairs=[("s", "dt")])
+    assert [str(g) for g in sub.generators] == ["s^2*dt - s*dt"]
+    with pytest.raises(ValueError, match="shift pair"):
+        eliminate(LeftIdeal(SHIFT_SIG, [s + x * dt]), ["s"])
+
+
 def test_normal_form_idempotent():
     order = MonomialOrder.degrevlex()
     basis = LeftIdeal(SIG, [gen("x") * gen("dx") - gen("s")]).groebner(order)

@@ -189,6 +189,15 @@ class TestCLI:
         assert main(["bf", "classic", "x^2+ddx"]) == 2
         assert "'ddx'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
+    def test_reserved_annihilator_names(self, capsys, var, code):
+        # t1 and its derivation dt1 name the annihilator's d_t; u1 and v1,
+        # reserved by the earlier u, v construction, are free
+        assert main(["bf", "classic", f"{var}^2"]) == code
+        err = capsys.readouterr().err
+        collides = "input variables collide with reserved internal names" in err
+        assert collides == (code == 2)
+
     def test_capability_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("MBFUN_MAX_DEGREE", "2")
         assert main(["bf", "classic", "x^2"]) == 1

@@ -1,5 +1,8 @@
 """Normally ordered operator arithmetic."""
 
+from functools import lru_cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,3 +91,74 @@ def test_weight_order_admissibility():
         pass
     else:
         raise AssertionError("u(x) + u(dx) < 0 must be rejected")
+
+
+# The Briancon-Maisonobe algebra: s = -dt*t, so dt s = (s - 1) dt
+SHIFT_SIG = AlgebraSignature.make(pairs=[("x", "dx")], shift_pairs=[("s", "dt")])
+T_SIG = AlgebraSignature.make(pairs=[("t", "dt")])
+
+
+@lru_cache(maxsize=None)
+def in_t_algebra(a, b):
+    """s^a dt^b with s = -dt*t, in D<t, dt>."""
+    t, dt = (WeylElement.gen(T_SIG, n) for n in ("t", "dt"))
+    out = WeylElement.const(T_SIG, 1)
+    for _ in range(a):
+        out = out * (-(dt * t))
+    for _ in range(b):
+        out = out * dt
+    return out
+
+
+def test_shift_pair_signature_layout():
+    assert SHIFT_SIG.names == ("x", "s", "dx", "dt")
+    assert (SHIFT_SIG.pairs, SHIFT_SIG.shift_pairs) == (((0, 2),), ((1, 3),))
+
+
+def test_shift_product_matches_the_t_algebra():
+    # every product s^a1 dt^b1 * s^a2 dt^b2 with exponents <= 4, mapped by
+    # s -> -dt*t, equals the product of the images in D<t, dt>
+    def mono(a, b):
+        return WeylElement(SHIFT_SIG, {(0, a, 0, b): Q(1)})
+
+    for a1 in range(5):
+        for b1 in range(5):
+            for a2 in range(5):
+                for b2 in range(5):
+                    product = mono(a1, b1) * mono(a2, b2)
+                    image = WeylElement.zero(T_SIG)
+                    for (_, a, _, b), c in product.terms.items():
+                        image = image + c * in_t_algebra(a, b)
+                    assert image == in_t_algebra(a1, b1) * in_t_algebra(a2, b2)
+
+
+def test_shift_relation():
+    s, dt, x, dx = (WeylElement.gen(SHIFT_SIG, n) for n in ("s", "dt", "x", "dx"))
+    assert dt * s == s * dt - dt
+    assert dt.commutator(x).is_zero() and dx.commutator(s).is_zero()
+
+
+def shift_elements():
+    # exponent order: x, s, dx, dt
+    coeff = st.integers(-3, 3).map(Q)
+    exps = st.tuples(*[st.integers(0, 2)] * 4)
+    return st.dictionaries(exps, coeff, max_size=3).map(
+        lambda d: WeylElement(SHIFT_SIG, {e: c for e, c in d.items() if c != 0})
+    )
+
+
+@given(shift_elements(), shift_elements(), shift_elements())
+@settings(max_examples=40, deadline=None)
+def test_shift_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+def test_shift_pair_weight_admissibility():
+    MonomialOrder.weight(SHIFT_SIG, {"dt": 1}).check_admissible(SHIFT_SIG)
+    with pytest.raises(ValueError, match="u\\(s\\) < 0"):
+        MonomialOrder.weight(SHIFT_SIG, {"s": -1, "dt": 1})
+
+
+def test_shift_pairs_have_no_homogenization():
+    with pytest.raises(ValueError, match="shift pairs"):
+        SHIFT_SIG.homogenized()
