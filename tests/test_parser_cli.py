@@ -191,8 +191,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
     def test_reserved_annihilator_names(self, capsys, var, code):
-        # t1 and its derivation dt1 name the annihilator's d_t; u1 and v1,
-        # reserved by the earlier u, v construction, are free
+        # the derivation of t1 would be the annihilator's internal dt1;
+        # u1 and v1 are ordinary names
         assert main(["bf", "classic", f"{var}^2"]) == code
         err = capsys.readouterr().err
         collides = "input variables collide with reserved internal names" in err

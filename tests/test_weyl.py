@@ -1,6 +1,7 @@
 """Normally ordered operator arithmetic."""
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -121,15 +122,11 @@ def test_shift_product_matches_the_t_algebra():
     def mono(a, b):
         return WeylElement(SHIFT_SIG, {(0, a, 0, b): Q(1)})
 
-    for a1 in range(5):
-        for b1 in range(5):
-            for a2 in range(5):
-                for b2 in range(5):
-                    product = mono(a1, b1) * mono(a2, b2)
-                    image = WeylElement.zero(T_SIG)
-                    for (_, a, _, b), c in product.terms.items():
-                        image = image + c * in_t_algebra(a, b)
-                    assert image == in_t_algebra(a1, b1) * in_t_algebra(a2, b2)
+    for a1, b1, a2, b2 in product(range(5), repeat=4):
+        image = WeylElement.zero(T_SIG)
+        for (_, a, _, b), c in (mono(a1, b1) * mono(a2, b2)).terms.items():
+            image = image + c * in_t_algebra(a, b)
+        assert image == in_t_algebra(a1, b1) * in_t_algebra(a2, b2)
 
 
 def test_shift_relation():
