@@ -14,7 +14,7 @@ from mbfun.multiplier import (
 )
 from mbfun.ncres import NCChart
 from mbfun.parser import parse_poly
-from mbfun.rationals import Q
+from mbfun.rationals import Q, div
 
 
 def chart(a, b):
@@ -34,7 +34,7 @@ class TestMonomialIdeal:
 
 class TestMultiplierIdeal:
     def test_below_first_threshold_is_full(self):
-        assert multiplier_ideal_nc(chart((2,), (0,)), Q(1, 4)).is_full()
+        assert multiplier_ideal_nc(chart((2,), (0,)), Q(1, 4)).generators == ((0,),)
 
     def test_integer_threshold_is_strict(self):
         assert multiplier_ideal_nc(chart((2,), (0,)), Q(1, 2)).generators == ((1,),)
@@ -60,7 +60,10 @@ class TestMultiplierIdeal:
         c = chart((a,), (b,))
         lo = Q(min(f1, f2).numerator, min(f1, f2).denominator)
         hi = Q(max(f1, f2).numerator, max(f1, f2).denominator)
-        assert multiplier_ideal_nc(c, lo).contains_ideal(multiplier_ideal_nc(c, hi))
+        (g_lo,) = multiplier_ideal_nc(c, lo).generators
+        (g_hi,) = multiplier_ideal_nc(c, hi).generators
+        # x^g_hi lies in (x^g_lo): the ideal at hi is the smaller one
+        assert all(u <= v for u, v in zip(g_lo, g_hi))
 
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -90,11 +93,28 @@ class TestJumpingNumbers:
         report = jumping_numbers_nc(chart((0, 1), (1, 0)), Q(2))
         assert list(report.jumps) == [Q(1), Q(2)]
 
-    def test_ideals_strictly_shrink(self):
-        report = jumping_numbers_nc(chart((3, 0), (0, 2)), Q(2))
-        for earlier, later in zip(report.ideals, report.ideals[1:]):
-            assert earlier.contains_ideal(later)
-            assert not later.contains_ideal(earlier)
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ideals_strictly_shrink(self, a, b):
+        b = b[: len(a)]
+        if not any(x > y for x, y in zip(a, b)):
+            a[0] = b[0] + 1
+        c = chart(a, b)
+        report = jumping_numbers_nc(c)
+        # full below the first threshold
+        assert multiplier_ideal_nc(c, div(report.lct, 2)).generators == ((0,) * len(a),)
+        below = 0
+        for jump, ideal in zip(report.jumps, report.ideals):
+            (before,) = multiplier_ideal_nc(c, div(below + jump, 2)).generators
+            (here,) = ideal.generators
+            # strictly smaller at the jump, and constant on [below, jump)
+            assert all(u <= v for u, v in zip(before, here)) and before != here
+            if below:
+                assert multiplier_ideal_nc(c, below).generators == (before,)
+            below = jump
 
     def test_default_upper_covers_shifted_jumps(self):
         report = jumping_numbers_nc(chart((3, 0), (0, 2)))

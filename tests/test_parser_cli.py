@@ -137,8 +137,11 @@ class TestCLI:
         assert rc == 0
         report = json.loads(out)
         jsonschema.validate(report, schema)
-        assert report["result"]["jumps"] == ["1/2", "1/1"]
-        assert report["result"]["lct"] == "1/2"
+        assert report["result"] == {
+            "jumps": ["1/2", "1/1"],
+            "lct": "1/2",
+            "ideals": [{"generators": [[1]]}, {"generators": [[2]]}],
+        }
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_thm41_with_kappa_charts(self, tmp_path, capsys, m):
