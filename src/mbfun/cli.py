@@ -200,11 +200,9 @@ def _run_nc(args):
             "roots": {lab: [format_ratio(r) for r in rs] for lab, rs in sorted(per_chart.items())}
         }
     elif args.which == "bound":
-        B = bound_set(charts, args.m)
-        result = {"residues": [format_ratio(r) for r in sorted(B.residues)]}
+        result = {"residues": [format_ratio(r) for r in sorted(bound_set(charts, args.m))]}
     else:  # eigen
-        B = bound_set(charts, args.m)
-        classes = eigenvalue_classes(B.residues)
+        classes = eigenvalue_classes(bound_set(charts, args.m))
         result = {"classes": [format_ratio(r) for r in sorted(classes)]}
     inputs = {"charts": args.charts, "m": args.m}
     return inputs, result, CERTIFIED, []
@@ -251,7 +249,7 @@ def _run_check_thm41(args):
     result = {
         "holds": ok,
         "roots": [format_ratio(r) for r in sorted(roots)],
-        "residues": [format_ratio(r) for r in sorted(B.residues)],
+        "residues": [format_ratio(r) for r in sorted(B)],
         "misses": [format_ratio(r) for r in misses],
     }
     status = _check_status(ok, res)

@@ -2,21 +2,27 @@
 
 Everything here is the single-chart tier where the chart coordinates are
 the ambient coordinates (identity resolution): the ideal at level alpha
-is monomial and cut out coordinatewise by the strict integrability
-threshold u_i > alpha * c_i - 1 for c_i = a_i - b_i > 0.  The one-sided
-epsilon in the floor formula is handled symbolically through that strict
+is the principal monomial ideal x^floor(alpha*c), cut out coordinatewise
+by the strict integrability threshold u_i > alpha * c_i - 1 for
+c_i = a_i - b_i > 0 (and u_i >= 0 where c_i <= 0).  The one-sided epsilon
+in the floor formula is handled symbolically through that strict
 inequality; no numeric epsilon appears anywhere.
+
+So the jumps have a closed form (Howald, Trans. AMS 353, 2001;
+Ein-Lazarsfeld-Smith-Varolin, Duke Math. J. 123, 2004): floor(alpha*c_i)
+reaches k exactly at alpha = k/c_i, so the ideal strictly shrinks at each
+k/c_i with c_i > 0 and nowhere else, and the jumping numbers up to a
+bound are exactly those levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import Tuple
 
 from .bfunction import BFunction
-from .multipoly import MultiPoly
-from .ncres import NCChart
+from .ncres import NCChart, nonneg_integer_gap
 from .rationals import Q, format_ratio
 
 
@@ -26,30 +32,6 @@ class MonomialIdeal:
 
     nvars: int
     generators: Tuple[Tuple[int, ...], ...]
-
-    @staticmethod
-    def from_generators(nvars: int, gens: Sequence[Tuple[int, ...]]) -> "MonomialIdeal":
-        kept: List[Tuple[int, ...]] = []
-        for g in sorted(set(gens)):
-            if len(g) != nvars:
-                raise ValueError("generator length mismatch")
-            if any(_dominates(g, h) for h in set(gens) - {g}):
-                continue
-            kept.append(g)
-        return MonomialIdeal(nvars, tuple(kept))
-
-    def contains_monomial(self, u: Tuple[int, ...]) -> bool:
-        return any(_dominates(u, g) for g in self.generators)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains_monomial(g) for g in other.generators)
-
-    def is_full(self) -> bool:
-        return self.generators == ((0,) * self.nvars,)
-
-
-def _dominates(u: Tuple[int, ...], g: Tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(u, g))
 
 
 @dataclass(frozen=True)
@@ -83,7 +65,7 @@ def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
         c = ai - bi
         # the least integer u with u > alpha*c - 1
         gen.append(math.floor(alpha * c) if c > 0 else 0)
-    return MonomialIdeal.from_generators(len(chart.a), [tuple(gen)])
+    return MonomialIdeal(len(chart.a), (tuple(gen),))
 
 
 def default_upper(chart: NCChart) -> Q:
@@ -92,46 +74,21 @@ def default_upper(chart: NCChart) -> Q:
 
 
 def jumping_numbers_nc(chart: NCChart, upper: Q = None) -> JumpReport:
-    """All levels in (0, upper] where the multiplier ideal strictly shrinks."""
+    """All levels in (0, upper] where the multiplier ideal strictly shrinks:
+    the k/c_i <= upper with c_i = a_i - b_i > 0."""
     if upper is None:
         upper = default_upper(chart)
     if upper <= 0:
         raise ValueError("upper must be positive")
-    candidates: Set[Q] = set()
-    for ai, bi in zip(chart.a, chart.b):
-        c = ai - bi
-        if c <= 0:
-            continue
-        k = 1
-        while Q(k, c) <= upper:
-            candidates.add(Q(k, c))
-            k += 1
-    jumps: List[Q] = []
-    ideals: List[MonomialIdeal] = []
-    prev = None
-    for alpha in sorted(candidates):
-        here = multiplier_ideal_nc(chart, alpha)
-        before = prev if prev is not None else _full_ideal(len(chart.a))
-        if before.contains_ideal(here) and not here.contains_ideal(before):
-            jumps.append(alpha)
-            ideals.append(here)
-        prev = here
+    jumps = sorted({
+        Q(k, c)
+        for c in (ai - bi for ai, bi in zip(chart.a, chart.b)) if c > 0
+        for k in range(1, math.floor(upper * c) + 1)
+    })
     if not jumps:
         raise ValueError("no jumping numbers at or below the requested upper bound")
-    return JumpReport(tuple(jumps), tuple(ideals), jumps[0])
-
-
-def _full_ideal(nvars: int) -> MonomialIdeal:
-    return MonomialIdeal(nvars, ((0,) * nvars,))
-
-
-def is_in_multiplier_ideal(h: MultiPoly, alpha: Q, chart: NCChart) -> bool:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if len(h.variables) != len(chart.a):
-        raise ValueError("polynomial arity does not match the chart")
-    ideal = multiplier_ideal_nc(chart, alpha)
-    return all(ideal.contains_monomial(e) for e in h.terms)
+    ideals = tuple(multiplier_ideal_nc(chart, alpha) for alpha in jumps)
+    return JumpReport(tuple(jumps), ideals, jumps[0])
 
 
 def check_cor_jump(report: JumpReport, b0: BFunction) -> bool:
@@ -140,13 +97,6 @@ def check_cor_jump(report: JumpReport, b0: BFunction) -> bool:
     if b0.roots is None:
         return False  # not fully split; the comparison is undefined
     targets = set(b0.roots)
-    for alpha in report.jumps:
-        ok = False
-        for r in targets:
-            d = alpha - (-r)
-            if d >= 0 and d == int(d):
-                ok = True
-                break
-        if not ok:
-            return False
+    if not all(any(nonneg_integer_gap(alpha, -r) for r in targets) for alpha in report.jumps):
+        return False
     return report.lct == -max(targets)

@@ -4,6 +4,11 @@ A chart records the multiplicities of F, G and the relative canonical
 divisor along the coordinate hyperplanes after pulling back through a
 log resolution.  From these the candidate-root set K_q, the bound set
 B = K - Z_{>=0} and the monodromy eigenvalue classes are closed-form.
+
+One shift test serves the root comparisons: r lies below q when q - r is
+a nonnegative integer (`nonneg_integer_gap`).  Membership in B is that
+test against some residue, and the smallest l of lemma 4 is the largest,
+over the small-m roots, of the least gap up to a big-m root.
 """
 
 from __future__ import annotations
@@ -32,13 +37,6 @@ class NCChart:
             raise ValueError("a and b must not both vanish")
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """Finite residue set K; membership means r ∈ K - Z_{>=0}."""
-
-    residues: frozenset
-
-
 def roots_nc(chart: NCChart, m: int) -> Set[Q]:
     """Candidate roots contributed by one chart at denominator order m.
 
@@ -57,22 +55,27 @@ def roots_nc(chart: NCChart, m: int) -> Set[Q]:
     return out
 
 
-def bound_set(charts: Sequence[NCChart], m: int) -> BoundSet:
+def bound_set(charts: Sequence[NCChart], m: int) -> frozenset:
+    """The finite residue set K of the bound set B = K - Z_{>=0}: the union
+    of the charts' candidate roots."""
     if not charts:
         raise ValueError("at least one chart is required")
     residues: Set[Q] = set()
     for chart in charts:
         residues |= roots_nc(chart, m)
-    return BoundSet(frozenset(residues))
+    return frozenset(residues)
 
 
-def member(B: BoundSet, r) -> bool:
-    """True iff some residue q has q - r a nonnegative integer."""
-    for q in B.residues:
-        d = q - r
-        if d >= 0 and d == int(d):
-            return True
-    return False
+def nonneg_integer_gap(q, r) -> bool:
+    """True iff q - r is a nonnegative integer."""
+    d = q - r
+    return d >= 0 and d == int(d)
+
+
+def member(residues: frozenset, r) -> bool:
+    """True iff r lies in K - Z_{>=0}: some residue q has q - r a
+    nonnegative integer."""
+    return any(nonneg_integer_gap(q, r) for q in residues)
 
 
 def eigenvalue_classes(roots: Iterable[Q]) -> Set[Q]:
@@ -90,15 +93,19 @@ def check_lemma4(
 ) -> Tuple[bool, Optional[int]]:
     """Smallest l <= l_cap with roots(small m) ⊆ ∪_{i=0..l} (roots(big m) - i).
 
-    Failure on certified inputs indicates an engine bug, not a math fact.
+    That l is the largest, over the small roots r, of the least gap q - r
+    to a big root q above r by a nonnegative integer (0 when there are no
+    small roots).  Failure on certified inputs indicates an engine bug,
+    not a math fact.
     """
-    small = set(roots_small_m)
     big = set(roots_big_m)
-    for l in range(l_cap + 1):
-        shifted = {r - Q(i) for r in big for i in range(l + 1)}
-        if small <= shifted:
-            return True, l
-    return False, None
+    l = 0
+    for r in set(roots_small_m):
+        gaps = [q - r for q in big if nonneg_integer_gap(q, r)]
+        if not gaps:
+            return False, None
+        l = max(l, int(min(gaps)))
+    return (True, l) if l <= l_cap else (False, None)
 
 
 # -- chart JSON -----------------------------------------------------------

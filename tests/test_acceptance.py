@@ -188,7 +188,7 @@ def test_monodromy_eigenvalues_agree(battery):
             classes = eigenvalue_classes(b_simple(F, G, 0).b.roots)
             for m in BATTERY_MS:
                 assert eigenvalue_classes(results[(a, b, m)].b.roots) == classes, (a, b, m)
-                assert eigenvalue_classes(bound_set([chart], m).residues) == classes, (a, b, m)
+                assert eigenvalue_classes(bound_set([chart], m)) == classes, (a, b, m)
 
 
 @pytest.mark.parametrize(

@@ -5,31 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfun.bfunction import BFunction
-from mbfun.multiplier import (
-    MonomialIdeal,
-    check_cor_jump,
-    is_in_multiplier_ideal,
-    jumping_numbers_nc,
-    multiplier_ideal_nc,
-)
+from mbfun.multiplier import check_cor_jump, jumping_numbers_nc, multiplier_ideal_nc
 from mbfun.ncres import NCChart
-from mbfun.parser import parse_poly
 from mbfun.rationals import Q, div
 
 
 def chart(a, b):
     return NCChart("q", tuple(a), tuple(b), (0,) * len(a))
-
-
-class TestMonomialIdeal:
-    def test_antichain_is_minimal(self):
-        ideal = MonomialIdeal.from_generators(2, [(1, 0), (2, 0), (0, 3)])
-        assert ideal.generators == ((0, 3), (1, 0))
-
-    def test_membership(self):
-        ideal = MonomialIdeal.from_generators(2, [(1, 1)])
-        assert ideal.contains_monomial((2, 1))
-        assert not ideal.contains_monomial((2, 0))
 
 
 class TestMultiplierIdeal:
@@ -122,15 +104,6 @@ class TestJumpingNumbers:
 
 
 class TestMembershipAndRootComparison:
-    def test_monomial_membership(self):
-        c = chart((2,), (0,))
-        assert is_in_multiplier_ideal(parse_poly("x"), Q(1, 2), c)
-        assert not is_in_multiplier_ideal(parse_poly("1", ("x",)), Q(1, 2), c)
-
-    def test_high_level_membership(self):
-        c = chart((0, 1), (1, 0))
-        assert not is_in_multiplier_ideal(parse_poly("y^9", ("x", "y")), Q(10), c)
-
     def test_jump_root_comparison_holds(self):
         report = jumping_numbers_nc(chart((2,), (0,)), Q(1))
         b0 = BFunction.from_roots({Q(-1, 2): 1, Q(-1): 1})

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfun.ncres import (
-    BoundSet,
     NCChart,
     bound_set,
     charts_from_json,
@@ -63,17 +62,17 @@ class TestRoots:
 class TestBoundSet:
     def test_union_of_charts(self):
         B = bound_set([chart((2,), (0,)), chart((3,), (0,))], 0)
-        assert B.residues == frozenset(
+        assert B == frozenset(
             {Q(-1, 2), Q(-1), Q(-1, 3), Q(-2, 3)}
         )
 
     def test_membership_with_shift(self):
-        B = BoundSet(frozenset({Q(-1, 3)}))
+        B = frozenset({Q(-1, 3)})
         assert member(B, Q(-7, 3))       # shift by 2
         assert not member(B, Q(-2, 3))   # wrong direction
 
     def test_membership_from_positive_residue(self):
-        B = BoundSet(frozenset({Q(1)}))
+        B = frozenset({Q(1)})
         assert member(B, Q(0)) and member(B, Q(1))
         assert not member(B, Q(2))
 
@@ -93,8 +92,8 @@ class TestBoundSet:
     @settings(max_examples=60, deadline=None)
     def test_member_monotone_under_union(self, r1, r2, f):
         r = Q(f.numerator, f.denominator)
-        small = BoundSet(r1)
-        big = BoundSet(r1 | r2)
+        small = r1
+        big = r1 | r2
         if member(small, r):
             assert member(big, r)
 
@@ -116,8 +115,8 @@ class TestEigenvalueClasses:
         charts = [((6,), (3,), (4,)), ((2, 5), (1, 0), (1, 3)), ((3, 1), (0, 2), (2, 7))]
         for a, b, kappa in charts:
             for m in range(3):
-                shifted = bound_set([chart(a, b, kappa)], m).residues
-                plain = bound_set([chart(a, b)], m).residues
+                shifted = bound_set([chart(a, b, kappa)], m)
+                plain = bound_set([chart(a, b)], m)
                 assert shifted != plain
                 assert eigenvalue_classes(shifted) == eigenvalue_classes(plain)
 
