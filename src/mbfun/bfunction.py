@@ -57,9 +57,9 @@ class BFunction:
         return str(self.poly)
 
 
-def theta_to_s(p_theta: MultiPoly, theta_name: str = "theta") -> BFunction:
+def theta_to_s(p_theta: MultiPoly) -> BFunction:
     """Convert p(theta) to the monic b(s) = p(-s-1) convention."""
-    coeffs = p_theta.univariate_in(theta_name)
+    coeffs = p_theta.univariate_in("theta")
     # p(-s-1) over the variable s
     s = MultiPoly.var((S_VAR,), S_VAR)
     arg = -s - 1

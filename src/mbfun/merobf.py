@@ -57,6 +57,12 @@ from .weyl import WeylElement
 
 COMPLETION_DEGREE = 3
 
+# b-degree bounds of the one-term and reduced searches, and the largest
+# G-clearing exponent the reduced search tries
+SIMPLE_MAX_BDEG = 8
+REDUCED_MAX_BDEG = 6
+REDUCED_LMAX = 2
+
 CERTIFIED = "CERTIFIED"
 UNCERTIFIED = "UNCERTIFIED"
 
@@ -209,7 +215,7 @@ def b_section_along_t_initial(ctx: DeltaContext) -> BFunction:
     for cand in annihilating_operators(ctx, COMPLETION_DEGREE):
         if not ideal.contains(cand):
             ideal = LeftIdeal(ctx.sig, ideal.generators + [cand])
-    return b_polynomial(theta_reduce(ideal, T_VAR, DT_VAR, S_VAR))
+    return b_polynomial(theta_reduce(ideal))
 
 
 def b_mero(
@@ -239,22 +245,17 @@ def b_mero(
     return BResult(b, CERTIFIED, witness, engine_b, tuple(notes))
 
 
-def b_simple(
-    F: MultiPoly,
-    G: MultiPoly,
-    m: int = 0,
-    opdeg: int = DEFAULT_DEG,
-    max_bdeg: int = 8,
-) -> BResult:
-    """Minimal monic b with b(s) f^s/G^m in D[s] (f^{s+1}/G^m), within bounds."""
+def b_simple(F: MultiPoly, G: MultiPoly, m: int = 0) -> BResult:
+    """Minimal monic b with b(s) f^s/G^m in D[s] (f^{s+1}/G^m), within the
+    bounds DEFAULT_DEG on the operator and SIMPLE_MAX_BDEG on b."""
     ctx = MeroContext(*meromorphic_pair(F, G, m))
     v0 = base_section(ctx, m)
     target = base_section(ctx, m, shift=1)
-    found = minimal_b_search(ctx, v0, [target], opdeg, max_bdeg)
+    found = minimal_b_search(ctx, v0, [target], DEFAULT_DEG, SIMPLE_MAX_BDEG)
     if found is None:
         raise CapabilityError(
-            f"no one-term functional equation found with operator degree <= {opdeg} "
-            f"and b-degree <= {max_bdeg}"
+            f"no one-term functional equation found with operator degree <= {DEFAULT_DEG} "
+            f"and b-degree <= {SIMPLE_MAX_BDEG}"
         )
     b, ops = found
     return BResult(b, CERTIFIED, {1: ops[0]})
@@ -272,35 +273,26 @@ def smoothness_test(F: MultiPoly, G: MultiPoly) -> bool:
     return radical_contains(hs, G)
 
 
-def _check_quasi_homogeneous(F: MultiPoly, weights: Sequence, d) -> bool:
-    euler = MultiPoly.zero(F.variables)
-    for w, x in zip(weights, F.variables):
-        euler = euler + Q(w) * MultiPoly.var(F.variables, x) * F.derivative(x)
-    return euler == F * Q(d)
-
-
-def reduced_b(
-    F: MultiPoly,
-    G: MultiPoly,
-    weights: Sequence,
-    d1,
-    d2,
-    opdeg: int = DEFAULT_DEG,
-    max_bdeg: int = 6,
-    lmax: int = 2,
-) -> BResult:
+def reduced_b(F: MultiPoly, G: MultiPoly, weights: Sequence, d1, d2) -> BResult:
     """Reduced b-function (s+1)*beta(s) for quasi-homogeneous (F, G).
 
     beta is minimal with beta(s) f^s in sum_i D[1/G][s] h_i f^s; negative
     G-powers are cleared by searching the equations G^l beta(s) f^s =
-    sum_i P_i h_i f^s for l = 0..lmax jointly with the degree of beta: one
-    least-degree search per l, each below the best degree found so far, so
-    the least degree wins and ties go to the least l.
+    sum_i P_i h_i f^s for l = 0..REDUCED_LMAX jointly with the degree of
+    beta: one least-degree search per l, each below the best degree found
+    so far, so the least degree wins and ties go to the least l.  The
+    operator degree is at most DEFAULT_DEG and that of beta at most
+    REDUCED_MAX_BDEG.
+
+    F is quasi-homogeneous of weight d1 when every term has w-weight d1
+    (sections.poly_weight), which is the weighted Euler identity
+    sum_i w_i x_i F_{x_i} = d1 F; likewise G and d2.
     """
     F, G = meromorphic_pair(F, G)
-    if not _check_quasi_homogeneous(F, weights, d1):
+    weights = [Q(w) for w in weights]
+    if poly_weight(F, weights) != Q(d1):
         raise ValueError("F is not quasi-homogeneous of weight d1 under w")
-    if not _check_quasi_homogeneous(G, weights, d2):
+    if poly_weight(G, weights) != Q(d2):
         raise ValueError("G is not quasi-homogeneous of weight d2 under w")
     if Q(d1) == Q(d2):
         raise ValueError("d1 - d2 must be nonzero")
@@ -314,12 +306,12 @@ def reduced_b(
         for h in mero_pair_h(F, G)
         if not h.is_zero()
     ]
-    best, cap = None, max_bdeg
-    for l in range(lmax + 1):
+    best, cap = None, REDUCED_MAX_BDEG
+    for l in range(REDUCED_LMAX + 1):
         if cap < 0:
             break
         v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
-        found = minimal_b_search(ctx, v0, targets, opdeg, max_bdeg=cap)
+        found = minimal_b_search(ctx, v0, targets, DEFAULT_DEG, max_bdeg=cap)
         if found is not None:
             best, cap = (found, l), found[0].degree() - 1
     if best is not None:
@@ -330,6 +322,6 @@ def reduced_b(
             (f"beta found at degree {beta.degree()} with G-clearing exponent {l}",),
         )
     raise CapabilityError(
-        f"no reduced equation found with b-degree <= {max_bdeg}, "
-        f"operator degree <= {opdeg}, G-exponent <= {lmax}"
+        f"no reduced equation found with b-degree <= {REDUCED_MAX_BDEG}, "
+        f"operator degree <= {DEFAULT_DEG}, G-exponent <= {REDUCED_LMAX}"
     )

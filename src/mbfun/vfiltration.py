@@ -25,6 +25,7 @@ from .errors import NotSpecializableError
 from .groebner import LeftIdeal, eliminate, initial_form
 from .multipoly import MultiPoly
 from .rationals import ONE, ZERO
+from .sections import DT_VAR, T_VAR
 from .weyl import AlgebraSignature, MonomialOrder, WeylElement
 
 
@@ -115,22 +116,18 @@ def _balance_and_rewrite(
     return LeftIdeal(sig_out, reduced)
 
 
-def theta_reduce(
-    ideal: LeftIdeal,
-    t_name: str = "t",
-    dt_name: str = "dt",
-    s_name: str = S_VAR,
-) -> LeftIdeal:
-    """Degree-zero part of in_w(ideal) for w = (t: -1, d_t: +1).
+def theta_reduce(ideal: LeftIdeal) -> LeftIdeal:
+    """Degree-zero part of in_w(ideal) for w = (t: -1, d_t: +1), t and d_t
+    being the graph's T_VAR and DT_VAR.
 
     Returns a left ideal in the algebra with (t, d_t) replaced by the
     central variable s = -t*d_t - 1.
     """
     sig = ideal.sig
-    order = MonomialOrder.weight(sig, {t_name: -1, dt_name: 1})
+    order = MonomialOrder.weight(sig, {T_VAR: -1, DT_VAR: 1})
     basis = ideal.groebner(order)
     forms = [initial_form(g, order) for g in basis]
-    return _balance_and_rewrite(forms, sig, order, t_name, dt_name, s_name)
+    return _balance_and_rewrite(forms, sig, order, T_VAR, DT_VAR, S_VAR)
 
 
 def central_intersection(ideal: LeftIdeal) -> List[MultiPoly]:

@@ -86,10 +86,10 @@ class AlgebraSignature:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def homogenized(self, h_name: str = "h_") -> "AlgebraSignature":
+    def homogenized(self) -> "AlgebraSignature":
         if self.shift_pairs:
             raise ValueError("a signature with shift pairs has no homogenization")
-        coords = self.coords + (h_name,)
+        coords = self.coords + ("h_",)
         n = len(coords)
         pairs = tuple((c, d + 1) for c, d in self.pairs)
         return AlgebraSignature(coords, self.derivs, pairs, homog=n - 1)
