@@ -97,6 +97,6 @@ def check_cor_jump(report: JumpReport, b0: BFunction) -> bool:
     if b0.roots is None:
         return False  # not fully split; the comparison is undefined
     targets = set(b0.roots)
-    if not all(any(nonneg_integer_gap(alpha, -r) for r in targets) for alpha in report.jumps):
-        return False
-    return report.lct == -max(targets)
+    return all(
+        any(nonneg_integer_gap(alpha, -r) for r in targets) for alpha in report.jumps
+    ) and report.lct == -max(targets)
