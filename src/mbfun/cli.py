@@ -28,7 +28,7 @@ from .errors import (
     ZeroSpecializationError,
 )
 from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, reduced_b
-from .multipoly import MultiPoly, unify
+from .multipoly import MultiPoly
 from .multiplier import check_cor_jump, jumping_numbers_nc
 from .ncres import (
     NCChart,
@@ -96,9 +96,18 @@ def _parse(text: str, variables=None) -> MultiPoly:
 
 def _parse_pair(args) -> List[MultiPoly]:
     """args.F and args.G over one shared variable list."""
-    F = _parse(args.F)
-    G = _parse(args.G, _shared_vars(args.F, args.G))
-    return unify(F, G)
+    variables = _shared_vars(args.F, args.G)
+    return [_parse(args.F, variables), _parse(args.G, variables)]
+
+
+def _refuse_misfits(charts: Sequence[NCChart], F: MultiPoly, identity: bool) -> None:
+    """A chart of a resolution of the pair has at most one coordinate per
+    variable, and the identity chart, which jumping numbers read, one each."""
+    n = len(F.variables)
+    for chart in charts:
+        if len(chart.a) > n or identity and len(chart.a) != n:
+            raise UsageError(f"chart {chart.label} has {len(chart.a)} coordinates but the "
+                             f"pair has {n} variables {F.variables}")
 
 
 def _check_status(holds: bool, *results) -> str:
@@ -109,7 +118,6 @@ def _check_status(holds: bool, *results) -> str:
 
 
 def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChart:
-    F, G = unify(F, G)
     if len(F.terms) != 1 or len(G.terms) != 1:
         raise UsageError(
             "this command derives its chart from the inputs and needs "
@@ -241,6 +249,7 @@ def _run_check_lemma4(args):
 def _run_check_thm41(args):
     F, G = _parse_pair(args)
     charts = _load_charts(args.charts) if args.charts else [_monomial_chart(F, G)]
+    _refuse_misfits(charts, F, identity=False)
     res = b_mero(F, G, args.m)
     roots = _roots_or_fail(res.b)
     B = bound_set(charts, args.m)
@@ -263,6 +272,7 @@ def _run_check_corjump(args):
     chart = _single_chart(args.charts) if args.charts else _monomial_chart(F, G)
     upper = parse_ratio(args.upper) if args.upper is not None else None
     report = jumping_numbers_nc(chart, upper)
+    _refuse_misfits([chart], F, identity=True)
     res = b_mero(F, G, 0)
     ok = check_cor_jump(report, res.b)
     result = {

@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rationals import ONE, ZERO, div
+from .rationals import ONE, ZERO, coprime_integers, div
 
 Row = Dict[int, object]
 Terms = Mapping[Tuple[int, ...], object]
@@ -39,23 +39,6 @@ def identity_system(
     return [equations[mono] for mono in monos], [rhs.get(mono, ZERO) for mono in monos]
 
 
-def _primitive(row: Row) -> Row:
-    """The positive multiple of a nonzero rational row whose entries are
-    coprime integers."""
-    g, l, ints = 0, 1, True
-    for v in row.values():
-        g = gcd(g, v.numerator)
-        if type(v) is not int:
-            ints = False
-            d = v.denominator
-            l = l * d // gcd(l, d)
-    if not ints:
-        return {c: v.numerator * (l // v.denominator) // g for c, v in row.items()}
-    if g != 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def _reduce_row(row: Row, pivots: Dict[int, Row]) -> Row:
     """A primitive integer row that, with the pivot rows, spans what the
     given one does, and has no pivot column left.  The given dict may be
@@ -66,7 +49,7 @@ def _reduce_row(row: Row, pivots: Dict[int, Row]) -> Row:
     and the pivot and g = gcd(a, p), until none is left.  Fill-in columns
     of pivot rows lie above their pivots, so the columns reduced increase.
     """
-    row = _primitive(row)
+    row = coprime_integers(row)
     todo = [c for c in row if c in pivots]
     heapify(todo)
     while todo:
@@ -92,7 +75,7 @@ def _reduce_row(row: Row, pivots: Dict[int, Row]) -> Row:
                     row[c] = acc
                 else:
                     del row[c]
-    return _primitive(row) if row else row
+    return coprime_integers(row) if row else row
 
 
 def _sparsest_first(rows: Sequence[Row]) -> List[int]:

@@ -4,6 +4,11 @@ Terms map exponent tuples to nonzero exact rational coefficients (see
 rationals).  Values are treated as immutable after construction; every
 operation returns a fresh polynomial.  Term iteration order is fixed
 (degrevlex, descending) so that printing and hashing are deterministic.
+
+`SparseTerms` is the core that `MultiPoly` shares with weyl's normally
+ordered operators: sums, scalar multiples, constants, degree and printing
+of such a map.  The two differ only in their space (a variable list, an
+algebra signature) and their product.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from math import gcd
 from operator import add, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rationals import ONE, Q, ZERO, div, rational_content
+from .rationals import ONE, Q, ZERO, coprime_integers, div, rational_content
 
 Exponent = Tuple[int, ...]
 
@@ -42,10 +47,78 @@ def _heap_key(exps: Exponent):
     return (-sum(exps),) + exps[::-1]
 
 
-class MultiPoly:
+class SparseTerms:
+    """Exponent tuple -> nonzero rational maps over one space of generators.
+
+    A subclass says how `_wrap` puts clean terms in self's space, when
+    `_require_same` accepts other as sharing it, and what `_names` the
+    generators have.  Only scalars and elements of self's own class
+    combine with self, so a polynomial and an operator never mix."""
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space, {})
+
+    @classmethod
+    def const(cls, space, value):
+        return cls.zero(space)._constant(value)
+
+    def _constant(self, value):
+        """The scalar value as an element of self's space."""
+        value = Q(value)
+        return self._wrap({(0,) * len(self._names()): value} if value else {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def sorted_terms(self) -> List[Tuple[Exponent, object]]:
+        return sorted(self.terms.items(), key=lambda t: _revlex_key(t[0]), reverse=True)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._constant(other)
+        self._require_same(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = terms.get(exps, ZERO) + coeff
+            if acc == 0:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = acc
+        return self._wrap(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scaled(self, scalar):
+        """self times a rational scalar."""
+        scalar = Q(scalar)
+        return self._wrap({e: c * scalar for e, c in self.terms.items()} if scalar else {})
+
+    def __str__(self) -> str:
+        return format_terms(self._names(), self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class MultiPoly(SparseTerms):
     """A polynomial in a fixed ordered list of variables."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Dict[Exponent, object]):
         self.variables = tuple(variables)
@@ -60,25 +133,24 @@ class MultiPoly:
         self.terms = clean
         self._hash = None
 
-    @classmethod
-    def _trusted(cls, variables: Tuple[str, ...], terms: Dict[Exponent, object]) -> "MultiPoly":
-        """Wrap terms that are already clean: tuple exponents of the right
-        length, nonzero exact coefficients.  Takes ownership of the dict."""
-        poly = cls.__new__(cls)
-        poly.variables = variables
+    def _wrap(self, terms: Dict[Exponent, object]) -> "MultiPoly":
+        """A polynomial over self's variables with terms that are already
+        clean: tuple exponents of the right length, nonzero exact
+        coefficients.  Takes ownership of the dict."""
+        poly = MultiPoly.__new__(MultiPoly)
+        poly.variables = self.variables
         poly.terms = terms
         poly._hash = None
         return poly
 
+    def _require_same(self, other: "MultiPoly") -> None:
+        if self.variables != other.variables:
+            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
+
+    def _names(self) -> Tuple[str, ...]:
+        return self.variables
+
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {})
-
-    @classmethod
-    def const(cls, variables: Sequence[str], value) -> "MultiPoly":
-        return cls(variables, {(0,) * len(variables): Q(value)})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
@@ -89,62 +161,18 @@ class MultiPoly:
 
     # -- basic queries --------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
         return max((e[idx] for e in self.terms), default=0)
 
-    def sorted_terms(self) -> List[Tuple[Exponent, object]]:
-        return sorted(self.terms.items(), key=lambda t: _revlex_key(t[0]), reverse=True)
-
     # -- arithmetic -----------------------------------------------------
-
-    def _require_same(self, other: "MultiPoly") -> None:
-        if self.variables != other.variables:
-            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.variables, other)
-        self._require_same(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, ZERO) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = acc
-        return MultiPoly._trusted(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            scalar = Q(other)
-            if scalar == 0:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly._trusted(
-                self.variables, {e: c * scalar for e, c in self.terms.items()}
-            )
+            return self._scaled(other)
         self._require_same(other)
         terms: Dict[Exponent, object] = {}
         get = terms.get
@@ -154,7 +182,7 @@ class MultiPoly:
                 terms[exps] = get(exps, ZERO) + c1 * c2
         if terms and self.variables:
             _check_exponent(max(map(max, terms)))
-        return MultiPoly._trusted(self.variables, {e: c for e, c in terms.items() if c})
+        return self._wrap({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -165,7 +193,7 @@ class MultiPoly:
         terms = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         if terms and self.variables:
             _check_exponent(max(map(max, terms)))
-        return MultiPoly._trusted(self.variables, terms)
+        return self._wrap(terms)
 
     def __pow__(self, power: int):
         if power < 0:
@@ -202,7 +230,7 @@ class MultiPoly:
             e = exps[idx]
             if e:
                 terms[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
-        return MultiPoly._trusted(self.variables, terms)
+        return self._wrap(terms)
 
     def evaluate(self, values: Dict[str, object]):
         """Full evaluation at rational values; every variable must be bound."""
@@ -226,7 +254,7 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return MultiPoly._trusted(variables, terms)
+        return MultiPoly.zero(variables)._wrap(terms)
 
     # -- division -------------------------------------------------------
 
@@ -280,8 +308,8 @@ class MultiPoly:
                     else:
                         del work[key]
         return (
-            MultiPoly._trusted(self.variables, quotient),
-            MultiPoly._trusted(self.variables, remainder),
+            self._wrap(quotient),
+            self._wrap(remainder),
         )
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -306,9 +334,7 @@ class MultiPoly:
         return rational_content(self.terms.values())
 
     def primitive(self) -> "MultiPoly":
-        if self.is_zero():
-            return self
-        return self * div(1, self.content())
+        return self._wrap(coprime_integers(self.terms)) if self.terms else self
 
     def monic(self) -> "MultiPoly":
         if self.is_zero():
@@ -330,14 +356,6 @@ class MultiPoly:
                 coeffs.append(ZERO)
             coeffs[d] = coeff
         return coeffs if coeffs else [ZERO]
-
-    # -- printing -------------------------------------------------------
-
-    def __str__(self) -> str:
-        return format_terms(self.variables, self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self})"
 
 
 def format_coeff(coeff) -> str:

@@ -43,7 +43,7 @@ from . import linalg
 from .bfunction import BFunction, S_VAR
 from .errors import CertificationError
 from .multipoly import MultiPoly, unify
-from .rationals import div, rational_content
+from .rationals import coprime_integers
 from .sections import (
     LaurentSection,
     MeroContext,
@@ -75,13 +75,8 @@ def weight_lattice(F: MultiPoly, G: MultiPoly) -> List[Tuple[int, ...]]:
             row = {i: e for i, e in enumerate(exps) if e}
             row[dcol] = -1
             rows.append(row)
-    out = []
-    for vec in linalg.nullspace(rows, n + 2):
-        w = vec[:n]
-        if any(c != 0 for c in w):
-            content = rational_content(w)
-            out.append(tuple(div(c, content) for c in w))
-    return out
+    vectors = [dict(enumerate(vec[:n])) for vec in linalg.nullspace(rows, n + 2)]
+    return [tuple(coprime_integers(w).values()) for w in vectors if any(w.values())]
 
 
 def context_lattice(ctx) -> List[Tuple[int, ...]]:

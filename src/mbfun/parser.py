@@ -56,11 +56,10 @@ def _tokenize(text: str) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], variables: Tuple[str, ...], source_len: int):
+    def __init__(self, tokens: List[Token], variables: Tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
         self.vars = variables
-        self.end = source_len
 
     def _peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -182,4 +181,4 @@ def parse_poly(text: str, variables: Optional[Tuple[str, ...]] = None) -> MultiP
             raise PolySyntaxError(f"unknown variable {missing[0]!r}", first.line, first.column)
     if not tokens:
         raise PolySyntaxError("empty expression", 1, 1)
-    return _Parser(tokens, tuple(variables), len(text)).parse()
+    return _Parser(tokens, tuple(variables)).parse()

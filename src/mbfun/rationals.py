@@ -50,6 +50,24 @@ def rational_content(values):
     return Q(g, l)
 
 
+def coprime_integers(values):
+    """The positive multiple of a nonzero rational vector, given as a dict
+    key -> value, whose entries are coprime integers: the given dict when
+    it is that already, else a new dict with the same keys in order."""
+    g, l, ints = 0, 1, True
+    for v in values.values():
+        g = gcd(g, v.numerator)
+        if type(v) is not int:
+            ints = False
+            d = v.denominator
+            l = l * d // gcd(l, d)
+    if not ints:
+        return {k: v.numerator * (l // v.denominator) // g for k, v in values.items()}
+    if g != 1:
+        return {k: v // g for k, v in values.items()}
+    return values
+
+
 def format_ratio(value) -> str:
     """Serialize as "p/q" (always with explicit denominator)."""
     return f"{value.numerator}/{value.denominator}"

@@ -232,7 +232,7 @@ class DeltaSection(_Section):
         num, b = self.numerator, self.pows[0]
         for _ in range(exps[-1]):
             over_u = {e[:-1] + (e[-1] - 1,): c for e, c in num.terms.items() if e[-1] > 1}
-            num, b = MultiPoly._trusted(num.variables, over_u) + self.ctx.F_u * num, b + 1
+            num, b = num._wrap(over_u) + self.ctx.F_u * num, b + 1
         return _Section.times(DeltaSection(self.ctx, num, (b,)), exps[:-1] + (0,), coeff)
 
     def split(self, exps: Exponent) -> Tuple[Exponent, Exponent]:

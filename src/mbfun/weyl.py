@@ -9,6 +9,10 @@ shifts by one.
 
 Generators are numbered coords-then-derivations; a monomial is the exponent
 vector of its normally ordered form (all coords left of all derivations).
+In normal order an element is the same data as a commutative polynomial,
+so `WeylElement` takes its sums, scalar multiples, constants, degree and
+printing from multipoly's `SparseTerms` core; it adds its signature and
+its product.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .multipoly import MultiPoly, _revlex_key, format_terms
-from .rationals import ONE, Q, ZERO, rational_content
+from .multipoly import MultiPoly, SparseTerms, _revlex_key
+from .rationals import ONE, Q, ZERO, coprime_integers
 
 Exponent = Tuple[int, ...]
 
@@ -149,10 +153,10 @@ def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
     return out
 
 
-class WeylElement:
+class WeylElement(SparseTerms):
     """A finite rational combination of normally ordered monomials."""
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig",)
 
     def __init__(self, sig: AlgebraSignature, terms: Dict[Exponent, object]):
         self.sig = sig
@@ -172,13 +176,15 @@ class WeylElement:
         elem.terms = terms
         return elem
 
-    @classmethod
-    def zero(cls, sig: AlgebraSignature) -> "WeylElement":
-        return cls(sig, {})
+    def _wrap(self, terms: Dict[Exponent, object]) -> "WeylElement":
+        return WeylElement._trusted(self.sig, terms)
 
-    @classmethod
-    def const(cls, sig: AlgebraSignature, value) -> "WeylElement":
-        return cls(sig, {(0,) * sig.ngens: Q(value)})
+    def _require_same(self, other: "WeylElement") -> None:
+        if self.sig != other.sig:
+            raise SignatureMismatch("operands live in different algebras")
+
+    def _names(self) -> Tuple[str, ...]:
+        return self.sig.names
 
     @classmethod
     def gen(cls, sig: AlgebraSignature, name: str, power: int = 1) -> "WeylElement":
@@ -188,56 +194,7 @@ class WeylElement:
 
     @classmethod
     def from_poly(cls, sig: AlgebraSignature, poly: MultiPoly) -> "WeylElement":
-        positions = [sig.index(v) for v in poly.variables]
-        terms = {}
-        for exps, coeff in poly.terms.items():
-            new = [0] * sig.ngens
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return cls(sig, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def _require_same(self, other: "WeylElement") -> None:
-        if self.sig != other.sig:
-            raise SignatureMismatch("operands live in different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            other = WeylElement.const(self.sig, other)
-        self._require_same(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, ZERO) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = acc
-        return WeylElement._trusted(self.sig, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylElement._trusted(self.sig, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            other = WeylElement.const(self.sig, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _scaled(self, other) -> "WeylElement":
-        scalar = Q(other)
-        if scalar == 0:
-            return WeylElement.zero(self.sig)
-        return WeylElement._trusted(self.sig, {e: c * scalar for e, c in self.terms.items()})
+        return cls(sig, poly.extend_to(sig.names).terms)
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -274,19 +231,8 @@ class WeylElement:
         """Remove rational content; integer, primitive, deterministic sign."""
         if not self.terms:
             return self
-        content = rational_content(self.terms.values())
-        num, den = content.numerator, content.denominator
-        lead = max(self.terms, key=_revlex_key)
-        if self.terms[lead] < 0:
-            num = -num
-        # c / content = c.numerator * (den / c.denominator) / num, exactly
-        return WeylElement._trusted(
-            self.sig,
-            {
-                e: c.numerator * (den // c.denominator) // num
-                for e, c in self.terms.items()
-            },
-        )
+        prim = self._wrap(coprime_integers(self.terms))
+        return -prim if self.terms[max(self.terms, key=_revlex_key)] < 0 else prim
 
     def coord_part_poly(self) -> MultiPoly:
         """View as a commutative polynomial in the coords (no derivations allowed)."""
@@ -297,13 +243,6 @@ class WeylElement:
                 raise ValueError("element involves derivations")
             terms[exps[:nc]] = coeff
         return MultiPoly(self.sig.coords, terms)
-
-    def __str__(self) -> str:
-        terms = sorted(self.terms.items(), key=lambda t: _revlex_key(t[0]), reverse=True)
-        return format_terms(self.sig.names, terms)
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self})"
 
 
 # -- monomial orders ----------------------------------------------------

@@ -2,18 +2,27 @@
 
 `data/golden_transcripts.json` holds, per command, its argv, exit code and
 exact stdout.  None of the commands reads a file, so the command echo in
-each report is stable and the comparison is byte for byte.
+each report is stable and the comparison is byte for byte.  Every command
+runs with --json, and each pinned report must also validate against the
+package's report schema.
 """
 
+import importlib.resources
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from mbfun.cli import main as cli_main
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_transcripts.json").read_text(encoding="utf-8")
+)
+SCHEMA = json.loads(
+    importlib.resources.files("mbfun").joinpath("schemas/report.schema.json").read_text(
+        encoding="utf-8"
+    )
 )
 
 
@@ -22,3 +31,4 @@ def test_golden_transcript(entry, capsys):
     code = cli_main(entry["argv"])
     assert capsys.readouterr().out == entry["stdout"]
     assert code == entry["exit_code"]
+    jsonschema.validate(json.loads(entry["stdout"]), SCHEMA)

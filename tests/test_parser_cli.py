@@ -1,11 +1,12 @@
 """Expression parsing and the command-line front end."""
 
+import argparse
 import json
 
 import jsonschema
 import pytest
 
-from mbfun.cli import main
+from mbfun.cli import _parse_pair, main
 from mbfun.parser import PolySyntaxError, parse_poly
 from mbfun.rationals import Q
 
@@ -180,6 +181,36 @@ class TestCLI:
         assert main(argv + ["--charts", str(path), "--json"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "single identity-resolution chart" in err
+
+    @pytest.mark.parametrize("command, a, b", [
+        ("corjump", [2], [0]),          # the identity chart needs one coordinate per variable
+        ("corjump", [3, 0, 1], [0, 2, 0]),
+        ("thm41", [3, 0, 1], [0, 2, 0]),  # no chart has more coordinates than variables
+    ])
+    def test_charts_must_fit_the_pair(self, tmp_path, capsys, monkeypatch, command, a, b):
+        def no_b_mero(*args, **kwargs):
+            raise AssertionError("b_mero ran on a chart that does not fit")
+
+        monkeypatch.setattr("mbfun.cli.b_mero", no_b_mero)
+        path = tmp_path / "charts.json"
+        path.write_text(json.dumps(
+            {"charts": [{"label": "q", "a": a, "b": b, "kappa": [0] * len(a)}]}
+        ))
+        assert main(["check", command, "x^3", "y^2", "--charts", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"has {len(a)} coordinates but the pair has 2 variables" in err
+
+    def test_pair_shares_sorted_variables(self, capsys):
+        # a constant F takes G's variables, not the parser's placeholder x
+        argv = ["bf", "reduced", "2", "y", "--weights", "1", "--d1", "0", "--d2", "1", "--json"]
+        rc, out = run_json(capsys, argv)
+        assert rc == 0 and json.loads(out)["inputs"]["weights"] == ["1/1"]
+        # both polynomials live over the sorted names of the pair
+        F, G = _parse_pair(argparse.Namespace(F="y", G="x"))
+        assert F.variables == G.variables == ("x", "y")
+        F, G = _parse_pair(argparse.Namespace(F="3", G="1/2"))
+        assert F.variables == G.variables == ("x",)
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["bf", "classic", "x^(-1)"]) == 2
