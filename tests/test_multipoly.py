@@ -15,7 +15,8 @@ from mbfun.multipoly import (
     rational_roots,
     unify,
 )
-from mbfun.rationals import Q, ZERO
+from mbfun.bfunction import BFunction
+from mbfun.rationals import Q, ZERO, coprime_integers
 
 XY = ("x", "y")
 
@@ -144,7 +145,8 @@ class TestRoots:
 
 def reference_rational_roots(p):
     """rational_roots as it was: every unreduced candidate +-a/q evaluated
-    in Fraction arithmetic, and the search started over after each root."""
+    in Fraction arithmetic, and the search started over after each root.
+    Returns the roots and what is left of p once they are divided out."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     live = [v for v in p.variables if p.degree_in(v) > 0]
@@ -157,8 +159,9 @@ def reference_rational_roots(p):
     roots = {}
     work = p
     while work.degree_in(name) > 0:
-        coeffs = work.primitive().univariate_in(name)
-        lead = int(coeffs[-1].numerator)
+        coeffs = work.univariate_in(name)
+        coeffs = list(coprime_integers(dict(enumerate(coeffs))).values())
+        lead = coeffs[-1]
         k = 0
         while coeffs[k] == 0:
             k += 1
@@ -172,14 +175,13 @@ def reference_rational_roots(p):
                 terms[tuple(new)] = coeff
             work = MultiPoly(work.variables, terms)
             continue
-        const = int(coeffs[k].numerator)
+        const = coeffs[k]
         found = None
         for pn in _int_divisors(const):
             for qn in _int_divisors(lead):
                 for sign in (1, -1):
                     cand = Q(sign * pn, qn)
-                    point = {name: cand} | {v: ZERO for v in work.variables if v != name}
-                    if work.evaluate(point) == 0:
+                    if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
                         found = cand
                         break
                 if found is not None:
@@ -189,8 +191,17 @@ def reference_rational_roots(p):
         if found is None:
             break
         roots[found] = roots.get(found, 0) + 1
-        work = work.exact_quotient(var - MultiPoly.const(p.variables, found))
+        work, rem = work.divmod_single(var - MultiPoly.const(p.variables, found))
+        assert rem.is_zero()
     return roots, work
+
+
+def reference_from_poly(poly):
+    """BFunction.from_poly as it was: roots kept iff what is left once
+    they are divided out is constant."""
+    poly = poly.monic()
+    roots, rem = reference_rational_roots(poly)
+    return BFunction(poly, roots if rem.is_constant() else None)
 
 
 def random_factored(rng, variables, name):
@@ -206,12 +217,13 @@ def random_factored(rng, variables, name):
     return out
 
 
-def exact_split(split):
-    """The roots in order with their types, and the remainder: its values
-    only, since the reference hands back an input whose coefficients may
-    be Fractions of denominator 1."""
-    roots, rem = split
-    return [(r, type(r), m) for r, m in roots.items()], rem.variables, rem
+def exact_split(roots, splits):
+    """The roots in order with their types, and whether they split p."""
+    return [(r, type(r), m) for r, m in roots.items()], splits
+
+
+def bfunction_parts(b):
+    return b.roots, b.poly.variables, b.poly.terms, str(b)
 
 
 @pytest.mark.parametrize("variables, name", [(("s",), "s"), (("x", "s", "y"), "s")])
@@ -219,4 +231,12 @@ def test_rational_roots_matches_the_restarting_search(variables, name):
     rng = random.Random(f"rational_roots/{variables}")
     for _ in range(150):
         p = random_factored(rng, variables, name)
-        assert exact_split(rational_roots(p)) == exact_split(reference_rational_roots(p)), p
+        roots, rem = rational_roots(p)
+        want_roots, want_rem = reference_rational_roots(p)
+        assert exact_split(roots, rem.is_constant()) == exact_split(
+            want_roots, want_rem.is_constant()
+        ), p
+        got, want = BFunction.from_poly(p), reference_from_poly(p)
+        assert bfunction_parts(got) == bfunction_parts(want), p
+        if got.roots is not None:
+            assert [type(r) for r in got.roots] == [type(r) for r in want.roots], p
