@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 from .bfunction import BFunction, S_VAR
 from .errors import NotSpecializableError, ZeroSpecializationError
 from .groebner import LeftIdeal, eliminate
-from .merobf import meromorphic_pair
+from .merobf import CERTIFIED, UNCERTIFIED, meromorphic_pair
 from .multipoly import MultiPoly, unify
 from .oracle import prefactored_witness
 from .rationals import Q
@@ -87,7 +87,6 @@ def bernstein_sato(F: MultiPoly) -> BFunction:
 class SabbahLineResult:
     b: BFunction                      # b(s) = bs_element(s, -s-m-2), monic
     bs_element: MultiPoly             # element of the Bernstein-Sato ideal, in (s1, s2)
-    m: int
     witness: Optional[WeylElement]    # P with b(s) f^s/G^m = G^2 P f^{s+1}/G^m
     status: str                       # CERTIFIED | UNCERTIFIED
 
@@ -140,5 +139,5 @@ def sabbah_line(
     bs_elem, spec = chosen
     b = BFunction.from_poly(spec)
     witness = prefactored_witness(b, F, G, m, deg=witness_deg)
-    status = "CERTIFIED" if witness is not None else "UNCERTIFIED"
-    return SabbahLineResult(b, bs_elem, m, witness, status)
+    status = CERTIFIED if witness is not None else UNCERTIFIED
+    return SabbahLineResult(b, bs_elem, witness, status)

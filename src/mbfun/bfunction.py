@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .multipoly import MultiPoly, format_coeff, poly_from_roots, rational_roots
-from .rationals import Q
+from .multipoly import MultiPoly, format_coeff, rational_roots
 
 S_VAR = "s"
 
@@ -23,15 +22,10 @@ class BFunction:
         if poly.is_zero():
             raise ValueError("b-function must be nonzero")
         poly = poly.monic()
-        roots, rem = rational_roots(poly)
-        if rem.is_constant():
+        roots = rational_roots(poly)
+        if sum(roots.values()) == poly.total_degree():
             return cls(poly, roots)
         return cls(poly, None)
-
-    @classmethod
-    def from_roots(cls, roots: Dict[object, int]) -> "BFunction":
-        roots = {Q(r): m for r, m in roots.items()}
-        return cls(poly_from_roots((S_VAR,), S_VAR, roots), roots)
 
     def degree(self) -> int:
         return self.poly.degree_in(S_VAR)
@@ -40,12 +34,6 @@ class BFunction:
         if self.roots is None:
             raise ValueError("b-function does not split over Q")
         return sorted(self.roots.items())
-
-    def divides(self, other: "BFunction") -> bool:
-        return self.poly.divides(other.poly)
-
-    def __mul__(self, other: "BFunction") -> "BFunction":
-        return BFunction.from_poly(self.poly * other.poly)
 
     def __str__(self) -> str:
         if self.roots is not None:

@@ -28,7 +28,7 @@ from .errors import (
     ZeroSpecializationError,
 )
 from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, reduced_b
-from .multipoly import MultiPoly
+from .multipoly import ExponentOverflow, MultiPoly
 from .multiplier import check_cor_jump, jumping_numbers_nc
 from .ncres import (
     NCChart,
@@ -90,7 +90,7 @@ def _single_chart(path: str) -> NCChart:
 def _parse(text: str, variables=None) -> MultiPoly:
     try:
         return parse_poly(text, variables)
-    except PolySyntaxError as exc:
+    except (PolySyntaxError, ExponentOverflow) as exc:
         raise UsageError(f"in {text!r}: {exc}") from exc
 
 

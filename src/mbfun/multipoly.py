@@ -20,7 +20,7 @@ from math import gcd
 from operator import add, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rationals import ONE, Q, ZERO, coprime_integers, div, rational_content
+from .rationals import ONE, Q, ZERO, coprime_integers, div
 
 Exponent = Tuple[int, ...]
 
@@ -232,18 +232,6 @@ class MultiPoly(SparseTerms):
                 terms[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
         return self._wrap(terms)
 
-    def evaluate(self, values: Dict[str, object]):
-        """Full evaluation at rational values; every variable must be bound."""
-        total = ZERO
-        order = [Q(values[v]) for v in self.variables]
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for val, e in zip(order, exps):
-                if e:
-                    prod = prod * val**e
-            total = total + prod
-        return total
-
     def extend_to(self, variables: Sequence[str]) -> "MultiPoly":
         """Embed into a superset of variables (order of new list wins)."""
         variables = tuple(variables)
@@ -312,29 +300,7 @@ class MultiPoly(SparseTerms):
             self._wrap(remainder),
         )
 
-    def divides(self, other: "MultiPoly") -> bool:
-        """True iff other == self * q exactly over Q."""
-        if self.is_zero():
-            raise ValueError("zero divisor")
-        _, rem = other.divmod_single(self)
-        return rem.is_zero()
-
-    def exact_quotient(self, divisor: "MultiPoly") -> "MultiPoly":
-        quo, rem = self.divmod_single(divisor)
-        if not rem.is_zero():
-            raise ValueError("not an exact multiple")
-        return quo
-
     # -- normalization --------------------------------------------------
-
-    def content(self):
-        """Positive rational c with self/c integer and primitive."""
-        if self.is_zero():
-            return ONE
-        return rational_content(self.terms.values())
-
-    def primitive(self) -> "MultiPoly":
-        return self._wrap(coprime_integers(self.terms)) if self.terms else self
 
     def monic(self) -> "MultiPoly":
         if self.is_zero():
@@ -404,14 +370,6 @@ def unify(*polys: MultiPoly) -> List[MultiPoly]:
     return [p.extend_to(variables) for p in polys]
 
 
-def poly_from_roots(var_list: Sequence[str], name: str, roots: Dict[object, int]) -> MultiPoly:
-    s = MultiPoly.var(var_list, name)
-    result = MultiPoly.const(var_list, 1)
-    for root, mult in sorted(roots.items()):
-        result = result * (s - MultiPoly.const(var_list, root)) ** mult
-    return result
-
-
 def _int_divisors(n: int) -> List[int]:
     n = abs(n)
     out = []
@@ -445,17 +403,17 @@ def _deflated(coeffs: List[int], p: int, q: int) -> Optional[List[int]]:
     return out[::-1] if coeffs[0] + p * b == 0 else None
 
 
-def rational_roots(p: MultiPoly):
-    """Split off all rational linear factors of a univariate polynomial.
+def rational_roots(p: MultiPoly) -> Dict[object, int]:
+    """The rational roots of a univariate polynomial; returns only the
+    dict root -> multiplicity.
 
-    Returns (roots, remainder) with p == remainder * prod (v - r)^mult and
-    remainder free of rational roots.  On the primitive integer form
-    c_0 .. c_n, zero has the multiplicity of the low zero coefficients;
-    every other root is a reduced a/q with a | c_0 and q | c_n (rational
-    root theorem).  Each candidate is tested once, by an integer
-    evaluation, in the order of (|a|, q, sign), and a root is divided out
-    as often as q v - a divides exactly; the roots are listed in that
-    order.
+    p splits over Q iff the multiplicities sum to its degree.  On the
+    coprime integer coefficients c_0 .. c_n, zero has the multiplicity of
+    the low zero coefficients; every other root is a reduced a/q with
+    a | c_0 and q | c_n (rational root theorem).  Each candidate is tested
+    once, by an integer evaluation, in the order of (|a|, q, sign), and a
+    root is divided out as often as q v - a divides exactly; the roots are
+    listed in that order.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -463,16 +421,13 @@ def rational_roots(p: MultiPoly):
     if len(live) > 1:
         raise ValueError("not univariate")
     if not live:
-        return {}, p
-    idx = p.variables.index(live[0])
-    content = p.content()
-    coeffs = [div(c, content) for c in p.univariate_in(live[0])]
+        return {}
+    coeffs = list(coprime_integers(dict(enumerate(p.univariate_in(live[0])))).values())
     roots: Dict[object, int] = {}
     zeros = next(i for i, c in enumerate(coeffs) if c)
     if zeros:
         roots[ZERO] = zeros
         coeffs = coeffs[zeros:]
-    scale = content
     for a, q in product(_int_divisors(coeffs[0]), _int_divisors(coeffs[-1])):
         if len(coeffs) == 1:
             break
@@ -482,8 +437,6 @@ def rational_roots(p: MultiPoly):
             if _integer_value(coeffs, num, q) == 0:
                 mult = 0
                 while (quotient := _deflated(coeffs, num, q)) is not None:
-                    coeffs, mult, scale = quotient, mult + 1, scale * q
+                    coeffs, mult = quotient, mult + 1
                 roots[Q(num, q)] = mult
-    before, after = (0,) * idx, (0,) * (len(p.variables) - idx - 1)
-    terms = {before + (i,) + after: c * scale for i, c in enumerate(coeffs)}
-    return roots, MultiPoly(p.variables, terms)
+    return roots

@@ -111,21 +111,6 @@ def check_lemma4(
 # -- chart JSON -----------------------------------------------------------
 
 
-def charts_to_json(charts: Sequence[NCChart]) -> str:
-    payload = {
-        "charts": [
-            {
-                "label": c.label,
-                "a": list(c.a),
-                "b": list(c.b),
-                "kappa": list(c.kappa),
-            }
-            for c in charts
-        ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def charts_from_json(text: str) -> List[NCChart]:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "charts" not in payload:

@@ -38,18 +38,6 @@ ZERO = 0
 ONE = 1
 
 
-def rational_content(values):
-    """Positive rational c with every value/c an integer and the quotients
-    coprime: the gcd of the numerators over the lcm of the denominators.
-    At least one value must be nonzero."""
-    g, l = 0, 1
-    for c in values:
-        g = gcd(g, c.numerator)
-        d = c.denominator
-        l = l * d // gcd(l, d)
-    return Q(g, l)
-
-
 def coprime_integers(values):
     """The positive multiple of a nonzero rational vector, given as a dict
     key -> value, whose entries are coprime integers: the given dict when

@@ -224,9 +224,6 @@ class WeylElement(SparseTerms):
     def __hash__(self):
         return hash((self.sig, tuple(sorted(self.terms.items()))))
 
-    def commutator(self, other: "WeylElement") -> "WeylElement":
-        return self * other - other * self
-
     def content_primitive(self) -> "WeylElement":
         """Remove rational content; integer, primitive, deterministic sign."""
         if not self.terms:

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from mbfun.annihilator import bernstein_sato
-from mbfun.bfunction import BFunction
 from mbfun.cli import main as cli_main
 from mbfun.errors import CapabilityError
 from mbfun.merobf import b_mero, b_simple, reduced_b
@@ -22,6 +21,7 @@ from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import MeroContext, apply_operator, base_section
 from mbfun.weyl import WeylElement
+from bfunction_helpers import b_from_roots, divides
 
 BATTERY_AS = (1, 2, 3)
 BATTERY_BS = (0, 1, 2)
@@ -61,7 +61,7 @@ def test_criterion_1_classical_battery():
         b = bernstein_sato(F)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
-        expected = BFunction.from_roots({Q(-k, a): 1 for k in range(1, a + 1)})
+        expected = b_from_roots({Q(-k, a): 1 for k in range(1, a + 1)})
         assert b.poly == expected.poly, f"x^{a}"
         assert elapsed < 1.0, f"x^{a} took {elapsed:.2f}s"
         # frozen independent witness: (1/a^a) dx^a realizes b(s) f^s = P f^{s+1}
@@ -80,7 +80,7 @@ def test_criterion_2_quadric():
     t0 = time.monotonic()
     b = bernstein_sato(F)
     elapsed = time.monotonic() - t0
-    expected = BFunction.from_roots({Q(-1): 1, Q(-3, 2): 1})
+    expected = b_from_roots({Q(-1): 1, Q(-3, 2): 1})
     assert b.poly == expected.poly
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     assert verify_functional_equation(b, F, one, 0, N=1, deg=2) is not None
@@ -170,7 +170,7 @@ def test_criterion_7_reduced_divisibility(battery):
             except CapabilityError:
                 continue
             for m in BATTERY_MS:
-                assert red.b.divides(results[(a, b, m)].b), f"({a},{b},{m})"
+                assert divides(red.b, results[(a, b, m)].b), f"({a},{b},{m})"
             computed += 1
     verdict(7, True, f"fast path s+1 and reduced | mero on {computed} battery pairs")
 

@@ -21,6 +21,7 @@ from mbfun.multiplier import check_cor_jump, jumping_numbers_nc
 from mbfun.multipoly import MultiPoly
 from mbfun.ncres import NCChart, check_lemma4
 from mbfun.rationals import Q, format_ratio
+from bfunction_helpers import b_from_roots
 
 SEED = 20261019
 
@@ -193,7 +194,7 @@ def test_cor_jump_matches_the_reference():
         near = rng.sample(report.jumps, min(2, len(report.jumps)))
         roots = {-j + rng.randint(-1, 1) for j in near}
         roots |= set(random_residues(rng, rng.randint(0, 2)))
-        for b0 in (BFunction.from_roots({r: 1 for r in roots}), unsplit):
+        for b0 in (b_from_roots({r: 1 for r in roots}), unsplit):
             got = check_cor_jump(report, b0)
             assert got == ref_check_cor_jump(report.jumps, report.lct, b0), (report, roots)
             verdicts.add(got)

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbfun.bfunction import BFunction
 from mbfun.multipoly import (
     ExponentOverflow,
     MultiPoly,
     _int_divisors,
-    poly_from_roots,
     rational_roots,
     unify,
 )
-from mbfun.bfunction import BFunction
 from mbfun.rationals import Q, ZERO, coprime_integers
 
 XY = ("x", "y")
@@ -64,9 +63,6 @@ class TestCalculusAndStructure:
         lhs = (f * g).derivative("x")
         assert lhs == f.derivative("x") * g + f * g.derivative("x")
 
-    def test_evaluate(self):
-        assert P("x^2 + y").evaluate({"x": Q(2), "y": Q(-1)}) == Q(3)
-
     def test_unify_extends_variable_sets(self):
         from mbfun.parser import parse_poly
 
@@ -114,33 +110,34 @@ class TestDivision:
         assert all(type(c) in (int, Fraction) for c in list(q.terms.values()) + list(r.terms.values()))
 
     def test_divides(self):
-        assert P("x + y").divides(P("x^2 - y^2"))
-        assert not P("x + 1").divides(P("x^2 + 1"))
+        assert P("x^2 - y^2").divmod_single(P("x + y"))[1].is_zero()
+        assert not P("x^2 + 1").divmod_single(P("x + 1"))[1].is_zero()
 
     def test_exact_quotient_roundtrip(self):
         a, b = P("x^2 + y"), P("x - y")
-        assert (a * b).exact_quotient(b) == a
+        assert (a * b).divmod_single(b) == (a, MultiPoly.zero(XY))
 
     def test_content_primitive_monic(self):
         p = Q(4, 6) * P("x") + Q(2, 3) * P("y")
-        prim = p.primitive()
+        prim = MultiPoly(XY, coprime_integers(p.terms))
         assert prim == P("x + y")
         assert P("2*x + 2").monic() == P("x + 1")
 
 
 class TestRoots:
     def test_rational_roots_full_split(self):
-        p = poly_from_roots(("s",), "s", {Q(-1): 2, Q(-1, 2): 1})
-        roots, rem = rational_roots(p)
-        assert roots == {Q(-1): 2, Q(-1, 2): 1}
-        assert rem.is_constant()
+        from mbfun.parser import parse_poly
+
+        p = parse_poly("(s + 1)^2*(s + 1/2)", ("s",))
+        assert rational_roots(p) == {Q(-1): 2, Q(-1, 2): 1}
+        assert BFunction.from_poly(p).roots == {Q(-1): 2, Q(-1, 2): 1}
 
     def test_rational_roots_irreducible_remainder(self):
         from mbfun.parser import parse_poly
 
-        roots, rem = rational_roots(parse_poly("s^2 + 1", ("s",)))
-        assert roots == {}
-        assert rem.degree_in("s") == 2
+        p = parse_poly("(s^2 + 1)*(s - 2)", ("s",))
+        assert rational_roots(p) == {2: 1}
+        assert BFunction.from_poly(p).roots is None
 
 
 def reference_rational_roots(p):
@@ -231,9 +228,9 @@ def test_rational_roots_matches_the_restarting_search(variables, name):
     rng = random.Random(f"rational_roots/{variables}")
     for _ in range(150):
         p = random_factored(rng, variables, name)
-        roots, rem = rational_roots(p)
+        roots = rational_roots(p)
         want_roots, want_rem = reference_rational_roots(p)
-        assert exact_split(roots, rem.is_constant()) == exact_split(
+        assert exact_split(roots, sum(roots.values()) == p.total_degree()) == exact_split(
             want_roots, want_rem.is_constant()
         ), p
         got, want = BFunction.from_poly(p), reference_from_poly(p)

@@ -19,7 +19,6 @@ from operator import mul
 import pytest
 
 from mbfun import linalg, merobf, oracle, sections
-from mbfun.bfunction import BFunction
 from mbfun.errors import NotSpecializableError
 from mbfun.oracle import _columns, prefactored_witness, weight_lattice
 from mbfun.rationals import ONE, Q
@@ -30,6 +29,7 @@ from mbfun.sections import (
     operator_columns,
     poly_weight,
 )
+from bfunction_helpers import b_from_roots
 from column_helpers import materialized, section_of
 from test_merobf import BATTERY, GRADED_PINS, pair
 
@@ -144,7 +144,7 @@ def test_prefactored_rule_builds_the_reference_columns(ftext, gtext, m, monkeypa
     calls = recorder(monkeypatch, oracle)
     monkeypatch.setattr(oracle, "least_monic", lambda *args: None)
     F, G = pair(ftext, gtext)
-    b = BFunction.from_roots({Q(-1): 1})
+    b = b_from_roots({Q(-1): 1})
     assert prefactored_witness(b, F, G, m, deg=ORACLE_DEG) is None
     [(target, deg, got)] = calls
     ctx = target.ctx

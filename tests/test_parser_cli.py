@@ -222,6 +222,15 @@ class TestCLI:
         # 'ddx' is d + 'dx': its derivation 'dddx' would read as a third dx
         assert main(["bf", "classic", "x^2+ddx"]) == 2
         assert "'ddx'" in capsys.readouterr().err
+        # an exponent past the supported range, as written or as a product makes it
+        for text, exponent in [
+            ("x^4611686018427387904", "4611686018427387904"),
+            ("x^4611686018427387903*x^4611686018427387903", "9223372036854775806"),
+        ]:
+            for argv in (["bf", "classic", text], ["bf", "mero", text, "y"]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and exponent in err and "Traceback" not in err
 
     @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
     def test_reserved_annihilator_names(self, capsys, var, code):

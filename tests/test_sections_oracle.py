@@ -36,6 +36,7 @@ from mbfun.sections import (
     poly_weight,
 )
 from mbfun.weyl import WeylElement
+from bfunction_helpers import b_from_roots
 from column_helpers import as_columns, materialized, sections_of
 
 
@@ -51,7 +52,7 @@ def solve(rhs, columns):
 
 
 def b_of(roots):
-    return BFunction.from_roots({Q(num, den): mult for (num, den), mult in roots})
+    return b_from_roots({Q(num, den): mult for (num, den), mult in roots})
 
 
 ONE_X = poly("1", ("x",))
@@ -560,7 +561,8 @@ def reference_minimize(b, F, G, m, N, deg):
 
     while b.degree() > 1:
         for root, _ in b.sorted_roots():
-            cand = BFunction.from_poly(b.poly.exact_quotient(s - MultiPoly.const((S_VAR,), root)))
+            quotient, _ = b.poly.divmod_single(s - MultiPoly.const((S_VAR,), root))
+            cand = BFunction.from_poly(quotient)
             if passes(cand):
                 b = cand
                 break
@@ -590,7 +592,7 @@ def test_minimization_matches_root_stripping(case):
             rng = random.Random(f"{text_f}/{text_g}/{m}/{trial}")
             roots = [Q(num, den) for num, den in b_roots]
             roots += [Q(-rng.randint(1, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
-            b = BFunction.from_roots(Counter(roots))
+            b = b_from_roots(Counter(roots))
             N, deg = rng.randint(1, 2), rng.choice(degs)
             assert verify_functional_equation(b, F, G, m, N, deg) is not None
             want = reference_minimize(b, F, G, m, N, deg)

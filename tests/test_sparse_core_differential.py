@@ -2,7 +2,7 @@
 
 `MultiPoly` and `WeylElement` once each carried their own sum, negation,
 scalar product, degree and printing, and `WeylElement.content_primitive`,
-`MultiPoly.primitive`, `oracle.weight_lattice` and the row step of
+the polynomial primitive part, `oracle.weight_lattice` and the row step of
 `linalg` each scaled to coprime integers their own way.  The reference
 functions below are those forms, on plain term dicts, kept here as the
 test oracle: on seeded random elements the package must give the same
@@ -118,13 +118,6 @@ def ref_content_primitive(a):
     if a[max(a, key=ref_revlex_key)] < 0:
         num = -num
     return {e: c.numerator * (den // c.denominator) // num for e, c in a.items()}
-
-
-def ref_primitive(a):
-    """MultiPoly.primitive: self times 1/content."""
-    if not a:
-        return {}
-    return ref_scaled(a, Fraction(1) / ref_content(a.values()))
 
 
 def ref_from_poly(sig, poly):
@@ -250,8 +243,6 @@ def test_normalisations_match_reference():
             prim = a.content_primitive()
             same(prim, ref_content_primitive(a.terms), a)
             assert all(type(c) is int for c in prim.terms.values())
-        else:
-            same(a.primitive(), ref_primitive(a.terms), a)
         if a.terms:
             scaled = coprime_integers(a.terms)
             assert list(scaled) == list(a.terms)
