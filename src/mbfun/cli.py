@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from functools import lru_cache
@@ -28,7 +27,7 @@ from .errors import (
     ZeroSpecializationError,
 )
 from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, reduced_b
-from .multipoly import ExponentOverflow, MultiPoly
+from .multipoly import MultiPoly
 from .multiplier import check_cor_jump, jumping_numbers_nc
 from .ncres import (
     NCChart,
@@ -40,15 +39,11 @@ from .ncres import (
     roots_nc,
 )
 from .oracle import DEFAULT_DEG, DEFAULT_N, verify_functional_equation
-from .parser import PolySyntaxError, parse_poly
+from .parser import parse_poly, variable_names
 from .rationals import format_ratio, parse_ratio
 
 FAILED = "FAILED"
 SCHEMA_VERSION = 1
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _roots_payload(b: BFunction):
@@ -72,32 +67,25 @@ def _load_charts(path: str) -> List[NCChart]:
         with open(path, "r", encoding="utf-8") as fh:
             return charts_from_json(fh.read())
     except OSError as exc:
-        raise UsageError(f"cannot read chart file: {exc}") from exc
+        raise ValueError(f"cannot read chart file: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"malformed chart file {path}: {exc}") from exc
+        raise ValueError(f"malformed chart file {path}: {exc}") from exc
 
 
 def _single_chart(path: str) -> NCChart:
     """The one chart of a chart file; jumping numbers need exactly one."""
     charts = _load_charts(path)
     if len(charts) != 1:
-        raise UsageError(
+        raise ValueError(
             f"jumping numbers work on a single identity-resolution chart; {path} has {len(charts)}"
         )
     return charts[0]
 
 
-def _parse(text: str, variables=None) -> MultiPoly:
-    try:
-        return parse_poly(text, variables)
-    except (PolySyntaxError, ExponentOverflow) as exc:
-        raise UsageError(f"in {text!r}: {exc}") from exc
-
-
 def _parse_pair(args) -> List[MultiPoly]:
     """args.F and args.G over one shared variable list."""
-    variables = _shared_vars(args.F, args.G)
-    return [_parse(args.F, variables), _parse(args.G, variables)]
+    variables = variable_names(args.F, args.G)
+    return [parse_poly(args.F, variables), parse_poly(args.G, variables)]
 
 
 def _refuse_misfits(charts: Sequence[NCChart], F: MultiPoly, identity: bool) -> None:
@@ -106,7 +94,7 @@ def _refuse_misfits(charts: Sequence[NCChart], F: MultiPoly, identity: bool) -> 
     n = len(F.variables)
     for chart in charts:
         if len(chart.a) > n or identity and len(chart.a) != n:
-            raise UsageError(f"chart {chart.label} has {len(chart.a)} coordinates but the "
+            raise ValueError(f"chart {chart.label} has {len(chart.a)} coordinates but the "
                              f"pair has {n} variables {F.variables}")
 
 
@@ -119,14 +107,14 @@ def _check_status(holds: bool, *results) -> str:
 
 def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChart:
     if len(F.terms) != 1 or len(G.terms) != 1:
-        raise UsageError(
+        raise ValueError(
             "this command derives its chart from the inputs and needs "
             "monomial F and G (or an explicit --charts file)"
         )
     (ea, ca), = F.terms.items()
     (eb, cb), = G.terms.items()
     if ca != 1 or cb != 1:
-        raise UsageError("monomial inputs must have coefficient 1")
+        raise ValueError("monomial inputs must have coefficient 1")
     return NCChart(label, ea, eb, (0,) * len(ea))
 
 
@@ -135,7 +123,7 @@ def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChar
 
 
 def _run_bf_classic(args):
-    F = _parse(args.F)
+    F = parse_poly(args.F)
     b = bernstein_sato(F)
     one = MultiPoly.const(F.variables, 1)
     witness = verify_functional_equation(b, F, one, 0, N=1, deg=args.certify_deg)
@@ -171,20 +159,19 @@ def _run_bf_simple(args):
 
 def _run_bf_reduced(args):
     F, G = _parse_pair(args)
-    weights = [parse_ratio(w) for w in args.weights.split(",")]
-    if len(weights) != len(F.variables):
-        raise UsageError(
+    if len(args.weights) != len(F.variables):
+        raise ValueError(
             f"--weights needs {len(F.variables)} entries for variables {F.variables}"
         )
-    res = reduced_b(F, G, weights, parse_ratio(args.d1), parse_ratio(args.d2))
+    res = reduced_b(F, G, args.weights, args.d1, args.d2)
     result = _b_payload(res.b)
     result["witness"] = _witness_payload(res.witness)
     inputs = {
         "F": str(F),
         "G": str(G),
-        "weights": [format_ratio(w) for w in weights],
-        "d1": format_ratio(parse_ratio(args.d1)),
-        "d2": format_ratio(parse_ratio(args.d2)),
+        "weights": [format_ratio(w) for w in args.weights],
+        "d1": format_ratio(args.d1),
+        "d2": format_ratio(args.d2),
     }
     return inputs, result, res.status, list(res.notes)
 
@@ -218,18 +205,17 @@ def _run_nc(args):
 
 def _run_jump(args):
     chart = _single_chart(args.charts)
-    upper = parse_ratio(args.upper) if args.upper is not None else None
-    report = jumping_numbers_nc(chart, upper)
+    report = jumping_numbers_nc(chart, args.upper)
     inputs = {"charts": args.charts}
     if args.upper is not None:
-        inputs["upper"] = format_ratio(parse_ratio(args.upper))
+        inputs["upper"] = format_ratio(args.upper)
     return inputs, report.to_payload(), CERTIFIED, []
 
 
 def _run_check_lemma4(args):
     F, G = _parse_pair(args)
     if args.m1 > args.m2:
-        raise UsageError("--m1 must be <= --m2")
+        raise ValueError("--m1 must be <= --m2")
     small = b_mero(F, G, args.m1)
     big = b_mero(F, G, args.m2)
     roots_small = _roots_or_fail(small.b)
@@ -270,8 +256,7 @@ def _run_check_thm41(args):
 def _run_check_corjump(args):
     F, G = _parse_pair(args)
     chart = _single_chart(args.charts) if args.charts else _monomial_chart(F, G)
-    upper = parse_ratio(args.upper) if args.upper is not None else None
-    report = jumping_numbers_nc(chart, upper)
+    report = jumping_numbers_nc(chart, args.upper)
     _refuse_misfits([chart], F, identity=True)
     res = b_mero(F, G, 0)
     ok = check_cor_jump(report, res.b)
@@ -291,13 +276,6 @@ def _roots_or_fail(b: BFunction) -> List:
     if b.roots is None:
         raise CapabilityError(f"b-function {b} does not split over Q")
     return [r for r, _ in b.sorted_roots()]
-
-
-def _shared_vars(*texts: str):
-    names = set()
-    for t in texts:
-        names |= set(re.findall(r"[a-z][a-z0-9]*", t))
-    return tuple(sorted(names)) if names else None
 
 
 # -- dispatch -------------------------------------------------------------
@@ -328,6 +306,19 @@ def _certify_bounds(text: str):
     return n, deg
 
 
+def _ratio(text: str):
+    """argparse type: an exact rational p/q or an integer."""
+    try:
+        return parse_ratio(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _ratios(text: str):
+    """argparse type for --weights: comma-separated exact rationals."""
+    return [_ratio(part) for part in text.split(",")]
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mbfun",
@@ -335,10 +326,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("F")
+    pair.add_argument("G")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--m", type=NONNEG, default=0)
     sub = top.add_subparsers(dest="group", required=True)
 
-    def add(group, name, helptext):
-        return group.add_parser(name, help=helptext, parents=[common])
+    def add(group, name, helptext, *parents):
+        return group.add_parser(name, help=helptext, parents=[common, *parents])
 
     bf = sub.add_parser("bf", help="b-function engines").add_subparsers(
         dest="which", required=True
@@ -347,30 +343,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("F")
     p.add_argument("--certify-deg", type=POSITIVE, default=DEFAULT_DEG)
     p.set_defaults(run=_run_bf_classic)
-    p = add(bf, "mero", "meromorphic b-function of F/G at order m")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("--m", type=NONNEG, default=0)
+    p = add(bf, "mero", "meromorphic b-function of F/G at order m", pair, order)
     p.add_argument("--certify", type=_certify_bounds, default=(DEFAULT_N, DEFAULT_DEG),
                    metavar="N,DEG",
                    help="oracle bounds: shift count and operator degree")
     p.set_defaults(run=_run_bf_mero)
-    p = add(bf, "simple", "one-term functional equation variant")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("--m", type=NONNEG, default=0)
+    p = add(bf, "simple", "one-term functional equation variant", pair, order)
     p.set_defaults(run=_run_bf_simple)
-    p = add(bf, "reduced", "reduced b-function for quasi-homogeneous F, G")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("--weights", required=True, help="comma-separated rational weights")
-    p.add_argument("--d1", required=True, help="w-degree of F")
-    p.add_argument("--d2", required=True, help="w-degree of G")
+    p = add(bf, "reduced", "reduced b-function for quasi-homogeneous F, G", pair)
+    p.add_argument("--weights", type=_ratios, required=True,
+                   help="comma-separated rational weights")
+    p.add_argument("--d1", type=_ratio, required=True, help="w-degree of F")
+    p.add_argument("--d2", type=_ratio, required=True, help="w-degree of G")
     p.set_defaults(run=_run_bf_reduced)
-    p = add(bf, "sabbah-line", "Bernstein-Sato ideal element on s2=-s-m-2")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("--m", type=NONNEG, default=0)
+    p = add(bf, "sabbah-line", "Bernstein-Sato ideal element on s2=-s-m-2", pair, order)
     p.set_defaults(run=_run_bf_sabbah)
 
     nc = sub.add_parser("nc", help="normal-crossing root combinatorics").add_subparsers(
@@ -381,9 +367,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("bound", "union bound set over all charts"),
         ("eigen", "monodromy eigenvalue classes"),
     ):
-        p = add(nc, name, helptext)
+        p = add(nc, name, helptext, order)
         p.add_argument("--charts", required=True)
-        p.add_argument("--m", type=NONNEG, default=0)
         p.set_defaults(run=_run_nc)
 
     jump = sub.add_parser("jump", help="multiplier-ideal jumping numbers").add_subparsers(
@@ -391,30 +376,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p = add(jump, "nc", "jumping numbers on one identity chart")
     p.add_argument("--charts", required=True)
-    p.add_argument("--upper", default=None)
+    p.add_argument("--upper", type=_ratio, default=None)
     p.set_defaults(run=_run_jump)
 
     check = sub.add_parser("check", help="cross-checks").add_subparsers(
         dest="which", required=True
     )
-    p = add(check, "lemma4", "root shifts between two denominator orders")
-    p.add_argument("F")
-    p.add_argument("G")
+    p = add(check, "lemma4", "root shifts between two denominator orders", pair)
     p.add_argument("--m1", type=NONNEG, required=True)
     p.add_argument("--m2", type=NONNEG, required=True)
     p.add_argument("--lcap", type=NONNEG, default=5)
     p.set_defaults(run=_run_check_lemma4)
-    p = add(check, "thm41", "roots against the chart bound set")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("--m", type=NONNEG, default=0)
+    p = add(check, "thm41", "roots against the chart bound set", pair, order)
     p.add_argument("--charts", default=None)
     p.set_defaults(run=_run_check_thm41)
-    p = add(check, "corjump", "jumping numbers against b at m=0")
-    p.add_argument("F")
-    p.add_argument("G")
+    p = add(check, "corjump", "jumping numbers against b at m=0", pair)
     p.add_argument("--charts", default=None)
-    p.add_argument("--upper", default=None)
+    p.add_argument("--upper", type=_ratio, default=None)
     p.set_defaults(run=_run_check_corjump)
     return top
 
@@ -454,9 +432,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.monotonic()
     try:
         inputs, result, status, notes = args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         CapabilityError,
         NotSpecializableError,

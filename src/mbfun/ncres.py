@@ -117,12 +117,14 @@ def charts_from_json(text: str) -> List[NCChart]:
         raise ValueError('chart file must be an object with a "charts" list')
     out = []
     for entry in payload["charts"]:
-        out.append(
-            NCChart(
-                label=str(entry["label"]),
-                a=tuple(int(v) for v in entry["a"]),
-                b=tuple(int(v) for v in entry["b"]),
-                kappa=tuple(int(v) for v in entry["kappa"]),
-            )
-        )
+        label = str(entry["label"])
+        vectors = {}
+        for key in ("a", "b", "kappa"):
+            values = entry[key]
+            # type(), not isinstance(): JSON true reads as a bool, an int subclass
+            if not isinstance(values, list) or any(type(v) is not int for v in values):
+                raise ValueError(f"chart {label}: {key!r} must be a JSON array of integers, "
+                                 f"got {values!r}")
+            vectors[key] = tuple(values)
+        out.append(NCChart(label, **vectors))
     return out

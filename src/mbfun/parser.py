@@ -3,7 +3,9 @@
 Grammar: integer and p/q literals, variables [a-z][a-z0-9]*, operators
 + - * ^ with the usual precedence, parentheses.  '/' is only part of a
 rational literal, never a general division.  Exponents must be
-nonnegative integer literals.
+nonnegative integer literals, and no monomial may reach MAX_EXPONENT: a
+power is checked before it is expanded and a product as it is formed, so
+an oversized input is refused at its token instead of being built.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from typing import List, Optional, Tuple
 from .multipoly import MultiPoly
 from .rationals import Q
 
+# Desk-scale inputs never get close; a larger exponent is a typo or a
+# runaway that expanding would not survive.
+MAX_EXPONENT = 2**62
+
 
 class PolySyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, text: str, message: str, line: int, column: int):
+        super().__init__(f"in {text!r}: {message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
@@ -41,7 +47,7 @@ def _tokenize(text: str) -> List[Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise PolySyntaxError(f"unexpected character {text[pos]!r}", line, col)
+            raise PolySyntaxError(text, f"unexpected character {text[pos]!r}", line, col)
         chunk = text[pos : m.end()]
         if m.lastgroup is not None:
             tokens.append(Token(m.lastgroup, m.group(), line, col))
@@ -55,8 +61,13 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
+def _sorted_names(tokens: List[Token]) -> Tuple[str, ...]:
+    return tuple(sorted({t.text for t in tokens if t.kind == "name"})) or ("x",)
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token], variables: Tuple[str, ...]):
+    def __init__(self, text: str, tokens: List[Token], variables: Tuple[str, ...]):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.vars = variables
@@ -70,12 +81,20 @@ class _Parser:
             last = self.tokens[-1] if self.tokens else None
             line = last.line if last else 1
             col = last.column + len(last.text) if last else 1
-            raise PolySyntaxError("unexpected end of input", line, col)
+            raise PolySyntaxError(self.text, "unexpected end of input", line, col)
         self.pos += 1
         return tok
 
     def _fail(self, tok: Token, message: str):
-        raise PolySyntaxError(message, tok.line, tok.column)
+        raise PolySyntaxError(self.text, message, tok.line, tok.column)
+
+    def _bound(self, tok: Token, poly: MultiPoly, n: int = 1) -> None:
+        """Refuse, at tok, a poly ** n with an exponent of MAX_EXPONENT or
+        more.  The leading form in each variable cannot cancel, so the
+        largest exponent of poly ** n is n times poly's."""
+        exponent = n * max(map(poly.degree_in, poly.variables), default=0)
+        if exponent >= MAX_EXPONENT:
+            self._fail(tok, f"monomial exponent {exponent} exceeds supported range")
 
     def parse(self) -> MultiPoly:
         value = self.expr()
@@ -109,35 +128,37 @@ class _Parser:
             if tok and tok.kind == "op" and tok.text == "*":
                 self._next()
                 value = value * self.power()
+                self._bound(tok, value)
             else:
                 return value
 
     def power(self) -> MultiPoly:
         base = self.atom()
         tok = self._peek()
-        if tok and tok.kind == "op" and tok.text == "^":
+        if not (tok and tok.kind == "op" and tok.text == "^"):
+            return base
+        self._next()
+        exp_tok = self._peek()
+        if exp_tok and exp_tok.kind == "op" and exp_tok.text == "(":
+            # parenthesized exponents only legal for a bare nonnegative int
             self._next()
-            exp_tok = self._peek()
-            if exp_tok and exp_tok.kind == "op" and exp_tok.text == "(":
-                # parenthesized exponents only legal for a bare nonnegative int
-                self._next()
-                inner = self._next()
-                if inner.kind == "op" and inner.text == "-":
-                    self._fail(inner, "negative exponents are not allowed")
-                if inner.kind != "int":
-                    self._fail(inner, "exponent must be a nonnegative integer")
-                close = self._next()
-                if not (close.kind == "op" and close.text == ")"):
-                    self._fail(close, "expected ')'")
-                return base ** int(inner.text)
+            exp_tok = self._next()
+            if exp_tok.kind == "op" and exp_tok.text == "-":
+                self._fail(exp_tok, "negative exponents are not allowed")
+            if exp_tok.kind != "int":
+                self._fail(exp_tok, "exponent must be a nonnegative integer")
+            close = self._next()
+            if not (close.kind == "op" and close.text == ")"):
+                self._fail(close, "expected ')'")
+        else:
             if exp_tok is None or exp_tok.kind != "int":
-                bad = exp_tok or tok
                 if exp_tok and exp_tok.kind == "op" and exp_tok.text == "-":
                     self._fail(exp_tok, "negative exponents are not allowed")
-                self._fail(bad, "exponent must be a nonnegative integer")
+                self._fail(exp_tok or tok, "exponent must be a nonnegative integer")
             self._next()
-            return base ** int(exp_tok.text)
-        return base
+        n = int(exp_tok.text)
+        self._bound(exp_tok, base, n)
+        return base ** n
 
     def atom(self) -> MultiPoly:
         tok = self._next()
@@ -154,6 +175,8 @@ class _Parser:
                 return MultiPoly.const(self.vars, Q(num, int(den_tok.text)))
             return MultiPoly.const(self.vars, Q(num))
         if tok.kind == "name":
+            if tok.text not in self.vars:
+                self._fail(tok, f"unknown variable {tok.text!r}")
             return MultiPoly.var(self.vars, tok.text)
         if tok.kind == "op" and tok.text == "(":
             value = self.expr()
@@ -164,6 +187,13 @@ class _Parser:
         self._fail(tok, f"unexpected {tok.text!r}")
 
 
+def variable_names(*texts: str) -> Tuple[str, ...]:
+    """The sorted names of the variables in all the texts together, or
+    ("x",) when none has one: the variables that parse_poly gives one
+    text when it is given none."""
+    return _sorted_names([tok for text in texts for tok in _tokenize(text)])
+
+
 def parse_poly(text: str, variables: Optional[Tuple[str, ...]] = None) -> MultiPoly:
     """Parse an expression into a MultiPoly.
 
@@ -171,14 +201,8 @@ def parse_poly(text: str, variables: Optional[Tuple[str, ...]] = None) -> MultiP
     otherwise the variable set is the names appearing in the text.
     """
     tokens = _tokenize(text)
-    names = sorted({t.text for t in tokens if t.kind == "name"})
-    if variables is None:
-        variables = tuple(names) if names else ("x",)
-    else:
-        missing = [n for n in names if n not in variables]
-        if missing:
-            first = next(t for t in tokens if t.text == missing[0])
-            raise PolySyntaxError(f"unknown variable {missing[0]!r}", first.line, first.column)
     if not tokens:
-        raise PolySyntaxError("empty expression", 1, 1)
-    return _Parser(tokens, tuple(variables)).parse()
+        raise PolySyntaxError(text, "empty expression", 1, 1)
+    if variables is None:
+        variables = _sorted_names(tokens)
+    return _Parser(text, tokens, tuple(variables)).parse()

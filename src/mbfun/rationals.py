@@ -62,9 +62,10 @@ def format_ratio(value) -> str:
 
 
 def parse_ratio(text: str):
-    """Parse "p/q" or a plain integer string."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Q(int(num), int(den))
-    return Q(int(text))
+    """Parse "p/q" or a plain integer string; ValueError names any other
+    text, a zero q included."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Q(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"expected an integer or p/q with q != 0, got {text!r}") from None

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mbfun.bfunction import BFunction
 from mbfun.multipoly import (
-    ExponentOverflow,
     MultiPoly,
     _int_divisors,
     rational_roots,
@@ -72,21 +71,16 @@ class TestCalculusAndStructure:
         assert ua.variables == ub.variables == ("x", "z")
         assert ua * ub == parse_poly("x*z")
 
-    def test_exponent_guard(self):
-        huge = MultiPoly(XY, {(2**61, 0): Q(1)})
-        with pytest.raises(ExponentOverflow):
-            huge * huge
-
     @given(small_polys(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
     @settings(max_examples=40, deadline=None)
     def test_shifted_is_product_with_monomial(self, p, exps):
         assert p.shifted(exps) == p * MultiPoly(XY, {exps: Q(1)})
 
-    def test_shifted_guards_exponents(self):
+    def test_shifted_checks_length(self):
+        # exponents are Python ints: arithmetic is exact at any size, and
+        # the parser is what bounds the exponents of an input
         huge = MultiPoly(XY, {(2**61, 1): Q(1)})
-        assert huge.shifted((2**61 - 1, 0)).terms == {(2**62 - 1, 1): 1}
-        with pytest.raises(ExponentOverflow):
-            huge.shifted((2**61, 0))
+        assert huge.shifted((2**61, 0)).terms == {(2**62, 1): 1}
         with pytest.raises(ValueError, match="length"):
             huge.shifted((1,))
 

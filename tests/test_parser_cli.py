@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from mbfun.cli import _parse_pair, main
 from mbfun.parser import PolySyntaxError, parse_poly
 from mbfun.rationals import Q
+
+CHART = str(Path(__file__).parent / "data" / "chart_x3_y2.json")
 
 
 class TestParser:
@@ -37,6 +40,25 @@ class TestParser:
         with pytest.raises(PolySyntaxError) as info:
             parse_poly("x + $")
         assert info.value.line == 1 and info.value.column == 5
+
+    @pytest.mark.parametrize("text, exponent, column", [
+        ("x^4611686018427387904", 4611686018427387904, 3),
+        ("x^(4611686018427387904)", 4611686018427387904, 4),
+        # a power is refused before it is expanded
+        ("(x+y)^4611686018427387904", 4611686018427387904, 7),
+        ("(x^2*y)^2305843009213693952", 4611686018427387904, 9),
+        # a product as it is formed, at its '*'
+        ("x^4611686018427387903*y*x", 4611686018427387904, 24),
+    ], ids=["power", "parenthesized", "power-of-sum", "power-of-product", "product"])
+    def test_exponent_bound(self, text, exponent, column):
+        with pytest.raises(PolySyntaxError, match=f"exponent {exponent} ") as info:
+            parse_poly(text)
+        assert info.value.column == column
+
+    def test_exponents_below_the_bound_parse(self):
+        assert parse_poly("x^4611686018427387903").terms == {(2**62 - 1,): 1}
+        # the bound is on each variable's exponent, not on the total degree
+        assert parse_poly(f"x^{2**61}*y^{2**61}").terms == {(2**61, 2**61): 1}
 
     @pytest.mark.parametrize(
         "text", ["x^3 - 2*x + 1", "1/2*x*y - y^2", "x", "7/3", "x*y*z - z^2"]
@@ -160,6 +182,16 @@ class TestCLI:
         assert rc == 0 and report["status"] == "CERTIFIED"
         assert report["result"]["holds"] and report["result"]["misses"] == []
 
+    @pytest.mark.parametrize("a", ['"30"', "[3.7, 0]", "[true, 0]"],
+                             ids=["string", "float", "bool"])
+    def test_chart_multiplicities_must_be_integers(self, tmp_path, capsys, a):
+        # int() would read these as (3, 0), (3, 0) and (1, 0)
+        path = tmp_path / "charts.json"
+        path.write_text('{"charts":[{"label":"q","a":%s,"b":[0,2],"kappa":[0,0]}]}' % a)
+        assert main(["nc", "roots", "--charts", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "chart q: 'a' must be a JSON array of integers" in err
+
     def test_jumps_refuse_kappa(self, tmp_path, capsys):
         # jumping numbers cover only the identity chart, where kappa = 0
         path = tmp_path / "charts.json"
@@ -225,12 +257,19 @@ class TestCLI:
         # an exponent past the supported range, as written or as a product makes it
         for text, exponent in [
             ("x^4611686018427387904", "4611686018427387904"),
+            ("(x+y)^4611686018427387904", "4611686018427387904"),
             ("x^4611686018427387903*x^4611686018427387903", "9223372036854775806"),
         ]:
             for argv in (["bf", "classic", text], ["bf", "mero", text, "y"]):
                 assert main(argv) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and exponent in err and "Traceback" not in err
+        # a parse error names the text it is in, F's or G's
+        for argv, text in [(["bf", "mero", "x$", "y"], "x$"), (["bf", "mero", "x", "y$"], "y$")]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: in {text!r}: unexpected character '$' (line 1, column 2)\n"
+            )
 
     @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
     def test_reserved_annihilator_names(self, capsys, var, code):
@@ -284,6 +323,12 @@ class TestCLI:
         ["bf", "reduced", "x*y", "x", "--weights", "1,1", "--d1", "2", "--d2", "1"],
         ["bf", "simple", "0", "1"],
         ["bf", "reduced", "0", "x", "--weights", "1", "--d1", "0", "--d2", "1"],
+        # a zero denominator in a rational flag
+        ["jump", "nc", "--charts", CHART, "--upper", "1/0"],
+        ["check", "corjump", "x^3", "y^2", "--upper", "1/0"],
+        ["bf", "reduced", "x^2", "y", "--weights", "1,1", "--d1", "1/0", "--d2", "1"],
+        ["bf", "reduced", "x^2", "y", "--weights", "1,1", "--d1", "2", "--d2", "1/0"],
+        ["bf", "reduced", "x^2", "y", "--weights", "1/0,1", "--d1", "2", "--d2", "1"],
     ],
 )
 def test_bad_orders_and_bounds_are_usage_errors(capsys, argv):

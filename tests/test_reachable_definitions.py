@@ -1,7 +1,12 @@
 """Every definition in src/mbfun is reachable by name from a root.
 
-The two unused-definition tests count any mention, a test's included, as
-a caller.  This one asks more: that the program itself can get there.
+A definition that nothing refers to is dead code, private or public, and
+so is one that only tests or the benchmark name: the program never runs
+it.  So this asks that the program itself can get to each definition.
+That covers what a scan for names would: a private helper that nothing
+in the package refers to, or a public function or method that nothing
+names outside its own body, is reached from no root either.
+
 The roots are `cli.main`, the names in `mbfun.__all__`, every
 module-level statement other than an import or a definition, and
 `merobf.b_section_along_t_initial`, the Groebner reference route: tests
