@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
-from .errors import NotSpecializableError, ZeroSpecializationError
+from .errors import CapabilityError
 from .groebner import LeftIdeal, eliminate
 from .merobf import CERTIFIED, UNCERTIFIED, meromorphic_pair
 from .multipoly import MultiPoly, unify
@@ -39,22 +39,15 @@ from .weyl import AlgebraSignature, WeylElement
 
 
 def ann_fs(factors: Sequence[Tuple[MultiPoly, str]]) -> LeftIdeal:
-    """Annihilator of prod F_i^{s_i} in D_n[s_1..s_k].
+    """Annihilator of prod F_i^{s_i} in D_n[s_1..s_k], for nonzero F_i.
 
-    The names t_i stay reserved: the derivation of a variable t_i would
-    be the internal d_{t_i}."""
+    The internal derivations are named dt1, ..., dtk, so a variable t_i,
+    whose derivation would be dt_i, is refused by AlgebraSignature.make,
+    as is a variable named like an s_i."""
     polys = unify(*[F for F, _ in factors])
     s_names = [name for _, name in factors]
-    if len(set(s_names)) != len(s_names):
-        raise ValueError("s-variable names must be distinct")
-    for F in polys:
-        if F.is_zero():
-            raise ValueError("factors must be nonzero")
     xvars = polys[0].variables
-    ts = [f"t{i+1}" for i in range(len(polys))]
-    dts = [dname(t) for t in ts]
-    if set(ts + dts) & set(xvars):
-        raise ValueError("input variables collide with reserved internal names")
+    dts = [dname(f"t{i + 1}") for i in range(len(polys))]
     sig = AlgebraSignature.make(
         pairs=[(x, dname(x)) for x in xvars], shift_pairs=list(zip(s_names, dts))
     )
@@ -121,7 +114,7 @@ def sabbah_line(
     gens = list(ann.generators) + [WeylElement.from_poly(ann.sig, F * G)]
     polys = central_intersection(LeftIdeal(ann.sig, gens))
     if not polys:
-        raise NotSpecializableError(
+        raise CapabilityError(
             "Bernstein-Sato ideal elimination returned nothing within bounds"
         )
     polys = sorted(polys, key=lambda p: (p.total_degree(), str(p)))
@@ -132,7 +125,7 @@ def sabbah_line(
             chosen = (p, spec)
             break
     if chosen is None:
-        raise ZeroSpecializationError(
+        raise CapabilityError(
             "every computed Bernstein-Sato ideal element vanishes on the line "
             f"s2 = -s-{m}-2; a different ideal element is required"
         )

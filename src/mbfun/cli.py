@@ -20,12 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .annihilator import bernstein_sato, sabbah_line
 from .bfunction import BFunction
-from .errors import (
-    CapabilityError,
-    CertificationError,
-    NotSpecializableError,
-    ZeroSpecializationError,
-)
+from .errors import CapabilityError, CertificationError
 from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, reduced_b
 from .multipoly import MultiPoly
 from .multiplier import check_cor_jump, jumping_numbers_nc
@@ -105,7 +100,7 @@ def _check_status(holds: bool, *results) -> str:
     return CERTIFIED if all(r.status == CERTIFIED for r in results) else UNCERTIFIED
 
 
-def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChart:
+def _monomial_chart(F: MultiPoly, G: MultiPoly) -> NCChart:
     if len(F.terms) != 1 or len(G.terms) != 1:
         raise ValueError(
             "this command derives its chart from the inputs and needs "
@@ -115,7 +110,7 @@ def _monomial_chart(F: MultiPoly, G: MultiPoly, label: str = "origin") -> NCChar
     (eb, cb), = G.terms.items()
     if ca != 1 or cb != 1:
         raise ValueError("monomial inputs must have coefficient 1")
-    return NCChart(label, ea, eb, (0,) * len(ea))
+    return NCChart("origin", ea, eb, (0,) * len(ea))
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -432,12 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.monotonic()
     try:
         inputs, result, status, notes = args.run(args)
-    except (
-        CapabilityError,
-        NotSpecializableError,
-        ZeroSpecializationError,
-        CertificationError,
-    ) as exc:
+    except (CapabilityError, CertificationError) as exc:
         print(f"capability failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -1,16 +1,13 @@
-"""Package-wide error types."""
+"""Package-wide error types: the two failures that exit 1.
+
+Bad input is a ValueError and exits 2; these two are what is left.
+"""
 
 
 class CapabilityError(RuntimeError):
-    """Input exceeds the configured desk-scale bounds."""
-
-
-class NotSpecializableError(RuntimeError):
-    """Elimination returned the zero ideal at the configured degree cap."""
-
-
-class ZeroSpecializationError(RuntimeError):
-    """A Bernstein-Sato ideal element vanished identically on the chosen line."""
+    """The configured bounds were not enough: the input passes the
+    desk-scale size caps, a Groebner degree cap or a search bound is hit,
+    or elimination finds no element the answer needs within them."""
 
 
 class CertificationError(RuntimeError):

@@ -339,32 +339,27 @@ class LeftIdeal:
     generators: List[WeylElement]
     _bases: Dict[MonomialOrder, List[WeylElement]] = field(default_factory=dict)
 
-    def groebner(self, order: Optional[MonomialOrder] = None) -> List[WeylElement]:
-        if order is None:
-            order = MonomialOrder.degrevlex()
+    def groebner(self, order: MonomialOrder) -> List[WeylElement]:
         if order not in self._bases:
             self._bases[order] = buchberger(self.sig, self.generators, order)
         return self._bases[order]
 
-    def normal_form(self, elem: WeylElement, order: Optional[MonomialOrder] = None) -> WeylElement:
-        if order is None:
-            order = MonomialOrder.degrevlex()
-        return normal_form(elem, self.groebner(order), order)
-
-    def contains(self, elem: WeylElement, order: Optional[MonomialOrder] = None) -> bool:
-        return self.normal_form(elem, order).is_zero()
+    def contains(self, elem: WeylElement) -> bool:
+        """Membership, by reduction against the degrevlex basis."""
+        order = MonomialOrder.degrevlex()
+        return normal_form(elem, self.groebner(order), order).is_zero()
 
 
 def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     """Intersect with the subalgebra on the kept generators.
 
-    drop must hold both or neither name of each (x_i, d_i) pair; it may hold
-    central names, and of a shift pair (s, d_t) both names, neither, or d_t
-    alone, whereupon s is central in what is kept.  The order is the weight
-    1 on each dropped generator, ties broken by degrevlex; it is an
-    elimination order, so the elements of its Groebner basis that are free
-    of dropped generators generate the intersection.  Their exponents move
-    to the smaller signature by generator name.
+    drop must hold both or neither name of each (x_i, d_i) pair and the
+    d_t of each shift pair (s, d_t); it may hold central names and the s
+    of a shift pair, and each s it keeps is central in what is kept.  The
+    order is the weight 1 on each dropped generator, ties broken by
+    degrevlex; it is an elimination order, so the elements of its Groebner
+    basis that are free of dropped generators generate the intersection.
+    Their exponents move to the smaller signature by generator name.
     """
     sig = ideal.sig
     drop = set(drop)
@@ -372,17 +367,13 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     for ci, di in sig.pairs:
         if (ci in positions) != (di in positions):
             raise ValueError("drop set must contain matched (x, d) pairs")
-    for si, ti in sig.shift_pairs:
-        if si in positions and ti not in positions:
-            raise ValueError("drop set must not hold s of a shift pair without its d_t")
+    if any(ti not in positions for _, ti in sig.shift_pairs):
+        raise ValueError("drop set must hold the d_t of every shift pair")
     order = MonomialOrder.weight(sig, {name: 1 for name in drop})
-    names = sig.names
-    kept_shifts = [(names[si], names[ti]) for si, ti in sig.shift_pairs if ti not in positions]
-    paired = {c for c, _ in sig.pair_names} | {s for s, _ in kept_shifts}
+    paired = {c for c, _ in sig.pair_names}
     sub_sig = AlgebraSignature.make(
         pairs=[p for p in sig.pair_names if p[0] not in drop],
         central=[c for c in sig.coords if c not in paired and c not in drop],
-        shift_pairs=kept_shifts,
     )
     source = [sig.index(name) for name in sub_sig.names]
     moved = [

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .bfunction import BFunction, S_VAR, theta_to_s
 from .commutative import are_coprime, radical_contains
-from .errors import CapabilityError, NotSpecializableError
+from .errors import CapabilityError
 from .groebner import LeftIdeal
 from .multipoly import MultiPoly, unify
 from .oracle import (
@@ -191,7 +191,7 @@ def b_section_along_t(
         if found is not None:
             return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
         failed = keys
-    raise NotSpecializableError(
+    raise CapabilityError(
         f"no p(theta) of degree <= {max_pdeg} with a V_{{-1}} witness of "
         f"degree <= {vdeg}"
     )
@@ -228,9 +228,11 @@ def b_mero(
     """b_{f,m}(s) = p_sigma(-s-1), oracle-certified and oracle-minimized."""
     sigma_ctx = build_sigma(F, G, m)
     F, G = sigma_ctx.F, sigma_ctx.G
+    # one Laurent context for every oracle search, sharing the pair's
+    # lattice; built before the engine runs, so that its signature refuses
+    # a variable s before any work
+    ctx = MeroContext(F, G, context_lattice(sigma_ctx))
     engine_b = theta_to_s(b_section_along_t(sigma_ctx))
-    # one Laurent context for every oracle search, sharing the pair's lattice
-    ctx = MeroContext(F, G, sigma_ctx.lattice)
     notes: List[str] = []
     witness = verify_functional_equation(engine_b, F, G, m, N, deg, ctx)
     if witness is None:

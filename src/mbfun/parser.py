@@ -3,9 +3,10 @@
 Grammar: integer and p/q literals, variables [a-z][a-z0-9]*, operators
 + - * ^ with the usual precedence, parentheses.  '/' is only part of a
 rational literal, never a general division.  Exponents must be
-nonnegative integer literals, and no monomial may reach MAX_EXPONENT: a
-power is checked before it is expanded and a product as it is formed, so
-an oversized input is refused at its token instead of being built.
+nonnegative integer literals, no monomial may reach MAX_EXPONENT and no
+coefficient pass MAX_COEFFICIENT_BITS bits: a power is checked before it is
+expanded and a product as it is formed, so an oversized input is refused
+at its token instead of being built.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from typing import List, Optional, Tuple
 from .multipoly import MultiPoly
 from .rationals import Q
 
-# Desk-scale inputs never get close; a larger exponent is a typo or a
-# runaway that expanding would not survive.
+# Desk-scale inputs never get close to either; a larger exponent or
+# coefficient is a typo or a runaway that expanding would not survive.
 MAX_EXPONENT = 2**62
+MAX_COEFFICIENT_BITS = 2**13
 
 
 class PolySyntaxError(ValueError):
@@ -90,11 +92,24 @@ class _Parser:
 
     def _bound(self, tok: Token, poly: MultiPoly, n: int = 1) -> None:
         """Refuse, at tok, a poly ** n with an exponent of MAX_EXPONENT or
-        more.  The leading form in each variable cannot cancel, so the
-        largest exponent of poly ** n is n times poly's."""
+        more, or a coefficient of more than MAX_COEFFICIENT_BITS bits.  The
+        leading form in each variable cannot cancel, so the largest
+        exponent of poly ** n is n times poly's; nor can the lex-first and
+        lex-last terms, so their coefficients are poly's to the n, and a
+        c of k bits has a c**n of more than n * (k - 1) bits."""
         exponent = n * max(map(poly.degree_in, poly.variables), default=0)
         if exponent >= MAX_EXPONENT:
             self._fail(tok, f"monomial exponent {exponent} exceeds supported range")
+        if not poly.terms:
+            return
+        ends = (poly.terms[min(poly.terms)], poly.terms[max(poly.terms)])
+        size = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in ends)
+        bits = n * (size - 1) + 1
+        if bits > MAX_COEFFICIENT_BITS:
+            self._fail(
+                tok, f"coefficient of {bits} bits or more exceeds the limit of "
+                f"{MAX_COEFFICIENT_BITS} bits"
+            )
 
     def parse(self) -> MultiPoly:
         value = self.expr()

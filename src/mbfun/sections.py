@@ -243,14 +243,16 @@ class DeltaSection(_Section):
 class MeroContext(_Context):
     """Fixed pair (F, G); factors (F, G) over the ring (x, s), each raised
     by the derivations in which it is not constant.  lattice, when given,
-    is weight_lattice(F, G)."""
+    is weight_lattice(F, G).  The signature comes first: it refuses a
+    variable named s, or named like a derivation, before any work."""
 
     def __init__(self, F: MultiPoly, G: MultiPoly, lattice=None):
         if F.variables != G.variables:
             raise ValueError("F and G must share a variable list")
         self.xvars: Tuple[str, ...] = F.variables
-        if S_VAR in self.xvars or T_VAR in self.xvars:
-            raise ValueError(f"variable names {S_VAR!r}/{T_VAR!r} are reserved")
+        self.sig = AlgebraSignature.make(
+            pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
+        )
         self.F = F
         self.G = G
         self.lattice = lattice
@@ -262,9 +264,6 @@ class MeroContext(_Context):
             for x in self.xvars
         }
         self._set_factors(factors, raises)
-        self.sig = AlgebraSignature.make(
-            pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]
-        )
 
     def exponents(self, pows: Tuple[int, int]) -> Tuple[MultiPoly, MultiPoly]:
         # F^-a G^-b f^s = F^(s-a) G^(-s-b)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
-from .errors import NotSpecializableError
+from .errors import CapabilityError
 from .groebner import LeftIdeal, eliminate, initial_form
 from .multipoly import MultiPoly
 from .rationals import ONE, ZERO
@@ -144,7 +144,7 @@ def b_polynomial(ideal: LeftIdeal) -> BFunction:
     Q[s] in zero (section not specializable within the configured bounds)."""
     polys = central_intersection(ideal)
     if not polys:
-        raise NotSpecializableError(
+        raise CapabilityError(
             "no nonzero polynomial in s found; section not specializable "
             "within the configured bounds"
         )

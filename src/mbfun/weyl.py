@@ -29,10 +29,6 @@ from .rationals import ONE, Q, ZERO, coprime_integers
 Exponent = Tuple[int, ...]
 
 
-class SignatureMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AlgebraSignature:
     coords: Tuple[str, ...]
@@ -181,15 +177,15 @@ class WeylElement(SparseTerms):
 
     def _require_same(self, other: "WeylElement") -> None:
         if self.sig != other.sig:
-            raise SignatureMismatch("operands live in different algebras")
+            raise ValueError("operands live in different algebras")
 
     def _names(self) -> Tuple[str, ...]:
         return self.sig.names
 
     @classmethod
-    def gen(cls, sig: AlgebraSignature, name: str, power: int = 1) -> "WeylElement":
+    def gen(cls, sig: AlgebraSignature, name: str) -> "WeylElement":
         exps = [0] * sig.ngens
-        exps[sig.index(name)] = power
+        exps[sig.index(name)] = 1
         return cls(sig, {tuple(exps): ONE})
 
     @classmethod
@@ -220,9 +216,6 @@ class WeylElement(SparseTerms):
         if not isinstance(other, WeylElement):
             return NotImplemented
         return self.sig == other.sig and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.sig, tuple(sorted(self.terms.items()))))
 
     def content_primitive(self) -> "WeylElement":
         """Remove rational content; integer, primitive, deterministic sign."""

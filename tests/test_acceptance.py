@@ -66,7 +66,9 @@ def test_criterion_1_classical_battery():
         assert elapsed < 1.0, f"x^{a} took {elapsed:.2f}s"
         # frozen independent witness: (1/a^a) dx^a realizes b(s) f^s = P f^{s+1}
         ctx = MeroContext(F, one)
-        P = Q(1, a**a) * WeylElement.gen(ctx.sig, "dx", a)
+        P = WeylElement.const(ctx.sig, Q(1, a**a))
+        for _ in range(a):
+            P = P * WeylElement.gen(ctx.sig, "dx")
         lhs = base_section(ctx, 0).scaled(b.poly.extend_to(ctx.ring))
         rhs = apply_operator(P, base_section(ctx, 0, shift=1))
         assert lhs.section_eq(rhs), f"explicit witness fails for x^{a}"

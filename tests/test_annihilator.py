@@ -3,7 +3,6 @@
 import pytest
 
 from mbfun.annihilator import ann_fs, bernstein_sato, sabbah_line
-from mbfun.errors import NotSpecializableError
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import MeroContext, apply_operator, base_section

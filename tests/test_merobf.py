@@ -16,7 +16,6 @@ from mbfun.merobf import (
     reduced_b,
     smoothness_test,
 )
-from mbfun.errors import NotSpecializableError
 from mbfun.multipoly import MultiPoly
 from mbfun.oracle import minimal_b_search, weight_lattice
 from mbfun.parser import parse_poly
@@ -164,7 +163,7 @@ def test_engine_equals_the_unpruned_system(ftext, gtext, m):
     ctx = build_sigma(*pair(ftext, gtext), m)
     want = unpruned_engine(ctx)
     if want is None:
-        with pytest.raises(NotSpecializableError):
+        with pytest.raises(CapabilityError):
             b_section_along_t(ctx)
     else:
         assert b_section_along_t(ctx) == want
@@ -217,7 +216,7 @@ def test_seed_operators_kill_sigma(ftext, gtext, m):
 
 class TestInputsThatFinish:
     """Pairs on which exact elimination used to report false "unsolvable"
-    systems, so that the engine ran to NotSpecializableError or timed out."""
+    systems, so that the engine ran to CapabilityError or timed out."""
 
     @pytest.mark.parametrize("ftext, gtext, m", [("x", "y + 1", 0), ("y", "x^2 + 1", 1)])
     def test_certified_s_plus_one(self, ftext, gtext, m):

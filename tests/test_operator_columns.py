@@ -19,7 +19,7 @@ from operator import mul
 import pytest
 
 from mbfun import linalg, merobf, oracle, sections
-from mbfun.errors import NotSpecializableError
+from mbfun.errors import CapabilityError
 from mbfun.oracle import _columns, prefactored_witness, weight_lattice
 from mbfun.rationals import ONE, Q
 from mbfun.sections import (
@@ -161,7 +161,7 @@ def test_engine_rule_builds_the_reference_columns(ftext, gtext, m, monkeypatch):
     calls = recorder(monkeypatch, merobf)
     monkeypatch.setattr(merobf, "least_monic", lambda *args: None)
     ctx = DeltaContext(*pair(ftext, gtext), m)
-    with pytest.raises(NotSpecializableError):
+    with pytest.raises(CapabilityError):
         merobf.b_section_along_t(ctx, vdeg=6)
     assert [deg for _, deg, _ in calls] == [2, 4, 6]
     keep = engine_rule(ctx)

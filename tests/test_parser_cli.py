@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import re
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from mbfun import annihilator, merobf
 from mbfun.cli import _parse_pair, main
-from mbfun.parser import PolySyntaxError, parse_poly
+from mbfun.multipoly import MultiPoly
+from mbfun.parser import MAX_COEFFICIENT_BITS, PolySyntaxError, parse_poly
 from mbfun.rationals import Q
 
 CHART = str(Path(__file__).parent / "data" / "chart_x3_y2.json")
@@ -55,10 +59,28 @@ class TestParser:
             parse_poly(text)
         assert info.value.column == column
 
+    @pytest.mark.parametrize("text, bits, column", [
+        ("2^100000000000", 100000000001, 3),
+        ("(1/3)^9000", 9001, 7),
+        # either end of a sum: (x+2)^n ends in 2^n
+        ("(x+2)^9000", 9001, 7),
+        ("(2*x+1)^9000", 9001, 9),
+        # a product as it is formed, at its '*'
+        (f"2^{MAX_COEFFICIENT_BITS - 1}*2*x", MAX_COEFFICIENT_BITS + 1, 7),
+    ], ids=["constant", "fraction", "trailing", "leading", "product"])
+    def test_coefficient_bound(self, text, bits, column):
+        with pytest.raises(PolySyntaxError, match=f"coefficient of {bits} bits ") as info:
+            parse_poly(text)
+        assert info.value.column == column
+        assert f"limit of {MAX_COEFFICIENT_BITS} bits" in str(info.value)
+
     def test_exponents_below_the_bound_parse(self):
         assert parse_poly("x^4611686018427387903").terms == {(2**62 - 1,): 1}
         # the bound is on each variable's exponent, not on the total degree
         assert parse_poly(f"x^{2**61}*y^{2**61}").terms == {(2**61, 2**61): 1}
+        # and a coefficient may have MAX_COEFFICIENT_BITS bits
+        bits = MAX_COEFFICIENT_BITS
+        assert parse_poly(f"2^{bits - 1}*x").terms == {(1,): 2 ** (bits - 1)}
 
     @pytest.mark.parametrize(
         "text", ["x^3 - 2*x + 1", "1/2*x*y - y^2", "x", "7/3", "x*y*z - z^2"]
@@ -254,16 +276,20 @@ class TestCLI:
         # 'ddx' is d + 'dx': its derivation 'dddx' would read as a third dx
         assert main(["bf", "classic", "x^2+ddx"]) == 2
         assert "'ddx'" in capsys.readouterr().err
-        # an exponent past the supported range, as written or as a product makes it
-        for text, exponent in [
+        # an exponent past the supported range, as written or as a product
+        # makes it, and a constant past its bit limit, each refused at once
+        for text, size in [
             ("x^4611686018427387904", "4611686018427387904"),
             ("(x+y)^4611686018427387904", "4611686018427387904"),
             ("x^4611686018427387903*x^4611686018427387903", "9223372036854775806"),
+            ("2^100000000000", "100000000001"),
         ]:
             for argv in (["bf", "classic", text], ["bf", "mero", text, "y"]):
+                start = time.monotonic()
                 assert main(argv) == 2
+                assert time.monotonic() - start < 1.0
                 err = capsys.readouterr().err
-                assert err.startswith("error:") and exponent in err and "Traceback" not in err
+                assert err.startswith("error:") and size in err and "Traceback" not in err
         # a parse error names the text it is in, F's or G's
         for argv, text in [(["bf", "mero", "x$", "y"], "x$"), (["bf", "mero", "x", "y$"], "y$")]:
             assert main(argv) == 2
@@ -273,17 +299,69 @@ class TestCLI:
 
     @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
     def test_reserved_annihilator_names(self, capsys, var, code):
-        # the derivation of t1 would be the annihilator's internal dt1;
-        # u1 and v1 are ordinary names
+        # the derivation of t1 would be the annihilator's internal dt1, so
+        # the signature refuses both; u1 and v1 are ordinary names
         assert main(["bf", "classic", f"{var}^2"]) == code
         err = capsys.readouterr().err
-        collides = "input variables collide with reserved internal names" in err
+        collides = "generator name 'dt1' occurs twice" in err
         assert collides == (code == 2)
 
     def test_capability_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("MBFUN_MAX_DEGREE", "2")
         assert main(["bf", "classic", "x^2"]) == 1
         assert "MBFUN_MAX_DEGREE" in capsys.readouterr().err
+
+    def test_sabbah_line_refuses_a_vanishing_element(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            annihilator, "_specialize_line", lambda p, m: MultiPoly.zero(("s",))
+        )
+        assert main(["bf", "sabbah-line", "x", "y"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "capability failure: every computed Bernstein-Sato ideal element vanishes "
+            "on the line s2 = -s-0-2; a different ideal element is required\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["bf", "classic", "x^2"],
+        ["bf", "simple", "x", "y"],
+        ["bf", "reduced", "x^2", "y", "--weights", "1,1", "--d1", "2", "--d2", "1"],
+        ["bf", "sabbah-line", "x", "y"],
+    ], ids=["classic", "simple", "reduced", "sabbah-line"])
+    def test_t_is_an_ordinary_name_outside_the_graph(self, capsys, argv):
+        # only the engine of bf mero puts t in its algebra, so elsewhere a
+        # variable t gives the report of x, renamed
+        def x_to_t(value):
+            if isinstance(value, str):
+                return re.sub(r"\b(d?)x\b", r"\1t", value)
+            if isinstance(value, list):
+                return [x_to_t(v) for v in value]
+            if isinstance(value, dict):
+                return {x_to_t(k): x_to_t(v) for k, v in value.items()}
+            return value
+
+        assert main(argv + ["--json"]) == 0
+        want = x_to_t(json.loads(capsys.readouterr().out))
+        assert main(x_to_t(argv) + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == want
+        assert want["result"]["witness"] is not None
+
+    @pytest.mark.parametrize("argv, name", [
+        (["bf", "mero", "t", "y"], "t"),
+        (["check", "thm41", "t^3", "y^2"], "t"),
+        (["bf", "mero", "s", "y"], "s"),
+        (["check", "corjump", "s^3", "y^2"], "s"),
+    ], ids=["mero-t", "thm41-t", "mero-s", "corjump-s"])
+    def test_signature_refuses_internal_names(self, capsys, monkeypatch, argv, name):
+        # the engine's algebra holds t and dt, the oracle's s; both
+        # signatures are made before the engine runs
+        calls = []
+        monkeypatch.setattr(merobf, "b_section_along_t", lambda *args: calls.append(args))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err.startswith(f"error: generator name {name!r} occurs twice")
 
     @pytest.mark.parametrize("value", ["abc", "", "-1"])
     def test_bad_degree_cap_is_a_usage_error(self, capsys, monkeypatch, value):

@@ -20,6 +20,9 @@ part of the definition around it.  A reached definition reaches every
 definition, in any module, whose name occurs in its body as a Name or an
 attribute.  A reached class reaches its dunder methods, which Python
 calls itself; its other methods are reached by name like everything else.
+Dunder methods so count as reached, and this test cannot flag one that
+nothing calls: whether each is still called (for `__hash__`, whether
+anything hashes the class's objects) must be checked by hand.
 
 KNOWN_UNREACHED would list helpers that only tests call, each with why
 it stays; it is empty, since every such helper has left the package and

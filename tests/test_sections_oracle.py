@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mbfun import linalg
 from mbfun.bfunction import S_VAR, BFunction
-from mbfun.errors import CertificationError, NotSpecializableError
+from mbfun.errors import CapabilityError, CertificationError
 from mbfun.merobf import b_section_along_t
 from mbfun.oracle import (
     _weight_rule,
@@ -810,7 +810,7 @@ def test_b_section_along_t_matches_graph_form(pair, m):
     for vdeg, max_pdeg in ((6, 8), (2, 1)):
         want = graph_b_section_along_t(ctx, vdeg, max_pdeg)
         if want is None:
-            with pytest.raises(NotSpecializableError):
+            with pytest.raises(CapabilityError):
                 b_section_along_t(ctx, vdeg, max_pdeg)
         else:
             assert b_section_along_t(ctx, vdeg, max_pdeg) == want
