@@ -87,15 +87,7 @@ class SabbahLineResult:
 def _specialize_line(p: MultiPoly, m: int) -> MultiPoly:
     """p(s1, s2) -> p(s, -s-m-2)."""
     s = MultiPoly.var((S_VAR,), S_VAR)
-    line2 = -s - Q(m + 2)
-    i1 = p.variables.index("s1")
-    i2 = p.variables.index("s2")
-    acc = MultiPoly.zero((S_VAR,))
-    for exps, coeff in p.terms.items():
-        if any(e for i, e in enumerate(exps) if i not in (i1, i2)):
-            raise ValueError("not a polynomial in (s1, s2)")
-        acc = acc + coeff * s ** exps[i1] * line2 ** exps[i2]
-    return acc
+    return p.compose([s, -s - Q(m + 2)])
 
 
 def sabbah_line(

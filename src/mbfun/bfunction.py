@@ -47,13 +47,5 @@ class BFunction:
 
 def theta_to_s(p_theta: MultiPoly) -> BFunction:
     """Convert p(theta) to the monic b(s) = p(-s-1) convention."""
-    coeffs = p_theta.univariate_in("theta")
-    # p(-s-1) over the variable s
     s = MultiPoly.var((S_VAR,), S_VAR)
-    arg = -s - 1
-    acc = MultiPoly.zero((S_VAR,))
-    power = MultiPoly.const((S_VAR,), 1)
-    for c in coeffs:
-        acc = acc + power * c
-        power = power * arg
-    return BFunction.from_poly(acc)
+    return BFunction.from_poly(p_theta.compose([-s - 1]))

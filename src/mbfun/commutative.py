@@ -11,12 +11,17 @@ O'Shea, Ideals, Varieties, and Algorithms, §4.2).
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import List, Sequence
 
 from . import linalg
+from .errors import CapabilityError
 from .groebner import LeftIdeal
 from .multipoly import Exponent, MultiPoly, unify
 from .weyl import AlgebraSignature, WeylElement
+
+# the most products m F and m G the coprimality test builds
+MAX_COPRIME_PRODUCTS = 2000
 
 
 def _monomials_below(n: int, deg: int) -> List[Exponent]:
@@ -31,10 +36,18 @@ def are_coprime(F: MultiPoly, G: MultiPoly) -> bool:
     below deg G and deg F.  Conversely, when gcd(F, G) = 1, G | A F with
     deg A < deg G forces A = 0, and then B = 0.  So F, G are coprime iff
     the products m F (deg m < deg G) and m G (deg m < deg F), m monomials,
-    are linearly independent over Q.
+    are linearly independent over Q.  There are C(deg G - 1 + n, n) +
+    C(deg F - 1 + n, n) of them, n variables; CapabilityError is raised,
+    before any is built, when that is above MAX_COPRIME_PRODUCTS.
     """
     F, G = unify(F, G)
     n = len(F.variables)
+    count = comb(G.total_degree() - 1 + n, n) + comb(F.total_degree() - 1 + n, n)
+    if count > MAX_COPRIME_PRODUCTS:
+        raise CapabilityError(
+            f"coprimality test needs {count} products, above the limit of "
+            f"{MAX_COPRIME_PRODUCTS}"
+        )
     products = [F.shifted(e) for e in _monomials_below(n, G.total_degree())]
     products += [G.shifted(e) for e in _monomials_below(n, F.total_degree())]
     rows, _ = linalg.identity_system([p.terms for p in products])

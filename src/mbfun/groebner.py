@@ -64,11 +64,6 @@ def _heap_key(order: MonomialOrder, exps: Exponent) -> tuple:
     return tuple(map(neg, order.key(exps)))
 
 
-def _mono(sig: AlgebraSignature, exps: Exponent, coeff) -> WeylElement:
-    """The term coeff * exps; coeff must be a nonzero exact rational."""
-    return WeylElement._trusted(sig, {exps: coeff})
-
-
 def _reducer(lms: Sequence[Exponent], exps: Exponent) -> Optional[int]:
     """Index of the first leading monomial dividing exps, or None."""
     for i, lm in enumerate(lms):
@@ -168,7 +163,7 @@ def _s_pair(f: WeylElement, lf: Exponent, g: WeylElement, lg: Exponent) -> WeylE
     ug = tuple(map(sub, lcm_fg, lg))
     gamma = gcd(f.terms[lf], g.terms[lg])
     a, b = g.terms[lg] // gamma, f.terms[lf] // gamma
-    diff = _mono(sig, uf, a) * f - _mono(sig, ug, b) * g
+    diff = WeylElement._trusted(sig, {uf: a}) * f - WeylElement._trusted(sig, {ug: b}) * g
     den = a * f.terms[lf]
     return WeylElement._trusted(sig, {e: div(c, den) for e, c in diff.terms.items()})
 

@@ -14,6 +14,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .errors import CertificationError
 from .rationals import ONE, ZERO, coprime_integers, div
 
 Row = Dict[int, object]
@@ -105,7 +106,7 @@ def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[List[objec
 
     The right-hand side rides along as column ncols, so a row that reduces
     to that column alone proves the system inconsistent.  Every solution is
-    checked against the input; a failed check raises ArithmeticError.
+    checked against the input; a failed check raises CertificationError.
     """
     pivots: Dict[int, Row] = {}
     for i in _sparsest_first(rows):
@@ -122,7 +123,7 @@ def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[List[objec
     _back_substitute(pivots, solution)
     for row, b in zip(rows, rhs):
         if sum((v * solution[c] for c, v in row.items()), ZERO) != b:
-            raise ArithmeticError("elimination produced a non-solution")
+            raise CertificationError("elimination produced a non-solution")
     return solution
 
 

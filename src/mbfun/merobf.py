@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .bfunction import BFunction, S_VAR, theta_to_s
 from .commutative import are_coprime, radical_contains
-from .errors import CapabilityError
+from .errors import CapabilityError, CertificationError
 from .groebner import LeftIdeal
 from .multipoly import MultiPoly, unify
 from .oracle import (
@@ -210,7 +210,7 @@ def b_section_along_t_initial(ctx: DeltaContext) -> BFunction:
     """
     seeds, sigma = _seed_generators(ctx), ctx.generator()
     if any(not apply_delta_operator(g, sigma).is_zero() for g in seeds):
-        raise AssertionError("seed generator fails to annihilate sigma_m")
+        raise CertificationError("seed generator fails to annihilate sigma_m")
     ideal = LeftIdeal(ctx.sig, seeds)
     for cand in annihilating_operators(ctx, COMPLETION_DEGREE):
         if not ideal.contains(cand):
@@ -243,7 +243,7 @@ def b_mero(
         notes.append("engine value was a proper multiple; oracle minimized it")
         witness = verify_functional_equation(b, F, G, m, N, deg, ctx)
         if witness is None:
-            raise AssertionError("minimized b lost its witness")
+            raise CertificationError("minimized b lost its witness")
     return BResult(b, CERTIFIED, witness, engine_b, tuple(notes))
 
 
@@ -310,8 +310,6 @@ def reduced_b(F: MultiPoly, G: MultiPoly, weights: Sequence, d1, d2) -> BResult:
     ]
     best, cap = None, REDUCED_MAX_BDEG
     for l in range(REDUCED_LMAX + 1):
-        if cap < 0:
-            break
         v0 = LaurentSection(ctx, ctx.power(1, l), (0, 0))
         found = minimal_b_search(ctx, v0, targets, DEFAULT_DEG, max_bdeg=cap)
         if found is not None:

@@ -13,7 +13,6 @@ algebra signature) and their product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
@@ -192,8 +191,6 @@ class MultiPoly(SparseTerms):
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
@@ -225,6 +222,17 @@ class MultiPoly(SparseTerms):
                 new[pos] = e
             terms[tuple(new)] = coeff
         return MultiPoly.zero(variables)._wrap(terms)
+
+    def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
+        """self with its i-th variable replaced by images[i]; the images
+        share one variable list, which the result is over."""
+        acc = MultiPoly.zero(images[0].variables)
+        for exps, coeff in self.terms.items():
+            term = acc._constant(coeff)
+            for image, e in zip(images, exps, strict=True):
+                term = term * image ** e
+            acc = acc + term
+        return acc
 
     # -- division -------------------------------------------------------
 

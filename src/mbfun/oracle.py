@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .bfunction import BFunction, S_VAR
 from .errors import CertificationError
-from .multipoly import MultiPoly, unify
+from .multipoly import MultiPoly
 from .rationals import coprime_integers
 from .sections import (
     LaurentSection,
@@ -164,7 +164,7 @@ def verify_functional_equation(
     its derivative towers and weight lattice.
     """
     if ctx is None:
-        ctx = MeroContext(*unify(F, G))
+        ctx = MeroContext(F, G)
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     for d in range(1, deg + 1):
@@ -194,7 +194,7 @@ def minimize_by_oracle(
     if b.degree() <= 1:
         return b
     if ctx is None:
-        ctx = MeroContext(*unify(F, G))
+        ctx = MeroContext(F, G)
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
     found = minimal_b_search(
         ctx, base_section(ctx, m), targets, deg, max_bdeg=b.degree() - 1, min_bdeg=1
@@ -210,7 +210,7 @@ def prefactored_witness(
     G is a unit of the Laurent module, so this is b(s) f^s/G^(m+2) =
     P (f^{s+1}/G^m): a `minimal_b_search` at b-degree 0.
     """
-    ctx = MeroContext(*unify(F, G))
+    ctx = MeroContext(F, G)
     v0 = LaurentSection(ctx, b.poly.extend_to(ctx.ring), (0, m + 2))
     found = minimal_b_search(ctx, v0, [base_section(ctx, m, shift=1)], deg, max_bdeg=0)
     return None if found is None else found[1][0]

@@ -69,11 +69,11 @@ from operator import add
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .multipoly import MultiPoly
+from .bfunction import S_VAR
+from .multipoly import MultiPoly, unify
 from .rationals import ONE, Q, ZERO
 from .weyl import AlgebraSignature, Exponent, WeylElement
 
-S_VAR = "s"
 T_VAR = "t"
 DT_VAR = "dt"
 U_VAR = "u_"
@@ -241,14 +241,14 @@ class DeltaSection(_Section):
 
 
 class MeroContext(_Context):
-    """Fixed pair (F, G); factors (F, G) over the ring (x, s), each raised
-    by the derivations in which it is not constant.  lattice, when given,
-    is weight_lattice(F, G).  The signature comes first: it refuses a
-    variable named s, or named like a derivation, before any work."""
+    """Fixed pair (F, G), over the union of their variable lists; factors
+    (F, G) over the ring (x, s), each raised by the derivations in which it
+    is not constant.  lattice, when given, is weight_lattice(F, G).  The
+    signature comes first: it refuses a variable named s, or named like a
+    derivation, before any work."""
 
     def __init__(self, F: MultiPoly, G: MultiPoly, lattice=None):
-        if F.variables != G.variables:
-            raise ValueError("F and G must share a variable list")
+        F, G = unify(F, G)
         self.xvars: Tuple[str, ...] = F.variables
         self.sig = AlgebraSignature.make(
             pairs=[(x, dname(x)) for x in self.xvars], central=[S_VAR]

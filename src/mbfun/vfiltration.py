@@ -68,8 +68,6 @@ def _rewrite_balanced(
         for src, dst in zip(keep, out_index):
             base[dst] = exps[src]
         for j, c in enumerate(_block_in_s(exps[t_pos])):
-            if c == 0:
-                continue
             key = list(base)
             key[s_pos] = j
             key = tuple(key)
@@ -101,8 +99,6 @@ def _balance_and_rewrite(
     sig_out = _s_signature(sig, t_name, s_name)
     reduced: List[WeylElement] = []
     for form in forms:
-        if form.is_zero():
-            continue
         degrees = {order.wdeg(e) for e in form.terms}
         if len(degrees) != 1:
             raise ValueError("element is not weight-homogeneous")

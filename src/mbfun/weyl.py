@@ -240,32 +240,31 @@ class WeylElement(SparseTerms):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """degrevlex | weight vector with degrevlex tiebreak.
+    """Weight vector with degrevlex tiebreak; degrevlex is the order with
+    no weight vector.
 
     On a homogenized signature the weight ties are first broken by the
     smaller exponent of h: there dx*x = x*dx + h^2, and only with x*dx
     above h^2 is the leading monomial of a product the product of the
     leading monomials."""
 
-    kind: str = "degrevlex"
     weights: Tuple[int, ...] = ()
     homog: Optional[int] = None             # exponent position of h, if homogenized
 
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
-        return cls("degrevlex")
+        return cls()
 
     @classmethod
     def weight(cls, sig: AlgebraSignature, table: Dict[str, int]) -> "MonomialOrder":
-        w = tuple(table.get(name, 0) for name in sig.names)
-        order = cls("weight", w)
+        order = cls(tuple(table.get(name, 0) for name in sig.names))
         order.check_admissible(sig)
         return order
 
     def check_admissible(self, sig: AlgebraSignature) -> None:
-        if self.kind != "weight":
-            return
         w = self.weights
+        if not w:
+            return
         if len(w) != sig.ngens:
             raise ValueError("weight vector length mismatch")
         for ci, di in sig.pairs:
@@ -279,15 +278,13 @@ class MonomialOrder:
                 raise ValueError(f"inadmissible weight: u({sig.names[si]}) < 0")
 
     def has_negative_weight(self) -> bool:
-        return self.kind == "weight" and any(w < 0 for w in self.weights)
+        return any(w < 0 for w in self.weights)
 
     def wdeg(self, exps: Exponent) -> int:
-        if self.kind != "weight":
-            return 0
         return sum(map(mul, self.weights, exps))
 
     def key(self, exps: Exponent):
-        if self.kind != "weight":
+        if not self.weights:
             return _revlex_key(exps)
         if self.homog is not None:
             return (self.wdeg(exps), -exps[self.homog]) + _revlex_key(exps)
@@ -295,8 +292,6 @@ class MonomialOrder:
 
     def extended(self, sig_h: AlgebraSignature) -> "MonomialOrder":
         """Lift to the homogenized signature (h gets weight 0)."""
-        if self.kind != "weight":
-            return self
         nc = len(sig_h.coords)
         w = self.weights[: nc - 1] + (0,) + self.weights[nc - 1 :]
-        return MonomialOrder("weight", w, sig_h.homog)
+        return MonomialOrder(w, sig_h.homog)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from mbfun import linalg
+from mbfun.errors import CertificationError
 
 SYSTEMS = 300
 
@@ -91,5 +92,5 @@ def test_failed_check_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_reduce_row", corrupting)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(CertificationError, match="elimination produced a non-solution"):
         linalg.solve([{0: 1}], [1], 1)

@@ -5,6 +5,7 @@ import pytest
 from mbfun import merobf, oracle
 from mbfun.annihilator import sabbah_line
 from mbfun.bfunction import theta_to_s
+from mbfun.cli import main
 from mbfun.errors import CapabilityError, CertificationError
 from mbfun.merobf import (
     b_mero,
@@ -17,7 +18,7 @@ from mbfun.merobf import (
     smoothness_test,
 )
 from mbfun.multipoly import MultiPoly
-from mbfun.oracle import minimal_b_search, weight_lattice
+from mbfun.oracle import minimal_b_search, verify_functional_equation, weight_lattice
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import U_VAR, apply_delta_operator, least_monic, operator_columns
@@ -76,6 +77,46 @@ class TestEngine:
         F, G = pair("x^2", "1")
         res = b_mero(F, G, 0)
         assert res.witness is not None and 1 in res.witness
+
+    @staticmethod
+    def pad_engine(monkeypatch):
+        """Make the engine return its p(theta) times theta + 2, a proper
+        multiple, and return the list of the p(theta) it returns."""
+        real, padded = b_section_along_t, []
+
+        def engine(ctx, *args, **kwargs):
+            padded.append(real(ctx, *args, **kwargs) * MultiPoly(("theta",), {(1,): 1, (0,): 2}))
+            return padded[-1]
+
+        monkeypatch.setattr(merobf, "b_section_along_t", engine)
+        return padded
+
+    def test_oracle_minimizes_a_proper_multiple(self, monkeypatch):
+        F, G = pair("x^2", "y")
+        plain = b_mero(F, G, 0)
+        padded = self.pad_engine(monkeypatch)
+        res = b_mero(F, G, 0)
+        assert res.status == "CERTIFIED"
+        assert res.b == plain.b
+        assert res.engine_b == theta_to_s(padded[0])
+        assert str(res.engine_b) == "(s + 1)*(s + 1/2)*(s - 1)"
+        assert res.notes == ("engine value was a proper multiple; oracle minimized it",)
+        assert res.witness == verify_functional_equation(res.b, F, G, 0)
+
+    def test_minimized_b_without_witness_exits_one(self, capsys, monkeypatch):
+        self.pad_engine(monkeypatch)
+        real, calls = merobf.verify_functional_equation, []
+
+        def first_only(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs) if len(calls) == 1 else None
+
+        monkeypatch.setattr(merobf, "verify_functional_equation", first_only)
+        assert main(["bf", "mero", "x^2", "y"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "capability failure: minimized b lost its witness\n"
+        assert [str(b) for b in calls] == ["(s + 1)*(s + 1/2)*(s - 1)", "(s + 1)*(s + 1/2)"]
 
     def test_capability_guard(self):
         F = parse_poly("a + b + c + d")

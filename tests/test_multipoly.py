@@ -71,6 +71,15 @@ class TestCalculusAndStructure:
         assert ua.variables == ub.variables == ("x", "z")
         assert ua * ub == parse_poly("x*z")
 
+    @given(small_polys(), small_polys(), small_polys(), small_polys())
+    @settings(max_examples=30, deadline=None)
+    def test_compose_is_the_substitution_homomorphism(self, a, b, u, v):
+        images = [u, v]
+        assert P("x").compose(images) == u and P("y").compose(images) == v
+        assert (a + b).compose(images) == a.compose(images) + b.compose(images)
+        assert (a * b).compose(images) == a.compose(images) * b.compose(images)
+        assert a.compose([P("x"), P("y")]) == a
+
     @given(small_polys(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
     @settings(max_examples=40, deadline=None)
     def test_shifted_is_product_with_monomial(self, p, exps):

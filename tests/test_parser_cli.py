@@ -11,11 +11,31 @@ import pytest
 
 from mbfun import annihilator, merobf
 from mbfun.cli import _parse_pair, main
+from mbfun.commutative import MAX_COPRIME_PRODUCTS
 from mbfun.multipoly import MultiPoly
 from mbfun.parser import MAX_COEFFICIENT_BITS, PolySyntaxError, parse_poly
 from mbfun.rationals import Q
 
 CHART = str(Path(__file__).parent / "data" / "chart_x3_y2.json")
+
+# (text, variables or None for those in the text, message, line, column)
+SYNTAX_ERRORS = [
+    ("x^(-1)", None, "negative exponents are not allowed", 1, 4),
+    ("x^-2", None, "negative exponents are not allowed", 1, 3),
+    ("x/y", None, "unexpected '/'", 1, 2),
+    ("x +", None, "unexpected end of input", 1, 4),
+    ("(x", None, "unexpected end of input", 1, 3),
+    ("2x", None, "unexpected 'x'", 1, 2),
+    ("", None, "empty expression", 1, 1),
+    ("x^y", None, "exponent must be a nonnegative integer", 1, 3),
+    ("x^(y)", None, "exponent must be a nonnegative integer", 1, 4),
+    ("x^(2x", None, "expected ')'", 1, 5),
+    ("1/x", None, "denominator must be an integer", 1, 3),
+    ("1/0", None, "zero denominator", 1, 3),
+    ("(x+1 2", None, "expected ')'", 1, 6),
+    (")", None, "unexpected ')'", 1, 1),
+    ("z", ("x",), "unknown variable 'z'", 1, 1),
+]
 
 
 class TestParser:
@@ -34,11 +54,14 @@ class TestParser:
         assert parse_poly("-x + 1") == parse_poly("1 - x")
 
     @pytest.mark.parametrize(
-        "text", ["x^(-1)", "x^-2", "x/y", "x +", "(x", "2x", "", "x^y"]
+        "text, variables, message, line, column",
+        [pytest.param(*case, id=case[0]) for case in SYNTAX_ERRORS],
     )
-    def test_syntax_errors(self, text):
-        with pytest.raises((PolySyntaxError, ValueError)):
-            parse_poly(text)
+    def test_syntax_errors(self, text, variables, message, line, column):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text, variables)
+        assert str(info.value) == f"in {text!r}: {message} (line {line}, column {column})"
+        assert (info.value.line, info.value.column) == (line, column)
 
     def test_error_position(self):
         with pytest.raises(PolySyntaxError) as info:
@@ -297,6 +320,24 @@ class TestCLI:
                 f"error: in {text!r}: unexpected character '$' (line 1, column 2)\n"
             )
 
+    @pytest.mark.parametrize("argv", [
+        ["bf", "simple", "x^4611686018427387903", "y"],
+        ["bf", "reduced", "x^4611686018427387903", "y", "--weights", "1,1", "--d1", "2", "--d2", "1"],
+        ["bf", "sabbah-line", "x^4611686018427387903", "y"],
+    ], ids=["simple", "reduced", "sabbah-line"])
+    def test_coprimality_system_is_bounded(self, capsys, argv):
+        # C(2, 2) + C(2^62, 2) products for degrees 1 and 2^62 - 1 in two
+        # variables, refused before any is built
+        start = time.monotonic()
+        assert main(argv) == 1
+        assert time.monotonic() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "capability failure: coprimality test needs "
+            f"{1 + (2**62 - 1) * 2**61} products, above the limit of {MAX_COPRIME_PRODUCTS}\n"
+        )
+
     @pytest.mark.parametrize("var, code", [("t1", 2), ("dt1", 2), ("u1", 0), ("v1", 0)])
     def test_reserved_annihilator_names(self, capsys, var, code):
         # the derivation of t1 would be the annihilator's internal dt1, so
@@ -382,6 +423,14 @@ class TestCLI:
         rc = main(["bf", "classic", "x"])
         human = capsys.readouterr().out
         assert "time" in human
+        # a note is a line of its own, after the result and before the time
+        assert main(["bf", "classic", "x^3+y^4"]) == 0
+        *_, note, timing = capsys.readouterr().out.splitlines()
+        assert note == (
+            "note    : oracle found no witness with N=1 and operator degree <= 6; "
+            "raise --certify-deg"
+        )
+        assert timing.startswith("time    : ")
 
 
 @pytest.mark.parametrize(
