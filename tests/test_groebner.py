@@ -166,7 +166,7 @@ def test_degree_cap_raises_capability_error(monkeypatch):
         bernstein_sato(parse_poly("x^2"))
 
 
-# -- differential test of the pair selection --------------------------------
+# -- differential tests of the completion loop -------------------------------
 #
 # The reference below is the plain Buchberger loop: the pending pairs are a
 # set, each step takes the `min` of (lcm degree, order key of the lcm, i, j)
@@ -260,7 +260,7 @@ def _reference_interreduce(basis, order, cap):
     return sorted(final, key=lambda g: order.key(_lm(g, order)))
 
 
-def _reference_homogenized(sig, gens, order, cap):
+def _reference_homogenized(sig, gens, order, cap, core):
     sig_h = sig.homogenized()
     nc = len(sig.coords)
 
@@ -278,7 +278,7 @@ def _reference_homogenized(sig, gens, order, cap):
         return WeylElement(sig, terms).content_primitive()
 
     gens_h = [homogenize(g.content_primitive()) for g in gens]
-    basis = [dehomogenize(g) for g in _reference_core(sig_h, gens_h, order.extended(sig_h), cap)]
+    basis = [dehomogenize(g) for g in core(sig_h, gens_h, order.extended(sig_h), cap)]
     out, seen = [], set()
     for g in sorted((g for g in basis if not g.is_zero()), key=lambda g: order.key(_lm(g, order))):
         key = tuple(sorted(g.terms.items()))
@@ -288,12 +288,12 @@ def _reference_homogenized(sig, gens, order, cap):
     return out
 
 
-def reference_buchberger(sig, gens, order, cap):
+def reference_buchberger(sig, gens, order, cap, core=_reference_core):
     gens = [g for g in gens if not g.is_zero()]
     if order.has_negative_weight():
-        return _reference_homogenized(sig, gens, order, cap)
+        return _reference_homogenized(sig, gens, order, cap, core)
     basis = [g.content_primitive() for g in gens]
-    return _reference_interreduce(_reference_core(sig, basis, order, cap), order, cap)
+    return _reference_interreduce(core(sig, basis, order, cap), order, cap)
 
 
 def _annihilator_like(rng, sig, names):
@@ -355,6 +355,28 @@ def test_selection_matches_reference_loop(alg, order_name, monkeypatch):
         )
         assert got == want, (alg, order_name, trial)
         assert got_reduced == want_reduced, (alg, order_name, trial)
+        compared += got != "cap"
+    assert compared >= 5
+
+
+@pytest.mark.parametrize("order_name", ["degrevlex", "positive-weight"])
+@pytest.mark.parametrize("alg", ["D1", "D2"])
+def test_reduced_basis_matches_plain_loop(alg, order_name):
+    # the homogenized route returns a basis that is not interreduced, so
+    # only the reduced bases of positive orders are unique
+    sig, names = {"D1": (D1, ["x"]), "D2": (D2, ["x", "y"])}[alg]
+    order = ORDERS[order_name](sig)
+    compared = 0
+    for trial in range(12):
+        gens = _annihilator_like(random.Random(f"{alg}-{trial}"), sig, names)
+        outcomes = []
+        for fn in (buchberger, reference_buchberger):
+            try:
+                outcomes.append(fn(sig, gens, order, 6))
+            except CapabilityError:
+                outcomes.append("cap")
+        got, want = outcomes
+        assert got == want, (alg, order_name, trial)
         compared += got != "cap"
     assert compared >= 5
 

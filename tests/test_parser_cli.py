@@ -35,6 +35,9 @@ SYNTAX_ERRORS = [
     ("(x+1 2", None, "expected ')'", 1, 6),
     (")", None, "unexpected ')'", 1, 1),
     ("z", ("x",), "unknown variable 'z'", 1, 1),
+    # a newline starts line 2 at column 1, here and inside blanks
+    ("x+\ny*", None, "unexpected end of input", 2, 3),
+    ("x +\n\n  y ^ ", None, "exponent must be a nonnegative integer", 3, 5),
 ]
 
 
