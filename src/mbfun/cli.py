@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence
 from .annihilator import bernstein_sato, sabbah_line
 from .bfunction import BFunction
 from .errors import CapabilityError, CertificationError
-from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, reduced_b
+from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, check_size, reduced_b
 from .multipoly import MultiPoly
-from .multiplier import check_cor_jump, jumping_numbers_nc
+from .multiplier import check_cor_jump, jump_bound, jumping_numbers_nc
 from .ncres import (
     NCChart,
     bound_set,
@@ -251,8 +251,12 @@ def _run_check_thm41(args):
 def _run_check_corjump(args):
     F, G = _parse_pair(args)
     chart = _single_chart(args.charts) if args.charts else _monomial_chart(F, G)
-    report = jumping_numbers_nc(chart, args.upper)
+    # a misfit chart exits 2 before an oversized pair exits 1, and the
+    # jumps, up to floor(upper * c) of them for each c, are listed last
+    upper = jump_bound(chart, args.upper)
     _refuse_misfits([chart], F, identity=True)
+    check_size(F, G)
+    report = jumping_numbers_nc(chart, upper)
     res = b_mero(F, G, 0)
     ok = check_cor_jump(report, res.b)
     result = {

@@ -1,23 +1,38 @@
 """Left Groebner bases in PBW algebras.
 
-Buchberger with normal (minimal-lcm) selection, the PBW-safe product
-criterion and the chain criterion.  Weight orders with negative components
-(the V-filtration weight) run through the degree-homogenized algebra so
-that every reduction stays inside one graded piece and terminates.
+Buchberger with normal (minimal-lcm) selection and the Gebauer-Moeller
+pair update (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), which rests
+on the chain criterion; that criterion holds in the PBW algebras used here
+(Levandovskyy, PhD thesis, Kaiserslautern 2005).  When an element enters
+the basis, a pending pair whose lcm its leading monomial divides strictly
+on both sides is dropped (B criterion); of its new pairs, one whose lcm is
+a proper multiple of another's is dropped (M), pairs of equal lcm are kept
+once (F), and none is kept for an lcm where the product criterion applies,
+which is only where `_product_criterion_safe` allows it.  A pair taken from
+the heap is therefore reduced without a scan over the basis.  Weight
+orders with negative components (the V-filtration weight) run through the
+degree-homogenized algebra, on the same loop, so that every reduction
+stays inside one graded piece and terminates.
 
-Each basis element's leading monomial is computed once, when the element
-enters the basis, and read from then on.  Pending pairs sit in a heap
-keyed by (lcm degree, order key of the lcm, i, j), each key computed when
-its pair is created; the indices make keys unique, so the pop order is
-that of a `min` over all pending pairs.
+Each basis element's leading monomial, and its divisibility mask (one bit
+per generator that occurs), are computed once, when the element enters the
+basis, and read from then on.  An element stays a pair partner and a
+reducer after a later leading monomial divides its own: under an
+elimination order the older element's tail is often of far lower degree,
+so the first reducer in basis order, and the oldest partner among new
+pairs of equal lcm, keep S-polynomials and remainders small and under the
+degree cap.  Pending pairs sit in a heap keyed by (lcm degree, order key
+of the lcm, i, j), each key computed when its pair is created; the indices
+make keys unique.
 
-A reduction runs over the integers.  The element's denominators are
-cleared once, into a scale mu; a step that cancels a term c*x^e with a
-basis element g scales what is left by lc(g)/gamma and subtracts
-(c/gamma) * x^(e - lm(g)) * g, where gamma = gcd(c, lc(g)), so a Fraction
-is built only when a remainder term is divided by mu.  What is left sits
-in one dict, and its monomials in a heap, each keyed by the order once,
-when it enters.
+An S-polynomial is a*x^uf*f - b*x^ug*g with the least integers a, b that
+cancel the leading terms, so it stays over the integers.  A reduction runs
+over the integers too.  The element's denominators are cleared once, into a
+scale mu; a step that cancels a term c*x^e with a basis element g scales
+what is left by lc(g)/gamma and subtracts (c/gamma) * x^(e - lm(g)) * g,
+where gamma = gcd(c, lc(g)), so a Fraction is built only when a remainder
+term is divided by mu.  What is left sits in one dict, and its monomials in
+a heap, each keyed by the order once, when it enters.
 """
 
 from __future__ import annotations
@@ -64,10 +79,18 @@ def _heap_key(order: MonomialOrder, exps: Exponent) -> tuple:
     return tuple(map(neg, order.key(exps)))
 
 
-def _reducer(lms: Sequence[Exponent], exps: Exponent) -> Optional[int]:
-    """Index of the first leading monomial dividing exps, or None."""
-    for i, lm in enumerate(lms):
-        if _divides(lm, exps):
+def _mask(exps: Exponent) -> int:
+    """Bit v set iff exps[v] > 0: a monomial whose mask has a bit that
+    another's lacks does not divide it."""
+    return sum(1 << v for v, k in enumerate(exps) if k)
+
+
+def _reducer(lms: Sequence[Exponent], masks: Sequence[int], exps: Exponent) -> Optional[int]:
+    """Index of the first leading monomial dividing exps, or None; masks
+    are those of lms."""
+    outside = ~_mask(exps)
+    for i, m in enumerate(masks):
+        if not m & outside and _divides(lms[i], exps):
             return i
     return None
 
@@ -85,6 +108,7 @@ def normal_form(
     order: MonomialOrder,
     cap: Optional[int] = None,
     _lms: Optional[Sequence[Exponent]] = None,
+    _masks: Optional[Sequence[int]] = None,
 ) -> WeylElement:
     """Fully reduce elem against basis; the remainder's terms avoid all lms.
 
@@ -93,12 +117,14 @@ def normal_form(
     remainder.  CapabilityError is raised when a cancellation leaves a
     term of total degree above cap.
 
-    _lms, when given, are the leading monomials of basis in its order: a
-    Buchberger run keeps them, so its reductions do not recompute them."""
+    _lms, when given, are the leading monomials of basis in its order, and
+    _masks their `_mask`s: a Buchberger run keeps both, so its reductions
+    do not recompute them."""
     if cap is None:
         cap = max_degree_cap()
     sig = elem.sig
     lms = _lms if _lms is not None else [leading_exps(g, order) for g in basis]
+    masks = _masks if _masks is not None else [_mask(lm) for lm in lms]
     # work / mu is what is left of elem; reducers[i] is an integer multiple
     # of basis[i], which gives the same cancellations
     work, mu = _cleared(elem.terms)
@@ -113,7 +139,7 @@ def normal_form(
         coeff = work.get(exps)
         if coeff is None:
             continue
-        i = _reducer(lms, exps)
+        i = _reducer(lms, masks, exps)
         if i is None:
             del work[exps]
             above -= sum(exps) > cap
@@ -155,17 +181,23 @@ def normal_form(
 
 
 def _s_pair(f: WeylElement, lf: Exponent, g: WeylElement, lg: Exponent) -> WeylElement:
-    """x^uf f / lc(f) - x^ug g / lc(g), formed over the integers and
-    divided once; f and g have integer coefficients."""
+    """a x^uf f - b x^ug g for the least positive a, b with a lc(f) =
+    b lc(g): over the integers, since f and g have integer coefficients."""
     sig = f.sig
     lcm_fg = _lcm(lf, lg)
-    uf = tuple(map(sub, lcm_fg, lf))
-    ug = tuple(map(sub, lcm_fg, lg))
     gamma = gcd(f.terms[lf], g.terms[lg])
-    a, b = g.terms[lg] // gamma, f.terms[lf] // gamma
-    diff = WeylElement._trusted(sig, {uf: a}) * f - WeylElement._trusted(sig, {ug: b}) * g
-    den = a * f.terms[lf]
-    return WeylElement._trusted(sig, {e: div(c, den) for e, c in diff.terms.items()})
+    terms: Dict[Exponent, int] = {}
+    for elem, lm, scale in ((f, lf, g.terms[lg] // gamma), (g, lg, -(f.terms[lf] // gamma))):
+        u = tuple(map(sub, lcm_fg, lm))
+        for e2, c2 in elem.terms.items():
+            c = scale * c2
+            for e, k in _mono_product(sig, u, e2):
+                acc = terms.get(e, 0) + c * k
+                if acc:
+                    terms[e] = acc
+                else:
+                    del terms[e]
+    return WeylElement._trusted(sig, terms)
 
 
 def _product_criterion_safe(sig: AlgebraSignature, a: Exponent, b: Exponent) -> bool:
@@ -202,36 +234,51 @@ def _buchberger_core(
 ) -> Tuple[List[WeylElement], List[Exponent]]:
     """Complete basis in place; return it with its leading monomials."""
     lms: List[Exponent] = []
+    masks: List[int] = []
+    pending: Dict[Tuple[int, int], Exponent] = {}  # (i, j), i > j -> lcm
     heap: List[tuple] = []
 
     def enter(g: WeylElement) -> None:
         new, lm = len(lms), leading_exps(g, order)
+        # B: lm divides the lcm, and the lcms of lm with either side of the
+        # pair are proper divisors of it
+        for (i, j), lcm in list(pending.items()):
+            if _divides(lm, lcm) and _lcm(lms[i], lm) != lcm and _lcm(lms[j], lm) != lcm:
+                del pending[i, j]
+        with_lcm: Dict[Exponent, List[int]] = {}
         for k, lk in enumerate(lms):
-            lcm = _lcm(lm, lk)
-            heapq.heappush(heap, (sum(lcm),) + tuple(order.key(lcm)) + (new, k))
+            with_lcm.setdefault(_lcm(lm, lk), []).append(k)
+        # M: drop a pair whose lcm has a proper divisor among the new lcms;
+        # in order of degree, such a divisor is one of those kept so far.
+        # F with the product criterion: one pair per lcm, none when one of
+        # them reduces to zero (its lcm still counts for M)
+        minimal: List[Exponent] = []
+        for lcm in sorted(with_lcm, key=sum):
+            if any(_divides(other, lcm) for other in minimal):
+                continue
+            minimal.append(lcm)
+            ks = with_lcm[lcm]
+            if any(_product_criterion_safe(sig, lm, lms[k]) for k in ks):
+                continue
+            pending[new, ks[0]] = lcm
+            heapq.heappush(heap, (sum(lcm),) + tuple(order.key(lcm)) + (new, ks[0]))
         lms.append(lm)
+        masks.append(_mask(lm))
 
     for g in basis:
         enter(g)
-    done = set()
     while heap:
-        i, j = heapq.heappop(heap)[-2:]
-        done.add((i, j))
-        li, lj = lms[i], lms[j]
-        if _product_criterion_safe(sig, li, lj):
+        pair = heapq.heappop(heap)[-2:]
+        if pending.pop(pair, None) is None:
             continue
-        lcm = _lcm(li, lj)
-        if any(
-            k != i
-            and k != j
-            and _divides(lk, lcm)
-            and (max(i, k), min(i, k)) in done
-            and (max(j, k), min(j, k)) in done
-            for k, lk in enumerate(lms)
-        ):
-            continue
+        i, j = pair
         h = normal_form(
-            _s_pair(basis[i], li, basis[j], lj), basis, order, cap, _lms=lms
+            _s_pair(basis[i], lms[i], basis[j], lms[j]),
+            basis,
+            order,
+            cap,
+            _lms=lms,
+            _masks=masks,
         )
         if h.is_zero():
             continue

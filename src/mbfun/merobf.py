@@ -120,14 +120,20 @@ def meromorphic_pair(F: MultiPoly, G: MultiPoly, m: int = 0) -> Tuple[MultiPoly,
     return F, G
 
 
-def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
-    """Context of sigma_m, after checking the inputs.  The size cap comes
-    before the pair check, whose coprimality test grows with the degrees."""
+def check_size(F: MultiPoly, G: MultiPoly) -> None:
+    """The engine's first checks, cheap at any degree: ValueError for a
+    constant F, then CapabilityError past its size cap."""
     F, G = unify(F, G)
     if F.is_constant():
         raise ValueError("F must be nonzero and nonconstant")
     if len(F.variables) > 3 or max(F.total_degree(), G.total_degree()) > 8:
         raise CapabilityError("input beyond supported size (n <= 3, degree <= 8)")
+
+
+def build_sigma(F: MultiPoly, G: MultiPoly, m: int) -> DeltaContext:
+    """Context of sigma_m, after checking the inputs.  The size cap comes
+    before the pair check, whose coprimality test grows with the degrees."""
+    check_size(F, G)
     return DeltaContext(*meromorphic_pair(F, G, m), m)
 
 

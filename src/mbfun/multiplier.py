@@ -51,13 +51,17 @@ class JumpReport:
         }
 
 
-def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
-    """Multiplier ideal at level alpha in one identity-resolution chart."""
+def _require_identity(chart: NCChart) -> None:
     if any(chart.kappa):
         raise ValueError(
             f"chart {chart.label} has kappa != 0; multiplier ideals here cover "
             "only the identity resolution, where kappa = 0"
         )
+
+
+def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
+    """Multiplier ideal at level alpha in one identity-resolution chart."""
+    _require_identity(chart)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     gen = []
@@ -73,20 +77,30 @@ def default_upper(chart: NCChart) -> Q:
     return Q(len(chart.a) + (max(cpos) if cpos else 0))
 
 
-def jumping_numbers_nc(chart: NCChart, upper: Q = None) -> JumpReport:
-    """All levels in (0, upper] where the multiplier ideal strictly shrinks:
-    the k/c_i <= upper with c_i = a_i - b_i > 0."""
+def jump_bound(chart: NCChart, upper: Q = None) -> Q:
+    """The level jumping_numbers_nc lists jumps up to: upper, or the
+    chart's default when it is None.  Checks, in this order and before any
+    jump is listed, that it is positive, that some k/c_i with c_i > 0 lies
+    at or below it, and that the chart has kappa = 0; ValueError otherwise."""
     if upper is None:
         upper = default_upper(chart)
     if upper <= 0:
         raise ValueError("upper must be positive")
+    if all(upper * (ai - bi) < 1 for ai, bi in zip(chart.a, chart.b)):
+        raise ValueError("no jumping numbers at or below the requested upper bound")
+    _require_identity(chart)
+    return upper
+
+
+def jumping_numbers_nc(chart: NCChart, upper: Q = None) -> JumpReport:
+    """All levels in (0, upper] where the multiplier ideal strictly shrinks:
+    the k/c_i <= upper with c_i = a_i - b_i > 0."""
+    upper = jump_bound(chart, upper)
     jumps = sorted({
         Q(k, c)
         for c in (ai - bi for ai, bi in zip(chart.a, chart.b)) if c > 0
         for k in range(1, math.floor(upper * c) + 1)
     })
-    if not jumps:
-        raise ValueError("no jumping numbers at or below the requested upper bound")
     ideals = tuple(multiplier_ideal_nc(chart, alpha) for alpha in jumps)
     return JumpReport(tuple(jumps), ideals, jumps[0])
 

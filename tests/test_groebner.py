@@ -1,5 +1,7 @@
 """Left Groebner bases, elimination, and initial ideals."""
 
+import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -135,11 +137,11 @@ def test_negative_weight_reduction_does_not_cycle(monkeypatch):
     steps = [0]
     reducer = groebner._reducer
 
-    def guarded(lms, exps):
+    def guarded(lms, masks, exps):
         steps[0] += 1
         if steps[0] > 10_000:
             raise RuntimeError("reduction still running after 10,000 steps")
-        return reducer(lms, exps)
+        return reducer(lms, masks, exps)
 
     monkeypatch.setattr(groebner, "_reducer", guarded)
     order = MonomialOrder.weight(sig, {"x": -1, "dx": 1})
@@ -148,6 +150,20 @@ def test_negative_weight_reduction_does_not_cycle(monkeypatch):
     assert len(basis) == 11
     assert all(normal_form(g, basis, order).is_zero() for g in gens)
     assert steps[0] > 0
+
+
+def test_no_element_is_dropped_as_reducer_or_pair_partner():
+    # Under the elimination order of the b-function, an element whose
+    # leading monomial a later one divides often has the lower-degree tail.
+    # Reducing only against the other elements, and pairing new elements
+    # only with them, took this run past the default degree cap 24.
+    from mbfun.annihilator import bernstein_sato
+    from mbfun.parser import parse_poly
+
+    assert str(bernstein_sato(parse_poly("x^4+y^6"))) == (
+        "(s + 19/12)*(s + 17/12)*(s + 4/3)*(s + 5/4)*(s + 7/6)*(s + 13/12)*(s + 1)^2"
+        "*(s + 11/12)*(s + 5/6)*(s + 3/4)*(s + 2/3)*(s + 7/12)*(s + 5/12)"
+    )
 
 
 def test_degree_cap_env(monkeypatch):
@@ -168,12 +184,19 @@ def test_degree_cap_raises_capability_error(monkeypatch):
 
 # -- differential tests of the completion loop -------------------------------
 #
-# The reference below is the plain Buchberger loop: the pending pairs are a
-# set, each step takes the `min` of (lcm degree, order key of the lcm, i, j)
-# over all of them, and every leading monomial is recomputed where it is
-# read.  `buchberger` must return the same basis list, in the same order,
-# and reduce the same S-polynomials in the same order: a reduced basis is
-# unique, so only the second check sees the selection order itself.
+# Two references.  The first is the plain Buchberger loop `buchberger` ran
+# before the Gebauer-Moeller update: the pending pairs are a set, each step
+# takes the `min` of (lcm degree, order key of the lcm, i, j) over all of
+# them, skips a pair by the product criterion or by a scan of the basis for
+# the chain criterion, and reduces against every element.  A reduced basis
+# is unique, so `buchberger` must return the same reduced basis list.
+#
+# The second is the textbook loop with the Gebauer-Moeller update, written
+# as the UPDATE procedure of Becker and Weispfenning (Groebner Bases, 1993):
+# a set of pending pairs, every leading monomial recomputed where it is
+# read.  `buchberger` must return the same basis
+# list, and reduce the same S-polynomials in the same order: only the
+# second check sees the selection order and the pair update themselves.
 
 
 def _lm(elem, order):
@@ -238,6 +261,72 @@ def _reference_core(sig, basis, order, cap):
     return basis
 
 
+def _int_s_pair(f, g, order):
+    lf, lg = _lm(f, order), _lm(g, order)
+    lcm = _lcm(lf, lg)
+    uf = tuple(a - b for a, b in zip(lcm, lf))
+    ug = tuple(a - b for a, b in zip(lcm, lg))
+    gamma = math.gcd(f.terms[lf], g.terms[lg])
+    return (
+        WeylElement(f.sig, {uf: g.terms[lg] // gamma}) * f
+        - WeylElement(g.sig, {ug: f.terms[lf] // gamma}) * g
+    )
+
+
+def _gm_update(sig, basis, order, pairs, new):
+    """UPDATE(G, B, h) for h = basis[new] and G = basis[:new]: the pending
+    pairs after h enters.  Of new pairs with equal lcm, UPDATE keeps the
+    last it takes from C; C is taken in falling index order, so that is
+    the pair with the oldest element.  G keeps an element whose leading
+    monomial lm(h) divides, so UPDATE's last step, which drops it, is left
+    out."""
+    def lm(k):
+        return _lm(basis[k], order)
+
+    def pair_lcm(p):
+        return _lcm(lm(p[0]), lm(p[1]))
+
+    h = lm(new)
+    C = [(new, k) for k in reversed(range(new))]
+    D = []
+    while C:
+        p = C.pop(0)
+        if _product_criterion(sig, h, lm(p[1])) or not any(
+            _divides(pair_lcm(q), pair_lcm(p)) for q in C + D
+        ):
+            D.append(p)
+    E = {p for p in D if not _product_criterion(sig, h, lm(p[1]))}
+    B = {
+        (i, j)
+        for i, j in pairs
+        if not _divides(h, pair_lcm((i, j)))
+        or _lcm(lm(i), h) == pair_lcm((i, j))
+        or _lcm(h, lm(j)) == pair_lcm((i, j))
+    }
+    return B | E
+
+
+def _gm_core(sig, basis, order, cap):
+    pairs = set()
+    for new in range(len(basis)):
+        pairs = _gm_update(sig, basis, order, pairs, new)
+    while pairs:
+        def pair_key(p):
+            lcm = _lcm(_lm(basis[p[0]], order), _lm(basis[p[1]], order))
+            return (sum(lcm),) + tuple(order.key(lcm)) + p
+
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        h = groebner.normal_form(_int_s_pair(basis[i], basis[j], order), basis, order, cap)
+        if h.is_zero():
+            continue
+        if h.total_degree() > cap:
+            raise CapabilityError("basis element exceeds degree cap")
+        basis.append(h.content_primitive())
+        pairs = _gm_update(sig, basis, order, pairs, len(basis) - 1)
+    return basis
+
+
 def _reference_interreduce(basis, order, cap):
     basis = sorted(basis, key=lambda g: order.key(_lm(g, order)))
     kept = []
@@ -296,6 +385,10 @@ def reference_buchberger(sig, gens, order, cap, core=_reference_core):
     return _reference_interreduce(core(sig, basis, order, cap), order, cap)
 
 
+def gm_buchberger(sig, gens, order, cap):
+    return reference_buchberger(sig, gens, order, cap, core=_gm_core)
+
+
 def _annihilator_like(rng, sig, names):
     """A random subset of {f d_v - s f_v} ∪ {f} (and f_y d_x - f_x d_y in
     two variables) for a random f of degree <= 2 with three terms: the
@@ -351,7 +444,7 @@ def test_selection_matches_reference_loop(alg, order_name, monkeypatch):
         gens = _annihilator_like(random.Random(f"{alg}-{trial}"), sig, names)
         got, got_reduced = _run_recorded(buchberger, sig, gens, order, 6, monkeypatch)
         want, want_reduced = _run_recorded(
-            reference_buchberger, sig, gens, order, 6, monkeypatch
+            gm_buchberger, sig, gens, order, 6, monkeypatch
         )
         assert got == want, (alg, order_name, trial)
         assert got_reduced == want_reduced, (alg, order_name, trial)
@@ -398,11 +491,35 @@ def test_leading_monomials_are_not_recomputed(monkeypatch, capsys):
     assert calls[0] < 50_000
 
 
+def test_pair_update_drops_pairs_before_they_are_pushed(monkeypatch, capsys):
+    # A deterministic guard in place of a timing test: with the
+    # Gebauer-Moeller update, `bf classic x*y*(x+y)` pushes 103 pairs onto
+    # the pair heap and reduces 78 S-polynomials; scanning the basis for
+    # the chain criterion at each popped pair, it pushed 389 and reduced 79.
+    pushed, formed = [0], [0]
+    push, s_pair = heapq.heappush, groebner._s_pair
+
+    def counted_push(heap, item):
+        pushed[0] += type(item[-1]) is int  # a pair's key ends in its indices
+        push(heap, item)
+
+    def counted_s_pair(*args):
+        formed[0] += 1
+        return s_pair(*args)
+
+    monkeypatch.setattr(groebner.heapq, "heappush", counted_push)
+    monkeypatch.setattr(groebner, "_s_pair", counted_s_pair)
+    assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
+    assert 0 < pushed[0] <= 120
+    assert 0 < formed[0] <= 79
+
+
 def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
-    # A deterministic guard in place of a timing test: reducing over the
-    # integers, `bf classic x*y*(x+y)` builds about 400 Fractions inside
-    # buchberger, where each S-polynomial is divided by its leading
-    # coefficients once; the rational reduction loop built 8,032.
+    # A deterministic guard in place of a timing test: with S-polynomials
+    # formed over the integers, `bf classic x*y*(x+y)` builds 21 Fractions
+    # inside buchberger, each where a nonzero remainder term is divided by
+    # its reduction's scale; dividing each S-polynomial by its leading
+    # coefficients built 418, and the rational reduction loop 8,032.
     made, inside = [0], [False]
     new = Fraction.__new__
 
@@ -422,7 +539,7 @@ def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
     monkeypatch.setattr(Fraction, "__new__", counted)
     monkeypatch.setattr(groebner, "buchberger", traced)
     assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
-    assert 0 < made[0] < 2_000
+    assert 0 < made[0] < 50
 
 
 # -- differential test of the reduction loop --------------------------------

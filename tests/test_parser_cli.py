@@ -13,7 +13,7 @@ from mbfun import annihilator, merobf
 from mbfun.cli import _parse_pair, main
 from mbfun.commutative import MAX_COPRIME_PRODUCTS
 from mbfun.multipoly import MultiPoly
-from mbfun.parser import MAX_COEFFICIENT_BITS, PolySyntaxError, parse_poly
+from mbfun.parser import MAX_COEFFICIENT_BITS, MAX_POWER_DEGREE, PolySyntaxError, parse_poly
 from mbfun.rationals import Q
 
 CHART = str(Path(__file__).parent / "data" / "chart_x3_y2.json")
@@ -100,6 +100,22 @@ class TestParser:
         assert info.value.column == column
         assert f"limit of {MAX_COEFFICIENT_BITS} bits" in str(info.value)
 
+    @pytest.mark.parametrize("text, degree, column", [
+        ("(x+y)^3000", 3000, 7),
+        ("(x^2-1)^(501)", 1002, 10),
+        # a power of a power: the inner one is within the limit
+        ("((x+y)^30)^40", 1200, 12),
+    ], ids=["sum", "parenthesized", "nested"])
+    def test_power_degree_bound(self, text, degree, column):
+        start = time.monotonic()
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text)
+        assert time.monotonic() - start < 1.0
+        assert f"power of total degree {degree} exceeds the limit of {MAX_POWER_DEGREE} " in str(
+            info.value
+        )
+        assert info.value.column == column
+
     def test_exponents_below_the_bound_parse(self):
         assert parse_poly("x^4611686018427387903").terms == {(2**62 - 1,): 1}
         # the bound is on each variable's exponent, not on the total degree
@@ -107,6 +123,8 @@ class TestParser:
         # and a coefficient may have MAX_COEFFICIENT_BITS bits
         bits = MAX_COEFFICIENT_BITS
         assert parse_poly(f"2^{bits - 1}*x").terms == {(1,): 2 ** (bits - 1)}
+        # and a power of a sum may reach total degree MAX_POWER_DEGREE
+        assert parse_poly("(x^10+y)^100").total_degree() == MAX_POWER_DEGREE
 
     @pytest.mark.parametrize(
         "text", ["x^3 - 2*x + 1", "1/2*x*y - y^2", "x", "7/3", "x*y*z - z^2"]
@@ -281,6 +299,21 @@ class TestCLI:
         assert out == ""
         assert f"has {len(a)} coordinates but the pair has 2 variables" in err
 
+    def test_corjump_size_cap_comes_before_the_jumps(self, tmp_path, capsys):
+        # the chart derived from x^100000, y has 10^10 jumps at the default
+        # --upper; the engine's size cap refuses the pair before any is listed
+        start = time.monotonic()
+        assert main(["check", "corjump", "x^100000", "y"]) == 1
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err == (
+            "capability failure: input beyond supported size (n <= 3, degree <= 8)\n"
+        )
+        # a chart that does not fit the pair still exits 2 first
+        path = tmp_path / "charts.json"
+        path.write_text('{"charts":[{"label":"q","a":[2],"b":[0],"kappa":[0]}]}')
+        assert main(["check", "corjump", "x^100000", "y", "--charts", str(path)]) == 2
+        assert "has 1 coordinates but the pair has 2 variables" in capsys.readouterr().err
+
     def test_pair_shares_sorted_variables(self, capsys):
         # a constant F takes G's variables, not the parser's placeholder x
         argv = ["bf", "reduced", "2", "y", "--weights", "1", "--d1", "0", "--d2", "1", "--json"]
@@ -309,6 +342,7 @@ class TestCLI:
             ("(x+y)^4611686018427387904", "4611686018427387904"),
             ("x^4611686018427387903*x^4611686018427387903", "9223372036854775806"),
             ("2^100000000000", "100000000001"),
+            ("(x+y)^3000", "3000"),
         ]:
             for argv in (["bf", "classic", text], ["bf", "mero", text, "y"]):
                 start = time.monotonic()
