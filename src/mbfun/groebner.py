@@ -41,7 +41,7 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from operator import le, neg, sub
+from operator import le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError
@@ -74,11 +74,6 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-def _heap_key(order: MonomialOrder, exps: Exponent) -> tuple:
-    """Negated order key: the smallest heap key is the largest monomial."""
-    return tuple(map(neg, order.key(exps)))
-
-
 def _mask(exps: Exponent) -> int:
     """Bit v set iff exps[v] > 0: a monomial whose mask has a bit that
     another's lacks does not divide it."""
@@ -97,7 +92,9 @@ def _reducer(lms: Sequence[Exponent], masks: Sequence[int], exps: Exponent) -> O
 
 def _cleared(terms: Dict[Exponent, object]) -> Tuple[Dict[Exponent, int], int]:
     """(mu * terms, mu) for the least positive integer mu that makes every
-    coefficient an integer."""
+    coefficient an integer: (terms, 1) itself when they are integers."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
     mu = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (mu // c.denominator) for e, c in terms.items()}, mu
 
@@ -128,8 +125,9 @@ def normal_form(
     # work / mu is what is left of elem; reducers[i] is an integer multiple
     # of basis[i], which gives the same cancellations
     work, mu = _cleared(elem.terms)
+    work = dict(work)
     reducers: Dict[int, Dict[Exponent, int]] = {}
-    heap = [(_heap_key(order, e), e) for e in work]
+    heap = [(order.heap_key(e), e) for e in work]
     heapq.heapify(heap)
     above = sum(sum(e) > cap for e in work)
     done: Dict[Exponent, object] = {}
@@ -163,7 +161,7 @@ def normal_form(
                 acc = work.get(e)
                 if acc is None:
                     work[e] = -t
-                    heapq.heappush(heap, (_heap_key(order, e), e))
+                    heapq.heappush(heap, (order.heap_key(e), e))
                     above += sum(e) > cap
                 elif acc == t:
                     del work[e]
@@ -240,6 +238,7 @@ def _buchberger_core(
 
     def enter(g: WeylElement) -> None:
         new, lm = len(lms), leading_exps(g, order)
+        dlm = sum(lm)
         # B: lm divides the lcm, and the lcms of lm with either side of the
         # pair are proper divisors of it
         for (i, j), lcm in list(pending.items()):
@@ -258,10 +257,15 @@ def _buchberger_core(
                 continue
             minimal.append(lcm)
             ks = with_lcm[lcm]
-            if any(_product_criterion_safe(sig, lm, lms[k]) for k in ks):
+            # disjoint supports only: their degrees add up to the lcm's
+            d = sum(lcm)
+            if any(
+                d == dlm + sum(lms[k]) and _product_criterion_safe(sig, lm, lms[k])
+                for k in ks
+            ):
                 continue
             pending[new, ks[0]] = lcm
-            heapq.heappush(heap, (sum(lcm),) + tuple(order.key(lcm)) + (new, ks[0]))
+            heapq.heappush(heap, (d,) + tuple(order.key(lcm)) + (new, ks[0]))
         lms.append(lm)
         masks.append(_mask(lm))
 
@@ -296,24 +300,28 @@ def _interreduce(
 ) -> List[WeylElement]:
     """Drop elements whose lm another lm divides, then tail-reduce.
 
-    The kept lms are distinct and none divides another, so each reduction
-    keeps its element's leading term and the result stays sorted."""
+    The weights here are nonnegative, so a divisor of an lm ranks below it
+    and, of equal lms, the first is kept.  The kept lms are distinct and
+    none divides another, so each reduction keeps its element's leading
+    term and the result stays sorted."""
     ranked = sorted(zip(basis, lms), key=lambda p: order.key(p[1]))
     kept = [
         (g, lm)
         for idx, (g, lm) in enumerate(ranked)
-        if not any(
-            _divides(lo, lm) and (lo != lm or o < idx)
-            for o, (_, lo) in enumerate(ranked)
-            if o != idx
-        )
+        if not any(_divides(lo, lm) for _, lo in ranked[:idx])
     ]
+    kept_lms = [lm for _, lm in kept]
+    kept_masks = [_mask(lm) for lm in kept_lms]
     final = []
     for idx, (g, _) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        if others:
+        if len(kept) > 1:
             g = normal_form(
-                g, [o for o, _ in others], order, cap, _lms=[lo for _, lo in others]
+                g,
+                [o for o, _ in kept[:idx] + kept[idx + 1 :]],
+                order,
+                cap,
+                _lms=kept_lms[:idx] + kept_lms[idx + 1 :],
+                _masks=kept_masks[:idx] + kept_masks[idx + 1 :],
             )
         final.append(g.content_primitive())
     return final

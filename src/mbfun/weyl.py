@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .multipoly import MultiPoly, SparseTerms, _revlex_key
+from .multipoly import MultiPoly, SparseTerms, _heap_key, _revlex_key
 from .rationals import ONE, Q, ZERO, coprime_integers
 
 Exponent = Tuple[int, ...]
@@ -289,6 +289,15 @@ class MonomialOrder:
         if self.homog is not None:
             return (self.wdeg(exps), -exps[self.homog]) + _revlex_key(exps)
         return (self.wdeg(exps),) + _revlex_key(exps)
+
+    def heap_key(self, exps: Exponent):
+        """The negated key, built without negating it term by term: in a
+        min-heap, the smallest heap key is the largest monomial."""
+        if not self.weights:
+            return _heap_key(exps)
+        if self.homog is not None:
+            return (-self.wdeg(exps), exps[self.homog]) + _heap_key(exps)
+        return (-self.wdeg(exps),) + _heap_key(exps)
 
     def extended(self, sig_h: AlgebraSignature) -> "MonomialOrder":
         """Lift to the homogenized signature (h gets weight 0)."""

@@ -93,6 +93,18 @@ def test_weight_order_admissibility():
         raise AssertionError("u(x) + u(dx) < 0 must be rejected")
 
 
+@pytest.mark.parametrize("order", [
+    MonomialOrder.degrevlex(),
+    MonomialOrder.weight(SIG, {"x": -1, "dx": 1, "s": 2}),
+    MonomialOrder.weight(SIG, {"x": -1, "dx": 1}).extended(SIG.homogenized()),
+], ids=["degrevlex", "weight", "homogenized"])
+def test_heap_key_is_the_negated_key(order):
+    # a heap of heap keys pops monomials in falling order
+    n = len(order.weights) or 5
+    for exps in product(range(3), repeat=n):
+        assert order.heap_key(exps) == tuple(-k for k in order.key(exps))
+
+
 # The Briancon-Maisonobe algebra: s = -dt*t, so dt s = (s - 1) dt
 SHIFT_SIG = AlgebraSignature.make(pairs=[("x", "dx")], shift_pairs=[("s", "dt")])
 T_SIG = AlgebraSignature.make(pairs=[("t", "dt")])
