@@ -300,10 +300,12 @@ def _interreduce(
 ) -> List[WeylElement]:
     """Drop elements whose lm another lm divides, then tail-reduce.
 
-    The weights here are nonnegative, so a divisor of an lm ranks below it
-    and, of equal lms, the first is kept.  The kept lms are distinct and
-    none divides another, so each reduction keeps its element's leading
-    term and the result stays sorted."""
+    The weights here are nonnegative, so a divisor of a monomial ranks
+    below it: of equal lms the first is kept, and an element's tail, below
+    its lm, is reduced by the elements ranked before it alone, which are
+    reduced already.  The kept lms are distinct and none divides another,
+    so each reduction keeps its element's leading term and the result
+    stays sorted."""
     ranked = sorted(zip(basis, lms), key=lambda p: order.key(p[1]))
     kept = [
         (g, lm)
@@ -312,17 +314,10 @@ def _interreduce(
     ]
     kept_lms = [lm for _, lm in kept]
     kept_masks = [_mask(lm) for lm in kept_lms]
-    final = []
+    final: List[WeylElement] = []
     for idx, (g, _) in enumerate(kept):
-        if len(kept) > 1:
-            g = normal_form(
-                g,
-                [o for o, _ in kept[:idx] + kept[idx + 1 :]],
-                order,
-                cap,
-                _lms=kept_lms[:idx] + kept_lms[idx + 1 :],
-                _masks=kept_masks[:idx] + kept_masks[idx + 1 :],
-            )
+        if idx:
+            g = normal_form(g, final, order, cap, _lms=kept_lms[:idx], _masks=kept_masks[:idx])
         final.append(g.content_primitive())
     return final
 

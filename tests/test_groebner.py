@@ -327,7 +327,10 @@ def _gm_core(sig, basis, order, cap):
     return basis
 
 
-def _reference_interreduce(basis, order, cap):
+def _reference_interreduce(basis, order, cap, rising=False):
+    """Drop elements whose lm another divides, then reduce each against the
+    others; or, when rising, against the reduced elements ranked before it,
+    which hold every leading monomial below its own."""
     basis = sorted(basis, key=lambda g: order.key(_lm(g, order)))
     kept = []
     for idx, g in enumerate(basis):
@@ -340,7 +343,7 @@ def _reference_interreduce(basis, order, cap):
         kept.append(g)
     final = []
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
+        others = list(final) if rising else kept[:idx] + kept[idx + 1 :]
         if others:
             g = groebner.normal_form(g, others, order, cap)
             if g.is_zero():
@@ -377,16 +380,16 @@ def _reference_homogenized(sig, gens, order, cap, core):
     return out
 
 
-def reference_buchberger(sig, gens, order, cap, core=_reference_core):
+def reference_buchberger(sig, gens, order, cap, core=_reference_core, rising=False):
     gens = [g for g in gens if not g.is_zero()]
     if order.has_negative_weight():
         return _reference_homogenized(sig, gens, order, cap, core)
     basis = [g.content_primitive() for g in gens]
-    return _reference_interreduce(core(sig, basis, order, cap), order, cap)
+    return _reference_interreduce(core(sig, basis, order, cap), order, cap, rising)
 
 
 def gm_buchberger(sig, gens, order, cap):
-    return reference_buchberger(sig, gens, order, cap, core=_gm_core)
+    return reference_buchberger(sig, gens, order, cap, core=_gm_core, rising=True)
 
 
 def _annihilator_like(rng, sig, names):
