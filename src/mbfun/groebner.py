@@ -125,7 +125,7 @@ def normal_form(
     # work / mu is what is left of elem; reducers[i] is an integer multiple
     # of basis[i], which gives the same cancellations
     work, mu = _cleared(elem.terms)
-    work = dict(work)
+    work = dict(work)  # may be elem's own terms, and changes below
     reducers: Dict[int, Dict[Exponent, int]] = {}
     heap = [(order.heap_key(e), e) for e in work]
     heapq.heapify(heap)
