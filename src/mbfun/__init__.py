@@ -2,7 +2,7 @@
 
 from .bfunction import BFunction
 from .merobf import b_mero, b_simple, reduced_b, smoothness_test
-from .annihilator import ann_fs, bernstein_sato, sabbah_line
+from .annihilator import ann_fs, b_classic, bernstein_sato, sabbah_line
 from .multipoly import MultiPoly
 from .ncres import NCChart, bound_set, eigenvalue_classes, roots_nc
 from .multiplier import jumping_numbers_nc, multiplier_ideal_nc
@@ -16,6 +16,7 @@ __all__ = [
     "NCChart",
     "Q",
     "ann_fs",
+    "b_classic",
     "b_mero",
     "b_simple",
     "bernstein_sato",

@@ -23,15 +23,14 @@ SINGULAR, comparison with other systems and two new algorithms", ISSAC
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
 from .errors import CapabilityError
 from .groebner import LeftIdeal, eliminate
-from .merobf import CERTIFIED, UNCERTIFIED, meromorphic_pair
+from .merobf import CERTIFIED, UNCERTIFIED, BResult, meromorphic_pair
 from .multipoly import MultiPoly, unify
-from .oracle import prefactored_witness
+from .oracle import DEFAULT_DEG, prefactored_witness, verify_functional_equation
 from .rationals import Q
 from .sections import dname
 from .vfiltration import b_polynomial, central_intersection
@@ -76,12 +75,16 @@ def bernstein_sato(F: MultiPoly) -> BFunction:
     return b_polynomial(LeftIdeal(ann.sig, gens))
 
 
-@dataclass
-class SabbahLineResult:
-    b: BFunction                      # b(s) = bs_element(s, -s-m-2), monic
-    bs_element: MultiPoly             # element of the Bernstein-Sato ideal, in (s1, s2)
-    witness: Optional[WeylElement]    # P with b(s) f^s/G^m = G^2 P f^{s+1}/G^m
-    status: str                       # CERTIFIED | UNCERTIFIED
+def b_classic(F: MultiPoly, deg: int = DEFAULT_DEG) -> BResult:
+    """bernstein_sato(F), CERTIFIED with the oracle's witness {1: P} of
+    b(s) F^s = P F^(s+1) when one has operator degree <= deg."""
+    b = bernstein_sato(F)
+    witness = verify_functional_equation(b, F, MultiPoly.const(F.variables, 1), 0, N=1, deg=deg)
+    if witness is not None:
+        return BResult(b, CERTIFIED, witness)
+    return BResult(b, UNCERTIFIED, notes=(
+        f"oracle found no witness with N=1 and operator degree <= {deg}; raise --certify-deg",
+    ))
 
 
 def _specialize_line(p: MultiPoly, m: int) -> MultiPoly:
@@ -94,12 +97,13 @@ def sabbah_line(
     F: MultiPoly,
     G: MultiPoly,
     m: int,
-    witness_deg: int = 6,
-) -> SabbahLineResult:
-    """A Bernstein-Sato ideal element of (F, G) specialized to s2 = -s-m-2.
+    witness_deg: int = DEFAULT_DEG,
+) -> BResult:
+    """A Bernstein-Sato ideal element of (F, G), as bs_element in (s1, s2),
+    specialized to b(s) = bs_element(s, -s-m-2).
 
-    The specialized polynomial satisfies b(s) (f^s/G^m) = G^2 P (f^{s+1}/G^m)
-    and is a multiple of the meromorphic b-function for the same m.
+    b satisfies b(s) (f^s/G^m) = G^2 P (f^{s+1}/G^m) and is a multiple of
+    the meromorphic b-function for the same m; the witness is that one P.
     """
     F, G = meromorphic_pair(F, G, m)
     ann = ann_fs([(F, "s1"), (G, "s2")])
@@ -125,4 +129,4 @@ def sabbah_line(
     b = BFunction.from_poly(spec)
     witness = prefactored_witness(b, F, G, m, deg=witness_deg)
     status = CERTIFIED if witness is not None else UNCERTIFIED
-    return SabbahLineResult(b, bs_elem, witness, status)
+    return BResult(b, status, witness, bs_element=bs_elem)

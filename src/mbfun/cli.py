@@ -18,12 +18,12 @@ import time
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from .annihilator import bernstein_sato, sabbah_line
+from .annihilator import b_classic, sabbah_line
 from .bfunction import BFunction
 from .errors import CapabilityError, CertificationError
-from .merobf import CERTIFIED, UNCERTIFIED, b_mero, b_simple, check_size, reduced_b
+from .merobf import CERTIFIED, UNCERTIFIED, BResult, b_mero, b_simple, check_size, reduced_b
 from .multipoly import MultiPoly
-from .multiplier import check_cor_jump, jump_bound, jumping_numbers_nc
+from .multiplier import JumpReport, check_cor_jump, jump_bound, jumping_numbers_nc
 from .ncres import (
     NCChart,
     bound_set,
@@ -33,28 +33,39 @@ from .ncres import (
     member,
     roots_nc,
 )
-from .oracle import DEFAULT_DEG, DEFAULT_N, verify_functional_equation
+from .oracle import DEFAULT_DEG, DEFAULT_N
 from .parser import parse_poly, variable_names
 from .rationals import format_ratio, parse_ratio
+from .weyl import WeylElement
 
 FAILED = "FAILED"
 SCHEMA_VERSION = 1
 
 
-def _roots_payload(b: BFunction):
-    if b.roots is None:
-        return None
-    return [[format_ratio(r), m] for r, m in b.sorted_roots()]
-
-
 def _b_payload(b: BFunction) -> Dict:
-    return {"b": str(b), "roots": _roots_payload(b)}
+    roots = None if b.roots is None else [[format_ratio(r), m] for r, m in b.sorted_roots()]
+    return {"b": str(b), "roots": roots}
 
 
-def _witness_payload(witness) -> Optional[Dict[str, str]]:
-    if witness is None:
-        return None
-    return {str(k): str(op) for k, op in sorted(witness.items())}
+def _bf_payload(res: BResult) -> Dict:
+    """The result of a bf command, keyed in the order b, roots,
+    [bs_element], witness, [engine_b]; the human report keeps it."""
+    out = _b_payload(res.b)
+    if res.bs_element is not None:
+        out["bs_element"] = str(res.bs_element)
+    witness = res.witness
+    if isinstance(witness, WeylElement):  # sabbah_line's one operator
+        witness = {1: witness}
+    out["witness"] = (
+        None if witness is None else {str(k): str(op) for k, op in sorted(witness.items())}
+    )
+    if res.engine_b is not None:
+        out["engine_b"] = str(res.engine_b)
+    return out
+
+
+def _jump_payload(report: JumpReport) -> Dict:
+    return {"jumps": [format_ratio(j) for j in report.jumps], "lct": format_ratio(report.lct)}
 
 
 def _load_charts(path: str) -> List[NCChart]:
@@ -119,37 +130,22 @@ def _monomial_chart(F: MultiPoly, G: MultiPoly) -> NCChart:
 
 def _run_bf_classic(args):
     F = parse_poly(args.F)
-    b = bernstein_sato(F)
-    one = MultiPoly.const(F.variables, 1)
-    witness = verify_functional_equation(b, F, one, 0, N=1, deg=args.certify_deg)
-    result = _b_payload(b)
-    result["witness"] = _witness_payload(witness)
-    if witness is not None:
-        return {"F": str(F)}, result, CERTIFIED, []
-    note = (
-        f"oracle found no witness with N=1 and operator degree <= {args.certify_deg}; "
-        "raise --certify-deg"
-    )
-    return {"F": str(F)}, result, UNCERTIFIED, [note]
+    res = b_classic(F, args.certify_deg)
+    return {"F": str(F)}, _bf_payload(res), res.status, list(res.notes)
 
 
 def _run_bf_mero(args):
     F, G = _parse_pair(args)
     N, deg = args.certify
     res = b_mero(F, G, args.m, N=N, deg=deg)
-    result = _b_payload(res.b)
-    result["witness"] = _witness_payload(res.witness)
-    result["engine_b"] = str(res.engine_b) if res.engine_b is not None else None
     inputs = {"F": str(F), "G": str(G), "m": args.m}
-    return inputs, result, res.status, list(res.notes)
+    return inputs, _bf_payload(res), res.status, list(res.notes)
 
 
 def _run_bf_simple(args):
     F, G = _parse_pair(args)
     res = b_simple(F, G, args.m)
-    result = _b_payload(res.b)
-    result["witness"] = _witness_payload(res.witness)
-    return {"F": str(F), "G": str(G), "m": args.m}, result, res.status, list(res.notes)
+    return {"F": str(F), "G": str(G), "m": args.m}, _bf_payload(res), res.status, list(res.notes)
 
 
 def _run_bf_reduced(args):
@@ -159,8 +155,6 @@ def _run_bf_reduced(args):
             f"--weights needs {len(F.variables)} entries for variables {F.variables}"
         )
     res = reduced_b(F, G, args.weights, args.d1, args.d2)
-    result = _b_payload(res.b)
-    result["witness"] = _witness_payload(res.witness)
     inputs = {
         "F": str(F),
         "G": str(G),
@@ -168,16 +162,13 @@ def _run_bf_reduced(args):
         "d1": format_ratio(args.d1),
         "d2": format_ratio(args.d2),
     }
-    return inputs, result, res.status, list(res.notes)
+    return inputs, _bf_payload(res), res.status, list(res.notes)
 
 
 def _run_bf_sabbah(args):
     F, G = _parse_pair(args)
     res = sabbah_line(F, G, args.m)
-    result = _b_payload(res.b)
-    result["bs_element"] = str(res.bs_element)
-    result["witness"] = {"1": str(res.witness)} if res.witness is not None else None
-    return {"F": str(F), "G": str(G), "m": args.m}, result, res.status, []
+    return {"F": str(F), "G": str(G), "m": args.m}, _bf_payload(res), res.status, list(res.notes)
 
 
 def _run_nc(args):
@@ -204,7 +195,8 @@ def _run_jump(args):
     inputs = {"charts": args.charts}
     if args.upper is not None:
         inputs["upper"] = format_ratio(args.upper)
-    return inputs, report.to_payload(), CERTIFIED, []
+    ideals = [{"generators": [list(g) for g in ideal.generators]} for ideal in report.ideals]
+    return inputs, {**_jump_payload(report), "ideals": ideals}, CERTIFIED, []
 
 
 def _run_check_lemma4(args):
@@ -259,12 +251,7 @@ def _run_check_corjump(args):
     report = jumping_numbers_nc(chart, upper)
     res = b_mero(F, G, 0)
     ok = check_cor_jump(report, res.b)
-    result = {
-        "holds": ok,
-        "jumps": [format_ratio(j) for j in report.jumps],
-        "lct": format_ratio(report.lct),
-        "b0": _b_payload(res.b),
-    }
+    result = {"holds": ok, **_jump_payload(report), "b0": _b_payload(res.b)}
     status = _check_status(ok, res)
     inputs = {"F": str(F), "G": str(G),
               "charts": args.charts if args.charts else "(derived from monomials)"}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .bfunction import BFunction, S_VAR, theta_to_s
@@ -69,11 +69,16 @@ UNCERTIFIED = "UNCERTIFIED"
 
 @dataclass
 class BResult:
+    """The result of every bf call: b_mero, b_simple, reduced_b and
+    annihilator's b_classic and sabbah_line."""
+
     b: BFunction
     status: str                                  # CERTIFIED | UNCERTIFIED
-    witness: Optional[Dict[int, WeylElement]] = None
-    engine_b: Optional[BFunction] = None         # pre-minimization value
+    # {k: P_k}, or sabbah_line's one P (b f^s/G^m = G^2 P f^(s+1)/G^m)
+    witness: Union[Dict[int, WeylElement], WeylElement, None] = None
+    engine_b: Optional[BFunction] = None         # b_mero's pre-minimization value
     notes: Tuple[str, ...] = ()
+    bs_element: Optional[MultiPoly] = None       # sabbah_line's ideal element in (s1, s2)
 
 
 def _seed_generators(ctx: DeltaContext) -> List[WeylElement]:

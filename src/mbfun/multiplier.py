@@ -23,14 +23,13 @@ from typing import Tuple
 
 from .bfunction import BFunction
 from .ncres import NCChart, nonneg_integer_gap
-from .rationals import Q, format_ratio
+from .rationals import Q
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal given by its minimal generating antichain."""
 
-    nvars: int
     generators: Tuple[Tuple[int, ...], ...]
 
 
@@ -39,16 +38,6 @@ class JumpReport:
     jumps: Tuple[Q, ...]                 # strictly increasing, in (0, upper]
     ideals: Tuple[MonomialIdeal, ...]    # ideal at each jump (valid until the next)
     lct: Q
-
-    def to_payload(self) -> dict:
-        return {
-            "jumps": [format_ratio(j) for j in self.jumps],
-            "lct": format_ratio(self.lct),
-            "ideals": [
-                {"generators": [list(g) for g in ideal.generators]}
-                for ideal in self.ideals
-            ],
-        }
 
 
 def _require_identity(chart: NCChart) -> None:
@@ -69,7 +58,7 @@ def multiplier_ideal_nc(chart: NCChart, alpha: Q) -> MonomialIdeal:
         c = ai - bi
         # the least integer u with u > alpha*c - 1
         gen.append(math.floor(alpha * c) if c > 0 else 0)
-    return MonomialIdeal(len(chart.a), (tuple(gen),))
+    return MonomialIdeal((tuple(gen),))
 
 
 def default_upper(chart: NCChart) -> Q:

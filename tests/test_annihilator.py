@@ -2,7 +2,9 @@
 
 import pytest
 
-from mbfun.annihilator import ann_fs, bernstein_sato, sabbah_line
+from mbfun.annihilator import ann_fs, b_classic, bernstein_sato, sabbah_line
+from mbfun.multipoly import MultiPoly
+from mbfun.oracle import verify_functional_equation
 from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import MeroContext, apply_operator, base_section
@@ -58,6 +60,24 @@ def test_classical_bfunction(text, expected):
 def test_classical_rejects_constants():
     with pytest.raises(ValueError):
         bernstein_sato(parse_poly("3", ("x",)))
+
+
+def test_b_classic_status_witness_and_note():
+    # the classical certification: bernstein_sato, then the oracle at N=1,
+    # G=1 up to the given operator degree
+    F = parse_poly("x^2+y^3")
+    res = b_classic(F)
+    assert (res.b, res.status, res.notes) == (bernstein_sato(F), "CERTIFIED", ())
+    assert res.witness == verify_functional_equation(
+        res.b, F, MultiPoly.const(F.variables, 1), 0, N=1
+    )
+    low = b_classic(F, deg=1)
+    assert (low.b, low.status, low.witness, low.engine_b, low.bs_element) == (
+        res.b, "UNCERTIFIED", None, None, None
+    )
+    assert low.notes == (
+        "oracle found no witness with N=1 and operator degree <= 1; raise --certify-deg",
+    )
 
 
 def test_sabbah_line_separated_variables():
