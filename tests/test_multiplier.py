@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbfun.multiplier import check_cor_jump, jumping_numbers_nc, multiplier_ideal_nc
+from mbfun.multiplier import MAX_JUMPS, check_cor_jump, jumping_numbers_nc, multiplier_ideal_nc
 from mbfun.ncres import NCChart
 from mbfun.rationals import Q, div
 from bfunction_helpers import b_from_roots
@@ -101,6 +101,18 @@ class TestJumpingNumbers:
     def test_default_upper_covers_shifted_jumps(self):
         report = jumping_numbers_nc(chart((3, 0), (0, 2)))
         assert max(report.jumps) >= Q(1)
+
+    def test_jump_count_cap(self):
+        # MAX_JUMPS levels k/c are listed; one more, on any divisor, is
+        # refused before any is listed
+        assert len(jumping_numbers_nc(chart((MAX_JUMPS,), (0,)), Q(1)).jumps) == MAX_JUMPS
+        for a in ((MAX_JUMPS + 1,), (MAX_JUMPS, 1)):
+            with pytest.raises(ValueError) as info:
+                jumping_numbers_nc(chart(a, (0,) * len(a)), Q(1))
+            assert str(info.value) == (
+                f"{MAX_JUMPS + 1} jump levels k/c at or below the upper bound, past "
+                f"MAX_JUMPS = {MAX_JUMPS}; lower --upper"
+            )
 
 
 class TestMembershipAndRootComparison:

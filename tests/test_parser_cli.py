@@ -12,6 +12,7 @@ import pytest
 from mbfun import annihilator, merobf
 from mbfun.cli import _parse_pair, main
 from mbfun.commutative import MAX_COPRIME_PRODUCTS
+from mbfun.multiplier import MAX_JUMPS
 from mbfun.multipoly import MultiPoly
 from mbfun.parser import MAX_COEFFICIENT_BITS, MAX_POWER_DEGREE, PolySyntaxError, parse_poly
 from mbfun.rationals import Q
@@ -313,6 +314,21 @@ class TestCLI:
         path.write_text('{"charts":[{"label":"q","a":[2],"b":[0],"kappa":[0]}]}')
         assert main(["check", "corjump", "x^100000", "y", "--charts", str(path)]) == 2
         assert "has 1 coordinates but the pair has 2 variables" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["jump", "nc"], ["check", "corjump", "x^3", "y^2"]])
+    def test_jump_list_is_capped(self, tmp_path, capsys, argv):
+        # the chart x^100000/y fits the pair x^3, y^2 and has about 10^10
+        # jump levels at the default --upper; none is listed
+        path = tmp_path / "charts.json"
+        path.write_text('{"charts":[{"label":"q","a":[100000,0],"b":[0,1],"kappa":[0,0]}]}')
+        start = time.monotonic()
+        assert main(argv + ["--charts", str(path), "--json"]) == 2
+        assert time.monotonic() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: 10000200000 jump levels k/c at or below the upper bound, past "
+            f"MAX_JUMPS = {MAX_JUMPS}; lower --upper\n"
+        )
 
     def test_pair_shares_sorted_variables(self, capsys):
         # a constant F takes G's variables, not the parser's placeholder x
