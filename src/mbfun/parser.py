@@ -4,16 +4,19 @@ Grammar: integer and p/q literals, variables [a-z][a-z0-9]*, operators
 + - * ^ with the usual precedence, parentheses.  '/' is only part of a
 rational literal, never a general division.  Exponents must be
 nonnegative integer literals, no monomial may reach MAX_EXPONENT, no
-coefficient pass MAX_COEFFICIENT_BITS bits, and no power of a polynomial
-with more than one term pass total degree MAX_POWER_DEGREE: a power is
-checked before it is expanded and a product as it is formed, so an
-oversized input is refused at its token instead of being built.
+coefficient pass MAX_COEFFICIENT_BITS bits, no power of a polynomial
+with more than one term pass total degree MAX_POWER_DEGREE, and no power
+or product form more than MAX_TERM_PRODUCTS products of two terms: a
+power is checked before it is expanded, and a product before it is formed
+for its size and as it is formed for its bounds, so an oversized input is
+refused at its token instead of being built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb, prod
 from typing import List, Optional, Tuple
 
 from .multipoly import MultiPoly
@@ -27,6 +30,10 @@ MAX_COEFFICIENT_BITS = 2**13
 # expands in 0.7 s and (x+y)^3000 in over 10 s.  A power of a monomial is
 # one term at any degree.
 MAX_POWER_DEGREE = 1000
+# An expansion costs about 1 us per product of two terms on the same
+# cores: (x+y+z)^100 forms 1.9*10^6 of them in 2.2 s and (x+y+z+x*y)^40
+# 2.0*10^6 in 2.5 s, where (x+y+z)^200 would form 2.8*10^7.
+MAX_TERM_PRODUCTS = 2_500_000
 
 
 class PolySyntaxError(ValueError):
@@ -116,6 +123,13 @@ class _Parser:
                 f"{MAX_COEFFICIENT_BITS} bits"
             )
 
+    def _cap_products(self, tok: Token, count: int) -> None:
+        if count > MAX_TERM_PRODUCTS:
+            self._fail(
+                tok, f"expansion forms {count} products of two terms, past "
+                f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}"
+            )
+
     def parse(self) -> MultiPoly:
         value = self.expr()
         tok = self._peek()
@@ -147,7 +161,9 @@ class _Parser:
             tok = self._peek()
             if tok and tok.kind == "op" and tok.text == "*":
                 self._next()
-                value = value * self.power()
+                rhs = self.power()
+                self._cap_products(tok, len(value.terms) * len(rhs.terms))
+                value = value * rhs
                 self._bound(tok, value)
             else:
                 return value
@@ -185,6 +201,8 @@ class _Parser:
                 exp_tok, f"power of total degree {degree} exceeds the limit of "
                 f"{MAX_POWER_DEGREE} for a polynomial with more than one term"
             )
+        if len(base.terms) > 1:
+            self._cap_products(exp_tok, _power_products(base, n))
         return base ** n
 
     def atom(self) -> MultiPoly:
@@ -212,6 +230,36 @@ class _Parser:
                 self._fail(close, "expected ')'")
             return value
         self._fail(tok, f"unexpected {tok.text!r}")
+
+
+def _power_terms(poly: MultiPoly, e: int) -> int:
+    """A bound on the number of terms of poly ** e: each is a product of e
+    of poly's k terms, lies in e times poly's exponent box, and is fixed by
+    its total degree and all its exponents but the widest."""
+    spans = sorted(
+        max(t[i] for t in poly.terms) - min(t[i] for t in poly.terms)
+        for i in range(len(poly.variables))
+    )
+    degrees = [sum(t) for t in poly.terms]
+    band = (e * (max(degrees) - min(degrees)) + 1) * prod(e * w + 1 for w in spans[:-1])
+    k = len(poly.terms)
+    return min(comb(e + k - 1, k - 1), prod(e * w + 1 for w in spans), band)
+
+
+def _power_products(poly: MultiPoly, n: int) -> int:
+    """The products of two terms that poly ** n forms, squaring as
+    MultiPoly.__pow__ does, with each operand's terms bounded by
+    _power_terms."""
+    count, done, square = 0, 0, 1
+    while n:
+        if n & 1:
+            count += _power_terms(poly, done) * _power_terms(poly, square)
+            done += square
+        n >>= 1
+        if n:
+            count += _power_terms(poly, square) ** 2
+            square *= 2
+    return count
 
 
 def variable_names(*texts: str) -> Tuple[str, ...]:

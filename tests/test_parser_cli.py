@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -14,7 +15,15 @@ from mbfun.cli import _parse_pair, main
 from mbfun.commutative import MAX_COPRIME_PRODUCTS
 from mbfun.multiplier import MAX_JUMPS
 from mbfun.multipoly import MultiPoly
-from mbfun.parser import MAX_COEFFICIENT_BITS, MAX_POWER_DEGREE, PolySyntaxError, parse_poly
+from mbfun.parser import (
+    MAX_COEFFICIENT_BITS,
+    MAX_POWER_DEGREE,
+    MAX_TERM_PRODUCTS,
+    PolySyntaxError,
+    _power_products,
+    _power_terms,
+    parse_poly,
+)
 from mbfun.rationals import Q
 
 CHART = str(Path(__file__).parent / "data" / "chart_x3_y2.json")
@@ -116,6 +125,43 @@ class TestParser:
             info.value
         )
         assert info.value.column == column
+
+    @pytest.mark.parametrize("text, count, column", [
+        ("(x+y+z)^200", 27685905, 9),
+        ("(x+y+z+w)^20*(x+y+z+w)^20", 3136441, 13),
+    ], ids=["power", "product"])
+    def test_term_product_bound(self, capsys, text, count, column):
+        message = f"expansion forms {count} products of two terms, past MAX_TERM_PRODUCTS = " \
+            f"{MAX_TERM_PRODUCTS} "
+        start = time.monotonic()
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text)
+        assert time.monotonic() - start < 1.0
+        assert message in str(info.value)
+        assert info.value.column == column
+        assert main(["bf", "classic", text]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_term_products_below_the_bound(self):
+        # predicted, not expanded: each of these parses, in 0.2 to 2.7 s
+        names = ("x", "y", "z")
+        for base, n in [("x+y+z", 60), ("x+y+z", 100), ("x+y+z+x*y", 40), ("x^10+y", 100)]:
+            assert _power_products(parse_poly(base, names), n) <= MAX_TERM_PRODUCTS
+        assert len(parse_poly("(x+y+z)^50").terms) ** 2 <= MAX_TERM_PRODUCTS
+
+    def test_power_term_bound(self):
+        # _power_terms bounds the terms of every power, and is exact on
+        # these sums
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            exps = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))}
+            poly = MultiPoly(tuple("xyz"[:n]), {e: rng.choice([1, -1, 2]) for e in exps})
+            for e in range(6):
+                assert len((poly ** e).terms) <= _power_terms(poly, e), (poly, e)
+        for text in ("x+y+z", "x+y+z+x*y", "x^2+x*y+y^2", "1+x+x^2+x^3", "x^10+y"):
+            poly = parse_poly(text)
+            assert all(len((poly ** e).terms) == _power_terms(poly, e) for e in range(8))
 
     def test_exponents_below_the_bound_parse(self):
         assert parse_poly("x^4611686018427387903").terms == {(2**62 - 1,): 1}
