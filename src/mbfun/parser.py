@@ -6,10 +6,10 @@ rational literal, never a general division.  Exponents must be
 nonnegative integer literals, no monomial may reach MAX_EXPONENT, no
 coefficient pass MAX_COEFFICIENT_BITS bits, no power of a polynomial
 with more than one term pass total degree MAX_POWER_DEGREE, and no power
-or product form more than MAX_TERM_PRODUCTS products of two terms: a
-power is checked before it is expanded, and a product before it is formed
-for its size and as it is formed for its bounds, so an oversized input is
-refused at its token instead of being built.
+and product together form more than MAX_TERM_PRODUCTS products of two
+terms: a power is checked before it is expanded, and a product before it
+is formed for its size and as it is formed for its bounds, so an
+oversized input is refused at its token instead of being built.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ MAX_COEFFICIENT_BITS = 2**13
 # expands in 0.7 s and (x+y)^3000 in over 10 s.  A power of a monomial is
 # one term at any degree.
 MAX_POWER_DEGREE = 1000
-# An expansion costs about 1 us per product of two terms on the same
-# cores: (x+y+z)^100 forms 1.9*10^6 of them in 2.2 s and (x+y+z+x*y)^40
-# 2.0*10^6 in 2.5 s, where (x+y+z)^200 would form 2.8*10^7.
+# Expanding costs about 1 us per product of two terms on the same cores:
+# (x+y+z)^100 forms 1.9*10^6 of them in 2.2 s and (x+y+z+x*y)^40 2.0*10^6
+# in 2.5 s, where (x+y+z)^200 would form 2.8*10^7.  The cap is on the
+# whole parse, since a chain of small products adds up: (x+1)*(x+1)*...
+# with 2000 factors forms 4*10^6 in 4.5 s.
 MAX_TERM_PRODUCTS = 2_500_000
 
 
@@ -85,6 +87,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.vars = variables
+        self.products = 0   # products of two terms the expansions so far form
 
     def _peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -124,10 +127,13 @@ class _Parser:
             )
 
     def _cap_products(self, tok: Token, count: int) -> None:
-        if count > MAX_TERM_PRODUCTS:
+        """Refuse, at tok, an expansion of count products of two terms that
+        takes the whole parse past MAX_TERM_PRODUCTS of them."""
+        self.products += count
+        if self.products > MAX_TERM_PRODUCTS:
             self._fail(
-                tok, f"expansion forms {count} products of two terms, past "
-                f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}"
+                tok, f"expansions form {self.products} products of two terms up to "
+                f"here, past MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}"
             )
 
     def parse(self) -> MultiPoly:

@@ -128,11 +128,12 @@ class TestParser:
 
     @pytest.mark.parametrize("text, count, column", [
         ("(x+y+z)^200", 27685905, 9),
-        ("(x+y+z+w)^20*(x+y+z+w)^20", 3136441, 13),
+        # 2 * 62516 to build the two powers and 1771^2 to multiply them
+        ("(x+y+z+w)^20*(x+y+z+w)^20", 3261473, 13),
     ], ids=["power", "product"])
     def test_term_product_bound(self, capsys, text, count, column):
-        message = f"expansion forms {count} products of two terms, past MAX_TERM_PRODUCTS = " \
-            f"{MAX_TERM_PRODUCTS} "
+        message = f"expansions form {count} products of two terms up to here, past " \
+            f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} "
         start = time.monotonic()
         with pytest.raises(PolySyntaxError) as info:
             parse_poly(text)
@@ -147,7 +148,17 @@ class TestParser:
         names = ("x", "y", "z")
         for base, n in [("x+y+z", 60), ("x+y+z", 100), ("x+y+z+x*y", 40), ("x^10+y", 100)]:
             assert _power_products(parse_poly(base, names), n) <= MAX_TERM_PRODUCTS
-        assert len(parse_poly("(x+y+z)^50").terms) ** 2 <= MAX_TERM_PRODUCTS
+        # (x+y+z)^50*(x+y+z)^50
+        half = _power_products(parse_poly("x+y+z"), 50)
+        assert 2 * half + len(parse_poly("(x+y+z)^50").terms) ** 2 <= MAX_TERM_PRODUCTS
+
+    def test_term_products_add_up_over_the_parse(self, monkeypatch):
+        # each product of (x+1)*(x+1)*... is small; the sum is capped
+        monkeypatch.setattr("mbfun.parser.MAX_TERM_PRODUCTS", 100)
+        assert len(parse_poly("*".join(["(x+1)"] * 9)).terms) == 10   # 4 + 6 + ... + 18 = 88
+        with pytest.raises(PolySyntaxError, match="^in .*: expansions form 108 products of two "
+                           "terms up to here, past MAX_TERM_PRODUCTS = 100 "):
+            parse_poly("*".join(["(x+1)"] * 10))
 
     def test_power_term_bound(self):
         # _power_terms bounds the terms of every power, and is exact on
