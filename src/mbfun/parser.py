@@ -240,8 +240,8 @@ class _Parser:
 
 def _power_terms(poly: MultiPoly, e: int) -> int:
     """A bound on the number of terms of poly ** e: each is a product of e
-    of poly's k terms, lies in e times poly's exponent box, and is fixed by
-    its total degree and all its exponents but the widest."""
+    of poly's k terms, and is fixed by its total degree and by all its
+    exponents but the one whose range in poly is widest."""
     spans = sorted(
         max(t[i] for t in poly.terms) - min(t[i] for t in poly.terms)
         for i in range(len(poly.variables))
@@ -249,7 +249,7 @@ def _power_terms(poly: MultiPoly, e: int) -> int:
     degrees = [sum(t) for t in poly.terms]
     band = (e * (max(degrees) - min(degrees)) + 1) * prod(e * w + 1 for w in spans[:-1])
     k = len(poly.terms)
-    return min(comb(e + k - 1, k - 1), prod(e * w + 1 for w in spans), band)
+    return min(comb(e + k - 1, k - 1), band)
 
 
 def _power_products(poly: MultiPoly, n: int) -> int:
