@@ -14,9 +14,8 @@ algebra signature) and their product.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import gcd
-from operator import add, neg, sub
+from math import gcd, isqrt
+from operator import add, ne, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rationals import ONE, Q, ZERO, coprime_integers, div
@@ -360,18 +359,6 @@ def unify(*polys: MultiPoly) -> List[MultiPoly]:
     return [p.extend_to(variables) for p in polys]
 
 
-def _int_divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def _integer_value(coeffs: List[int], p: int, q: int) -> int:
     """q^n c(p/q) = sum_i c_i p^i q^(n-i), coeffs [c_0 .. c_n]."""
     value, qpow = 0, 1
@@ -393,17 +380,168 @@ def _deflated(coeffs: List[int], p: int, q: int) -> Optional[List[int]]:
     return out[::-1] if coeffs[0] + p * b == 0 else None
 
 
+def _remainder(f: List[int], g: List[int]) -> List[int]:
+    """The primitive positive multiple of f mod g, on integer coefficient
+    lists [c_0 .. c_n] with c_n != 0; [] when g divides f."""
+    f = list(f)
+    lead = g[-1]
+    while len(f) >= len(g) and f:
+        c = f[-1]
+        gamma = gcd(c, lead)
+        a, b = abs(lead) // gamma, c // gamma * (1 if lead > 0 else -1)
+        shift = len(f) - len(g)
+        f = [a * x for x in f]
+        for k, y in enumerate(g):
+            f[shift + k] -= b * y
+        while f and not f[-1]:
+            f.pop()
+    content = gcd(*f) if f else 1
+    return [x // content for x in f]
+
+
+def _quotient(f: List[int], g: List[int]) -> List[int]:
+    """f / g for a primitive g that divides f over the integers."""
+    f, out = list(f), []
+    for shift in range(len(f) - len(g), -1, -1):
+        q = f[shift + len(g) - 1] // g[-1]
+        out.append(q)
+        for k, y in enumerate(g):
+            f[shift + k] -= q * y
+    return out[::-1]
+
+
+def _sturm(c: List[int]) -> List[List[int]]:
+    """A Sturm sequence of c, scaled by positive factors; its last entry is
+    gcd(c, c') up to sign."""
+    derivative = [k * x for k, x in enumerate(c)][1:]
+    content = gcd(*derivative)
+    seq = [c, [x // content for x in derivative]]
+    while len(seq[-1]) > 1 and (r := _remainder(seq[-2], seq[-1])):
+        seq.append([-x for x in r])
+    return seq
+
+
+def _variations(signs: List[bool]) -> int:
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _root_bound(c: List[int]) -> int:
+    """2^(k+1) for the least k >= -1 with |c_(n-i)| < |c_n| 2^(k i) for
+    every i: above the absolute value of every root (Fujiwara's bound)."""
+    top = abs(c[-1]).bit_length()
+    k = max(-((top - abs(x).bit_length() - 1) // i) for i, x in enumerate(reversed(c)) if i and x)
+    return 1 << max(k + 1, 0)
+
+
+def _isolated(seq: List[List[int]]) -> List[Tuple[int, int, int]]:
+    """Intervals (lo/2^e, hi/2^e], each holding one real root of c =
+    seq[0], for a Sturm sequence seq of a squarefree c.
+
+    The sign changes at -+infinity and at 0, read from the end
+    coefficients, count the roots on either side of 0, inside
+    `_root_bound`; bisection at dyadic points separates them."""
+    bound = _root_bound(seq[0])
+    at_zero = _variations([g[0] > 0 for g in seq if g[0]])
+    todo = [
+        (-bound, 0, 0, _variations([(g[-1] > 0) == (len(g) % 2 == 1) for g in seq]), at_zero),
+        (0, bound, 0, at_zero, _variations([g[-1] > 0 for g in seq])),
+    ]
+    found = []
+    while todo:
+        lo, hi, e, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            found.append((lo, hi, e))
+        elif vlo > vhi:
+            mid, e = lo + hi, e + 1
+            vmid = _variations(
+                [v > 0 for v in (_integer_value(g, mid, 1 << e) for g in seq) if v]
+            )
+            todo += [(2 * lo, mid, e, vlo, vmid), (mid, 2 * hi, e, vmid, vhi)]
+    return found
+
+
+def _rational_root_in(c: List[int], lo: int, hi: int, e: int) -> Optional[Tuple[int, int]]:
+    """The root a/q of c in (lo/2^e, hi/2^e] as a reduced (a, q), when it
+    is rational; None otherwise.
+
+    c must change sign across one root there: c(hi/2^e) is zero or of the
+    other sign than c just right of lo/2^e.  Bisection by the sign of c
+    keeps such a root until the interval is narrower than 1/|c_n|; a
+    rational root is u/|c_n| for an integer u, so the one such point left
+    is tested."""
+    lead = abs(c[-1])
+    top = _integer_value(c, hi, 1 << e)
+    while top and (hi - lo) * lead >= 1 << e:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + hi >> 1
+        value = _integer_value(c, mid, 1 << e)
+        if value and (value > 0) != (top > 0):
+            lo = mid
+        else:
+            hi, top = mid, value
+    u = lead * hi >> e
+    if u << e <= lead * lo or _integer_value(c, u, lead):
+        return None
+    return _reduced(u, lead)
+
+
+def _reduced(a: int, q: int) -> Tuple[int, int]:
+    """a/q in lowest terms, q > 0."""
+    g = gcd(a, q) if q > 0 else -gcd(a, q)
+    return a // g, q // g
+
+
+def _quadratic_roots(c: List[int]) -> List[Tuple[int, int]]:
+    """The rational roots of c_0 + c_1 v + c_2 v^2, as reduced (a, q)."""
+    disc = c[1] * c[1] - 4 * c[0] * c[2]
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
+        return []
+    return [_reduced(-c[1] + sign * root, 2 * c[2]) for sign in ((1, -1) if root else (1,))]
+
+
+def _rational_root_set(c: List[int]) -> List[Tuple[int, int]]:
+    """The distinct rational roots of c, c_0 != 0 and degree >= 1, as
+    reduced (a, q), found on what is left of c as follows:
+
+    - at degree 1 or 2, by the closed form;
+    - at odd degree, on (-B, B] for the root bound B, where c changes
+      sign; a root found is divided out, until one is irrational;
+    - at a degree where c is not squarefree, on its squarefree part;
+    - otherwise on the intervals that its Sturm sequence isolates.
+    """
+    found = []
+    while True:
+        if len(c) == 2:
+            return found + [_reduced(-c[0], c[1])]
+        if len(c) == 3:
+            return found + _quadratic_roots(c)
+        if len(c) % 2 == 0:
+            bound = _root_bound(c)
+            root = _rational_root_in(c, -bound, bound, 0)
+            if root is not None:
+                found.append(root)
+                while (quotient := _deflated(c, *root)) is not None:
+                    c = quotient
+                continue
+        seq = _sturm(c)
+        if len(seq[-1]) > 1:  # the gcd of c and c'
+            c = _quotient(c, seq[-1])
+            continue
+        isolated = (_rational_root_in(c, *interval) for interval in _isolated(seq))
+        return found + [root for root in isolated if root is not None]
+
+
 def rational_roots(p: MultiPoly) -> Dict[object, int]:
     """The rational roots of a univariate polynomial; returns only the
     dict root -> multiplicity.
 
     p splits over Q iff the multiplicities sum to its degree.  On the
     coprime integer coefficients c_0 .. c_n, zero has the multiplicity of
-    the low zero coefficients; every other root is a reduced a/q with
-    a | c_0 and q | c_n (rational root theorem).  Each candidate is tested
-    once, by an integer evaluation, in the order of (|a|, q, sign), and a
-    root is divided out as often as q v - a divides exactly; the roots are
-    listed in that order.
+    the low zero coefficients; the others are found without factoring
+    c_0 or c_n (`_rational_root_set`), and each is divided out as often
+    as q v - a divides exactly.  The roots are listed in the order of
+    (|a|, q, sign), positive first.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -418,15 +556,15 @@ def rational_roots(p: MultiPoly) -> Dict[object, int]:
     if zeros:
         roots[ZERO] = zeros
         coeffs = coeffs[zeros:]
-    for a, q in product(_int_divisors(coeffs[0]), _int_divisors(coeffs[-1])):
-        if len(coeffs) == 1:
-            break
-        if gcd(a, q) != 1 or coeffs[0] % a or coeffs[-1] % q:
-            continue
-        for num in (a, -a):
-            if _integer_value(coeffs, num, q) == 0:
-                mult = 0
-                while (quotient := _deflated(coeffs, num, q)) is not None:
-                    coeffs, mult = quotient, mult + 1
-                roots[Q(num, q)] = mult
+    if len(coeffs) == 1:
+        return roots
+    found = sorted(_rational_root_set(coeffs), key=lambda r: (abs(r[0]), r[1], r[0] < 0))
+    simple = len(found) == len(coeffs) - 1
+    for a, q in found:
+        mult = 1
+        if not simple:
+            mult = 0
+            while (quotient := _deflated(coeffs, a, q)) is not None:
+                coeffs, mult = quotient, mult + 1
+        roots[Q(a, q)] = mult
     return roots

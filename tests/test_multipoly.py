@@ -1,5 +1,6 @@
 """Exact multivariate polynomial arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfun.bfunction import BFunction
+from mbfun import multipoly
 from mbfun.multipoly import (
     MultiPoly,
-    _int_divisors,
     rational_roots,
     unify,
 )
@@ -143,6 +144,19 @@ class TestRoots:
         assert BFunction.from_poly(p).roots is None
 
 
+def _int_divisors(n):
+    """The positive divisors of n, by trial division up to its square root."""
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
 def reference_rational_roots(p):
     """rational_roots as it was: every unreduced candidate +-a/q evaluated
     in Fraction arithmetic, and the search started over after each root.
@@ -240,3 +254,92 @@ def test_rational_roots_matches_the_restarting_search(variables, name):
         assert bfunction_parts(got) == bfunction_parts(want), p
         if got.roots is not None:
             assert [type(r) for r in got.roots] == [type(r) for r in want.roots], p
+
+
+def divisor_rational_roots(p):
+    """rational_roots as it was before real-root isolation: every reduced
+    candidate a/q with a | c_0 and q | c_n, by trial division, tested in
+    the order of (|a|, q, sign) and divided out as often as it divides."""
+    live = [v for v in p.variables if p.degree_in(v) > 0]
+    if not live:
+        return {}
+    coeffs = list(coprime_integers(dict(enumerate(p.univariate_in(live[0])))).values())
+    roots = {}
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    if zeros:
+        roots[ZERO] = zeros
+        coeffs = coeffs[zeros:]
+    for a in _int_divisors(coeffs[0]):
+        for q in _int_divisors(coeffs[-1]):
+            if len(coeffs) == 1 or math.gcd(a, q) != 1:
+                continue
+            for num in (a, -a):
+                if sum(c * Q(num, q) ** i for i, c in enumerate(coeffs)) == 0:
+                    mult = 0
+                    while True:
+                        quotient, rem = divmod_linear(coeffs, num, q)
+                        if rem:
+                            break
+                        coeffs, mult = quotient, mult + 1
+                    roots[Q(num, q)] = mult
+    return roots
+
+
+def divmod_linear(coeffs, num, q):
+    """(coeffs / (q v - num), whether a remainder is left), over Q."""
+    out, b = [], Q(0)
+    for c in reversed(coeffs[1:]):
+        b = (c + num * b) / Q(q)
+        out.append(b)
+    out = out[::-1]
+    if coeffs[0] + num * b or any(Fraction(c).denominator != 1 for c in out):
+        return coeffs, True
+    return [int(c) for c in out], False
+
+
+# Factors without a rational root: two with real roots, so that a search
+# meets irrational roots, and the rest with none.
+IRREDUCIBLE = ["s^2 - 2", "s^2 - 3", "s^3 - 2", "2*s^3 - 3", "s^3 + s + 1", "s^2 + 1", "3*s^2 + 2"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_matches_the_divisor_search(seed):
+    from mbfun.parser import parse_poly
+
+    rng = random.Random(f"rational_roots/divisors/{seed}")
+    s = MultiPoly.var(("s",), "s")
+    irreducible = [parse_poly(text, ("s",)) for text in IRREDUCIBLE]
+    split = 0
+    for _ in range(60):
+        p = MultiPoly.const(("s",), Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5])))
+        for _ in range(rng.randint(1, 6)):
+            p = p * (s - MultiPoly.const(("s",), Q(rng.randint(-30, 30), rng.randint(1, 12))))
+        if rng.random() < 0.5:
+            p = p * rng.choice(irreducible)
+        got, want = rational_roots(p), divisor_rational_roots(p)
+        assert list(got.items()) == list(want.items()), p
+        assert [type(r) for r in got] == [type(r) for r in want], p
+        split += sum(got.values()) == p.total_degree()
+    assert 10 <= split < 60
+
+
+def test_rational_roots_of_a_high_degree_b_without_factoring(monkeypatch):
+    # A deterministic guard in place of a timing test: the b of x^3+y^7
+    # has degree 13 and end coefficients 21^13 and a product of 13
+    # numerators; finding its roots evaluates it at about 860 points,
+    # where trial division of both ends looped about 4*10^8 times.
+    from mbfun.annihilator import bernstein_sato
+    from mbfun.parser import parse_poly
+
+    calls = [0]
+    evaluate = multipoly._integer_value
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(multipoly, "_integer_value", counted)
+    b = bernstein_sato(parse_poly("x^3+y^7", XY))
+    assert b.degree() == 13 and sum(b.roots.values()) == 13
+    assert min(b.roots) == Q(-32, 21) and max(b.roots) == Q(-10, 21)
+    assert 0 < calls[0] <= 1_000
