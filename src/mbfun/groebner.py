@@ -1,6 +1,7 @@
 """Left Groebner bases in PBW algebras.
 
-Buchberger with normal (minimal-lcm) selection and the Gebauer-Moeller
+Buchberger with sugar selection (Giovini, Mora, Niesi, Robbiano and
+Traverso, "One sugar cube, please", ISSAC 1991) and the Gebauer-Moeller
 pair update (Gebauer and Moeller, J. Symbolic Comput. 6, 1988), which rests
 on the chain criterion; that criterion holds in the PBW algebras used here
 (Levandovskyy, PhD thesis, Kaiserslautern 2005).  When an element enters
@@ -21,9 +22,21 @@ reducer after a later leading monomial divides its own: under an
 elimination order the older element's tail is often of far lower degree,
 so the first reducer in basis order, and the oldest partner among new
 pairs of equal lcm, keep S-polynomials and remainders small and under the
-degree cap.  Pending pairs sit in a heap keyed by (lcm degree, order key
-of the lcm, i, j), each key computed when its pair is created; the indices
-make keys unique.
+degree cap.
+
+Each basis element carries a sugar: an input's is its total degree, and a
+reduced S-polynomial's is its pair's, raised to sugar(g) + deg x^u by each
+reduction step that subtracts a multiple of x^u * g.  A pair's sugar is
+max(sugar(f) + deg x^uf, sugar(g) + deg x^ug), the degree its S-polynomial
+would have if the elements were homogenized.  Pending pairs sit in a heap
+keyed by (sugar, lcm degree, order key of the lcm, i, j), each key
+computed when its pair is created; the indices make keys unique.  Under an
+elimination order the elements are far from homogeneous, and the lcm
+degree says little about what a pair will produce: for `bf classic
+x*y*(x+y)`, sugar selection forms 58 S-polynomials where selection by lcm
+degree formed 79.  On homogeneous input, as on the homogenized route, a
+pair's sugar is its lcm degree, and the key orders pairs as selection by
+lcm degree did.
 
 An S-polynomial is a*x^uf*f - b*x^ug*g with the least integers a, b that
 cancel the leading terms, so it stays over the integers.  A reduction runs
@@ -106,6 +119,8 @@ def normal_form(
     cap: Optional[int] = None,
     _lms: Optional[Sequence[Exponent]] = None,
     _masks: Optional[Sequence[int]] = None,
+    _sugars: Optional[Sequence[int]] = None,
+    _sugar: Optional[List[int]] = None,
 ) -> WeylElement:
     """Fully reduce elem against basis; the remainder's terms avoid all lms.
 
@@ -116,7 +131,9 @@ def normal_form(
 
     _lms, when given, are the leading monomials of basis in its order, and
     _masks their `_mask`s: a Buchberger run keeps both, so its reductions
-    do not recompute them."""
+    do not recompute them.  _sugars, when given, are the sugars of basis,
+    and _sugar a one-item list holding elem's: a step that cancels with
+    x^cof * basis[i] raises it to at least _sugars[i] + deg x^cof."""
     if cap is None:
         cap = max_degree_cap()
     sig = elem.sig
@@ -154,6 +171,8 @@ def normal_form(
                 work[e] *= scale
             mu *= scale
         cof = tuple(map(sub, exps, lm))
+        if _sugar is not None:
+            _sugar[0] = max(_sugar[0], _sugars[i] + sum(cof))
         for e2, c2 in g.items():
             qc = q * c2
             for e, k in _mono_product(sig, cof, e2):
@@ -214,14 +233,23 @@ def buchberger(
     generators: Sequence[WeylElement],
     order: MonomialOrder,
     cap: Optional[int] = None,
+    free_of: Sequence[int] = (),
 ) -> List[WeylElement]:
+    """A Groebner basis of the left ideal of generators: reduced when the
+    weights of order are nonnegative.
+
+    free_of, positions of generators that order eliminates, keeps only the
+    elements whose leading monomial is free of them, and only those are
+    interreduced (`_interreduce`)."""
     if cap is None:
         cap = max_degree_cap()
     order.check_admissible(sig)
     if order.has_negative_weight():
+        if free_of:
+            raise ValueError("free_of needs an order with nonnegative weights")
         return _buchberger_homogenized(sig, generators, order, cap)
     basis = [g.content_primitive() for g in generators if not g.is_zero()]
-    return _interreduce(*_buchberger_core(sig, basis, order, cap), order, cap)
+    return _interreduce(*_buchberger_core(sig, basis, order, cap), order, cap, free_of)
 
 
 def _buchberger_core(
@@ -233,10 +261,11 @@ def _buchberger_core(
     """Complete basis in place; return it with its leading monomials."""
     lms: List[Exponent] = []
     masks: List[int] = []
+    sugars: List[int] = []
     pending: Dict[Tuple[int, int], Exponent] = {}  # (i, j), i > j -> lcm
     heap: List[tuple] = []
 
-    def enter(g: WeylElement) -> None:
+    def enter(g: WeylElement, sugar: int) -> None:
         new, lm = len(lms), leading_exps(g, order)
         dlm = sum(lm)
         # B: lm divides the lcm, and the lcms of lm with either side of the
@@ -264,18 +293,23 @@ def _buchberger_core(
                 for k in ks
             ):
                 continue
-            pending[new, ks[0]] = lcm
-            heapq.heappush(heap, (d,) + tuple(order.key(lcm)) + (new, ks[0]))
+            k = ks[0]
+            pending[new, k] = lcm
+            pair_sugar = max(sugar + d - dlm, sugars[k] + d - sum(lms[k]))
+            heapq.heappush(heap, (pair_sugar, d) + tuple(order.key(lcm)) + (new, k))
         lms.append(lm)
         masks.append(_mask(lm))
+        sugars.append(sugar)
 
     for g in basis:
-        enter(g)
+        enter(g, g.total_degree())
     while heap:
-        pair = heapq.heappop(heap)[-2:]
+        entry = heapq.heappop(heap)
+        pair = entry[-2:]
         if pending.pop(pair, None) is None:
             continue
         i, j = pair
+        sugar = [entry[0]]
         h = normal_form(
             _s_pair(basis[i], lms[i], basis[j], lms[j]),
             basis,
@@ -283,6 +317,8 @@ def _buchberger_core(
             cap,
             _lms=lms,
             _masks=masks,
+            _sugars=sugars,
+            _sugar=sugar,
         )
         if h.is_zero():
             continue
@@ -291,12 +327,16 @@ def _buchberger_core(
                 f"basis element exceeds degree cap {cap} (MBFUN_MAX_DEGREE)"
             )
         basis.append(h.content_primitive())
-        enter(basis[-1])
+        enter(basis[-1], sugar[0])
     return basis, lms
 
 
 def _interreduce(
-    basis: List[WeylElement], lms: List[Exponent], order: MonomialOrder, cap: int
+    basis: List[WeylElement],
+    lms: List[Exponent],
+    order: MonomialOrder,
+    cap: int,
+    free_of: Sequence[int],
 ) -> List[WeylElement]:
     """Drop elements whose lm another lm divides, then tail-reduce.
 
@@ -305,8 +345,17 @@ def _interreduce(
     its lm, is reduced by the elements ranked before it alone, which are
     reduced already.  The kept lms are distinct and none divides another,
     so each reduction keeps its element's leading term and the result
-    stays sorted."""
-    ranked = sorted(zip(basis, lms), key=lambda p: order.key(p[1]))
+    stays sorted.
+
+    Elements whose lm has a generator of free_of are left out first.  When
+    order eliminates those generators, a free lm has a free tail, every lm
+    that divides a free monomial is free, and the free lms rank first; so
+    the rest is the free part of the full result, reduced by free elements
+    alone."""
+    ranked = sorted(
+        ((g, lm) for g, lm in zip(basis, lms) if not any(lm[v] for v in free_of)),
+        key=lambda p: order.key(p[1]),
+    )
     kept = [
         (g, lm)
         for idx, (g, lm) in enumerate(ranked)
@@ -404,6 +453,7 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     order is the weight 1 on each dropped generator, ties broken by
     degrevlex; it is an elimination order, so the elements of its Groebner
     basis that are free of dropped generators generate the intersection.
+    `buchberger` returns those alone, interreducing no other element.
     Their exponents move to the smaller signature by generator name.
     """
     sig = ideal.sig
@@ -423,8 +473,7 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
     source = [sig.index(name) for name in sub_sig.names]
     moved = [
         WeylElement(sub_sig, {tuple(e[i] for i in source): c for e, c in g.terms.items()})
-        for g in ideal.groebner(order)
-        if all(not any(e[p] for p in positions) for e in g.terms)
+        for g in buchberger(sig, ideal.generators, order, free_of=sorted(positions))
     ]
     return LeftIdeal(sub_sig, moved)
 

@@ -194,7 +194,11 @@ def test_degree_cap_raises_capability_error(monkeypatch):
 # The second is the textbook loop with the Gebauer-Moeller update, written
 # as the UPDATE procedure of Becker and Weispfenning (Groebner Bases, 1993):
 # a set of pending pairs, every leading monomial recomputed where it is
-# read.  `buchberger` must return the same basis
+# read, and the sugar strategy of Giovini, Mora, Niesi, Robbiano and
+# Traverso ("One sugar cube, please", ISSAC 1991): each step takes the
+# `min` of (sugar, lcm degree, order key of the lcm, i, j), an input's
+# sugar is its degree, and a reduced S-polynomial's is its pair's as the
+# plain reduction loop raises it.  `buchberger` must return the same basis
 # list, and reduce the same S-polynomials in the same order: only the
 # second check sees the selection order and the pair update themselves.
 
@@ -307,22 +311,27 @@ def _gm_update(sig, basis, order, pairs, new):
 
 
 def _gm_core(sig, basis, order, cap):
+    sugars = [g.total_degree() for g in basis]
     pairs = set()
     for new in range(len(basis)):
         pairs = _gm_update(sig, basis, order, pairs, new)
     while pairs:
         def pair_key(p):
             lcm = _lcm(_lm(basis[p[0]], order), _lm(basis[p[1]], order))
-            return (sum(lcm),) + tuple(order.key(lcm)) + p
+            sugar = max(sugars[k] + sum(lcm) - sum(_lm(basis[k], order)) for k in p)
+            return (sugar, sum(lcm)) + tuple(order.key(lcm)) + p
 
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        h = groebner.normal_form(_int_s_pair(basis[i], basis[j], order), basis, order, cap)
+        s_pair = _int_s_pair(basis[i], basis[j], order)
+        h = groebner.normal_form(s_pair, basis, order, cap)
         if h.is_zero():
             continue
         if h.total_degree() > cap:
             raise CapabilityError("basis element exceeds degree cap")
+        _, sugar = reference_reduction(s_pair, basis, order, cap, sugars, pair_key((i, j))[0])
         basis.append(h.content_primitive())
+        sugars.append(sugar)
         pairs = _gm_update(sig, basis, order, pairs, len(basis) - 1)
     return basis
 
@@ -496,9 +505,10 @@ def test_leading_monomials_are_not_recomputed(monkeypatch, capsys):
 
 def test_pair_update_drops_pairs_before_they_are_pushed(monkeypatch, capsys):
     # A deterministic guard in place of a timing test: with the
-    # Gebauer-Moeller update, `bf classic x*y*(x+y)` pushes 103 pairs onto
-    # the pair heap and reduces 78 S-polynomials; scanning the basis for
-    # the chain criterion at each popped pair, it pushed 389 and reduced 79.
+    # Gebauer-Moeller update and sugar selection, `bf classic x*y*(x+y)`
+    # pushes 59 pairs onto the pair heap and forms 58 S-polynomials; with
+    # selection by lcm degree it pushed 103 and formed 79, and scanning the
+    # basis for the chain criterion at each popped pair, it pushed 389.
     pushed, formed = [0], [0]
     push, s_pair = heapq.heappush, groebner._s_pair
 
@@ -513,8 +523,26 @@ def test_pair_update_drops_pairs_before_they_are_pushed(monkeypatch, capsys):
     monkeypatch.setattr(groebner.heapq, "heappush", counted_push)
     monkeypatch.setattr(groebner, "_s_pair", counted_s_pair)
     assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
-    assert 0 < pushed[0] <= 120
-    assert 0 < formed[0] <= 79
+    assert 0 < pushed[0] <= 65
+    assert 0 < formed[0] <= 60
+
+
+def test_elimination_reduces_few_elements(monkeypatch, capsys):
+    # A deterministic guard in place of a timing test: with sugar selection
+    # and an elimination that interreduces only the elements it returns,
+    # `bf classic x*y*(x+y)` makes 60 `normal_form` calls in its two
+    # `buchberger` runs; with selection by lcm degree and a full
+    # interreduction it made 104.
+    calls = [0]
+    reduce = groebner.normal_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    assert main(["bf", "classic", "x*y*(x+y)", "--json"]) == 0
+    assert 0 < calls[0] <= 65
 
 
 def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
@@ -545,6 +573,85 @@ def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
     assert 0 < made[0] < 50
 
 
+# -- elimination interreduces only what it returns ---------------------------
+#
+# Under an elimination order, the elements of the reduced basis whose
+# leading monomial is free of the dropped generators are free of them
+# altogether, and reduced by free elements alone.  So `buchberger` with
+# free_of must return exactly the free part of the reference's reduced
+# basis, though it interreduces no other element.
+
+
+def _free_part(basis, positions):
+    return [g for g in basis if not any(e[p] for e in g.terms for p in positions)]
+
+
+def _check_free_part(sig, gens, drop, cap):
+    """Compare; False when either side exceeds cap."""
+    order = MonomialOrder.weight(sig, {name: 1 for name in drop})
+    positions = sorted(sig.index(name) for name in drop)
+    try:
+        got = buchberger(sig, gens, order, cap, free_of=positions)
+        want = _free_part(reference_buchberger(sig, gens, order, cap), positions)
+    except CapabilityError:
+        return False
+    assert got == want, drop
+    return True
+
+
+@pytest.mark.parametrize("alg", ["D1", "D2"])
+def test_kept_only_interreduction_matches_the_free_part(alg):
+    sig, names = {"D1": (D1, ["x"]), "D2": (D2, ["x", "y"])}[alg]
+    drops = {"D1": [["x", "dx"]], "D2": [["y", "dy"], ["x", "dx", "y", "dy"]]}[alg]
+    compared = 0
+    for trial in range(12):
+        gens = _annihilator_like(random.Random(f"{alg}-elim-{trial}"), sig, names)
+        for drop in drops:
+            compared += _check_free_part(sig, gens, drop, 6)
+    assert compared >= 5 * len(drops)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classic", "x^2"],
+        ["classic", "x^2*y"],
+        ["classic", "x^2*y^3"],
+        ["classic", "x^2+y^3"],
+        ["classic", "x^3+y^3"],
+        ["classic", "x^2+y^4"],
+        ["classic", "x^2+y^2+z^2"],
+        ["classic", "x*y*(x+y)"],
+        ["sabbah-line", "x", "y"],
+        ["sabbah-line", "x^2", "y"],
+    ],
+)
+def test_bf_eliminations_match_the_free_part(argv, monkeypatch, capsys):
+    # the Ann(F^s) elimination of d_t, then the one to Q[s], on the bf
+    # inputs of the cli-classic benchmark but x^3+y^4, where the plain
+    # reference loop takes 4 s
+    from mbfun import annihilator, vfiltration
+
+    recorded = []
+
+    def recording(ideal, drop):
+        recorded.append((ideal.sig, list(ideal.generators), list(drop)))
+        return eliminate(ideal, drop)
+
+    monkeypatch.setattr(annihilator, "eliminate", recording)
+    monkeypatch.setattr(vfiltration, "eliminate", recording)
+    assert main(["bf", *argv, "--json"]) == 0
+    assert len(recorded) == 2
+    for sig, gens, drop in recorded:
+        assert _check_free_part(sig, gens, drop, max_degree_cap())
+
+
+def test_free_of_needs_nonnegative_weights():
+    order = MonomialOrder.weight(SIG, {"x": -1, "dx": 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        buchberger(SIG, [gen("x")], order, free_of=[SIG.index("x")])
+
+
 # -- differential test of the reduction loop --------------------------------
 #
 # The reference is the plain rational loop: at every step it takes the
@@ -557,6 +664,12 @@ def test_buchberger_reduces_over_the_integers(monkeypatch, capsys):
 
 
 def reference_normal_form(elem, basis, order, cap):
+    return reference_reduction(elem, basis, order, cap, [0] * len(basis), 0)[0]
+
+
+def reference_reduction(elem, basis, order, cap, sugars, sugar):
+    """(the normal form of elem, elem's sugar as the reduction raises it):
+    a step with x^cof * basis[i] raises it to sugars[i] + deg x^cof."""
     sig = elem.sig
     lms = [_lm(g, order) for g in basis]
     done = {}
@@ -564,17 +677,18 @@ def reference_normal_form(elem, basis, order, cap):
     while not work.is_zero():
         exps = _lm(work, order)
         coeff = work.terms[exps]
-        reducer = next(((g, lm) for g, lm in zip(basis, lms) if _divides(lm, exps)), None)
+        reducer = next((k for k, lm in enumerate(lms) if _divides(lm, exps)), None)
         if reducer is None:
             done[exps] = coeff
             work = WeylElement(sig, {e: c for e, c in work.terms.items() if e != exps})
             continue
-        g, lm = reducer
+        g, lm = basis[reducer], lms[reducer]
         cof = tuple(a - b for a, b in zip(exps, lm))
+        sugar = max(sugar, sugars[reducer] + sum(cof))
         work = work + WeylElement(sig, {cof: -div(coeff, g.terms[lm])}) * g
         if work.total_degree() > cap:
             raise CapabilityError(f"reduction exceeded degree cap {cap}")
-    return WeylElement(sig, done)
+    return WeylElement(sig, done), sugar
 
 
 COEFFS = [-2, -1, 1, 2, 3, Q(1, 2), Q(-2, 3)]
@@ -606,7 +720,7 @@ def test_normal_form_matches_reference_loop(alg, order_name):
     homogenize = order.has_negative_weight()
     if homogenize:
         sig, order = sig.homogenized(), order.extended(sig.homogenized())
-    counts = {"cap": 0, "fraction": 0, "reduced": 0}
+    counts = {"cap": 0, "fraction": 0, "reduced": 0, "sugar raised": 0}
     for trial in range(40):
         rng = random.Random(f"nf-{alg}-{order_name}-{trial}")
         # integer elements, as in a Buchberger run, and rational ones
@@ -634,4 +748,11 @@ def test_normal_form_matches_reference_loop(alg, order_name):
             elif want != [(e, c, type(c)) for e, c in elem.terms.items()]:
                 counts["reduced"] += 1
                 counts["fraction"] += any(t is Fraction for _, _, t in want)
+                sugars = [g.total_degree() + k % 3 for k, g in enumerate(basis)]
+                start = elem.total_degree()
+                sugar = [start]
+                normal_form(elem, basis, order, cap, _sugars=sugars, _sugar=sugar)
+                want_sugar = reference_reduction(elem, basis, order, cap, sugars, start)[1]
+                assert sugar == [want_sugar], (trial, cap)
+                counts["sugar raised"] += want_sugar > start
     assert all(counts.values()), counts
