@@ -166,6 +166,27 @@ def test_no_element_is_dropped_as_reducer_or_pair_partner():
     )
 
 
+@pytest.mark.parametrize("a, b", [(4, 7), (5, 6)])
+def test_brieskorn_pham_past_the_old_limits_answer(a, b, capsys):
+    # Taking pairs by lcm degree, `bf classic x^5+y^6` passed the default
+    # degree cap 24; x^4+y^7 ran for minutes listing the roots of its b by
+    # trial division.  Both answer now, with b = (s + 1) times the
+    # s + i/a + j/b for 0 < i < a, 0 < j < b, the b of a Brieskorn-Pham
+    # polynomial with coprime exponents.
+    import json
+
+    assert main(["bf", "classic", f"x^{a}+y^{b}", "--json"]) == 0
+    roots = json.loads(capsys.readouterr().out)["result"]["roots"]
+    want = {Fraction(-1): 1}
+    want.update({-Fraction(i, a) - Fraction(j, b): 1 for i in range(1, a) for j in range(1, b)})
+    assert {Fraction(r): m for r, m in roots} == want
+
+
+def test_brieskorn_pham_x5_y7_exceeds_the_degree_cap(capsys):
+    assert main(["bf", "classic", "x^5+y^7"]) == 1
+    assert "MBFUN_MAX_DEGREE" in capsys.readouterr().err
+
+
 def test_degree_cap_env(monkeypatch):
     monkeypatch.setenv("MBFUN_MAX_DEGREE", "7")
     assert max_degree_cap() == 7
