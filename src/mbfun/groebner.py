@@ -238,15 +238,13 @@ def buchberger(
     """A Groebner basis of the left ideal of generators: reduced when the
     weights of order are nonnegative.
 
-    free_of, positions of generators that order eliminates, keeps only the
-    elements whose leading monomial is free of them, and only those are
-    interreduced (`_interreduce`)."""
+    free_of, positions of generators that such an order eliminates, keeps
+    only the elements whose leading monomial is free of them, and only
+    those are interreduced (`_interreduce`)."""
     if cap is None:
         cap = max_degree_cap()
     order.check_admissible(sig)
     if order.has_negative_weight():
-        if free_of:
-            raise ValueError("free_of needs an order with nonnegative weights")
         return _buchberger_homogenized(sig, generators, order, cap)
     basis = [g.content_primitive() for g in generators if not g.is_zero()]
     return _interreduce(*_buchberger_core(sig, basis, order, cap), order, cap, free_of)

@@ -502,13 +502,15 @@ def _quadratic_roots(c: List[int]) -> List[Tuple[int, int]]:
 
 def _rational_root_set(c: List[int]) -> List[Tuple[int, int]]:
     """The distinct rational roots of c, c_0 != 0 and degree >= 1, as
-    reduced (a, q), found on what is left of c as follows:
+    reduced (a, q).  What is left of c is searched:
 
     - at degree 1 or 2, by the closed form;
     - at odd degree, on (-B, B] for the root bound B, where c changes
-      sign; a root found is divided out, until one is irrational;
-    - at a degree where c is not squarefree, on its squarefree part;
-    - otherwise on the intervals that its Sturm sequence isolates.
+      sign; a rational root found there is divided out and the search
+      goes on;
+    - otherwise, and once that root is irrational: when c is not
+      squarefree, on its squarefree part; else on the intervals that its
+      Sturm sequence isolates.
     """
     found = []
     while True:

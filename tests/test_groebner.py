@@ -667,12 +667,6 @@ def test_bf_eliminations_match_the_free_part(argv, monkeypatch, capsys):
         assert _check_free_part(sig, gens, drop, max_degree_cap())
 
 
-def test_free_of_needs_nonnegative_weights():
-    order = MonomialOrder.weight(SIG, {"x": -1, "dx": 1})
-    with pytest.raises(ValueError, match="nonnegative"):
-        buchberger(SIG, [gen("x")], order, free_of=[SIG.index("x")])
-
-
 # -- differential test of the reduction loop --------------------------------
 #
 # The reference is the plain rational loop: at every step it takes the

@@ -325,9 +325,9 @@ def test_rational_roots_matches_the_divisor_search(seed):
 
 def test_rational_roots_of_a_high_degree_b_without_factoring(monkeypatch):
     # A deterministic guard in place of a timing test: the b of x^3+y^7
-    # has degree 13 and end coefficients 21^13 and a product of 13
-    # numerators; finding its roots evaluates it at about 860 points,
-    # where trial division of both ends looped about 4*10^8 times.
+    # has degree 13, with end coefficients near 4*10^15 and 7*10^15;
+    # finding its roots evaluates it at 861 points, where trial division
+    # of both ends looped about 1.5*10^8 times (23 s).
     from mbfun.annihilator import bernstein_sato
     from mbfun.parser import parse_poly
 
