@@ -491,47 +491,59 @@ def _reduced(a: int, q: int) -> Tuple[int, int]:
     return a // g, q // g
 
 
-def _quadratic_roots(c: List[int]) -> List[Tuple[int, int]]:
-    """The rational roots of c_0 + c_1 v + c_2 v^2, as reduced (a, q)."""
+def _divided_out(c: List[int], a: int, q: int) -> Tuple[List[int], int]:
+    """c with q v - a divided out as often as it divides exactly, and how
+    often that was."""
+    mult = 0
+    while (quotient := _deflated(c, a, q)) is not None:
+        c, mult = quotient, mult + 1
+    return c, mult
+
+
+def _low_degree_factors(c: List[int]) -> List[Tuple[int, int, int]]:
+    """`_rational_factors` of c of degree at most 2, by the closed form."""
+    if len(c) < 3:
+        return [(*_reduced(-c[0], c[1]), 1)] if len(c) == 2 else []
     disc = c[1] * c[1] - 4 * c[0] * c[2]
     root = isqrt(max(disc, 0))
     if root * root != disc:
         return []
-    return [_reduced(-c[1] + sign * root, 2 * c[2]) for sign in ((1, -1) if root else (1,))]
+    if not root:
+        return [(*_reduced(-c[1], 2 * c[2]), 2)]
+    return [(*_reduced(-c[1] + sign * root, 2 * c[2]), 1) for sign in (1, -1)]
 
 
-def _rational_root_set(c: List[int]) -> List[Tuple[int, int]]:
-    """The distinct rational roots of c, c_0 != 0 and degree >= 1, as
-    reduced (a, q).  What is left of c is searched:
+def _rational_factors(c: List[int]) -> List[Tuple[int, int, int]]:
+    """Each rational root a/q of c, c_0 != 0, as (a, q, multiplicity),
+    a/q in lowest terms.
 
-    - at degree 1 or 2, by the closed form;
-    - at odd degree, on (-B, B] for the root bound B, where c changes
-      sign; a rational root found there is divided out and the search
-      goes on;
-    - otherwise, and once that root is irrational: when c is not
-      squarefree, on its squarefree part; else on the intervals that its
-      Sturm sequence isolates.
+    Sturm isolation finds the roots at any degree: of c when it is
+    squarefree, else of its squarefree part c / gcd(c, c'), each then
+    divided out of c as often as q v - a divides it.  Most b's have degree
+    3 or less, where that costs about twice the divisor search it
+    replaced, so two cheaper steps come first: at odd degree >= 3, c
+    changes sign on (-B, B] for the root bound B, and a rational root that
+    bisection finds there is divided out before the search goes on; at
+    degree 2 or less the closed form answers.
     """
     found = []
-    while True:
-        if len(c) == 2:
-            return found + [_reduced(-c[0], c[1])]
-        if len(c) == 3:
-            return found + _quadratic_roots(c)
-        if len(c) % 2 == 0:
-            bound = _root_bound(c)
-            root = _rational_root_in(c, -bound, bound, 0)
-            if root is not None:
-                found.append(root)
-                while (quotient := _deflated(c, *root)) is not None:
-                    c = quotient
-                continue
-        seq = _sturm(c)
-        if len(seq[-1]) > 1:  # the gcd of c and c'
-            c = _quotient(c, seq[-1])
-            continue
-        isolated = (_rational_root_in(c, *interval) for interval in _isolated(seq))
-        return found + [root for root in isolated if root is not None]
+    while len(c) > 3 and len(c) % 2 == 0:
+        bound = _root_bound(c)
+        root = _rational_root_in(c, -bound, bound, 0)
+        if root is None:
+            break
+        c, mult = _divided_out(c, *root)
+        found.append((*root, mult))
+    if len(c) <= 3:
+        return found + _low_degree_factors(c)
+    seq = _sturm(c)
+    if len(seq[-1]) == 1:  # gcd(c, c') is constant: c is squarefree
+        roots = (_rational_root_in(c, *interval) for interval in _isolated(seq))
+        return found + [(*root, 1) for root in roots if root is not None]
+    for a, q, _ in _rational_factors(_quotient(c, seq[-1])):
+        c, mult = _divided_out(c, a, q)
+        found.append((a, q, mult))
+    return found
 
 
 def rational_roots(p: MultiPoly) -> Dict[object, int]:
@@ -541,9 +553,8 @@ def rational_roots(p: MultiPoly) -> Dict[object, int]:
     p splits over Q iff the multiplicities sum to its degree.  On the
     coprime integer coefficients c_0 .. c_n, zero has the multiplicity of
     the low zero coefficients; the others are found without factoring
-    c_0 or c_n (`_rational_root_set`), and each is divided out as often
-    as q v - a divides exactly.  The roots are listed in the order of
-    (|a|, q, sign), positive first.
+    c_0 or c_n (`_rational_factors`).  The roots are listed in the order
+    of (|a|, q, sign), positive first.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -558,15 +569,6 @@ def rational_roots(p: MultiPoly) -> Dict[object, int]:
     if zeros:
         roots[ZERO] = zeros
         coeffs = coeffs[zeros:]
-    if len(coeffs) == 1:
-        return roots
-    found = sorted(_rational_root_set(coeffs), key=lambda r: (abs(r[0]), r[1], r[0] < 0))
-    simple = len(found) == len(coeffs) - 1
-    for a, q in found:
-        mult = 1
-        if not simple:
-            mult = 0
-            while (quotient := _deflated(coeffs, a, q)) is not None:
-                coeffs, mult = quotient, mult + 1
+    for a, q, mult in sorted(_rational_factors(coeffs), key=lambda r: (abs(r[0]), r[1], r[0] < 0)):
         roots[Q(a, q)] = mult
     return roots

@@ -323,6 +323,41 @@ def test_rational_roots_matches_the_divisor_search(seed):
     assert 10 <= split < 60
 
 
+# Powers of one factor, and products with repeated factors: the bisection
+# at odd degree divides a root out down to a constant, and the Sturm
+# search meets a c that is not squarefree.
+POWERS = [
+    "(s+1)^3",
+    "(2*s+1)^5",
+    "-(3*s-2)^3",
+    "(s+1)^2*(s+2)^2",
+    "(s+1)^3*(2*s+3)^2*(s^2-2)",
+    "(s^2-2)^2*(3*s+1)",
+    "(s^2+1)^2*(s-5)^4",
+    "(s^3-2)*(s+1/2)^2",
+]
+
+
+@pytest.mark.parametrize("text", POWERS)
+def test_rational_roots_of_powers_matches_the_divisor_search(text):
+    from mbfun.parser import parse_poly
+
+    p = parse_poly(text, ("s",))
+    got, want = rational_roots(p), divisor_rational_roots(p)
+    assert list(got.items()) == list(want.items())
+    assert [type(r) for r in got] == [type(r) for r in want]
+
+
+def test_bf_classic_of_a_lone_power_answers(capsys):
+    # b = (s + 1)^3: its roots come from dividing one root out to a constant.
+    import json
+
+    from mbfun.cli import main
+
+    assert main(["bf", "classic", "x*y*z", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["roots"] == [["-1/1", 3]]
+
+
 def test_rational_roots_of_a_high_degree_b_without_factoring(monkeypatch):
     # A deterministic guard in place of a timing test: the b of x^3+y^7
     # has degree 13, with end coefficients near 4*10^15 and 7*10^15;
