@@ -520,11 +520,11 @@ def _rational_factors(c: List[int]) -> List[Tuple[int, int, int]]:
     Sturm isolation finds the roots at any degree: of c when it is
     squarefree, else of its squarefree part c / gcd(c, c'), each then
     divided out of c as often as q v - a divides it.  Most b's have degree
-    3 or less, where that costs about twice the divisor search it
-    replaced, so two cheaper steps come first: at odd degree >= 3, c
-    changes sign on (-B, B] for the root bound B, and a rational root that
-    bisection finds there is divided out before the search goes on; at
-    degree 2 or less the closed form answers.
+    3 or less, where building and evaluating a Sturm sequence costs about
+    twice as much as two cheaper steps, which come first: at odd degree
+    >= 3, c changes sign on (-B, B] for the root bound B, and a rational
+    root that bisection finds there is divided out before the search goes
+    on; at degree 2 or less the closed form answers.
     """
     found = []
     while len(c) > 3 and len(c) % 2 == 0:
