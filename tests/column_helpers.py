@@ -4,9 +4,17 @@
 shift), and `least_monic` takes its columns as (element, shift) pairs.
 Every test that needs the section a pair stands for makes it with
 `section_of`, which is elem.times(shift, ONE).
+
+`weight_rule` and `engine_keep` are the tests the oracle and the engine
+once ran on each operator shift alpha - beta to pick their columns; the
+tests keep them as independent references.
 """
 
+from operator import mul
+
+from mbfun.oracle import weight_lattice
 from mbfun.rationals import ONE
+from mbfun.sections import poly_weight
 
 
 def section_of(elem, shift):
@@ -27,3 +35,36 @@ def sections_of(pairs):
 def as_columns(sections):
     """Sections as least_monic columns: each its own element, unshifted."""
     return [(sec, None) for sec in sections]
+
+
+def key_shift(key, n):
+    """alpha - beta of the operator key alpha + j + beta (alpha + beta in
+    the delta module), over the n coordinates that carry a derivation."""
+    return tuple(a - b for a, b in zip(key[:n], key[len(key) - n:]))
+
+
+def weight_rule(base, rhs, lattice):
+    """The test the oracle once ran on each shift delta = alpha - beta:
+    has the column it builds on base the w-weight of rhs, for each w in the
+    lattice?  Its weight is base's plus w.delta; a weight of None, of base
+    or of rhs, prunes nothing."""
+    wanted = []
+    for w in lattice:
+        own, weight = base.weight(w), rhs.weight(w)
+        if own is not None and weight is not None:
+            wanted.append((w, weight - own))
+    return lambda delta: all(sum(map(mul, w, delta)) == rest for w, rest in wanted)
+
+
+def engine_keep(ctx):
+    """The test the engine once ran on each shift delta over (x, t) of
+    sigma_m's context: delta_t >= 1 and w.delta = 0 for each w of the
+    pair's lattice, t weighted w(F) - w(G)."""
+    lattice = [
+        w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in weight_lattice(ctx.F, ctx.G)
+    ]
+
+    def keep(delta):
+        return delta[-1] >= 1 and all(sum(map(mul, w, delta)) == 0 for w in lattice)
+
+    return keep
