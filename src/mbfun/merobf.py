@@ -20,7 +20,6 @@ s = -t d_t - 1 and so returns b(s) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -51,6 +50,7 @@ from .sections import (
     least_monic,
     operator_columns,
     poly_weight,
+    shift_table,
 )
 from .vfiltration import b_polynomial, theta_reduce
 from .weyl import WeylElement
@@ -161,10 +161,10 @@ def b_section_along_t(
 
     The witness operators x^alpha d^beta (x and t together) are chosen by
     their shift delta = alpha - beta alone: delta_t >= 1 puts them in
-    V_{-1}, and w.delta = 0 for each w making F and G homogeneous, with t
-    weighted w(F) - w(G) so that tG - F is too: the module is then graded,
-    and theta^k sigma_m has sigma_m's weight.  p is the unique least monic
-    relation, so this cannot change it.
+    V_{-1}, and `shift_table` gives the delta with w.delta = 0 for each w
+    making F and G homogeneous, t weighted w(F) - w(G) so that tG - F is
+    too: the module is then graded, and theta^k sigma_m has sigma_m's
+    weight.  p is the unique least monic relation, so this cannot change it.
 
     A step with no witness column is skipped, as is one with the columns
     of the failed step before it.  The skip is exact: theta takes c u^k to
@@ -185,16 +185,14 @@ def b_section_along_t(
                 theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
             yield theta_secs[d]
 
-    lattice = [
+    lattice = tuple(
         w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in context_lattice(ctx)
-    ]
-
-    def keep(delta):
-        return delta[-1] >= 1 and all(sum(map(mul, w, delta)) == 0 for w in lattice)
-
+    )
     failed = None
     for step in sorted({d for d in range(2, vdeg + 1, 2)} | {vdeg}):
-        vcols = list(operator_columns(sigma, step, keep))
+        graded = shift_table(len(sig.pairs), step, lattice).get((0,) * len(lattice), ())
+        shifts = [entry for entry in graded if entry[1][-1] >= 1]
+        vcols = list(operator_columns(sigma, step, shifts))
         keys = [key for key, _, _ in vcols]
         if not keys or keys == failed:
             continue

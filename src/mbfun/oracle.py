@@ -22,9 +22,9 @@ left as G^-2.
 When (F, G) are jointly quasi-homogeneous the system splits into weight
 blocks, and only the block of the target's weight is solved.  A column
 x^alpha s^j d^beta target has its target's weight plus w.(alpha - beta),
-so `_weight_rule` keeps the shifts alpha - beta with w.(alpha - beta) =
-w(rhs) - w(target) for each w, and no column of another shift is built;
-b(s) v0 has v0's weight at every degree of b.  This preserves
+so `_columns` looks up in `shift_table` the shifts alpha - beta with
+w.(alpha - beta) = w(rhs) - w(target) for each w, and no column of another
+shift is built; b(s) v0 has v0's weight at every degree of b.  This preserves
 solvability in both directions because every column is
 weight-homogeneous in x.  Each column is a shift of a derivative of its
 target, and each derivative is imaged once per common denominator,
@@ -36,7 +36,6 @@ operator degrees of `verify_functional_equation` and the minimization in
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -51,6 +50,7 @@ from .sections import (
     base_section,
     least_monic,
     operator_columns,
+    shift_table,
 )
 from .weyl import Exponent, WeylElement
 
@@ -94,29 +94,21 @@ def _columns(
     targets: Dict[int, LaurentSection], deg: int, lattice: Sequence, rhs: LaurentSection
 ) -> Columns:
     """Sections (x^alpha s^j d^beta) target_r with |alpha| + |beta| <= deg
-    and j <= deg, labelled (r, operator key), that `_weight_rule` keeps
-    against rhs; the others are not built.  Every b(s) rhs has rhs's
-    weight, so the same columns serve each degree of a b-function."""
+    and j <= deg, labelled (r, operator key), of rhs's w-weight for each w
+    in the lattice; the others are not built.  A column's weight is
+    target_r's plus w.(alpha - beta), and a weight of None, of target_r or
+    of rhs, prunes nothing.  Every b(s) rhs has rhs's weight, so the same
+    columns serve each degree of a b-function."""
+    n, wanted = len(rhs.ctx.sig.pairs), [(w, rhs.weight(w)) for w in lattice]
     columns = []
     for r, target in targets.items():
-        keep = _weight_rule(target, rhs, lattice)
+        weights = [(w, want, target.weight(w)) for w, want in wanted]
+        rests = {w: want - own for w, want, own in weights if None not in (want, own)}
+        shifts = shift_table(n, deg, tuple(rests)).get(tuple(rests.values()), ())
         columns += [
-            ((r, key), (elem, shift)) for key, elem, shift in operator_columns(target, deg, keep)
+            ((r, key), (elem, shift)) for key, elem, shift in operator_columns(target, deg, shifts)
         ]
     return columns
-
-
-def _weight_rule(base: LaurentSection, rhs: LaurentSection, lattice: Sequence):
-    """Test on an operator's shift delta = alpha - beta: has the column
-    it builds on base the w-weight of rhs, for each w in the lattice?  Its
-    weight is base's plus w.delta; a weight of None, of base or of rhs,
-    prunes nothing."""
-    wanted = []
-    for w in lattice:
-        own, weight = base.weight(w), rhs.weight(w)
-        if own is not None and weight is not None:
-            wanted.append((w, weight - own))
-    return lambda delta: all(sum(map(mul, w, delta)) == rest for w, rest in wanted)
 
 
 def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElement]:

@@ -50,14 +50,14 @@ since t does not act by a shift).  Over a common denominator the column's
 image is the element's image shifted, so `least_monic` clears each element,
 and each power column, once per common denominator for all the degrees it
 tries.  Which columns there are is decided before any is built, by the
-caller's `keep` test on the operator's shift delta = alpha - beta over the
-coordinates that carry a derivation, run on a table of shifts kept per
-(number of derivations, deg).  When the factors are w-homogeneous,
+operator shifts delta = alpha - beta (over the coordinates that carry a
+derivation) that the caller passes.  When the factors are w-homogeneous,
 x^alpha c^j d^beta adds w.delta to a section's weight, which does not
 depend on the denominator; sections of different weights have images with
-no monomial in common, so callers keep only the shifts of the weight they
-need (the pair's weight lattice, which the context keeps), and
-`operator_columns` builds no column of another shift.
+no monomial in common, so callers pass only the shifts of the weight they
+need: one lookup in `shift_table`, which lists the shifts by their weights
+under the pair's weight lattice (kept by the context, with its factors'
+weights) once per (number of derivations, deg, lattice).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
-from operator import add
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .bfunction import S_VAR
@@ -97,6 +97,7 @@ class _Context:
         self.chain = chain or {}
         self._powers = tuple({0: MultiPoly.const(self.ring, 1)} for _ in factors)
         self._towers: dict = {}
+        self.factor_weights: dict = {}   # w -> poly_weight of each factor, kept by `weight`
 
     def tower(self, base: "_Section") -> dict:
         """The elements built on base so far, kept for the context's life:
@@ -188,19 +189,17 @@ class _Section:
         pows = tuple(p + (i in raised) for i, p in enumerate(self.pows))
         return replace(self, numerator=num, pows=pows)
 
-    def weight(self, w: Sequence):
+    def weight(self, w: Tuple):
         """w-weight of the section, whatever denominator it is written
         over: that of the numerator less pows[i] times that of factors[i].
         None when one of them is not w-homogeneous.  The image over a
         common denominator pows' has this weight plus sum pows'[i] times
         the weight of factors[i]."""
-        total = poly_weight(self.numerator, w)
-        for p, factor in zip(self.pows, self.ctx.factors):
-            fw = poly_weight(factor, w)
-            if total is None or fw is None:
-                return None
-            total -= p * fw
-        return total
+        ctx = self.ctx
+        if w not in ctx.factor_weights:
+            ctx.factor_weights[w] = tuple(poly_weight(factor, w) for factor in ctx.factors)
+        weights = (poly_weight(self.numerator, w),) + ctx.factor_weights[w]
+        return None if None in weights else weights[0] - sum(map(mul, self.pows, weights[1:]))
 
     def is_zero(self) -> bool:
         """Zero in the context's module."""
@@ -343,35 +342,45 @@ def apply_delta_operator(P: WeylElement, v: DeltaSection) -> DeltaSection:
 @lru_cache(maxsize=None)
 def _shift_ball(n: int, deg: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """(sum delta, delta) for each delta in Z^n with |delta|_1 <= deg,
-    sorted."""
-    ball = (d for d in product(range(-deg, deg + 1), repeat=n) if sum(map(abs, d)) <= deg)
-    return tuple(sorted((sum(d), d) for d in ball))
+    sorted; each coordinate in turn spends what the earlier ones left."""
+    ball = [((), deg)]
+    for _ in range(n):
+        ball = [(d + (e,), left - abs(e)) for d, left in ball for e in range(-left, left + 1)]
+    return tuple(sorted((sum(d), d) for d, _ in ball))
+
+
+@lru_cache(maxsize=256)
+def shift_table(n: int, deg: int, lattice: Tuple[Tuple[int, ...], ...]) -> dict:
+    """The entries (sum delta, delta) of `_shift_ball(n, deg)` by their
+    weights (w.delta for w in lattice), each list in the ball's order."""
+    table: dict = {}
+    for entry in _shift_ball(n, deg):
+        table.setdefault(tuple(sum(map(mul, w, entry[1])) for w in lattice), []).append(entry)
+    return {weight: tuple(entries) for weight, entries in table.items()}
 
 
 def operator_columns(
-    base, deg: int, keep: Optional[Callable[[Tuple[int, ...]], bool]] = None
+    base, deg: int, shifts: Optional[Sequence[Tuple[int, Tuple[int, ...]]]] = None
 ) -> Iterator[Tuple[Exponent, "_Section", Exponent]]:
     """The columns (x^alpha c^j d^beta) base, as (key, element, shift): key
     is the operator's exponent tuple in signature order, with |alpha| +
-    |beta| <= deg over the coordinates that carry a derivation and exponent
-    <= deg on each central coordinate c; when keep is given, only those
-    whose shift alpha - beta passes it.  The column is element.times(shift,
-    ONE), and its image over any common denominator is the element's,
-    shifted.
-
-    keep runs once on each shift of |alpha - beta|_1 <= deg, taken from a
-    table kept per (number of derivations, deg), before any column is
-    built.  The elements are those of base's tower in its context (see
-    `_Context.tower`): each derivative d^beta base is built the first time
-    a kept column needs it, one derivation above an earlier one, and the
-    head of x^alpha c^j (`_Section.split`, t^k in the delta module) acts on
-    it once per (beta, head).  The order is by beta, then |alpha|, alpha, j.
+    |beta| <= deg over the coordinates that carry a derivation, exponent
+    <= deg on each central coordinate c, and (sum delta, delta) among
+    shifts for delta = alpha - beta: entries of `_shift_ball(n, deg)` in
+    its order, as `shift_table` gives them; None is the whole ball.  The
+    column is element.times(shift, ONE), and its image over any common
+    denominator is the element's, shifted.  The elements are those of
+    base's tower in its context (see `_Context.tower`): each derivative
+    d^beta base is built the first time a column needs it, one derivation
+    above an earlier one, and the head of x^alpha c^j (`_Section.split`,
+    t^k in the delta module) acts on it once per (beta, head).  The order
+    is by beta, then |alpha|, alpha, j.
     """
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
     central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
-    shifts = [(total, d) for total, d in _shift_ball(n, deg) if keep is None or keep(d)]
+    shifts = _shift_ball(n, deg) if shifts is None else shifts
     no_head = (0,) * len(sig.coords)
     tower = base.ctx.tower(base)
     tower.setdefault(((0,) * n, no_head), base)

@@ -14,7 +14,7 @@ from operator import mul
 
 from mbfun.oracle import weight_lattice
 from mbfun.rationals import ONE
-from mbfun.sections import poly_weight
+from mbfun.sections import _shift_ball, poly_weight
 
 
 def section_of(elem, shift):
@@ -35,6 +35,15 @@ def sections_of(pairs):
 def as_columns(sections):
     """Sections as least_monic columns: each its own element, unshifted."""
     return [(sec, None) for sec in sections]
+
+
+def passing_shifts(base, deg, keep):
+    """The entries (sum delta, delta) of the builder's shift ball that keep
+    passes, in its order, as operator_columns takes them; None, every
+    shift, when keep is None."""
+    if keep is None:
+        return None
+    return [entry for entry in _shift_ball(len(base.ctx.sig.pairs), deg) if keep(entry[1])]
 
 
 def key_shift(key, n):

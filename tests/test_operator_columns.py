@@ -8,8 +8,10 @@ the same (key, section) list, order included, once each (element, shift)
 it yields is made a section (`column_helpers.materialized`), under the
 rule of each of its callers: the oracle's weight rule, which
 `prefactored_witness` must apply as the G^2-scaled columns would, the
-engine's rule at each step of its schedule, and no rule at all.  A rule sees only the operator's shift
-alpha - beta, so the builder tests each shift once per call.
+engine's rule at each step of its schedule, and no rule at all.  The
+callers pick their shifts alpha - beta by looking them up in a table kept
+per (number of derivations, deg, lattice), so no rule runs on a shift,
+and a second pass over the battery builds no table.
 """
 
 from collections import Counter
@@ -110,8 +112,8 @@ def recorder(monkeypatch, module):
     calls = []
     real = module.operator_columns
 
-    def record(base, deg, *rest):
-        out = list(real(base, deg, *rest))
+    def record(base, deg, shifts=None):
+        out = list(real(base, deg, shifts))
         calls.append((base, deg, out))
         return iter(out)
 
@@ -180,36 +182,44 @@ def test_builder_without_a_rule_builds_every_column(ftext, gtext, m):
 
 
 def counted_builder(monkeypatch, counts):
-    """Make oracle and merobf build through a wrapper that counts keep
-    calls and built columns, and fails on a shift tested twice in one
-    call."""
+    """Make oracle and merobf build through a wrapper that counts built
+    columns and poly_weight calls, and fails on a call given a rule in
+    place of a list of shifts."""
+    poly_weight = sections.poly_weight
 
-    def counted(base, deg, keep=None):
-        seen = set()
+    def counted_weight(*args):
+        counts["poly_weight"] += 1
+        return poly_weight(*args)
 
-        def counted_keep(delta):
-            assert delta not in seen, f"shift {delta} tested twice"
-            seen.add(delta)
-            counts["keep"] += 1
-            return keep(delta)
-
-        for item in sections.operator_columns(base, deg, None if keep is None else counted_keep):
+    def counted(base, deg, shifts=None):
+        assert not callable(shifts), "a shift rule was passed"
+        for item in sections.operator_columns(base, deg, shifts):
             counts["columns"] += 1
             yield item
 
     for module in (oracle, merobf):
         monkeypatch.setattr(module, "operator_columns", counted)
+    for module in (sections, merobf):
+        monkeypatch.setattr(module, "poly_weight", counted_weight)
 
 
-def test_battery_tests_each_shift_once(monkeypatch):
-    # a builder that ran keep on every operator's exponent tuple made
-    # 95,973 keep calls for these 555 columns
+def test_battery_runs_no_shift_rule(monkeypatch):
+    # when the callers passed a test that ran on each shift of every call,
+    # a pass made 13,809 such tests (95,973 when it ran on each operator's
+    # exponent tuple) and 3,222 poly_weight calls for these 555 columns
     counts = Counter()
     counted_builder(monkeypatch, counts)
-    for ftext, gtext, m in BATTERY:
-        merobf.b_mero(*pair(ftext, gtext), m)
-    assert counts["keep"] <= 13_809
-    assert counts["columns"] == 555
+    sections.shift_table.cache_clear()
+    built = []
+    for _ in range(2):
+        counts.clear()
+        for ftext, gtext, m in BATTERY:
+            merobf.b_mero(*pair(ftext, gtext), m)
+        built.append(sections.shift_table.cache_info().misses)
+        assert counts["poly_weight"] <= 876
+        assert counts["columns"] == 555
+    # a cold pass builds 30 tables, and the second finds them all
+    assert built[0] <= 30 and built[1] == built[0]
 
 
 def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):

@@ -15,11 +15,11 @@ from mbfun.annihilator import sabbah_line
 from mbfun.bfunction import theta_to_s
 from mbfun.merobf import b_section_along_t, build_sigma
 from mbfun.multipoly import unify
-from mbfun.oracle import _operators, _weight_rule, verify_functional_equation, weight_lattice
+from mbfun.oracle import _operators, verify_functional_equation, weight_lattice
 from mbfun.parser import parse_poly
 from mbfun.rationals import ZERO
 from mbfun.sections import MeroContext, base_section, images, operator_columns
-from column_helpers import section_of
+from column_helpers import passing_shifts, section_of, weight_rule
 from test_annihilator import SABBAH_PINS
 from test_merobf import BATTERY, ENGINE_PINS, pair
 
@@ -56,7 +56,7 @@ def reference_verify(b, F, G, m, N, deg):
             ((k, key), section_of(elem, shift))
             for k, target in targets.items()
             for key, elem, shift in operator_columns(
-                target, d, _weight_rule(target, lhs, lattice)
+                target, d, passing_shifts(target, d, weight_rule(target, lhs, lattice))
             )
         ]
         values = reference_values(lhs, [sec for _, sec in columns])
@@ -70,10 +70,10 @@ def reference_sabbah_witness(b, F, G, m, deg):
     ctx = MeroContext(*unify(F, G))
     lhs, pre = lhs_section(b, ctx, m), (ctx.G * ctx.G).extend_to(ctx.ring)
     target = base_section(ctx, m, shift=1)
-    keep = _weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
+    keep = weight_rule(target.scaled(pre), lhs, weight_lattice(ctx.F, ctx.G))
     columns = [
         ((1, key), section_of(elem, shift).scaled(pre))
-        for key, elem, shift in operator_columns(target, deg, keep)
+        for key, elem, shift in operator_columns(target, deg, passing_shifts(target, deg, keep))
     ]
     values = reference_values(lhs, [sec for _, sec in columns])
     return None if values is None else _operators(ctx, columns, values)[1]

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from mbfun.bfunction import S_VAR, BFunction
 from mbfun.errors import CapabilityError, CertificationError
 from mbfun.merobf import b_section_along_t
 from mbfun.oracle import (
-    _weight_rule,
     minimal_b_search,
     minimize_by_oracle,
     verify_functional_equation,
@@ -37,7 +35,14 @@ from mbfun.sections import (
 )
 from mbfun.weyl import WeylElement
 from bfunction_helpers import b_from_roots
-from column_helpers import as_columns, materialized, sections_of
+from column_helpers import (
+    as_columns,
+    engine_keep,
+    materialized,
+    passing_shifts,
+    sections_of,
+    weight_rule,
+)
 
 
 def poly(text, variables=None):
@@ -310,7 +315,7 @@ def columns_within(base, deg, max_j, keep=None):
     n = len(base.ctx.sig.pairs)
     return [
         (key, sec)
-        for key, sec in materialized(operator_columns(base, deg, keep))
+        for key, sec in materialized(operator_columns(base, deg, passing_shifts(base, deg, keep)))
         if all(j <= max_j for j in key[n:len(key) - n])
     ]
 
@@ -337,13 +342,9 @@ def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     base, deg = fresh()
     ctx = base.ctx
     if module == "laurent":
-        weight_rule = _weight_rule(base, base_section(ctx, 1), lattice)
+        rule = weight_rule(base, base_section(ctx, 1), lattice)
     else:
-        graded = [w + (poly_weight(F, w) - poly_weight(G, w),) for w in lattice]
-
-        def weight_rule(delta):
-            v_filtered = delta[-1] >= 1
-            return v_filtered and all(sum(map(mul, w, delta)) == 0 for w in graded)
+        rule = engine_keep(ctx)
 
     full = materialized(operator_columns(base, deg))
     shifts = sorted({shift(key) for key, _ in full})
@@ -363,11 +364,11 @@ def test_operator_columns_build_only_what_they_yield(module, monkeypatch):
     monkeypatch.setattr(section_type, "times", counted_times)
     monkeypatch.setattr(_Section, "derivative", counted_derivative)
     n = len(ctx.sig.pairs)
-    for keep in (weight_rule, chosen.__contains__, lambda delta: False):
+    for keep in (rule, chosen.__contains__, lambda delta: False):
         base, deg = fresh()
         for again in (False, True):
             calls.clear()
-            got = list(operator_columns(base, deg, keep))
+            got = list(operator_columns(base, deg, passing_shifts(base, deg, keep)))
             built = Counter(calls)
             want = [(key, sec) for key, sec in full if keep(shift(key))]
             assert plain(materialized(got)) == plain(want)
@@ -469,8 +470,9 @@ class TestSolve:
         columns = equation_columns(ctx, 1, 3)
         for roots in B_CANDIDATES:
             rhs = base_section(ctx, 1).scaled(b_of(roots).poly.extend_to(ctx.ring))
-            keep = _weight_rule(base, rhs, lattice)
-            built = [sec for _, sec in materialized(operator_columns(base, 3, keep))]
+            keep = weight_rule(base, rhs, lattice)
+            chosen = operator_columns(base, 3, passing_shifts(base, 3, keep))
+            built = [sec for _, sec in materialized(chosen)]
             assert len(built) < len(columns)
             pruned, full = solve(rhs, built), solve(rhs, columns)
             assert (pruned is None) == (full is None), roots
@@ -551,8 +553,8 @@ def reference_minimize(b, F, G, m, N, deg):
     columns = []
     for k in range(1, N + 1):
         target = base_section(ctx, m, shift=k)
-        keep = _weight_rule(target, v0, lattice)
-        columns += [sec for _, sec in materialized(operator_columns(target, deg, keep))]
+        shifts = passing_shifts(target, deg, weight_rule(target, v0, lattice))
+        columns += [sec for _, sec in materialized(operator_columns(target, deg, shifts))]
     s = MultiPoly.var((S_VAR,), S_VAR)
 
     def passes(cand):
@@ -702,7 +704,7 @@ def laurent_case(pair, seed):
         kept = {
             (r, key): sec
             for r, (base, max_j) in enumerate(bases)
-            for key, sec in columns_within(base, 2, max_j, _weight_rule(base, rhs, lattice))
+            for key, sec in columns_within(base, 2, max_j, weight_rule(base, rhs, lattice))
         }
         built = [kept.get(label) for label, _ in labelled]
         target = [rhs.weight(w) for w in lattice]
@@ -902,5 +904,5 @@ def test_columns_of_weight_are_those_solve_keeps(pair):
             for key, sec in columns
             if all(t is None or sec.weight(w) in (None, t) for w, t in zip(lattice, target))
         ]
-        assert columns_within(base, 3, 2, _weight_rule(base, rhs, lattice)) == want
+        assert columns_within(base, 3, 2, weight_rule(base, rhs, lattice)) == want
         assert len(want) < len(columns) or target == [None] * len(lattice)

@@ -7,12 +7,17 @@ on every shift of |delta|_1 <= deg: the oracle's weight rule
 (`column_helpers.engine_keep`).  The columns they build must be those of
 the shifts these rules pass, in the builder's order, on the contexts of
 the battery, the engine pins and the column cases of
-test_operator_columns.  The operator keys of the reference come from
+test_operator_columns.  The operator keys of the reference are those of
 `legacy_operators`, which enumerates the whole (2 deg + 1)^n cube of
-shifts.  `_shift_ball` itself must be that cube's filter, sorted.
+shifts, whose shift the rule passes.  `_shift_ball` itself must be that
+cube's filter, sorted, and a lookup in `shift_table` must give the
+shifts of one weight that those rules' weight test passes, in that
+order, on seeded integer lattices of every rank up to n.
 """
 
+import random
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -21,7 +26,7 @@ from mbfun.errors import CapabilityError
 from mbfun.multipoly import MultiPoly
 from mbfun.oracle import _columns, weight_lattice
 from mbfun.sections import DeltaContext, LaurentSection, MeroContext, base_section
-from column_helpers import engine_keep, weight_rule
+from column_helpers import engine_keep, key_shift, weight_rule
 from test_column_pairs import legacy_operators
 from test_merobf import BATTERY, ENGINE_PINS, pair
 from test_operator_columns import CASES, ORACLE_DEG, recorder
@@ -40,6 +45,40 @@ def cube_ball(n, deg):
 def test_shift_ball_is_the_cube_filter(n):
     for deg in range(9):
         assert sections._shift_ball(n, deg) == cube_ball(n, deg)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_table_lookup_is_the_weight_test_on_seeded_lattices(n):
+    rng = random.Random(f"shift table {n}")
+    for deg in range(9):
+        ball = cube_ball(n, deg)
+        for rank in range(n + 1):
+            lattice = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rank))
+            reach = sorted({tuple(sum(map(mul, w, d)) for w in lattice) for _, d in ball})
+            # reachable weights, weights each inside its w's range but
+            # maybe not reachable together, and weights past the range
+            bounds = [deg * sum(map(abs, w)) for w in lattice]
+            rests = rng.sample(reach, min(3, len(reach)))
+            rests += [tuple(rng.randint(-b, b) for b in bounds) for _ in range(3)]
+            if rank:
+                rests.append(tuple(b + 1 for b in bounds))
+                rests.append(tuple(rng.choice([-b - 1, rng.randint(-b, b)]) for b in bounds))
+            table = sections.shift_table(n, deg, lattice)
+            for rest in rests:
+                want = [
+                    (total, d)
+                    for total, d in ball
+                    if all(sum(map(mul, w, d)) == r for w, r in zip(lattice, rest))
+                ]
+                assert list(table.get(rest, ())) == want, (lattice, rest)
+            assert sorted(e for entries in table.values() for e in entries) == list(ball)
+
+
+def ruled_keys(base, deg, keep):
+    """The keys of every operator of the legacy enumeration, in its order,
+    whose shift keep passes."""
+    n = len(base.ctx.sig.pairs)
+    return [key for key, _, _ in legacy_operators(base, deg, None) if keep(key_shift(key, n))]
 
 
 def oracle_rhs(ctx, m):
@@ -65,7 +104,7 @@ def test_oracle_columns_are_those_of_the_old_weight_rule(ftext, gtext, m):
             want = [
                 (r, key)
                 for r, target in targets.items()
-                for key, _, _ in legacy_operators(target, deg, weight_rule(target, rhs, lattice))
+                for key in ruled_keys(target, deg, weight_rule(target, rhs, lattice))
             ]
             assert got == want, (rhs, deg)
 
@@ -81,6 +120,4 @@ def test_engine_columns_are_those_of_the_old_keep(ftext, gtext, m, monkeypatch):
     assert [deg for _, deg, _ in calls] == [2, 4, 6]
     keep = engine_keep(ctx)
     for sigma, deg, got in calls:
-        assert [key for key, _, _ in got] == [
-            key for key, _, _ in legacy_operators(sigma, deg, keep)
-        ]
+        assert [key for key, _, _ in got] == ruled_keys(sigma, deg, keep)
