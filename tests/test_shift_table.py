@@ -7,9 +7,9 @@ on every shift of |delta|_1 <= deg: the oracle's weight rule
 (`column_helpers.engine_keep`).  The columns they build must be those of
 the shifts these rules pass, in the builder's order, on the contexts of
 the battery, the engine pins and the column cases of
-test_operator_columns.  The operator keys of the reference are those of
-`legacy_operators`, which enumerates the whole (2 deg + 1)^n cube of
-shifts, whose shift the rule passes.  `_shift_ball` itself must be that
+test_operator_columns.  The reference keeps, of the operators that
+`legacy_operators` lists from the whole (2 deg + 1)^n cube of shifts,
+those whose shift the rule passes.  `_shift_ball` itself must be that
 cube's filter, sorted, and a lookup in `shift_table` must give the
 shifts of one weight that those rules' weight test passes, in that
 order, on seeded integer lattices of every rank up to n.
@@ -81,24 +81,21 @@ def ruled_keys(base, deg, keep):
     return [key for key, _, _ in legacy_operators(base, deg, None) if keep(key_shift(key, n))]
 
 
-def oracle_rhs(ctx, m):
-    """Right-hand sides the oracle searches against: f^s/G^m, the
-    prefactored witness's b(s) f^s/G^(m+2), and f^s/G^m times a
-    polynomial that some weights of the lattice leave inhomogeneous."""
+@pytest.mark.parametrize("ftext, gtext, m", CONTEXTS)
+def test_oracle_columns_are_those_of_the_old_weight_rule(ftext, gtext, m):
+    # the right-hand sides are f^s/G^m, the prefactored witness's
+    # b(s) f^s/G^(m+2), and f^s/G^m times a polynomial that some weights
+    # of the lattice leave inhomogeneous; the last target is such a one
+    ctx = MeroContext(*pair(ftext, gtext))
+    lattice = weight_lattice(ctx.F, ctx.G)
     inhomogeneous = MultiPoly.var(ctx.ring, ctx.xvars[0]) + 1
-    return [
+    targets = {r: base_section(ctx, m, shift=r + 1) for r in range(3)}
+    targets[3] = targets[0].scaled(inhomogeneous)
+    for rhs in (
         base_section(ctx, m),
         LaurentSection(ctx, ctx.s * ctx.s + ctx.s, (0, m + 2)),
         base_section(ctx, m).scaled(inhomogeneous),
-    ]
-
-
-@pytest.mark.parametrize("ftext, gtext, m", CONTEXTS)
-def test_oracle_columns_are_those_of_the_old_weight_rule(ftext, gtext, m):
-    ctx = MeroContext(*pair(ftext, gtext))
-    lattice = weight_lattice(ctx.F, ctx.G)
-    targets = {r: base_section(ctx, m, shift=r + 1) for r in range(3)}
-    for rhs in oracle_rhs(ctx, m):
+    ):
         for deg in range(ORACLE_DEG + 1):
             got = [label for label, _ in _columns(targets, deg, lattice, rhs)]
             want = [
