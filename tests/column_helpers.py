@@ -46,12 +46,6 @@ def passing_shifts(base, deg, keep):
     return [entry for entry in _shift_ball(len(base.ctx.sig.pairs), deg) if keep(entry[1])]
 
 
-def key_shift(key, n):
-    """alpha - beta of the operator key alpha + j + beta (alpha + beta in
-    the delta module), over the n coordinates that carry a derivation."""
-    return tuple(a - b for a, b in zip(key[:n], key[len(key) - n:]))
-
-
 def weight_rule(base, rhs, lattice):
     """The test the oracle once ran on each shift delta = alpha - beta:
     has the column it builds on base the w-weight of rhs, for each w in the

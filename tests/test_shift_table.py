@@ -26,10 +26,11 @@ from mbfun.errors import CapabilityError
 from mbfun.multipoly import MultiPoly
 from mbfun.oracle import _columns, weight_lattice
 from mbfun.sections import DeltaContext, LaurentSection, MeroContext, base_section
-from column_helpers import engine_keep, key_shift, weight_rule
+from column_helpers import engine_keep, weight_rule
 from test_column_pairs import legacy_operators
 from test_merobf import BATTERY, ENGINE_PINS, pair
 from test_operator_columns import CASES, ORACLE_DEG, recorder
+from test_sections_oracle import shift
 
 CONTEXTS = sorted(set(BATTERY + [(f, g, m) for f, g, m, _ in ENGINE_PINS] + CASES))
 
@@ -77,8 +78,7 @@ def test_table_lookup_is_the_weight_test_on_seeded_lattices(n):
 def ruled_keys(base, deg, keep):
     """The keys of every operator of the legacy enumeration, in its order,
     whose shift keep passes."""
-    n = len(base.ctx.sig.pairs)
-    return [key for key, _, _ in legacy_operators(base, deg, None) if keep(key_shift(key, n))]
+    return [key for key, _, _ in legacy_operators(base, deg, None) if keep(shift(key))]
 
 
 @pytest.mark.parametrize("ftext, gtext, m", CONTEXTS)
