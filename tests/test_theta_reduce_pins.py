@@ -11,7 +11,8 @@ they generate the same ideal.
 The ideal is completed as `merobf.b_section_along_t_initial` does: the
 seed operators, then each annihilating operator of total degree at most
 `COMPLETION_DEGREE` that the ideal does not contain yet.  Running this
-file as a script rewrites the pins from the current code.
+file as a script, with src and tests on PYTHONPATH, rewrites the pins
+from the current code.
 """
 
 import json
@@ -58,25 +59,10 @@ def test_theta_reduce_matches_pins(entry):
 
 
 if __name__ == "__main__":
-    battery = [
-        (f"x^{a}", f"y^{b}" if b else "1", m)
-        for a in (1, 2, 3) for b in (0, 1, 2) for m in (0, 1, 2)
-    ]
-    initial_route = (
-        battery
-        + [(f, g, m) for f, g in [("x+y^2", "y"), ("x", "x+y")] for m in (0, 1)]
-        + [("x^2+y", "x", 0), ("x", "x^2+y^2", 0), ("x*y", "x+y", 0)]
-    )
-    engine_pins = [
-        ("x^2+y^3", "x", 0), ("x*y", "x+y", 0), ("x^2", "x+1", 1), ("x^2-y^2", "y+1", 0),
-        ("x^2+x*y", "x^2+2*y^2+x", 0), ("x^2+2*x*y", "2*x^2+2*x*y+y", 1),
-        ("x+y^2", "y", 0), ("x^2+y", "x", 0), ("x+y^2", "x", 0), ("x", "x^2+y^2", 0),
-        ("x", "x+y", 0), ("x+y^2", "y", 1), ("x", "x+y", 1), ("x+y^2", "y", 2),
-        ("x", "x+y", 2), ("x+y^2", "x", 1), ("x^2+y", "x", 1), ("x+y^3", "y", 0),
-        ("x", "y+1", 0), ("y", "x^2+1", 1),
-    ]
+    from test_merobf import ENGINE_PINS, INITIAL_ROUTE_PAIRS
+
     pins = []
-    for ftext, gtext, m in dict.fromkeys(initial_route + engine_pins):
+    for ftext, gtext, m in dict.fromkeys(INITIAL_ROUTE_PAIRS + [p[:3] for p in ENGINE_PINS]):
         b, basis = pinned_values(ftext, gtext, m)
         pins.append({"F": ftext, "G": gtext, "m": m, "b": b, "basis": basis})
     PINS_PATH.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
