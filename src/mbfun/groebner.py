@@ -10,10 +10,11 @@ on both sides is dropped (B criterion); of its new pairs, one whose lcm is
 a proper multiple of another's is dropped (M), pairs of equal lcm are kept
 once (F), and none is kept for an lcm where the product criterion applies,
 which is only where `_product_criterion_safe` allows it.  A pair taken from
-the heap is therefore reduced without a scan over the basis.  Weight
-orders with negative components (the V-filtration weight) run through the
-degree-homogenized algebra, on the same loop, so that every reduction
-stays inside one graded piece and terminates.
+the heap is therefore reduced without a scan over the basis.  Orders with
+a negative weight are refused: under them a monomial can have infinitely
+many below it, and a reduction need not terminate.  The V-filtration
+weight's initial ideals are found by saturation instead
+(`vfiltration.theta_reduce`).
 
 Each basis element's leading monomial, and its divisibility mask (one bit
 per generator that occurs), are computed once, when the element enters the
@@ -28,15 +29,14 @@ Each basis element carries a sugar: an input's is its total degree, and a
 reduced S-polynomial's is its pair's, raised to sugar(g) + deg x^u by each
 reduction step that subtracts a multiple of x^u * g.  A pair's sugar is
 max(sugar(f) + deg x^uf, sugar(g) + deg x^ug), the degree its S-polynomial
-would have if the elements were homogenized.  Pending pairs sit in a heap
-keyed by (sugar, lcm degree, order key of the lcm, i, j), each key
+would have if the elements were made homogeneous.  Pending pairs sit in a
+heap keyed by (sugar, lcm degree, order key of the lcm, i, j), each key
 computed when its pair is created; the indices make keys unique.  Under an
 elimination order the elements are far from homogeneous, and the lcm
 degree says little about what a pair will produce: for `bf classic
 x*y*(x+y)`, sugar selection forms 58 S-polynomials where selection by lcm
-degree formed 79.  On homogeneous input, as on the homogenized route, a
-pair's sugar is its lcm degree, and the key orders pairs as selection by
-lcm degree did.
+degree formed 79.  On homogeneous input a pair's sugar is its lcm degree,
+and the key orders pairs as selection by lcm degree did.
 
 An S-polynomial is a*x^uf*f - b*x^ug*g with the least integers a, b that
 cancel the leading terms, so it stays over the integers.  A reduction runs
@@ -58,7 +58,7 @@ from operator import le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapabilityError
-from .rationals import ZERO, div
+from .rationals import div
 from .weyl import AlgebraSignature, Exponent, MonomialOrder, WeylElement, _mono_product
 
 DEFAULT_MAX_DEGREE = 24
@@ -149,8 +149,7 @@ def normal_form(
     above = sum(sum(e) > cap for e in work)
     done: Dict[Exponent, object] = {}
     while heap:
-        entry = heapq.heappop(heap)
-        exps = entry[1]
+        exps = heapq.heappop(heap)[1]
         coeff = work.get(exps)
         if coeff is None:
             continue
@@ -187,8 +186,6 @@ def normal_form(
                     above -= sum(e) > cap
                 else:
                     work[e] = acc - t
-        if exps in work:  # only under an order not compatible with products
-            heapq.heappush(heap, entry)
         # the total degree of what is left (0 when nothing is) exceeds cap
         if above or cap < 0:
             raise CapabilityError(
@@ -235,17 +232,17 @@ def buchberger(
     cap: Optional[int] = None,
     free_of: Sequence[int] = (),
 ) -> List[WeylElement]:
-    """A Groebner basis of the left ideal of generators: reduced when the
-    weights of order are nonnegative.
+    """The reduced Groebner basis of the left ideal of generators;
+    ValueError for an order with a negative weight.
 
-    free_of, positions of generators that such an order eliminates, keeps
-    only the elements whose leading monomial is free of them, and only
-    those are interreduced (`_interreduce`)."""
+    free_of, positions of generators that order eliminates, keeps only the
+    elements whose leading monomial is free of them, and only those are
+    interreduced (`_interreduce`)."""
     if cap is None:
         cap = max_degree_cap()
     order.check_admissible(sig)
     if order.has_negative_weight():
-        return _buchberger_homogenized(sig, generators, order, cap)
+        raise ValueError("Groebner bases need nonnegative weights")
     basis = [g.content_primitive() for g in generators if not g.is_zero()]
     return _interreduce(*_buchberger_core(sig, basis, order, cap), order, cap, free_of)
 
@@ -369,59 +366,6 @@ def _interreduce(
     return final
 
 
-# -- homogenized route for negative weights ------------------------------
-
-
-def _homogenize_elem(elem: WeylElement, sig_h: AlgebraSignature) -> WeylElement:
-    nc = len(sig_h.coords) - 1
-    d = elem.total_degree()
-    terms = {}
-    for exps, coeff in elem.terms.items():
-        exps_h = exps[:nc] + (d - sum(exps),) + exps[nc:]
-        terms[exps_h] = coeff
-    return WeylElement(sig_h, terms)
-
-
-def _dehomogenize_elem(elem: WeylElement, sig: AlgebraSignature) -> WeylElement:
-    nc = len(sig.coords)
-    terms: Dict[Exponent, object] = {}
-    for exps, coeff in elem.terms.items():
-        key = exps[:nc] + exps[nc + 1 :]
-        acc = terms.get(key, ZERO) + coeff
-        if acc == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
-    return WeylElement(sig, terms)
-
-
-def _buchberger_homogenized(
-    sig: AlgebraSignature,
-    generators: Sequence[WeylElement],
-    order: MonomialOrder,
-    cap: int,
-) -> List[WeylElement]:
-    sig_h = sig.homogenized()
-    order_h = order.extended(sig_h)
-    gens_h = [
-        _homogenize_elem(g.content_primitive(), sig_h)
-        for g in generators
-        if not g.is_zero()
-    ]
-    basis_h, _ = _buchberger_core(sig_h, gens_h, order_h, cap)
-    basis = [_dehomogenize_elem(g, sig) for g in basis_h]
-    basis = [g.content_primitive() for g in basis if not g.is_zero()]
-    # no full interreduction here: that could spoil w-adaptedness; dedupe only
-    seen = set()
-    out = []
-    for g in sorted(basis, key=lambda g: order.key(leading_exps(g, order))):
-        key = tuple(sorted(g.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
 # -- public ideal wrapper -------------------------------------------------
 
 
@@ -474,12 +418,3 @@ def eliminate(ideal: LeftIdeal, drop: Sequence[str]) -> LeftIdeal:
         for g in buchberger(sig, ideal.generators, order, free_of=sorted(positions))
     ]
     return LeftIdeal(sub_sig, moved)
-
-
-def initial_form(elem: WeylElement, order: MonomialOrder) -> WeylElement:
-    if elem.is_zero():
-        return elem
-    top = max(order.wdeg(e) for e in elem.terms)
-    return WeylElement(
-        elem.sig, {e: c for e, c in elem.terms.items() if order.wdeg(e) == top}
-    )

@@ -213,9 +213,8 @@ def b_section_along_t_initial(ctx: DeltaContext) -> BFunction:
 
     The annihilator is the seed ideal completed by the operators of total
     degree <= COMPLETION_DEGREE killing sigma_m.  Exact when that
-    completion is the full annihilator; kept as an independent cross-check
-    for small inputs (the weight Groebner basis is expensive for
-    nontrivial G).
+    completion is the full annihilator, which a fixed completion degree
+    reaches only on small inputs; kept as an independent cross-check.
     """
     seeds, sigma = _seed_generators(ctx), ctx.generator()
     if any(not apply_delta_operator(g, sigma).is_zero() for g in seeds):

@@ -5,10 +5,14 @@ ideal I in D[..., t, d_t], the weight w = (t: -1, d_t: +1) filters the
 algebra; the degree-zero part of in_w(I) lives in D[...][theta] with
 theta = t*d_t, and its intersection with Q[theta] is the b-polynomial
 p(theta) of the corresponding section along t = 0, read as b(s) = p(-s-1).
-The passage to degree zero uses that every w-degree-(-d) monomial factors
-as t^d (resp. d_t^{-d} for d < 0) times a degree-zero one, so one shifted
-initial form per Groebner basis element suffices.  Balanced blocks are
-written straight in the central variable s = -theta-1:
+w-homogeneous generators of in_w(I) come from a saturation, as in the
+Groebner deformations of Saito, Sturmfels and Takayama (Springer 2000):
+homogenize the generators of I with a central z of weight 1, saturate
+the ideal J they generate by z, and set z = 0.  The passage to degree
+zero uses that every w-degree-(-d) monomial factors as t^d (resp.
+d_t^{-d} for d < 0) times a degree-zero one, so one shifted generator per
+homogeneous generator suffices.  Balanced blocks are written straight in
+the central variable s = -theta-1:
 t^k d_t^k = theta(theta-1)...(theta-k+1) = (-s-1)(-s-2)...(-s-k).
 
 `central_intersection` eliminates every (x, d) pair of an ideal in
@@ -22,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bfunction import BFunction, S_VAR
 from .errors import CapabilityError
-from .groebner import LeftIdeal, eliminate, initial_form
+from .groebner import LeftIdeal, eliminate
 from .multipoly import MultiPoly
 from .rationals import ONE, ZERO
 from .sections import DT_VAR, T_VAR
@@ -116,13 +120,38 @@ def theta_reduce(ideal: LeftIdeal) -> LeftIdeal:
     """Degree-zero part of in_w(ideal) for w = (t: -1, d_t: +1), t and d_t
     being the graph's T_VAR and DT_VAR.
 
+    The generators, made w-homogeneous by powers of a central z_ of
+    weight 1, generate a left ideal J of D[z_].  gr_w D is a domain, so
+    J : z_^inf is the homogenization of the whole ideal: J + (1 - z_ y_),
+    y_ central, intersected with D[z_].  Its elements at z_ = 0, split
+    into w-homogeneous parts, generate in_w(ideal).  No parsed name holds
+    an underscore.
+
     Returns a left ideal in the algebra with (t, d_t) replaced by the
     central variable s = -t*d_t - 1.
     """
     sig = ideal.sig
     order = MonomialOrder.weight(sig, {T_VAR: -1, DT_VAR: 1})
-    basis = ideal.groebner(order)
-    forms = [initial_form(g, order) for g in basis]
+    # z_ and y_ come right after sig's coords, at nc and nc + 1
+    nc = len(sig.coords)
+    sig_zy = AlgebraSignature.make(
+        pairs=sig.pair_names, central=sig.coords[len(sig.pairs):] + ("z_", "y_")
+    )
+    gens = [1 - WeylElement.gen(sig_zy, "z_") * WeylElement.gen(sig_zy, "y_")]
+    for g in ideal.generators:
+        if not g.is_zero():
+            top = max(map(order.wdeg, g.terms))
+            gens.append(WeylElement(sig_zy, {
+                e[:nc] + (top - order.wdeg(e), 0) + e[nc:]: c for e, c in g.terms.items()
+            }))
+    forms: List[WeylElement] = []
+    for g in eliminate(LeftIdeal(sig_zy, gens), ["y_"]).generators:
+        parts: Dict[int, Dict[Tuple[int, ...], object]] = {}
+        for e, c in g.terms.items():
+            if not e[nc]:
+                low = e[:nc] + e[nc + 1:]
+                parts.setdefault(order.wdeg(low), {})[low] = c
+        forms += [WeylElement(sig, terms) for terms in parts.values()]
     return _balance_and_rewrite(forms, sig, order, T_VAR, DT_VAR, S_VAR)
 
 

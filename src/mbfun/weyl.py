@@ -1,9 +1,8 @@
 """PBW algebras with normally ordered elements.
 
 Supported signatures: Weyl algebras D_n (pairs [d_i, x_i] = 1), optional
-central variables (s-parameters), shift pairs (s, d_t) with
-d_t s = (s - 1) d_t, and the degree homogenization used for weight-vector
-Groebner runs ([d, x] = h^2).  A shift pair is the pair (s, d_t) of the
+central variables (s-parameters), and shift pairs (s, d_t) with
+d_t s = (s - 1) d_t.  A shift pair is the pair (s, d_t) of the
 Briancon-Maisonobe algebra: s = -d_t t acts as a coordinate that d_t
 shifts by one.
 
@@ -21,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .multipoly import MultiPoly, SparseTerms, _heap_key, _revlex_key
 from .rationals import ONE, Q, ZERO, coprime_integers
@@ -34,7 +33,6 @@ class AlgebraSignature:
     coords: Tuple[str, ...]
     derivs: Tuple[str, ...]
     pairs: Tuple[Tuple[int, int], ...]      # (coord position, deriv position)
-    homog: Optional[int] = None             # coord position of h, if homogenized
     shift_pairs: Tuple[Tuple[int, int], ...] = ()   # (s position, d_t position)
 
     @classmethod
@@ -86,14 +84,6 @@ class AlgebraSignature:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def homogenized(self) -> "AlgebraSignature":
-        if self.shift_pairs:
-            raise ValueError("a signature with shift pairs has no homogenization")
-        coords = self.coords + ("h_",)
-        n = len(coords)
-        pairs = tuple((c, d + 1) for c, d in self.pairs)
-        return AlgebraSignature(coords, self.derivs, pairs, homog=n - 1)
-
 
 @lru_cache(maxsize=4096)
 def _expansion(b: int, a: int) -> Tuple[Tuple[int, int], ...]:
@@ -131,8 +121,6 @@ def _mono_product(sig: AlgebraSignature, e1: Exponent, e2: Exponent):
                     shifted = list(exps)
                     shifted[ci] -= k
                     shifted[di] -= k
-                    if sig.homog is not None:
-                        shifted[sig.homog] += 2 * k
                     expanded.append((tuple(shifted), coeff * c))
             out = expanded
     for si, ti in sig.shift_pairs:
@@ -241,15 +229,9 @@ class WeylElement(SparseTerms):
 @dataclass(frozen=True)
 class MonomialOrder:
     """Weight vector with degrevlex tiebreak; degrevlex is the order with
-    no weight vector.
-
-    On a homogenized signature the weight ties are first broken by the
-    smaller exponent of h: there dx*x = x*dx + h^2, and only with x*dx
-    above h^2 is the leading monomial of a product the product of the
-    leading monomials."""
+    no weight vector."""
 
     weights: Tuple[int, ...] = ()
-    homog: Optional[int] = None             # exponent position of h, if homogenized
 
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
@@ -286,8 +268,6 @@ class MonomialOrder:
     def key(self, exps: Exponent):
         if not self.weights:
             return _revlex_key(exps)
-        if self.homog is not None:
-            return (self.wdeg(exps), -exps[self.homog]) + _revlex_key(exps)
         return (self.wdeg(exps),) + _revlex_key(exps)
 
     def heap_key(self, exps: Exponent):
@@ -295,12 +275,4 @@ class MonomialOrder:
         min-heap, the smallest heap key is the largest monomial."""
         if not self.weights:
             return _heap_key(exps)
-        if self.homog is not None:
-            return (-self.wdeg(exps), exps[self.homog]) + _heap_key(exps)
         return (-self.wdeg(exps),) + _heap_key(exps)
-
-    def extended(self, sig_h: AlgebraSignature) -> "MonomialOrder":
-        """Lift to the homogenized signature (h gets weight 0)."""
-        nc = len(sig_h.coords)
-        w = self.weights[: nc - 1] + (0,) + self.weights[nc - 1 :]
-        return MonomialOrder(w, sig_h.homog)

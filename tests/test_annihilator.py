@@ -174,9 +174,7 @@ ANN_PINS = [
 def test_ann_fs_pins(text, coords, derivs, want):
     ann = ann_fs([(parse_poly(text), "s")])
     pairs = tuple((i, len(coords) + i) for i in range(len(derivs)))
-    assert (ann.sig.coords, ann.sig.derivs, ann.sig.pairs, ann.sig.homog) == (
-        coords, derivs, pairs, None
-    )
+    assert (ann.sig.coords, ann.sig.derivs, ann.sig.pairs) == (coords, derivs, pairs)
     assert [str(g) for g in ann.generators] == want
 
 

@@ -30,7 +30,6 @@ ROUNDS = 60
 SIGS = (
     AlgebraSignature.make(pairs=[("x", "dx"), ("y", "dy")], central=["s"]),
     AlgebraSignature.make(pairs=[("x", "dx")], shift_pairs=[("s", "dt")]),
-    AlgebraSignature.make(pairs=[("x", "dx")]).homogenized(),
 )
 VARIABLES = (("x",), ("x", "y"), ("s", "x", "y"))
 SCALARS = (0, 1, -1, 3, Q(1, 2), Q(-5, 3))

@@ -43,15 +43,6 @@ def test_leibniz_contraction():
     assert dx * dx * x * x == x * x * dx * dx + 4 * (x * dx) + 2
 
 
-def test_homogenized_leibniz_contraction():
-    # [dx, x] = h^2, so each contraction of dx^b x^a carries h^2
-    sig_h = SIG.homogenized()
-    x, dx, h = (WeylElement.gen(sig_h, n) for n in ("x", "dx", "h_"))
-    assert dx * dx * dx * x * x == (
-        x * x * dx * dx * dx + 6 * (h * h * x * dx * dx) + 6 * (h * h * h * h * dx)
-    )
-
-
 def test_content_primitive_normalizes_sign():
     e = Q(-2, 3) * gen("x") - Q(4, 3) * gen("dx")
     prim = e.content_primitive()
@@ -96,8 +87,7 @@ def test_weight_order_admissibility():
 @pytest.mark.parametrize("order", [
     MonomialOrder.degrevlex(),
     MonomialOrder.weight(SIG, {"x": -1, "dx": 1, "s": 2}),
-    MonomialOrder.weight(SIG, {"x": -1, "dx": 1}).extended(SIG.homogenized()),
-], ids=["degrevlex", "weight", "homogenized"])
+], ids=["degrevlex", "weight"])
 def test_heap_key_is_the_negated_key(order):
     # a heap of heap keys pops monomials in falling order
     n = len(order.weights) or 5
@@ -166,7 +156,3 @@ def test_shift_pair_weight_admissibility():
     with pytest.raises(ValueError, match="u\\(s\\) < 0"):
         MonomialOrder.weight(SHIFT_SIG, {"s": -1, "dt": 1})
 
-
-def test_shift_pairs_have_no_homogenization():
-    with pytest.raises(ValueError, match="shift pairs"):
-        SHIFT_SIG.homogenized()
