@@ -159,6 +159,19 @@ class MultiPoly(SparseTerms):
         if not isinstance(other, MultiPoly):
             return self._scaled(other)
         self._require_same(other)
+        # a one-term operand shifts and scales the other's terms, in the
+        # order the double loop below would insert them; a constant only
+        # scales them
+        if len(other.terms) == 1:
+            [(e2, c2)] = other.terms.items()
+            if not any(e2):
+                return self._wrap({e1: c1 * c2 for e1, c1 in self.terms.items()})
+            return self._wrap({tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in self.terms.items()})
+        if len(self.terms) == 1:
+            [(e1, c1)] = self.terms.items()
+            if not any(e1):
+                return self._wrap({e2: c1 * c2 for e2, c2 in other.terms.items()})
+            return self._wrap({tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in other.terms.items()})
         terms: Dict[Exponent, object] = {}
         get = terms.get
         for e1, c1 in self.terms.items():
@@ -224,12 +237,14 @@ class MultiPoly(SparseTerms):
 
     def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """self with its i-th variable replaced by images[i]; the images
-        share one variable list, which the result is over."""
+        share one variable list, which the result is over.  Each power of
+        an image is built once, as `__pow__` builds it (see `_powers`)."""
         acc = MultiPoly.zero(images[0].variables)
+        powers = [_powers(image) for image in images]
         for exps, coeff in self.terms.items():
             term = acc._constant(coeff)
-            for image, e in zip(images, exps, strict=True):
-                term = term * image ** e
+            for power, e in zip(powers, exps, strict=True):
+                term = term * power(e)
             acc = acc + term
         return acc
 
@@ -311,6 +326,30 @@ class MultiPoly(SparseTerms):
                 coeffs.append(ZERO)
             coeffs[d] = coeff
         return coeffs if coeffs else [ZERO]
+
+
+def _powers(base: MultiPoly):
+    """The function e -> base ** e, with the products `__pow__` makes:
+    base ** e is the product, in increasing order, of the squares base **
+    2^i over the bits i of e.  The squares and each running product (a
+    function of e's low bits) are built once and shared between calls."""
+    squares = [base]
+    running = {0: MultiPoly.const(base.variables, 1)}
+
+    def power(e: int) -> MultiPoly:
+        low, bit = 0, 0
+        while e >> bit:
+            if e >> bit & 1:
+                key = low | 1 << bit
+                if key not in running:
+                    while len(squares) <= bit:
+                        squares.append(squares[-1] * squares[-1])
+                    running[key] = running[low] * squares[bit]
+                low = key
+            bit += 1
+        return running[low]
+
+    return power
 
 
 def format_coeff(coeff) -> str:

@@ -16,8 +16,8 @@ bounds.  It serves the meromorphic equation (`minimize_by_oracle`), the
 one-term variant and the reduced equation, which differ only in their
 target sections.  A check of a fixed b is the same search at b-degree 0
 with b(s) v0 as its v0: `verify_functional_equation` runs it once per
-operator degree, and `prefactored_witness` once, with G^2 moved to the
-left as G^-2.
+operator degree, from the first degree at which a column exists, and
+`prefactored_witness` once, with G^2 moved to the left as G^-2.
 
 When (F, G) are jointly quasi-homogeneous the system splits into weight
 blocks, and only the block of the target's weight is solved.  A column
@@ -59,6 +59,9 @@ DEFAULT_DEG = 6
 
 # each column labelled (r, operator key), as (tower element, shift)
 Columns = List[Tuple[Tuple[int, Exponent], Tuple[LaurentSection, Exponent]]]
+# for each target r, (the lattice's w that prune its columns, the weight
+# under each that their shifts must have)
+Rests = Dict[int, Tuple[Tuple, Tuple]]
 
 
 # -- quasi-homogeneity lattice -------------------------------------------
@@ -90,25 +93,59 @@ def context_lattice(ctx) -> List[Tuple[int, ...]]:
 # -- labelled columns and witnesses --------------------------------------
 
 
+def _rest_weights(
+    targets: Dict[int, LaurentSection], lattice: Sequence, rhs: LaurentSection
+) -> Rests:
+    """For each target r, the lattice's w under which target_r and rhs both
+    have a weight, and rhs's weight less target_r's under each: the weights
+    w.(alpha - beta) that a column x^alpha s^j d^beta target_r must have.
+    A weight of None, of target_r or of rhs, prunes nothing."""
+    wanted = [(w, rhs.weight(w)) for w in lattice]
+    rests = {}
+    for r, target in targets.items():
+        weights = [(w, want, target.weight(w)) for w, want in wanted]
+        rest = {w: want - own for w, want, own in weights if None not in (want, own)}
+        rests[r] = (tuple(rest), tuple(rest.values()))
+    return rests
+
+
 def _columns(
-    targets: Dict[int, LaurentSection], deg: int, lattice: Sequence, rhs: LaurentSection
+    targets: Dict[int, LaurentSection],
+    deg: int,
+    lattice: Sequence,
+    rhs: LaurentSection,
+    rests: Optional[Rests] = None,
 ) -> Columns:
     """Sections (x^alpha s^j d^beta) target_r with |alpha| + |beta| <= deg
     and j <= deg, labelled (r, operator key), of rhs's w-weight for each w
     in the lattice; the others are not built.  A column's weight is
-    target_r's plus w.(alpha - beta), and a weight of None, of target_r or
-    of rhs, prunes nothing.  Every b(s) rhs has rhs's weight, so the same
+    target_r's plus w.(alpha - beta), so its shift is looked up in
+    `shift_table` by the rest weights (`_rest_weights`, given by a caller
+    that computed them once).  Every b(s) rhs has rhs's weight, so the same
     columns serve each degree of a b-function."""
-    n, wanted = len(rhs.ctx.sig.pairs), [(w, rhs.weight(w)) for w in lattice]
+    n = len(rhs.ctx.sig.pairs)
+    if rests is None:
+        rests = _rest_weights(targets, lattice, rhs)
     columns = []
     for r, target in targets.items():
-        weights = [(w, want, target.weight(w)) for w, want in wanted]
-        rests = {w: want - own for w, want, own in weights if None not in (want, own)}
-        shifts = shift_table(n, deg, tuple(rests)).get(tuple(rests.values()), ())
+        kept, rest = rests[r]
+        shifts = shift_table(n, deg, kept).get(rest, ())
         columns += [
             ((r, key), (elem, shift)) for key, elem, shift in operator_columns(target, deg, shifts)
         ]
     return columns
+
+
+def _first_degree(n: int, rests: Rests, deg: int) -> Optional[int]:
+    """Least d in 1 .. deg at which some target has a shift of its rest
+    weight among the shifts of |delta|_1 <= d, or None: the least degree
+    with a column, since each such shift delta has the column x^delta+
+    d^delta- of degree |delta|_1.  One `shift_table` lookup per degree, so
+    no table above the answer is built."""
+    for d in range(1, deg + 1):
+        if any(rest in shift_table(n, d, kept) for kept, rest in rests.values()):
+            return d
+    return None
 
 
 def _operators(ctx: MeroContext, columns: Columns, values) -> Dict[int, WeylElement]:
@@ -148,19 +185,27 @@ def verify_functional_equation(
 ) -> Optional[Dict[int, WeylElement]]:
     """Witness {k: P_k} for b(s) f^s/G^m = sum_k P_k f^{s+k}/G^m, or None.
 
-    The degree bound grows from 1 up to deg and the search stops at the
-    first success, so a None has exercised the full bounds.  Each degree
-    is a `minimal_b_search` at b-degree 0 with b(s) f^s/G^m as v0; the
-    operators that are not zero are returned.  ctx, when given, is a
-    MeroContext of (F, G): the degrees, and other searches on it, share
-    its derivative towers and weight lattice.
+    The degree bound grows from the first degree with a column
+    (`_first_degree`) up to deg, and the search stops at the first
+    success, so a witness has the least operator degree within the bound
+    and a None has exercised the full bounds.  Below the first degree
+    there is no column, so b(s) f^s/G^m, which is not zero, has no
+    witness there.  Each degree is a `minimal_b_search` at b-degree 0 with
+    b(s) f^s/G^m as v0, on rest weights computed once; the operators that
+    are not zero are returned.  ctx, when given, is a MeroContext of (F,
+    G): the degrees, and other searches on it, share its derivative
+    towers and weight lattice.
     """
     if ctx is None:
         ctx = MeroContext(F, G)
     lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
-    for d in range(1, deg + 1):
-        found = minimal_b_search(ctx, lhs, targets, d, max_bdeg=0)
+    rests = _rest_weights(dict(enumerate(targets)), context_lattice(ctx), lhs)
+    first = _first_degree(len(ctx.sig.pairs), rests, deg)
+    if first is None:
+        return None
+    for d in range(first, deg + 1):
+        found = minimal_b_search(ctx, lhs, targets, d, max_bdeg=0, rests=rests)
         if found is not None:
             return {r + 1: P for r, P in enumerate(found[1]) if not P.is_zero()}
     return None
@@ -218,6 +263,7 @@ def minimal_b_search(
     opdeg: int,
     max_bdeg: int,
     min_bdeg: int = 0,
+    rests: Optional[Rests] = None,
 ) -> Optional[Tuple[BFunction, List[WeylElement]]]:
     """Minimal monic b with b(s) v0 = sum_r P_r target_r, bounded search:
     each P_r is a combination of x^alpha s^j d^beta with |alpha| + |beta|
@@ -228,9 +274,10 @@ def minimal_b_search(
     order so the first hit has minimal degree within the operator bounds,
     and s^i v0 is built only when degree i is tried.  Any solution is a
     multiple of the true minimal b for the equation.  The operators are
-    re-applied before they are returned.
+    re-applied before they are returned.  rests, when given, are the
+    targets' `_rest_weights` against v0.
     """
-    columns = _columns(dict(enumerate(targets)), opdeg, context_lattice(ctx), v0)
+    columns = _columns(dict(enumerate(targets)), opdeg, context_lattice(ctx), v0, rests)
     powers = (v0.scaled(ctx.s ** i) for i in range(max_bdeg + 1))
     found = least_monic(powers, [column for _, column in columns], min_bdeg)
     if found is None:

@@ -62,7 +62,7 @@ weights) once per (number of derivations, deg, lattice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add, mul
@@ -146,12 +146,12 @@ class _Section:
 
     def scaled(self, poly: MultiPoly):
         """Multiply by a polynomial over ctx.ring."""
-        return replace(self, numerator=self.numerator * poly)
+        return type(self)(self.ctx, self.numerator * poly, self.pows)
 
     def times(self, exps: Exponent, coeff):
         """coeff x^exps times the section, exps over the coordinates of
         ctx.sig: a shift of the numerator."""
-        num = self.numerator.shifted(exps)
+        num = self.numerator.shifted(exps) if any(exps) else self.numerator
         return type(self)(self.ctx, num if coeff == 1 else num * coeff, self.pows)
 
     def split(self, exps: Exponent) -> Tuple[Exponent, Exponent]:
@@ -165,7 +165,7 @@ class _Section:
             raise ValueError("sections from different contexts")
         pows = tuple(map(max, self.pows, other.pows))
         num = self.cleared_numerator(pows) + other.cleared_numerator(pows)
-        return replace(self, numerator=num, pows=pows)
+        return type(self)(self.ctx, num, pows)
 
     def derivative(self, var: str):
         """d/d(var) of the section, by the quotient rule above."""
@@ -187,7 +187,7 @@ class _Section:
         if var in ctx.chain:
             num = num + h.derivative(U_VAR) * ctx.chain[var]
         pows = tuple(p + (i in raised) for i, p in enumerate(self.pows))
-        return replace(self, numerator=num, pows=pows)
+        return type(self)(ctx, num, pows)
 
     def weight(self, w: Tuple):
         """w-weight of the section, whatever denominator it is written
@@ -311,22 +311,38 @@ class DeltaContext(_Context):
 def _apply(P: WeylElement, v):
     """P v for a normally ordered P: derivations first, then coordinates.
 
-    The zero operator gives v scaled by zero.
+    P's terms are grouped by (beta, head), the head and the shift of a
+    term's coordinates as `_Section.split` gives them.  Each group is one
+    element, the head acting on d^beta v, times the polynomial sum of
+    coeff x^shift over the group's terms.  The elements are built as
+    `operator_columns` builds its own, each once, but within the call and
+    from v itself: never from the context's towers, so an operator
+    re-applied to check a witness does not rest on what the search built.
+    The parts are added once, over the elements' common denominator; an
+    element already over it is not cleared.  The zero operator gives v
+    scaled by zero.
     """
     ctx = v.ctx
     sig = ctx.sig
     if P.sig != sig:
         raise ValueError("operator signature does not match the section context")
     ncoords = len(sig.coords)
+    groups: dict = {}
+    for exps, coeff in P.terms.items():
+        head, shift = v.split(exps[:ncoords])
+        groups.setdefault((exps[ncoords:], head), {})[shift] = coeff
+    if not groups:
+        return v.scaled(MultiPoly.zero(ctx.ring))
+    paired = [sig.coords[ci] for ci, _ in sig.pairs]
+    elements = {((0,) * len(paired), (0,) * ncoords): v}
+    elems = [_element(elements, paired, beta, head) for beta, head in groups]
+    pows = _common_pows(elems)
     total = None
-    for exps, coeff in sorted(P.terms.items()):
-        part = v
-        for ci, di in sig.pairs:
-            for _ in range(exps[di]):
-                part = part.derivative(sig.coords[ci])
-        part = part.times(exps[:ncoords], coeff)
+    for elem, coeffs in zip(elems, groups.values()):
+        num = elem.numerator if elem.pows == pows else elem.cleared_numerator(pows)
+        part = num * num._wrap(coeffs)
         total = part if total is None else total + part
-    return v.scaled(MultiPoly.zero(ctx.ring)) if total is None else total
+    return type(v)(ctx, total, pows)
 
 
 def apply_operator(P: WeylElement, v: LaurentSection) -> LaurentSection:
@@ -374,28 +390,23 @@ def operator_columns(
     d^beta base is built the first time a column needs it, one derivation
     above an earlier one, and the head of x^alpha c^j (`_Section.split`,
     t^k in the delta module) acts on it once per (beta, head).  The order
-    is by beta, then |alpha|, alpha, j.
+    is by beta, then |alpha|, alpha, j.  A column with shift delta has
+    |alpha| = |beta| + sum delta, so it needs 2|beta| <= deg - sum delta:
+    each coordinate of beta stops at half of deg less the least sum among
+    shifts, and an empty shift list yields nothing at once.
     """
     sig = base.ctx.sig
     paired = [sig.coords[ci] for ci, _ in sig.pairs]
     n = len(paired)
-    central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
     shifts = _shift_ball(n, deg) if shifts is None else shifts
+    if not shifts:
+        return
+    central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
     no_head = (0,) * len(sig.coords)
     tower = base.ctx.tower(base)
     tower.setdefault(((0,) * n, no_head), base)
-
-    def element(beta, head):
-        if (beta, head) not in tower:
-            if head != no_head:
-                tower[beta, head] = element(beta, no_head).times(head, ONE)
-            else:
-                i = next(idx for idx, e in enumerate(beta) if e)
-                prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                tower[beta, head] = element(prev, no_head).derivative(paired[i])
-        return tower[beta, head]
-
-    for beta in product(range(deg + 1), repeat=n):
+    most = (deg - shifts[0][0]) // 2
+    for beta in product(range(most + 1), repeat=n):
         room = deg - 2 * sum(beta)
         for total, delta in shifts:
             if total > room:
@@ -405,7 +416,28 @@ def operator_columns(
                 continue
             for j in central:
                 head, shift = base.split(alpha + j)
-                yield alpha + j + beta, element(beta, head), shift
+                yield alpha + j + beta, _element(tower, paired, beta, head), shift
+
+
+def _element(elements: dict, paired: Sequence[str], beta: Exponent, head: Exponent):
+    """head d^beta base, kept in elements, a dict keyed (beta, head) that
+    holds base itself under beta = 0 and no head.  Built the first time it
+    is asked for: d^beta one derivation above an earlier derivative (the
+    first coordinate's derivation is taken last), and a head acting on
+    d^beta base through `times`."""
+    elem = elements.get((beta, head))
+    if elem is None:
+        no_head = (0,) * len(head)
+        if head != no_head:
+            elem = _element(elements, paired, beta, no_head).times(head, ONE)
+        else:
+            i = 0
+            while not beta[i]:
+                i += 1
+            prev = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            elem = _element(elements, paired, prev, no_head).derivative(paired[i])
+        elements[beta, head] = elem
+    return elem
 
 
 # -- sections to a linear system -------------------------------------------

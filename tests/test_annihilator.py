@@ -136,6 +136,9 @@ CLASSICAL_PINS = [
     ("-x^2*y^2 + 2*x*y^2 + y", "(s + 1)"),
 ]
 
+# the F of the cli-classic benchmark's `bf classic` commands
+CLASSIC_F = [text for text, _ in CLASSICAL_PINS[:9]]
+
 
 @pytest.mark.parametrize("text, want", CLASSICAL_PINS)
 def test_classical_bfunction_pins(text, want):

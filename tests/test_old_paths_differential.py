@@ -15,8 +15,8 @@ The package must give the same witnesses, with the same coefficient types,
 the same sections, and the same terms in the same order.  `first_degree`
 finds the least operator degree at which some target has an operator
 shift of the weight the equation needs, by one `shift_table` lookup per
-degree; it must be the least degree at which `oracle._columns` builds a
-column.
+degree; it, and `oracle._first_degree`, where the ladder starts, must be
+the least degree at which `oracle._columns` builds a column.
 """
 
 import random
@@ -33,6 +33,8 @@ from mbfun.oracle import (
     DEFAULT_DEG,
     DEFAULT_N,
     _columns,
+    _first_degree,
+    _rest_weights,
     minimal_b_search,
     verify_functional_equation,
     weight_lattice,
@@ -47,13 +49,10 @@ from mbfun.sections import (
     shift_table,
 )
 from mbfun.weyl import WeylElement
-from test_annihilator import CLASSICAL_PINS
+from test_annihilator import CLASSIC_F
 from test_merobf import pair
 from test_oracle_reference import CASES, engine_b, exact
 from test_shift_table import CONTEXTS
-
-# the F of the cli-classic benchmark's `bf classic` commands
-CLASSIC_F = [text for text, _ in CLASSICAL_PINS[:9]]
 
 
 # -- the degree ladder -------------------------------------------------------
@@ -134,6 +133,8 @@ def test_first_degree_is_the_least_degree_with_a_column(ftext, gtext, m):
         for deg in (1, 3, 6):
             want = brute_first_degree(targets, lattice, rhs, deg)
             assert first_degree(targets, lattice, rhs, deg) == want, (rhs, deg)
+            rests = _rest_weights(targets, lattice, rhs)
+            assert _first_degree(len(ctx.sig.pairs), rests, deg) == want, (rhs, deg)
 
 
 def test_first_degree_reaches_past_one():
@@ -141,8 +142,11 @@ def test_first_degree_reaches_past_one():
     ctx = MeroContext(*pair("x^3", "y^2"))
     targets = {r: base_section(ctx, 0, shift=r + 1) for r in range(3)}
     lattice = weight_lattice(ctx.F, ctx.G)
-    assert first_degree(targets, lattice, base_section(ctx, 0), 6) == 5
-    assert first_degree(targets, lattice, base_section(ctx, 0), 4) is None
+    rhs = base_section(ctx, 0)
+    assert first_degree(targets, lattice, rhs, 6) == 5
+    assert first_degree(targets, lattice, rhs, 4) is None
+    rests = _rest_weights(targets, lattice, rhs)
+    assert _first_degree(2, rests, 6) == 5 and _first_degree(2, rests, 4) is None
 
 
 # -- operator application ------------------------------------------------------

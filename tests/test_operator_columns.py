@@ -21,8 +21,10 @@ from operator import mul
 import pytest
 
 from mbfun import linalg, merobf, oracle, sections
+from mbfun.annihilator import b_classic
 from mbfun.errors import CapabilityError
 from mbfun.oracle import _columns, prefactored_witness, weight_lattice
+from mbfun.parser import parse_poly
 from mbfun.rationals import ONE, Q
 from mbfun.sections import (
     DeltaContext,
@@ -33,6 +35,7 @@ from mbfun.sections import (
 )
 from bfunction_helpers import b_from_roots
 from column_helpers import materialized, section_of
+from test_annihilator import CLASSIC_F
 from test_merobf import BATTERY, GRADED_PINS, pair
 
 # pairs that no weight w != 0 makes jointly quasi-homogeneous
@@ -222,6 +225,28 @@ def test_battery_runs_no_shift_rule(monkeypatch):
     assert built[0] <= 30 and built[1] == built[0]
 
 
+def counter(monkeypatch, counts):
+    """count(owner, attr, label): make owner.attr count its calls under
+    label; the sections' derivatives, times calls and Laurent clearings,
+    and linalg's solves, are counted at once."""
+
+    def count(owner, attr, label):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[label] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(sections._Section, "derivative", "derivative")
+    count(sections._Section, "times", "times")
+    count(sections.DeltaSection, "times", "times")
+    count(sections.LaurentSection, "cleared_numerator", "cleared")
+    count(linalg, "solve", "solve")
+    return count
+
+
 def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
     # one b_mero pass over the battery.  When each search built its own
     # towers and lattice and every column was a section imaged on its own,
@@ -234,26 +259,15 @@ def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
     # solves and 51 engine least_monic calls, 24 of them on no column.
     # When build_sigma applied the seed operators to sigma_m, it made 417
     # derivatives, 501 times calls, 543 clearings and 126
-    # apply_delta_operator calls
+    # apply_delta_operator calls.  When the oracle's ladder started at
+    # degree 1, with no column below its first, and operators were applied
+    # one term at a time, it made 189 times calls, 375 clearings and 189
+    # solves
     counts = Counter()
-
-    def count(owner, attr, label):
-        real = getattr(owner, attr)
-
-        def counted(*args, **kwargs):
-            counts[label] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, counted)
-
+    count = counter(monkeypatch, counts)
     count(oracle, "weight_lattice", "lattice")
-    count(sections._Section, "derivative", "derivative")
-    count(sections._Section, "times", "times")
-    count(sections.DeltaSection, "times", "times")
-    count(sections.LaurentSection, "cleared_numerator", "cleared")
     count(sections.DeltaSection, "cleared_numerator", "cleared")
     count(merobf, "apply_delta_operator", "apply_delta_operator")
-    count(linalg, "solve", "solve")
     least_monic = merobf.least_monic
 
     def engine_least_monic(powers, columns, *rest):
@@ -266,12 +280,26 @@ def test_battery_builds_each_derivative_image_and_lattice_once(monkeypatch):
         merobf.b_mero(*pair(ftext, gtext), m)
     assert counts["lattice"] == len(BATTERY)
     assert counts["derivative"] == 327
-    assert counts["times"] == 189
-    assert counts["cleared"] == 375
+    assert counts["times"] == 162
+    assert counts["cleared"] == 321
     assert counts["apply_delta_operator"] == 54
-    assert counts["solve"] <= 189
+    assert counts["solve"] <= 135
     # a step with no column, or with the columns of the failed step before
     # it, is skipped, and theta^d sigma_m is built only when degree d is
     # tried
     assert counts["engine least_monic"] == 27
     assert counts["on no column"] == 0
+
+
+def test_classical_certification_counts(monkeypatch):
+    # one b_classic pass over the F of the cli-classic benchmark: the
+    # elimination and the N = 1 certification, x^3+y^4 run to its bound.
+    # When the ladder started at degree 1 and operators were applied one
+    # term at a time, it made 38 solves, 190 derivatives and 35 times calls
+    counts = Counter()
+    counter(monkeypatch, counts)
+    statuses = [b_classic(parse_poly(text)).status for text in CLASSIC_F]
+    assert statuses.count("CERTIFIED") == 8
+    assert counts["solve"] == 22
+    assert counts["derivative"] == 140
+    assert counts["times"] == 0

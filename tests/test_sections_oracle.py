@@ -529,6 +529,20 @@ class TestOracle:
         with pytest.raises(CertificationError):
             _recheck_witness(lhs, {1: base_section(ctx, 0, shift=1)}, bogus)
 
+    def test_recheck_does_not_read_the_towers(self):
+        # the search builds its columns on the derivatives kept in the
+        # target's tower; a wrong one planted there must not also serve
+        # the re-application, which derives from the target itself
+        ctx = MeroContext(poly("x^2"), ONE_X)
+        v0, target = base_section(ctx, 0), base_section(ctx, 0, shift=1)
+        assert minimal_b_search(ctx, v0, [target], 2, 4) is not None
+        ctx = MeroContext(poly("x^2"), ONE_X)
+        v0, target = base_section(ctx, 0), base_section(ctx, 0, shift=1)
+        wrong = target.derivative("x").scaled(MultiPoly.const(ctx.ring, 2))
+        ctx.tower(target)[(1,), (0, 0)] = wrong
+        with pytest.raises(CertificationError):
+            minimal_b_search(ctx, v0, [target], 2, 4)
+
     def test_minimal_search_matches_direct_answer(self):
         ctx = MeroContext(poly("x^2"), ONE_X)
         found = minimal_b_search(

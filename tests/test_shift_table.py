@@ -21,7 +21,7 @@ from operator import mul
 
 import pytest
 
-from mbfun import merobf, sections
+from mbfun import merobf, oracle, sections
 from mbfun.errors import CapabilityError
 from mbfun.multipoly import MultiPoly
 from mbfun.oracle import _columns, weight_lattice
@@ -118,3 +118,36 @@ def test_engine_columns_are_those_of_the_old_keep(ftext, gtext, m, monkeypatch):
     keep = engine_keep(ctx)
     for sigma, deg, got in calls:
         assert [key for key, _, _ in got] == ruled_keys(sigma, deg, keep)
+
+
+def test_a_huge_degree_bound_builds_no_table_above_the_answer(monkeypatch):
+    # x/y certifies at operator degree 2; a table at the bound 10^6 would
+    # be a ball of about 10^12 shifts.  A table past 100 fails at once.
+    # The oracle's tables are over the two derivations of x, y; the
+    # engine's, over x, y and t, follow its own schedule up to degree 6
+    built = []
+
+    def recorded(real):
+        def record(n, deg, *rest):
+            assert deg <= 100, f"a table at degree {deg}"
+            built.append((real.__name__, n, deg))
+            return real(n, deg, *rest)
+
+        return record
+
+    sections.shift_table.cache_clear()
+    sections._shift_ball.cache_clear()
+    for module in (oracle, merobf):
+        monkeypatch.setattr(module, "shift_table", recorded(sections.shift_table))
+    monkeypatch.setattr(sections, "_shift_ball", recorded(sections._shift_ball))
+    res = merobf.b_mero(*pair("x", "y"), 0, N=3, deg=10**6)
+    assert res.status == "CERTIFIED"
+    sig = res.witness[1].sig
+    coords, derivs = [ci for ci, _ in sig.pairs], [di for _, di in sig.pairs]
+    answered = max(
+        sum(exps[i] for i in coords + derivs) for P in res.witness.values() for exps in P.terms
+    )
+    assert answered == 2
+    oracle_tables = [(name, deg) for name, n, deg in built if n == len(sig.pairs)]
+    assert {name for name, _ in oracle_tables} == {"shift_table", "_shift_ball"}
+    assert max(deg for _, deg in oracle_tables) == answered
