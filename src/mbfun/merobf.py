@@ -172,17 +172,18 @@ def b_section_along_t(
     theta^d sigma_m has u-degree exactly d + 1, p(theta) sigma_m != 0 for
     every monic p, and no p exists without a column.  The powers theta^d
     sigma_m are built one theta at a time, only as `least_monic` tries
-    degree d, and kept across the steps.
+    degree d, and kept across the steps: theta^(d+1) sigma_m is t times
+    d_t theta^d sigma_m, a derivative and then t through `times`.
     """
     sig = ctx.sig
     sigma = ctx.generator()
-    theta_op = WeylElement.gen(sig, T_VAR) * WeylElement.gen(sig, DT_VAR)
+    t = (0,) * len(ctx.xvars) + (1,)
     theta_secs = [sigma]
 
     def theta_powers():
         for d in range(max_pdeg + 1):
             if d == len(theta_secs):
-                theta_secs.append(apply_delta_operator(theta_op, theta_secs[-1]))
+                theta_secs.append(theta_secs[-1].derivative(T_VAR).times(t, ONE))
             yield theta_secs[d]
 
     lattice = tuple(

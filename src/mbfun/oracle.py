@@ -19,6 +19,15 @@ with b(s) v0 as its v0: `verify_functional_equation` runs it once per
 operator degree, from the first degree at which a column exists, and
 `prefactored_witness` once, with G^2 moved to the left as G^-2.
 
+Minimality is claimed at (N, deg): no monic b' of lower degree admits the
+equation within those bounds.  When b splits over Q, `minimize_by_oracle`
+first tests each root r of multiplicity mu (`_roots_forced`); if no
+admissible b' can vanish there to a lower order, b divides every
+admissible b' and no joint search runs.  The test is exact: specializing
+s to r + e commutes with the D-action, s being central, and a section is
+zero iff its numerator is, so it is a linear system in the numerators at
+s = r + e modulo e^mu (`sections.least_monic` at a point).
+
 When (F, G) are jointly quasi-homogeneous the system splits into weight
 blocks, and only the block of the target's weight is solved.  A column
 x^alpha s^j d^beta target has its target's weight plus w.(alpha - beta),
@@ -115,14 +124,15 @@ def _columns(
     lattice: Sequence,
     rhs: LaurentSection,
     rests: Optional[Rests] = None,
+    jdeg: Optional[int] = None,
 ) -> Columns:
     """Sections (x^alpha s^j d^beta) target_r with |alpha| + |beta| <= deg
-    and j <= deg, labelled (r, operator key), of rhs's w-weight for each w
-    in the lattice; the others are not built.  A column's weight is
-    target_r's plus w.(alpha - beta), so its shift is looked up in
-    `shift_table` by the rest weights (`_rest_weights`, given by a caller
-    that computed them once).  Every b(s) rhs has rhs's weight, so the same
-    columns serve each degree of a b-function."""
+    and j <= jdeg (deg when None), labelled (r, operator key), of rhs's
+    w-weight for each w in the lattice; the others are not built.  A
+    column's weight is target_r's plus w.(alpha - beta), so its shift is
+    looked up in `shift_table` by the rest weights (`_rest_weights`, given
+    by a caller that computed them once).  Every b(s) rhs has rhs's weight,
+    so the same columns serve each degree of a b-function."""
     n = len(rhs.ctx.sig.pairs)
     if rests is None:
         rests = _rest_weights(targets, lattice, rhs)
@@ -131,7 +141,8 @@ def _columns(
         kept, rest = rests[r]
         shifts = shift_table(n, deg, kept).get(rest, ())
         columns += [
-            ((r, key), (elem, shift)) for key, elem, shift in operator_columns(target, deg, shifts)
+            ((r, key), (elem, shift))
+            for key, elem, shift in operator_columns(target, deg, shifts, jdeg)
         ]
     return columns
 
@@ -226,17 +237,59 @@ def minimize_by_oracle(
     The caller has certified b at the same bounds, so b is the only monic
     solution of its own degree and the search stops below it.  Every
     solution is a multiple of the true minimal b, so b' never drops a root
-    the equation needs.  ctx is as in `verify_functional_equation`.
+    the equation needs.  Minimality at (N, deg) is proved by the root tests
+    (`_roots_forced`) when b splits over Q and every root is forced, and
+    by the joint search otherwise; either way the answer is the same.
+    ctx is as in `verify_functional_equation`.
     """
     if b.degree() <= 1:
         return b
     if ctx is None:
         ctx = MeroContext(F, G)
+    v0 = base_section(ctx, m)
     targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
+    rests = _rest_weights(dict(enumerate(targets)), context_lattice(ctx), v0)
+    if b.roots is not None and _roots_forced(ctx, v0, targets, deg, rests, b.roots):
+        return b
     found = minimal_b_search(
-        ctx, base_section(ctx, m), targets, deg, max_bdeg=b.degree() - 1, min_bdeg=1
+        ctx, v0, targets, deg, max_bdeg=b.degree() - 1, min_bdeg=1, rests=rests
     )
     return b if found is None else found[0]
+
+
+def _roots_forced(
+    ctx: MeroContext,
+    v0: LaurentSection,
+    targets: Sequence[LaurentSection],
+    deg: int,
+    rests: Rests,
+    roots: Dict[object, int],
+) -> bool:
+    """Whether every b' with b'(s) v0 = sum_r P_r target_r at operator
+    degree deg vanishes to order mult or more at each root of roots, a
+    dict root -> mult.
+
+    With nu = mult - 1, yes unless (s - root)^nu v0 lies in the span of the
+    columns x^alpha (s - root)^j d^beta target_r, j <= nu, modulo (s -
+    root)^(nu+1): one `least_monic` at b-degree 0 at the point (root, nu).
+    One test covers every order k <= nu.  A b' = (s - root)^k c(s) with
+    c(root) != 0 gives (s - root)^k v0 = sum_r P_r / c(root) target_r
+    modulo (s - root)^(k+1); with the s^j of each P_r written in powers of
+    s - root, the relation is among the columns with j <= k, and (s -
+    root)^(nu-k) times it is one at nu.  The columns are those of the joint
+    search with j bounded by nu, on the same tower elements, built once
+    per nu.
+    """
+    columns: Dict[int, list] = {}
+    for root, mult in roots.items():
+        nu = mult - 1
+        if nu not in columns:
+            labelled = _columns(dict(enumerate(targets)), deg, context_lattice(ctx), v0, rests, nu)
+            columns[nu] = [column for _, column in labelled]
+        rhs = v0.scaled((ctx.s - root) ** nu) if nu else v0
+        if least_monic([rhs], columns[nu], point=(root, nu)) is not None:
+            return False
+    return True
 
 
 def prefactored_witness(

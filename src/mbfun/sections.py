@@ -39,7 +39,10 @@ numerators over one common denominator.  On top of that:
                  in the span (a fixed b(s) v0 in the oracle).  powers is
                  an iterable, pulled one power per degree tried, so a
                  caller that builds them lazily builds none past the
-                 least d
+                 least d.  At a point (r, nu) it decides the same modulo
+                 (s - r)^(nu+1) in the Laurent module, which the D-action
+                 preserves since s is central: the images are taken at
+                 s = r + e, truncated above e^nu (the oracle's root tests)
 
 Imaging is the costly step, and each derivative and each image is built
 once.  `operator_columns` gives the column x^alpha c^j d^beta base as
@@ -65,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -376,21 +380,24 @@ def shift_table(n: int, deg: int, lattice: Tuple[Tuple[int, ...], ...]) -> dict:
 
 
 def operator_columns(
-    base, deg: int, shifts: Optional[Sequence[Tuple[int, Tuple[int, ...]]]] = None
+    base,
+    deg: int,
+    shifts: Optional[Sequence[Tuple[int, Tuple[int, ...]]]] = None,
+    jdeg: Optional[int] = None,
 ) -> Iterator[Tuple[Exponent, "_Section", Exponent]]:
     """The columns (x^alpha c^j d^beta) base, as (key, element, shift): key
     is the operator's exponent tuple in signature order, with |alpha| +
     |beta| <= deg over the coordinates that carry a derivation, exponent
-    <= deg on each central coordinate c, and (sum delta, delta) among
-    shifts for delta = alpha - beta: entries of `_shift_ball(n, deg)` in
-    its order, as `shift_table` gives them; None is the whole ball.  The
-    column is element.times(shift, ONE), and its image over any common
-    denominator is the element's, shifted.  The elements are those of
-    base's tower in its context (see `_Context.tower`): each derivative
-    d^beta base is built the first time a column needs it, one derivation
-    above an earlier one, and the head of x^alpha c^j (`_Section.split`,
-    t^k in the delta module) acts on it once per (beta, head).  The order
-    is by beta, then |alpha|, alpha, j.  A column with shift delta has
+    <= jdeg (deg when None) on each central coordinate c, and (sum delta,
+    delta) among shifts for delta = alpha - beta: entries of
+    `_shift_ball(n, deg)` in its order, as `shift_table` gives them; None
+    is the whole ball.  The column is element.times(shift, ONE), and its
+    image over any common denominator is the element's, shifted.  The
+    elements are those of base's tower in its context (see
+    `_Context.tower`): each derivative d^beta base is built the first time
+    a column needs it, one derivation above an earlier one, and the head
+    of x^alpha c^j (`_Section.split`, t^k in the delta module) acts on it
+    once per (beta, head).  The order is by beta, then |alpha|, alpha, j.  A column with shift delta has
     |alpha| = |beta| + sum delta, so it needs 2|beta| <= deg - sum delta:
     each coordinate of beta stops at half of deg less the least sum among
     shifts, and an empty shift list yields nothing at once.
@@ -401,7 +408,8 @@ def operator_columns(
     shifts = _shift_ball(n, deg) if shifts is None else shifts
     if not shifts:
         return
-    central = list(product(range(deg + 1), repeat=len(sig.coords) - n))
+    jdeg = deg if jdeg is None else jdeg
+    central = list(product(range(jdeg + 1), repeat=len(sig.coords) - n))
     no_head = (0,) * len(sig.coords)
     tower = base.ctx.tower(base)
     tower.setdefault(((0,) * n, no_head), base)
@@ -450,6 +458,31 @@ def poly_weight(poly: MultiPoly, w: Sequence):
     return weights.pop() if len(weights) == 1 else None
 
 
+def _point_weights(root, nu: int, scale: int) -> Tuple[Tuple[int, ...], ...]:
+    """w with q^scale (root + e)^i = sum_{l <= nu} w[i][l] e^l modulo
+    e^(nu+1), for i <= scale and root = p/q: integers."""
+    p, q = root.numerator, root.denominator
+    return tuple(
+        tuple(comb(i, l) * p ** (i - l) * q ** (scale - i + l) for l in range(min(i, nu) + 1))
+        for i in range(scale + 1)
+    )
+
+
+def _at_point(poly: MultiPoly, weights) -> MultiPoly:
+    """q^scale poly with its last variable s set to root + e and its terms
+    above e^nu dropped, for weights = _point_weights(root, nu, scale); e
+    takes the place of s.  Integral when poly is and its degree in s is at
+    most scale."""
+    terms: dict = {}
+    get = terms.get
+    for exps, c in poly.terms.items():
+        head = exps[:-1]
+        for l, w in enumerate(weights[exps[-1]]):
+            key = head + (l,)
+            terms[key] = get(key, ZERO) + c * w
+    return poly._wrap({e: c for e, c in terms.items() if c})
+
+
 class _Images:
     """Images of fixed columns (element, shift), and of the powers added
     after them, each computed at most once per common pows: an element is
@@ -459,25 +492,47 @@ class _Images:
 
     Only the images at the latest pows are kept: the callers' common
     denominators never shrink, so older ones are not asked for again.
+
+    At a point (root, nu), over a MeroContext, each element's numerator is
+    taken `_at_point` and then cleared, and the shift of a column
+    multiplies by e^j in place of s^j, its terms above e^nu dropped: the
+    images modulo (s - root)^(nu+1).  All of them are scaled by one power
+    q^scale of root's denominator, scale the largest degree in s among the
+    elements, which keeps integer coefficients integers; a solution
+    solves the unscaled system too.
     """
 
-    def __init__(self, columns: Sequence[Tuple["_Section", Optional[Exponent]]]):
+    def __init__(self, columns: Sequence[Tuple["_Section", Optional[Exponent]]], point=None):
         self.columns = columns
+        self.point = point
         self.powers: List["_Section"] = []
         self._pows: Optional[Tuple[int, ...]] = None
         self._images: dict = {}
         self._cleared: dict = {}
 
     def image(self, i: int, pows: Tuple[int, ...]) -> MultiPoly:
+        point = self.point
         if pows != self._pows:
             self._pows, self._images, self._cleared = pows, {}, {}
+            if point is not None:
+                elems = [elem for elem, _ in self.columns] + self.powers
+                scale = max(elem.numerator.degree_in(S_VAR) for elem in elems)
+                self._weights = _point_weights(*point, scale)
         if i not in self._images:
             ncols = len(self.columns)
             elem, shift = self.columns[i] if i < ncols else (self.powers[i - ncols], None)
-            cleared = self._cleared.get(id(elem))
+            key = id(elem)
+            cleared = self._cleared.get(key)
             if cleared is None:
-                cleared = self._cleared[id(elem)] = elem.cleared_numerator(pows)
-            self._images[i] = cleared if shift is None else cleared.shifted(shift)
+                if point is not None:
+                    # clearing multiplies by powers of F and G, free of s
+                    num = _at_point(elem.numerator, self._weights)
+                    elem = type(elem)(elem.ctx, num, elem.pows)
+                cleared = self._cleared[key] = elem.cleared_numerator(pows)
+            image = cleared if shift is None else cleared.shifted(shift)
+            if point is not None and shift is not None and shift[-1]:
+                image = image._wrap({e: c for e, c in image.terms.items() if e[-1] <= point[1]})
+            self._images[i] = image
         return self._images[i]
 
     def solve(self, rhs: int, cols: Sequence[int], pows: Tuple[int, ...]):
@@ -497,7 +552,7 @@ class _Images:
 
 
 def least_monic(
-    powers: Iterable, columns: Sequence, min_deg: int = 0
+    powers: Iterable, columns: Sequence, min_deg: int = 0, point=None
 ) -> Optional[Tuple[List[object], List[object]]]:
     """Least d >= min_deg with powers[d] + sum_{i<d} c_i powers[i] =
     sum_j q_j columns[j]; returns (c_0, ..., c_{d-1}, 1) and q, or None when
@@ -513,9 +568,10 @@ def least_monic(
     systems share one set of images, so an element is cleared once per
     common denominator however many degrees are tried, and each column on
     it is a shift of that image.  At d = 0 this solves powers[0] = sum_j
-    q_j columns[j].
+    q_j columns[j].  At a point (root, nu) the images are taken modulo (s -
+    root)^(nu+1), as `_Images` says.
     """
-    images = _Images(columns)
+    images = _Images(columns, point)
     ncols = len(columns)
     column_ids = list(range(ncols))
     pows = _common_pows([elem for elem, _ in columns]) if columns else None
