@@ -44,8 +44,3 @@ class BFunction:
             return "*".join(factors) if factors else "1"
         return str(self.poly)
 
-
-def theta_to_s(p_theta: MultiPoly) -> BFunction:
-    """Convert p(theta) to the monic b(s) = p(-s-1) convention."""
-    s = MultiPoly.var((S_VAR,), S_VAR)
-    return BFunction.from_poly(p_theta.compose([-s - 1]))

@@ -1,20 +1,21 @@
 """Bernstein-Sato polynomials of meromorphic functions f = F/G.
 
 The engine realizes the canonical section sigma_m = G^{1-m}/(tG - F) of
-O[1/((tG-F)G)] / O[t][1/G] on the graph tG = F and reads off the
-b-polynomial of sigma_m along t = 0.  b_{f,m}(s) = p(-s-1).  Modulo
-O[t][1/G] each section is one polar part sum_j n_j(x) G^-b (tG-F)^-j, so
-the engine never divides by tG - F (see sections.DeltaContext).
+O[1/((tG-F)G)] / O[t][1/G] on the graph tG = F and reads off b_{f,m}(s)
+as the b-function of sigma_m along t = 0, with s acting as -d_t t.
+Modulo O[t][1/G] each section is one polar part sum_j n_j(x) G^-b
+(tG-F)^-j, so the engine never divides by tG - F (see
+sections.DeltaContext).
 
-The direct route (b_section_along_t) solves for p(t d_t) and its V_{-1}
+The direct route (b_section_along_t) solves for b(s) and its V_{-1}
 witness as exact linear systems in the section's context alone; it needs
 no annihilator.  Only the initial-ideal cross-check
 (b_section_along_t_initial) completes one, and so only it builds the seed
 operators and checks that they kill sigma_m: starting from them, all
 operators of bounded total degree killing sigma_m in the quotient module
 are found as a nullspace (a section is zero there iff its polar numerator
-is).  That route writes the degree-zero part of the initial ideal in
-s = -t d_t - 1 and so returns b(s) itself.
+is).  That route writes the degree-zero part of the initial ideal in the
+same s = -t d_t - 1, so both routes return b(s).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .bfunction import BFunction, S_VAR, theta_to_s
+from .bfunction import BFunction, S_VAR
 from .commutative import are_coprime, radical_contains
 from .errors import CapabilityError, CertificationError
 from .groebner import LeftIdeal
@@ -146,45 +147,46 @@ def b_section_along_t(
     ctx: DeltaContext,
     vdeg: int = 6,
     max_pdeg: int = 8,
-) -> MultiPoly:
-    """Monic p(theta), minimal within bounds, with p(t d_t) sigma_m in
-    V_{-1}(D) sigma_m (theta = t d_t; V_{-1} = operators of t-weight <= -1).
+) -> BFunction:
+    """Monic b(s), minimal within bounds, with b(s) sigma_m in V_{-1}(D)
+    sigma_m, s acting as -d_t t = -t d_t - 1 (V_{-1} = operators of
+    t-weight <= -1).
 
-    The candidate p and the V_{-1} witness are solved for jointly as one
-    exact linear system per degree of p.  The witness degree bound steps
-    through 2, 4, ... up to vdeg, and within a step the degrees of p
-    increase up to max_pdeg.  So the hit is minimal only among the p with
-    a witness of total degree <= the first step that finds one: a p of
+    The candidate b and the V_{-1} witness are solved for jointly as one
+    exact linear system per degree of b.  The witness degree bound steps
+    through 2, 4, ... up to vdeg, and within a step the degrees of b
+    increase up to max_pdeg.  So the hit is minimal only among the b with
+    a witness of total degree <= the first step that finds one: a b of
     lower degree may need a witness of a later step.  Any hit is a
-    multiple of the true b-polynomial of the section, since such p form an
-    ideal of Q[theta].
+    multiple of the true b-polynomial of the section, since such b form an
+    ideal of Q[s].
 
     The witness operators x^alpha d^beta (x and t together) are chosen by
     their shift delta = alpha - beta alone: delta_t >= 1 puts them in
     V_{-1}, and `shift_table` gives the delta with w.delta = 0 for each w
     making F and G homogeneous, t weighted w(F) - w(G) so that tG - F is
-    too: the module is then graded, and theta^k sigma_m has sigma_m's
-    weight.  p is the unique least monic relation, so this cannot change it.
+    too: the module is then graded, and s^k sigma_m has sigma_m's weight.
+    b is the unique least monic relation, so this cannot change it.
 
     A step with no witness column is skipped, as is one with the columns
-    of the failed step before it.  The skip is exact: theta takes c u^k to
-    a section whose top term is -k c F u^(k+1) (over one more G), so
-    theta^d sigma_m has u-degree exactly d + 1, p(theta) sigma_m != 0 for
-    every monic p, and no p exists without a column.  The powers theta^d
-    sigma_m are built one theta at a time, only as `least_monic` tries
-    degree d, and kept across the steps: theta^(d+1) sigma_m is t times
-    d_t theta^d sigma_m, a derivative and then t through `times`.
+    of the failed step before it.  The skip is exact: t d_t takes c u^k to
+    a section whose top term is -k c F u^(k+1) (over one more G), so s^d
+    sigma_m = (-t d_t - 1)^d sigma_m has u-degree exactly d + 1, b(s)
+    sigma_m != 0 for every monic b, and no b exists without a column.  The
+    powers s^d sigma_m are built one s at a time, only as `least_monic`
+    tries degree d, and kept across the steps: s^(d+1) sigma_m is -d_t of
+    t s^d sigma_m, t through `times` and then a derivative.
     """
     sig = ctx.sig
     sigma = ctx.generator()
     t = (0,) * len(ctx.xvars) + (1,)
-    theta_secs = [sigma]
+    s_secs = [sigma]
 
-    def theta_powers():
+    def s_powers():
         for d in range(max_pdeg + 1):
-            if d == len(theta_secs):
-                theta_secs.append(theta_secs[-1].derivative(T_VAR).times(t, ONE))
-            yield theta_secs[d]
+            if d == len(s_secs):
+                s_secs.append(s_secs[-1].times(t, -ONE).derivative(T_VAR))
+            yield s_secs[d]
 
     lattice = tuple(
         w + (poly_weight(ctx.F, w) - poly_weight(ctx.G, w),) for w in context_lattice(ctx)
@@ -197,12 +199,13 @@ def b_section_along_t(
         keys = [key for key, _, _ in vcols]
         if not keys or keys == failed:
             continue
-        found = least_monic(theta_powers(), [(elem, shift) for _, elem, shift in vcols])
+        found = least_monic(s_powers(), [(elem, shift) for _, elem, shift in vcols])
         if found is not None:
-            return MultiPoly(("theta",), {(i,): c for i, c in enumerate(found[0])})
+            coeffs = {(i,): c for i, c in enumerate(found[0])}
+            return BFunction.from_poly(MultiPoly((S_VAR,), coeffs))
         failed = keys
     raise CapabilityError(
-        f"no p(theta) of degree <= {max_pdeg} with a V_{{-1}} witness of "
+        f"no b(s) of degree <= {max_pdeg} with a V_{{-1}} witness of "
         f"degree <= {vdeg}"
     )
 
@@ -234,14 +237,15 @@ def b_mero(
     N: int = DEFAULT_N,
     deg: int = DEFAULT_DEG,
 ) -> BResult:
-    """b_{f,m}(s) = p_sigma(-s-1), oracle-certified and oracle-minimized."""
+    """b_{f,m}(s): the engine's b(s) of sigma_m, oracle-certified and
+    oracle-minimized."""
     sigma_ctx = build_sigma(F, G, m)
     F, G = sigma_ctx.F, sigma_ctx.G
     # one Laurent context for every oracle search, sharing the pair's
     # lattice; built before the engine runs, so that its signature refuses
     # a variable s before any work
     ctx = MeroContext(F, G, context_lattice(sigma_ctx))
-    engine_b = theta_to_s(b_section_along_t(sigma_ctx))
+    engine_b = b_section_along_t(sigma_ctx)
     notes: List[str] = []
     witness = verify_functional_equation(engine_b, F, G, m, N, deg, ctx)
     if witness is None:

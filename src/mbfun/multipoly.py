@@ -237,14 +237,12 @@ class MultiPoly(SparseTerms):
 
     def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """self with its i-th variable replaced by images[i]; the images
-        share one variable list, which the result is over.  Each power of
-        an image is built once, as `__pow__` builds it (see `_powers`)."""
+        share one variable list, which the result is over."""
         acc = MultiPoly.zero(images[0].variables)
-        powers = [_powers(image) for image in images]
         for exps, coeff in self.terms.items():
             term = acc._constant(coeff)
-            for power, e in zip(powers, exps, strict=True):
-                term = term * power(e)
+            for image, e in zip(images, exps, strict=True):
+                term = term * image ** e
             acc = acc + term
         return acc
 
@@ -326,30 +324,6 @@ class MultiPoly(SparseTerms):
                 coeffs.append(ZERO)
             coeffs[d] = coeff
         return coeffs if coeffs else [ZERO]
-
-
-def _powers(base: MultiPoly):
-    """The function e -> base ** e, with the products `__pow__` makes:
-    base ** e is the product, in increasing order, of the squares base **
-    2^i over the bits i of e.  The squares and each running product (a
-    function of e's low bits) are built once and shared between calls."""
-    squares = [base]
-    running = {0: MultiPoly.const(base.variables, 1)}
-
-    def power(e: int) -> MultiPoly:
-        low, bit = 0, 0
-        while e >> bit:
-            if e >> bit & 1:
-                key = low | 1 << bit
-                if key not in running:
-                    while len(squares) <= bit:
-                        squares.append(squares[-1] * squares[-1])
-                    running[key] = running[low] * squares[bit]
-                low = key
-            bit += 1
-        return running[low]
-
-    return power
 
 
 def format_coeff(coeff) -> str:

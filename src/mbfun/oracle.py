@@ -38,9 +38,10 @@ solvability in both directions because every column is
 weight-homogeneous in x.  Each column is a shift of a derivative of its
 target, and each derivative is imaged once per common denominator,
 however many degrees of b are tried.  The derivatives and the weight
-lattice belong to the MeroContext, so every search on one context, the
-operator degrees of `verify_functional_equation` and the minimization in
-`b_mero` among them, builds each derivative and the lattice once.
+lattice belong to the MeroContext, and so do the targets of each (m, N)
+with their rest weights, so every search on one context, the operator
+degrees of `verify_functional_equation` and the minimization in `b_mero`
+among them, builds each of them once.
 """
 
 from __future__ import annotations
@@ -97,6 +98,18 @@ def context_lattice(ctx) -> List[Tuple[int, ...]]:
     if ctx.lattice is None:
         ctx.lattice = weight_lattice(ctx.F, ctx.G)
     return ctx.lattice
+
+
+def context_targets(ctx: MeroContext, m: int, N: int):
+    """(v0 = f^s/G^m, the targets f^(s+k)/G^m for k = 1 .. N, their
+    `_rest_weights` against v0), built once per (m, N) and kept by the
+    context.  A weight reads only x-exponents, so they serve b(s) v0 too."""
+    if (m, N) not in ctx.targets:
+        v0 = base_section(ctx, m)
+        targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
+        rests = _rest_weights(dict(enumerate(targets)), context_lattice(ctx), v0)
+        ctx.targets[m, N] = v0, targets, rests
+    return ctx.targets[m, N]
 
 
 # -- labelled columns and witnesses --------------------------------------
@@ -202,16 +215,16 @@ def verify_functional_equation(
     and a None has exercised the full bounds.  Below the first degree
     there is no column, so b(s) f^s/G^m, which is not zero, has no
     witness there.  Each degree is a `minimal_b_search` at b-degree 0 with
-    b(s) f^s/G^m as v0, on rest weights computed once; the operators that
-    are not zero are returned.  ctx, when given, is a MeroContext of (F,
-    G): the degrees, and other searches on it, share its derivative
-    towers and weight lattice.
+    b(s) f^s/G^m as v0, on the context's targets and rest weights
+    (`context_targets`); the operators that are not zero are returned.
+    ctx, when given, is a MeroContext of (F, G): the degrees, and other
+    searches on it, share its derivative towers, weight lattice and
+    targets.
     """
     if ctx is None:
         ctx = MeroContext(F, G)
-    lhs = base_section(ctx, m).scaled(b.poly.extend_to(ctx.ring))
-    targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
-    rests = _rest_weights(dict(enumerate(targets)), context_lattice(ctx), lhs)
+    v0, targets, rests = context_targets(ctx, m, N)
+    lhs = v0.scaled(b.poly.extend_to(ctx.ring))
     first = _first_degree(len(ctx.sig.pairs), rests, deg)
     if first is None:
         return None
@@ -246,9 +259,7 @@ def minimize_by_oracle(
         return b
     if ctx is None:
         ctx = MeroContext(F, G)
-    v0 = base_section(ctx, m)
-    targets = [base_section(ctx, m, shift=k) for k in range(1, N + 1)]
-    rests = _rest_weights(dict(enumerate(targets)), context_lattice(ctx), v0)
+    v0, targets, rests = context_targets(ctx, m, N)
     if b.roots is not None and _roots_forced(ctx, v0, targets, deg, rests, b.roots):
         return b
     found = minimal_b_search(

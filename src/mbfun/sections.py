@@ -34,7 +34,7 @@ numerators over one common denominator.  On top of that:
     least_monic  least d with powers[d] + sum_{i<d} c_i powers[i] in the
                  span of the columns, one exact rational equation per
                  monomial of the images; a b-function is read off such a
-                 relation (b(s) v0 in the oracle, p(t d_t) sigma_m in the
+                 relation (b(s) v0 in the oracle, b(-d_t t) sigma_m in the
                  engine), and at d = 0 it decides whether one section is
                  in the span (a fixed b(s) v0 in the oracle).  powers is
                  an iterable, pulled one power per degree tried, so a
@@ -259,6 +259,7 @@ class MeroContext(_Context):
         self.F = F
         self.G = G
         self.lattice = lattice
+        self.targets: dict = {}   # (m, N) -> oracle.context_targets, once computed
         self.ring: Tuple[str, ...] = self.xvars + (S_VAR,)
         self.s = MultiPoly.var(self.ring, S_VAR)
         factors = (F.extend_to(self.ring), G.extend_to(self.ring))

@@ -1,5 +1,6 @@
-"""Expected b-functions built from their roots, and divisibility of one
-b-function by another, for the tests that compare b-functions."""
+"""Expected b-functions built from their roots, divisibility of one
+b-function by another, and b(s) = p(-s-1) from a b-polynomial p(theta),
+for the tests that compare b-functions."""
 
 from mbfun.bfunction import S_VAR, BFunction
 from mbfun.multipoly import MultiPoly
@@ -17,3 +18,9 @@ def b_from_roots(roots):
 def divides(a, b):
     """True iff the b-function a divides the b-function b."""
     return b.poly.divmod_single(a.poly)[1].is_zero()
+
+
+def theta_to_s(p_theta: MultiPoly) -> BFunction:
+    """Convert p(theta) to the monic b(s) = p(-s-1) convention."""
+    s = MultiPoly.var((S_VAR,), S_VAR)
+    return BFunction.from_poly(p_theta.compose([-s - 1]))

@@ -4,7 +4,7 @@ import pytest
 
 from mbfun import merobf, oracle
 from mbfun.annihilator import sabbah_line
-from mbfun.bfunction import theta_to_s
+from mbfun.bfunction import S_VAR, BFunction
 from mbfun.cli import main
 from mbfun.errors import CapabilityError, CertificationError
 from mbfun.merobf import (
@@ -23,7 +23,7 @@ from mbfun.parser import parse_poly
 from mbfun.rationals import Q
 from mbfun.sections import U_VAR, apply_delta_operator, least_monic, operator_columns
 from mbfun.weyl import WeylElement
-from bfunction_helpers import divides
+from bfunction_helpers import divides, theta_to_s
 
 
 def pair(ftext, gtext):
@@ -71,7 +71,8 @@ class TestEngine:
 
         monkeypatch.setattr(MultiPoly, "divmod_single", forbidden)
         F, G = pair(ftext, gtext)
-        assert str(b_section_along_t(build_sigma(F, G, m))) == want
+        got = b_section_along_t(build_sigma(F, G, m))
+        assert got == theta_to_s(parse_poly(want, ("theta",)))
 
     def test_witness_is_returned(self):
         F, G = pair("x^2", "1")
@@ -80,12 +81,13 @@ class TestEngine:
 
     @staticmethod
     def pad_engine(monkeypatch):
-        """Make the engine return its p(theta) times theta + 2, a proper
-        multiple, and return the list of the p(theta) it returns."""
+        """Make the engine return its b(s) times theta + 2 = 1 - s, a proper
+        multiple made monic, and return the list of the b(s) it returns."""
         real, padded = b_section_along_t, []
 
         def engine(ctx, *args, **kwargs):
-            padded.append(real(ctx, *args, **kwargs) * MultiPoly(("theta",), {(1,): 1, (0,): 2}))
+            pad = MultiPoly((S_VAR,), {(0,): 1, (1,): -1})
+            padded.append(BFunction.from_poly(real(ctx, *args, **kwargs).poly * pad))
             return padded[-1]
 
         monkeypatch.setattr(merobf, "b_section_along_t", engine)
@@ -98,10 +100,30 @@ class TestEngine:
         res = b_mero(F, G, 0)
         assert res.status == "CERTIFIED"
         assert res.b == plain.b
-        assert res.engine_b == theta_to_s(padded[0])
+        assert res.engine_b == padded[0]
         assert str(res.engine_b) == "(s + 1)*(s + 1/2)*(s - 1)"
         assert res.notes == ("engine value was a proper multiple; oracle minimized it",)
         assert res.witness == verify_functional_equation(res.b, F, G, 0)
+
+    def test_one_rest_weights_call_per_b_mero(self, monkeypatch):
+        # the verifications and the minimization of one b_mero read the
+        # targets and rest weights that its context keeps for (m, N)
+        real, calls = oracle._rest_weights, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_rest_weights", counted)
+        for ftext, gtext, m in BATTERY:
+            calls.clear()
+            b_mero(*pair(ftext, gtext), m)
+            assert len(calls) == 1, (ftext, gtext, m)
+        self.pad_engine(monkeypatch)
+        calls.clear()
+        res = b_mero(*pair("x^2", "y"), 0)
+        assert res.notes == ("engine value was a proper multiple; oracle minimized it",)
+        assert len(calls) == 1
 
     def test_minimized_b_without_witness_exits_one(self, capsys, monkeypatch):
         self.pad_engine(monkeypatch)
@@ -164,7 +186,8 @@ ENGINE_PINS = [
 @pytest.mark.parametrize("ftext, gtext, m, want", ENGINE_PINS)
 def test_engine_value_on_non_monomial_pairs(ftext, gtext, m, want):
     F, G = pair(ftext, gtext)
-    assert str(b_section_along_t(build_sigma(F, G, m))) == want
+    got = b_section_along_t(build_sigma(F, G, m))
+    assert got == theta_to_s(parse_poly(want, ("theta",)))
 
 
 
@@ -207,21 +230,24 @@ def test_engine_equals_the_unpruned_system(ftext, gtext, m):
         with pytest.raises(CapabilityError):
             b_section_along_t(ctx)
     else:
-        assert b_section_along_t(ctx) == want
+        assert b_section_along_t(ctx) == theta_to_s(want)
 
 
 @pytest.mark.parametrize("ftext, gtext, m", BATTERY + [(f, g, m) for f, g, m, _ in ENGINE_PINS])
 def test_theta_powers_have_exact_u_degree(ftext, gtext, m):
     # theta takes c u^k to a section whose top term is -k c F u^(k+1), so
     # theta^d sigma_m has u-degree d + 1 and p(theta) sigma_m != 0 for
-    # every monic p: a step with no V_{-1} column can never find p
+    # every monic p: a step with no V_{-1} column can never find p.  The
+    # engine's powers (-dt t)^d sigma_m = (-theta - 1)^d sigma_m have the
+    # same u-degrees, so the same holds for its b(s)
     ctx = build_sigma(*pair(ftext, gtext), m)
-    theta = WeylElement.gen(ctx.sig, "t") * WeylElement.gen(ctx.sig, "dt")
-    powers = [ctx.generator()]
-    for _ in range(8):
-        powers.append(apply_delta_operator(theta, powers[-1]))
-    assert [p.numerator.degree_in(U_VAR) for p in powers] == list(range(1, 10))
-    assert least_monic(powers, []) is None
+    t, dt = WeylElement.gen(ctx.sig, "t"), WeylElement.gen(ctx.sig, "dt")
+    for op in (t * dt, Q(-1) * (dt * t)):
+        powers = [ctx.generator()]
+        for _ in range(8):
+            powers.append(apply_delta_operator(op, powers[-1]))
+        assert [p.numerator.degree_in(U_VAR) for p in powers] == list(range(1, 10))
+        assert least_monic(powers, []) is None
 
 
 INITIAL_ROUTE_PAIRS = (
@@ -235,9 +261,7 @@ INITIAL_ROUTE_PAIRS = (
 def test_engine_agrees_with_initial_ideal_route(ftext, gtext, m):
     # two independent mechanisms for the same V-filtration b-polynomial
     ctx = build_sigma(*pair(ftext, gtext), m)
-    direct = theta_to_s(b_section_along_t(ctx))
-    via_initial = b_section_along_t_initial(ctx)
-    assert direct.poly == via_initial.poly
+    assert b_section_along_t(ctx) == b_section_along_t_initial(ctx)
 
 
 @pytest.mark.parametrize(

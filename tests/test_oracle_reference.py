@@ -12,13 +12,13 @@ import pytest
 
 from mbfun import linalg
 from mbfun.annihilator import sabbah_line
-from mbfun.bfunction import theta_to_s
 from mbfun.merobf import b_section_along_t, build_sigma
 from mbfun.multipoly import unify
 from mbfun.oracle import _operators, verify_functional_equation, weight_lattice
 from mbfun.parser import parse_poly
 from mbfun.rationals import ZERO
 from mbfun.sections import MeroContext, base_section, images, operator_columns
+from bfunction_helpers import theta_to_s
 from column_helpers import passing_shifts, section_of, weight_rule
 from test_annihilator import SABBAH_PINS
 from test_merobf import BATTERY, ENGINE_PINS, pair
@@ -91,7 +91,7 @@ def exact(ops):
 
 def engine_b(ftext, gtext, m, p_theta=None):
     if p_theta is None:
-        return theta_to_s(b_section_along_t(build_sigma(*pair(ftext, gtext), m)))
+        return b_section_along_t(build_sigma(*pair(ftext, gtext), m))
     return theta_to_s(parse_poly(p_theta, ("theta",)))
 
 

@@ -34,7 +34,7 @@ from mbfun.sections import (
     poly_weight,
 )
 from mbfun.weyl import WeylElement
-from bfunction_helpers import b_from_roots
+from bfunction_helpers import b_from_roots, theta_to_s
 from column_helpers import (
     as_columns,
     engine_keep,
@@ -829,7 +829,7 @@ def test_b_section_along_t_matches_graph_form(pair, m):
             with pytest.raises(CapabilityError):
                 b_section_along_t(ctx, vdeg, max_pdeg)
         else:
-            assert b_section_along_t(ctx, vdeg, max_pdeg) == want
+            assert b_section_along_t(ctx, vdeg, max_pdeg) == theta_to_s(want)
 
 
 def over_larger_denominator(sec, i):
